@@ -12,8 +12,8 @@ All certificates are finite: every search is restricted to an explicit box of
 classes and reports honestly when the box is too small to decide.
 """
 
-import heapq
 import itertools
+import math
 
 from fractions import Fraction
 
@@ -668,66 +668,45 @@ def default_box(X, radius=2, basis=None):
 # generators and relations
 
 
-def _key_sub(pic, ka, kb):
-    rank = pic.rank
-    moduli = pic.invariant_factors
-    free = tuple(a - b for a, b in zip(ka[:rank], kb[:rank]))
-    tors = tuple((a - b) % d
-                 for a, b, d in zip(ka[rank:], kb[rank:], moduli))
-    return free + tors
+def _degree_weights(A):
+    """Weights y on the ambient class coordinates, positive on every nonzero
+    effective class.
+
+    A copy of a special point of multiplicity m weighs L/m, where L is the
+    lcm of the multiplicities.  A prime divisor then weighs L/m on a copy and
+    L on an ordinary point, and every class relation (the copies of a point
+    minus the copies of the anchor) weighs L - L = 0, so y is well defined on
+    classes and strictly positive on the nonzero effective ones.
+    """
+    mults = [m for _, m in A.curve.special]
+    lcm = math.lcm(*mults)
+    y = tuple(lcm // m for m in mults for _ in range(m))
+    if any(sum(a * b for a, b in zip(y, r)) for r in A.pic.relations):
+        raise InternalInconsistency(
+            "degree weights do not vanish on the class relations")
+    return y
 
 
-def _topo_order(A, box):
-    """Linear extension of the effectivity order on the box classes.
+def _traversal(A, box):
+    """Distinct box classes, each with its first position in the box, in a
+    linear extension of the effectivity order.
 
-    A class precedes another when their difference is the class of a nonzero
-    effective divisor; ties are broken by position in the box.  A cycle
-    means some nonzero class is effective in both directions, which is
-    exactly a non-pointed degree monoid.
+    A nonzero effective difference raises the weighted degree of
+    _degree_weights, so sorting by (weighted degree, position) visits every
+    class below a class before it.
     """
     pic = A.pic
-    nodes = []
+    y = _degree_weights(A)
+    classes = []
     seen = set()
-    for c in box:
+    for i, c in enumerate(box):
         vec = tuple(int(x) for x in c)
         key = pic.class_key(vec)
         if key not in seen:
             seen.add(key)
-            nodes.append(vec)
-    n = len(nodes)
-    keys = [pic.class_key(v) for v in nodes]
-    eff = {}
-
-    def effective(i, j):
-        dkey = _key_sub(pic, keys[j], keys[i])
-        got = eff.get(dkey)
-        if got is None:
-            got = A.effective_nonzero(_vsub(nodes[j], nodes[i]))
-            eff[dkey] = got
-        return got
-
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and effective(i, j):
-                succ[i].append(j)
-                indeg[j] += 1
-    heap = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        i = heapq.heappop(heap)
-        order.append(nodes[i])
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, j)
-    if len(order) != n:
-        raise NonPointedMonoid(
-            "effective classes in the box form a cycle; the degree monoid "
-            "is not pointed")
-    return order
+            classes.append((sum(a * b for a, b in zip(y, vec)), i, vec))
+    classes.sort()
+    return [(i, vec) for _, i, vec in classes]
 
 
 def _monomials(A, degrees, target, bound):
@@ -760,15 +739,10 @@ def find_generators(A, box, bound=None):
     list is sorted by the position of each degree in the box, which makes
     the output independent of which linear extension was traversed.
     """
-    pic = A.pic
-    pos = {}
-    for i, c in enumerate(box):
-        key = pic.class_key(tuple(int(x) for x in c))
-        if key not in pos:
-            pos[key] = i
-    order = _topo_order(A, box)
+    visit = _traversal(A, box)
+    pos = {D: i for i, D in visit}
     gens = []
-    for D in order:
+    for _, D in visit:
         dim = A.component_dim(D)
         if dim == 0:
             continue
@@ -787,7 +761,7 @@ def find_generators(A, box, bound=None):
             if not span.contains(unit):
                 gens.append((D, space.basis[idx]))
                 span.add(unit)
-    gens.sort(key=lambda g: pos[pic.class_key(g[0])])
+    gens.sort(key=lambda g: pos[g[0]])
     return gens
 
 
@@ -800,15 +774,16 @@ def find_relations(A, generators, box, bound=None):
     form over the graded lexicographic monomial order.  The certificate
     records, per class, the monomial count, the component dimension, the
     kernel dimension, and the dimension spanned by relation multiples.
+    Relations and certificate rows are listed by the position of their
+    degree in the box, like the generators.
     """
     gens = list(generators)
     nv = len(gens)
     gen_degrees = [tuple(int(x) for x in g[0]) for g in gens]
     dmap = tuple(gen_degrees)
-    order = _topo_order(A, box)
     found = []
     certificate = []
-    for D in order:
+    for at, D in _traversal(A, box):
         exps_list = _monomials(A, gen_degrees, D, bound)
         nm = len(exps_list)
         space = A.pic_component(D)
@@ -817,8 +792,9 @@ def find_relations(A, generators, box, bound=None):
             if exps_list:
                 raise InternalInconsistency(
                     "monomials exist in a zero component")
-            certificate.append({"degree": list(D), "monomials": 0,
-                                "dim": 0, "kernel": 0, "ideal_span": 0})
+            certificate.append((at, {"degree": list(D), "monomials": 0,
+                                     "dim": 0, "kernel": 0,
+                                     "ideal_span": 0}))
             continue
         index = {exps: t for t, exps in enumerate(exps_list)}
         coords = []
@@ -840,7 +816,7 @@ def find_relations(A, generators, box, bound=None):
                        for vec in kernel]
         _em._echelonize(perm_kernel, nm)
         old = _Span(nm)
-        for Dr, poly in found:
+        for _, Dr, poly in found:
             diff = _vsub(D, Dr)
             for cof in _monomials(A, gen_degrees, diff, bound):
                 prod = poly * MultiPoly.monomial(cof, 1, dmap)
@@ -852,7 +828,6 @@ def find_relations(A, generators, box, bound=None):
                             "relation multiple uses an unlisted monomial")
                     vec[t] = coeff
                 old.add([vec[colorder[c]] for c in range(nm)])
-        new_count = 0
         for row in perm_kernel:
             if not any(row):
                 continue
@@ -867,11 +842,13 @@ def find_relations(A, generators, box, bound=None):
             if not poly.substitute([g[1] for g in gens]).is_zero():
                 raise InternalInconsistency(
                     "relation does not evaluate to zero")
-            found.append((D, poly))
-            new_count += 1
-        certificate.append({"degree": list(D), "monomials": nm, "dim": dim,
-                            "kernel": kdim, "ideal_span": old.dim})
-    return [poly for _, poly in found], certificate
+            found.append((at, D, poly))
+        certificate.append((at, {"degree": list(D), "monomials": nm,
+                                 "dim": dim, "kernel": kdim,
+                                 "ideal_span": old.dim}))
+    found.sort(key=lambda f: f[0])
+    certificate.sort(key=lambda row: row[0])
+    return [poly for _, _, poly in found], [row for _, row in certificate]
 
 
 # ---------------------------------------------------------------------------

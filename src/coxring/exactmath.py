@@ -20,11 +20,6 @@ class UnboundedEnumeration(Exception):
     """Monomial search cannot terminate: degree map not pointed, no bound."""
 
 
-def parse_rational(text):
-    """Parse an integer or a/b string into a Rational."""
-    return Fraction(text.strip())
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials over Q
 
@@ -662,26 +657,6 @@ class QMatrix:
     def __hash__(self):
         return hash(("QMatrix", self.entries))
 
-    def row(self, i):
-        return self.entries[i]
-
-    def col(self, j):
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self):
-        return QMatrix([self.col(j) for j in range(self.cols)])
-
-    def matvec(self, v):
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    def matmul(self, other):
-        return QMatrix([
-            [sum(self.entries[i][k] * other.entries[k][j]
-                 for k in range(self.cols))
-             for j in range(other.cols)]
-            for i in range(self.rows)
-        ])
-
     def __repr__(self):
         return "QMatrix(%r)" % (list(list(r) for r in self.entries),)
 
@@ -761,21 +736,6 @@ def solve_in_span(vectors, target):
     for r, pc in enumerate(pivots):
         coeffs[pc] = rows[r][k]
     return tuple(coeffs)
-
-
-def solve_linear(M, b):
-    """One exact solution x of Mx = b, or None when inconsistent."""
-    rows = _as_rows(M)
-    b = [Fraction(x) for x in b]
-    ncols = len(rows[0]) if rows else 0
-    aug = [rows[i] + [b[i]] for i in range(len(rows))]
-    pivots = _echelonize(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][ncols]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,11 @@ class GluedCurve:
         return "GluedCurve(%r)" % (list(self.special),)
 
 
+def is_json_int(x):
+    """A JSON integer; booleans are excluded although bool subclasses int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def curve_from_json(data):
     """Build a curve from {"special": [{"point": ..., "multiplicity": ...}]}."""
     if not isinstance(data, dict) or "special" not in data:
@@ -187,6 +192,8 @@ def curve_from_json(data):
     entries = data["special"]
     if not isinstance(entries, list):
         raise ValueError("'special' must be a list")
+    if not entries:
+        raise ValueError("'special' must list at least one point")
     special = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -199,7 +206,7 @@ def curve_from_json(data):
             raise ValueError("special entry %d has unparseable point %r"
                              % (i, entry.get("point")))
         mult = entry.get("multiplicity", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if not is_json_int(mult) or mult < 1:
             raise ValueError("special entry %d needs integer multiplicity >= 1"
                              % i)
         special.append((point, mult))
@@ -313,9 +320,9 @@ def divisor_from_json(data, X=None):
                              % (i, entry.get("point")))
         copy = entry.get("copy", 0)
         coeff = entry.get("coeff")
-        if not isinstance(copy, int) or copy < 0:
+        if not is_json_int(copy) or copy < 0:
             raise ValueError("divisor entry %d needs integer copy >= 0" % i)
-        if not isinstance(coeff, int):
+        if not is_json_int(coeff):
             raise ValueError("divisor entry %d needs integer coeff" % i)
         point = CurvePoint(base, copy)
         if X is not None:

@@ -18,7 +18,7 @@ from .exactmath import (
 )
 from .grading import FGAbelianGroup
 from .coxalg import Presentation
-from .ratcurve import InternalInconsistency
+from .ratcurve import InternalInconsistency, is_json_int
 
 
 class MalformedFan(Exception):
@@ -97,7 +97,7 @@ def fan_from_json(data):
     extra = set(data) - {"rank", "rays", "max_cones"}
     if extra:
         raise MalformedFan("unknown fields %r" % (sorted(extra),))
-    if not isinstance(data["rank"], int):
+    if not is_json_int(data["rank"]):
         raise MalformedFan("field 'rank' must be an integer")
     for field in ("rays", "max_cones"):
         if not isinstance(data[field], list) or any(
@@ -105,7 +105,7 @@ def fan_from_json(data):
             raise MalformedFan("field %r must be a list of lists" % field)
         for row in data[field]:
             for x in row:
-                if not isinstance(x, int):
+                if not is_json_int(x):
                     raise MalformedFan(
                         "field %r must contain integers" % field)
     return Fan(data["rank"], data["rays"], data["max_cones"])

@@ -199,6 +199,15 @@ class TestErrors:
         assert code == 1
         assert "not valid JSON" in err
 
+    def test_empty_curve(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"special": []}))
+        code, out, err = run_cli(capsys, "curve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "at least one" in err
+        assert "Traceback" not in err
+
     def test_malformed_fan(self, capsys, tmp_path):
         path = tmp_path / "fan.json"
         path.write_text(json.dumps({"rank": 2, "rays": [[2, 4]],

@@ -9,7 +9,10 @@ have independently computed expected values.
 
 import functools
 import itertools
+import json
+import pathlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +34,8 @@ from coxring.coxalg import (
     Pass,
     Presentation,
     Separated,
+    _degree_weights,
+    _traversal,
     build_presentation,
     build_shifting_family,
     canonical_lambda,
@@ -56,7 +61,9 @@ from coxring.ratcurve import (
     CurvePoint,
     Divisor,
     GluedCurve,
+    InternalInconsistency,
     P1Point,
+    curve_from_json,
     principal_divisor,
     section_space,
 )
@@ -459,6 +466,47 @@ class TestPresentation:
         P = tripled_presentation()
         with pytest.raises(AttributeError):
             P.generators = ()
+
+    def test_rows_follow_the_box(self):
+        P = tripled_presentation()
+        pic = tripled_algebra().pic
+        distinct = {}
+        for c in tripled_box():
+            distinct.setdefault(pic.class_key(c), list(c))
+        assert [e["degree"] for e in P.certificate] == list(distinct.values())
+
+
+def _order_cases():
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    for path in sorted(fixtures.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "special" in data:
+            yield path.stem, curve_from_json(data)
+    yield "0:3,inf:2", GluedCurve([(pt(0), 3), (pt("inf"), 2)])
+
+
+ORDER_CASES = dict(_order_cases())
+
+
+class TestClassOrder:
+    """The weighted-degree traversal against the effectivity oracle."""
+
+    @pytest.mark.parametrize("X", ORDER_CASES.values(), ids=ORDER_CASES)
+    def test_traversal_extends_effectivity(self, X):
+        A = curve_algebra(X)
+        box = default_box(X, 1)
+        order = [c for _, c in _traversal(A, box)]
+        assert len({A.pic.class_key(c) for c in box}) == len(order)
+        for a, b in itertools.combinations(range(len(order)), 2):
+            assert not A.effective_nonzero(
+                tuple(x - y for x, y in zip(order[a], order[b])))
+
+    def test_weights_must_vanish_on_relations(self):
+        X = GluedCurve([(pt(0), 3), (pt("inf"), 2)])
+        bad = SimpleNamespace(
+            curve=X, pic=FGAbelianGroup(5, [(1, 1, 1, -1, 0)]))
+        with pytest.raises(InternalInconsistency):
+            _degree_weights(bad)
 
 
 class TestWeightMonoid:

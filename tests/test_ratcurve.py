@@ -139,6 +139,14 @@ class TestJson:
             curve_from_json({"special": [{"point": "0", "multiplicity": 0}]})
         with pytest.raises(ValueError):
             curve_from_json({"nope": []})
+        with pytest.raises(ValueError, match="at least one"):
+            curve_from_json({"special": []})
+
+    @pytest.mark.parametrize("mult", [True, False])
+    def test_curve_rejects_boolean_multiplicity(self, mult):
+        with pytest.raises(ValueError, match="multiplicity"):
+            curve_from_json({"special": [{"point": "0",
+                                          "multiplicity": mult}]})
 
     def test_divisor_roundtrip(self):
         X = tripled_line()
@@ -151,6 +159,15 @@ class TestJson:
             divisor_from_json([{"point": "0", "copy": 5, "coeff": 1}], X)
         with pytest.raises(ValueError):
             divisor_from_json([{"point": "0", "coeff": "x"}], X)
+
+    @pytest.mark.parametrize("entry", [
+        {"point": "0", "copy": True, "coeff": 1},
+        {"point": "0", "copy": 0, "coeff": True},
+        {"point": "0", "coeff": False},
+    ])
+    def test_divisor_rejects_booleans(self, entry):
+        with pytest.raises(ValueError, match="integer"):
+            divisor_from_json([entry], tripled_line())
 
 
 class TestOrderAt:

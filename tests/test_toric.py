@@ -109,6 +109,15 @@ class TestJson:
         with pytest.raises(MalformedFan, match="integers"):
             fan_from_json({"rank": 1, "rays": [[1.5]], "max_cones": [[0]]})
 
+    @pytest.mark.parametrize("data", [
+        {"rank": True, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
+        {"rank": 1, "rays": [[True], [-1]], "max_cones": [[0], [1]]},
+        {"rank": 1, "rays": [[1], [-1]], "max_cones": [[False], [1]]},
+    ])
+    def test_booleans_are_not_integers(self, data):
+        with pytest.raises(MalformedFan, match="integer"):
+            fan_from_json(data)
+
     def test_not_an_object(self):
         with pytest.raises(MalformedFan, match="object"):
             fan_from_json([1, 2])
