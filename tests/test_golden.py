@@ -1,8 +1,9 @@
 """Byte-for-byte comparison of CLI reports with the committed golden files.
 
 Every fixture is reported at box radius 1 in both formats: curves with
-`coxring curve`, fans with `coxring toric`.  After a deliberate change to
-the reports, regenerate the files with
+`coxring curve`, fans with `coxring toric`; every fixture also with
+`coxring verify`, and the curves with `coxring crosscheck`.  After a
+deliberate change to the reports, regenerate the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -27,9 +28,14 @@ FORMATS = {"json": "json", "text": "txt"}
 def _cases():
     for path in sorted(FIXTURES.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
-        mode = "curve" if "special" in data else "toric"
-        for fmt, ext in FORMATS.items():
-            yield path, mode, fmt, GOLDEN / ("%s.box1.%s" % (path.stem, ext))
+        curve = "special" in data
+        runs = [("curve" if curve else "toric", ""), ("verify", "verify.")]
+        if curve:
+            runs.append(("crosscheck", "crosscheck."))
+        for mode, tag in runs:
+            for fmt, ext in FORMATS.items():
+                name = "%s.%sbox1.%s" % (path.stem, tag, ext)
+                yield path, mode, fmt, GOLDEN / name
 
 
 CASES = list(_cases())
