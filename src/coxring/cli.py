@@ -8,7 +8,8 @@ identical bytes.
 
 Exit codes: 0 when nothing failed (nonseparatedness and inconclusive checks
 are findings, reported with a flag), 2 when a verification check failed,
-1 for unreadable or malformed input.
+1 for unreadable or malformed input and for a box too small to answer, 3
+when an internal consistency check failed.
 """
 
 import argparse
@@ -17,11 +18,9 @@ import sys
 from fractions import Fraction
 
 from .coxalg import (
-    Fail,
-    Inconclusive,
-    NotSeparated,
-    Pass,
-    Separated,
+    BoxTooSmall,
+    GeneratorsIncomplete,
+    NonPointedMonoid,
     build_presentation,
     curve_algebra,
     default_box,
@@ -33,7 +32,7 @@ from .coxalg import (
     uniqueness_crosscheck,
     weight_monoid_check,
 )
-from .ratcurve import curve_from_json
+from .ratcurve import InternalInconsistency, curve_from_json
 from .toric import (
     MalformedFan,
     class_group,
@@ -61,30 +60,7 @@ def _plain(value):
 
 
 def _verdict_entry(verdict, **context):
-    if isinstance(verdict, Pass):
-        out = {"verdict": "pass"}
-        if verdict.details:
-            out["details"] = _plain(verdict.details)
-    elif isinstance(verdict, Fail):
-        out = {"verdict": "fail"}
-        if verdict.cokernel is not None:
-            out["cokernel"] = _plain(verdict.cokernel)
-        if verdict.details:
-            out["details"] = _plain(verdict.details)
-    elif isinstance(verdict, Inconclusive):
-        out = {"verdict": "inconclusive", "reason": verdict.reason}
-        if verdict.details:
-            out["details"] = _plain(verdict.details)
-    elif isinstance(verdict, Separated):
-        out = {"verdict": "separated", "levels": verdict.levels}
-    elif isinstance(verdict, NotSeparated):
-        out = {"verdict": "not_separated", "pair": list(verdict.pair),
-               "level": verdict.level, "witness": str(verdict.witness),
-               "shifted": str(verdict.shifted)}
-    else:
-        raise TypeError("unknown verdict %r" % (verdict,))
-    out.update(context)
-    return out
+    return dict(_plain(verdict.to_json()), **context)
 
 
 def _pointed_entry(report):
@@ -325,9 +301,13 @@ def main(argv=None):
         report, code = run(args.mode, args.file, box_radius=args.box,
                            power_bound=args.power_bound,
                            lambda_mode=args.lambda_mode)
-    except InputError as exc:
+    except (InputError, BoxTooSmall, GeneratorsIncomplete,
+            NonPointedMonoid) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except InternalInconsistency as exc:
+        print("error: internal inconsistency: %s" % exc, file=sys.stderr)
+        return 3
     print(render(report, args.format))
     return code
 

@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 
 from .exactmath import (
+    Immutable,
     MultiPoly,
     RationalFunction,
     UnboundedEnumeration,
@@ -72,56 +73,87 @@ class DegreeMismatch(Exception):
 # verdict values
 
 
-class InIdeal:
+class Verdict(Immutable):
+    """Outcome of a check.  The outcomes a report lists return their report
+    entry, before conversion to plain JSON values, from to_json()."""
+
+    def to_json(self):
+        raise TypeError("unknown verdict %r" % (self,))
+
+
+class InIdeal(Verdict):
     def __repr__(self):
         return "InIdeal()"
 
 
-class NotInIdeal:
+class NotInIdeal(Verdict):
     """Carries the nonzero residual sections, one per class grouping."""
 
     def __init__(self, residuals):
-        self.residuals = tuple(residuals)
+        object.__setattr__(self, "residuals", tuple(residuals))
 
     def __repr__(self):
         return "NotInIdeal(%d residuals)" % len(self.residuals)
 
 
-class Pass:
+class Pass(Verdict):
     def __init__(self, **details):
-        self.details = details
+        object.__setattr__(self, "details", details)
 
     def __repr__(self):
         return "Pass(%r)" % (self.details,)
 
+    def to_json(self):
+        out = {"verdict": "pass"}
+        if self.details:
+            out["details"] = self.details
+        return out
 
-class Fail:
+
+class Fail(Verdict):
     def __init__(self, cokernel=None, **details):
-        self.cokernel = cokernel
-        self.details = details
+        object.__setattr__(self, "cokernel", cokernel)
+        object.__setattr__(self, "details", details)
 
     def __repr__(self):
         return "Fail(cokernel=%r)" % (self.cokernel,)
 
+    def to_json(self):
+        out = {"verdict": "fail"}
+        if self.cokernel is not None:
+            out["cokernel"] = self.cokernel
+        if self.details:
+            out["details"] = self.details
+        return out
 
-class Inconclusive:
+
+class Inconclusive(Verdict):
     def __init__(self, reason="", **details):
-        self.reason = reason
-        self.details = details
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "details", details)
 
     def __repr__(self):
         return "Inconclusive(%r)" % (self.reason,)
 
+    def to_json(self):
+        out = {"verdict": "inconclusive", "reason": self.reason}
+        if self.details:
+            out["details"] = self.details
+        return out
 
-class Separated:
+
+class Separated(Verdict):
     def __init__(self, levels):
-        self.levels = levels
+        object.__setattr__(self, "levels", levels)
 
     def __repr__(self):
         return "Separated(levels=%d)" % self.levels
 
+    def to_json(self):
+        return {"verdict": "separated", "levels": self.levels}
 
-class NotSeparated:
+
+class NotSeparated(Verdict):
     """A defect of the localization product map that survives one extra
     truncation level.
 
@@ -131,27 +163,32 @@ class NotSeparated:
     """
 
     def __init__(self, pair, level, witness, shifted):
-        self.pair = pair
-        self.level = level
-        self.witness = witness
-        self.shifted = shifted
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "shifted", shifted)
 
     def __repr__(self):
         return "NotSeparated(pair=%r, level=%d, witness=%s)" % (
             self.pair, self.level, self.witness)
 
+    def to_json(self):
+        return {"verdict": "not_separated", "pair": list(self.pair),
+                "level": self.level, "witness": str(self.witness),
+                "shifted": str(self.shifted)}
 
-class Equivalent:
+
+class Equivalent(Verdict):
     def __init__(self, character):
-        self.character = character
+        object.__setattr__(self, "character", character)
 
     def __repr__(self):
         return "Equivalent(character=%r)" % (self.character,)
 
 
-class NotEquivalent:
+class NotEquivalent(Verdict):
     def __init__(self, reason):
-        self.reason = reason
+        object.__setattr__(self, "reason", reason)
 
     def __repr__(self):
         return "NotEquivalent(%r)" % (self.reason,)
@@ -217,7 +254,7 @@ class _Span:
 # divisor lattices over a curve
 
 
-class LineBundleLattice:
+class LineBundleLattice(Immutable):
     """Free group of divisors on a glued curve, mapping into the class group.
 
     The basis consists of divisors supported on copies of special points; the
@@ -255,9 +292,6 @@ class LineBundleLattice:
         object.__setattr__(self, "to_pic",
                            GroupHom(FGAbelianGroup.free(len(basis)), pic,
                                     matrix))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineBundleLattice is immutable")
 
     @property
     def rank(self):
@@ -325,7 +359,7 @@ def full_lambda(X):
     return LineBundleLattice(X, basis, picdata)
 
 
-class GradedSectionAlgebra:
+class GradedSectionAlgebra(Immutable):
     """Components of the lattice grading, computed once and cached.
 
     The cache is the only mutable state; entries are immutable section
@@ -338,9 +372,6 @@ class GradedSectionAlgebra:
     def __init__(self, lattice):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedSectionAlgebra is immutable")
 
     def component(self, vec):
         key = tuple(int(x) for x in vec)
@@ -365,7 +396,7 @@ class GradedSectionAlgebra:
 # shifting families
 
 
-class ShiftingFamily:
+class ShiftingFamily(Immutable):
     """Witness functions identifying components along the lattice kernel.
 
     Each kernel basis element E comes with a function g whose principal
@@ -392,9 +423,6 @@ class ShiftingFamily:
         object.__setattr__(self, "witnesses", witnesses)
         object.__setattr__(self, "algebra",
                            algebra or GradedSectionAlgebra(lattice))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftingFamily is immutable")
 
     def kernel_coords(self, E):
         E = [int(x) for x in E]
@@ -512,7 +540,7 @@ def ideal_membership(family, candidate, box):
 # the class-graded algebra
 
 
-class PicGradedAlgebra:
+class PicGradedAlgebra(Immutable):
     """Class-graded quotient of a graded section algebra.
 
     Components at a class are realized as components of the underlying
@@ -556,9 +584,6 @@ class PicGradedAlgebra:
                            tuple(tuple(row) for row in S))
         object.__setattr__(self, "_dim_memo", {})
         object.__setattr__(self, "_eff_memo", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PicGradedAlgebra is immutable")
 
     @property
     def lattice(self):
@@ -647,21 +672,8 @@ def default_box(X, radius=2, basis=None):
     The ordering puts small positive degrees first, which keeps generator
     discovery deterministic and stable across runs.
     """
-    lat = canonical_lambda(X, basis=basis)
-    pic = lat.to_pic.target
-    rank = lat.rank
-    vecs = sorted(itertools.product(range(-radius, radius + 1), repeat=rank),
-                  key=lambda c: (sum(abs(x) for x in c),
-                                 tuple(-x for x in c)))
-    out = []
-    seen = set()
-    for c in vecs:
-        amb = lat.to_pic.apply(c)
-        key = pic.class_key(amb)
-        if key not in seen:
-            seen.add(key)
-            out.append(amb)
-    return tuple(out)
+    to_pic = canonical_lambda(X, basis=basis).to_pic
+    return to_pic.target.box(tuple(zip(*to_pic.matrix)), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -855,7 +867,7 @@ def find_relations(A, generators, box, bound=None):
 # presentations
 
 
-class Presentation:
+class Presentation(Immutable):
     """Generators, relations and a completeness certificate over a box."""
 
     __slots__ = ("grading", "generators", "relations", "box", "certificate")
@@ -869,9 +881,6 @@ class Presentation:
         object.__setattr__(self, "box",
                            tuple(tuple(int(x) for x in c) for c in box))
         object.__setattr__(self, "certificate", tuple(certificate))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Presentation is immutable")
 
     @property
     def variables(self):

@@ -20,11 +20,24 @@ class UnboundedEnumeration(Exception):
     """Monomial search cannot terminate: degree map not pointed, no bound."""
 
 
+class Immutable:
+    """Base of the value classes: attributes are written once, in __init__,
+    with object.__setattr__, and can then be neither rebound nor deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials over Q
 
 
-class UniPoly:
+class UniPoly(Immutable):
     """Dense univariate polynomial in z with Rational coefficients.
 
     Coefficients are stored ascending by exponent with no trailing zeros, so
@@ -39,9 +52,6 @@ class UniPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
 
     @staticmethod
     def const(c):
@@ -199,7 +209,7 @@ class UniPoly:
 # rational functions in z
 
 
-class RationalFunction:
+class RationalFunction(Immutable):
     """Quotient of univariate polynomials, kept coprime with monic denominator."""
 
     __slots__ = ("num", "den")
@@ -225,9 +235,6 @@ class RationalFunction:
                 den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     @staticmethod
     def zero():
@@ -411,7 +418,7 @@ def grlex_key(exps):
     return (-sum(exps), tuple(-e for e in exps))
 
 
-class MultiPoly:
+class MultiPoly(Immutable):
     """Polynomial in variables T1..Tr with an optional multidegree for each
     variable.
 
@@ -438,9 +445,6 @@ class MultiPoly:
             if len(degree_map) != nvars:
                 raise ValueError("degree_map length must equal nvars")
         object.__setattr__(self, "degree_map", degree_map)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     @staticmethod
     def zero(nvars, degree_map=None):
@@ -628,7 +632,7 @@ def parse_multipoly(text, nvars, degree_map=None):
 # dense exact linear algebra
 
 
-class QMatrix:
+class QMatrix(Immutable):
     """Immutable dense matrix of Rationals."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -642,9 +646,6 @@ class QMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
 
     @staticmethod
     def identity(n):

@@ -6,12 +6,13 @@ relation matrix, which drives rank, torsion, canonical coordinates,
 homomorphism checks, quotients, and character extension.
 """
 
+import itertools
 from fractions import Fraction
 
 import sympy
 
 from . import exactmath as em
-from .exactmath import Rational
+from .exactmath import Immutable
 
 
 class Obstructed(Exception):
@@ -90,7 +91,7 @@ def smith_normal_form(M):
     return U, D, V
 
 
-class FGAbelianGroup:
+class FGAbelianGroup(Immutable):
     """Quotient of Z^ambient_rank by the lattice spanned by relation columns."""
 
     __slots__ = ("ambient_rank", "relations", "cached_snf", "_free_rows",
@@ -104,14 +105,6 @@ class FGAbelianGroup:
                 raise ValueError("relation length differs from ambient rank")
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "relations", tuple(rels))
-        if ambient_rank == 0:
-            object.__setattr__(self, "cached_snf", ([], [], []))
-            object.__setattr__(self, "_free_rows", ())
-            object.__setattr__(self, "_torsion_rows", ())
-            object.__setattr__(self, "_torsion_moduli", ())
-            object.__setattr__(self, "_hnf", ())
-            object.__setattr__(self, "_uinv", ())
-            return
         matrix = [[rels[j][i] for j in range(len(rels))]
                   for i in range(ambient_rank)]
         if not rels:
@@ -141,9 +134,6 @@ class FGAbelianGroup:
         object.__setattr__(self, "_uinv",
                            tuple(tuple(r) for r in _int_inverse(U)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FGAbelianGroup is immutable")
-
     @staticmethod
     def free(rank):
         return FGAbelianGroup(rank)
@@ -161,6 +151,26 @@ class FGAbelianGroup:
 
     def is_trivial(self):
         return self.rank == 0 and not self._torsion_moduli
+
+    def box(self, generators, radius):
+        """The distinct classes sum_k c_k * generators[k] with every |c_k| at
+        most radius, as ambient vectors, ordered by sum_k |c_k| and then by
+        sign-flipped lexicographic comparison of c, so small positive
+        combinations come first."""
+        coefficients = sorted(
+            itertools.product(range(-radius, radius + 1),
+                              repeat=len(generators)),
+            key=lambda c: (sum(abs(x) for x in c), tuple(-x for x in c)))
+        out = []
+        seen = set()
+        for c in coefficients:
+            amb = tuple(sum(x * g[i] for x, g in zip(c, generators))
+                        for i in range(self.ambient_rank))
+            key = self.class_key(amb)
+            if key not in seen:
+                seen.add(key)
+                out.append(amb)
+        return tuple(out)
 
     def contains_zero(self, vector):
         """Whether the ambient vector represents the zero class."""
@@ -248,7 +258,7 @@ def _int_inverse(U):
     return out
 
 
-class GroupHom:
+class GroupHom(Immutable):
     """Homomorphism between presented groups, given on ambient coordinates.
 
     Well-definedness (relation lattice of the source maps into the relation
@@ -273,9 +283,6 @@ class GroupHom:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupHom is immutable")
 
     def apply(self, vector):
         vector = [int(x) for x in vector]
@@ -343,7 +350,7 @@ def lift_onto_free(G):
     return free, onto
 
 
-class Character:
+class Character(Immutable):
     """Multiplicative map from a free group to nonzero rationals, given by
     its values on the standard basis of the ambient (= the group, which must
     be free with no relations)."""
@@ -360,9 +367,6 @@ class Character:
             raise ValueError("character values must be nonzero")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Character is immutable")
 
     def __call__(self, vector):
         vector = [int(x) for x in vector]

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import sympy
 
-from .exactmath import RationalFunction, UniPoly
+from .exactmath import Immutable, RationalFunction, UniPoly
 from .grading import FGAbelianGroup
 
 
@@ -33,7 +33,7 @@ class InternalInconsistency(Exception):
     """A certified recomputation failed; indicates a bug, not bad input."""
 
 
-class P1Point:
+class P1Point(Immutable):
     """A point of the projective line: a rational value or infinity."""
 
     __slots__ = ("value",)
@@ -43,9 +43,6 @@ class P1Point:
         if value is not None:
             value = Fraction(value)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("P1Point is immutable")
 
     @staticmethod
     def finite(v):
@@ -83,7 +80,7 @@ def parse_point(text):
     return P1Point.finite(Fraction(text))
 
 
-class CurvePoint:
+class CurvePoint(Immutable):
     """A copy of a base point: ordinary points have the single copy 0."""
 
     __slots__ = ("base", "copy_index")
@@ -94,9 +91,6 @@ class CurvePoint:
             raise ValueError("copy index must be nonnegative")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "copy_index", copy_index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurvePoint is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, CurvePoint) and self.base == other.base
@@ -115,7 +109,7 @@ class CurvePoint:
         return "CurvePoint(%r, %d)" % (self.base, self.copy_index)
 
 
-class GluedCurve:
+class GluedCurve(Immutable):
     """The projective line with pairwise distinct special points, each taken
     with multiplicity at least 1."""
 
@@ -141,9 +135,6 @@ class GluedCurve:
                 idx[CurvePoint(p, i)] = k
                 k += 1
         object.__setattr__(self, "_copy_index", idx)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GluedCurve is immutable")
 
     def multiplicity(self, base):
         return self._mult.get(base, 1)
@@ -221,7 +212,7 @@ def curve_to_json(X):
                         for p, m in X.special]}
 
 
-class Divisor:
+class Divisor(Immutable):
     """Finite integer combination of curve points; zero coefficients are
     never stored."""
 
@@ -238,9 +229,6 @@ class Divisor:
                     raise ValueError("duplicate point in divisor")
                 clean[point] = c
         object.__setattr__(self, "coefficients", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
 
     @staticmethod
     def zero():
@@ -464,7 +452,7 @@ def min_degree(X, D):
     return sum(min_divisor(X, D).values())
 
 
-class SectionSpace:
+class SectionSpace(Immutable):
     """Exact basis of the sections of a divisor.
 
     Basis elements are V * z^j / W for j = 0 .. deg_min, where W collects the
@@ -480,9 +468,6 @@ class SectionSpace:
         object.__setattr__(self, "_vpoly", vpoly)
         object.__setattr__(self, "_wpoly", wpoly)
         object.__setattr__(self, "_dim", len(self.basis))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SectionSpace is immutable")
 
     @property
     def dim(self):
@@ -560,7 +545,7 @@ def _linear_at(base):
     return RationalFunction(UniPoly([-base.value, Fraction(1)]))
 
 
-class PicardData:
+class PicardData(Immutable):
     """Picard group of a glued curve, presented on divisors supported on
     special copies modulo the lattice of principal special divisors."""
 
@@ -585,9 +570,6 @@ class PicardData:
         object.__setattr__(self, "group", FGAbelianGroup(n, relations))
         object.__setattr__(self, "_n", n)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PicardData is immutable")
-
     def class_of(self, D):
         """Ambient class vector of a divisor, moving ordinary support onto
         copies of the first special point."""
@@ -604,14 +586,6 @@ class PicardData:
                 for cp in X.copies(anchor):
                     vec[X.copy_position(cp)] += c
         return tuple(vec)
-
-    def divisor_of_vector(self, vec):
-        coeffs = {}
-        for point in self.curve.special_copies():
-            c = int(vec[self.curve.copy_position(point)])
-            if c:
-                coeffs[point] = c
-        return Divisor(coeffs)
 
     def moving_witness(self, D):
         """g with div(g) = D - M where M is the special-supported divisor

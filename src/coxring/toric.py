@@ -8,13 +8,15 @@ resulting ring is a free polynomial ring: components have the monomials of
 the matching class as a basis, which makes Hilbert counts pure enumeration.
 """
 
-import itertools
 from math import gcd
 
+from . import exactmath as _em
 from .exactmath import (
+    Immutable,
     MultiPoly,
     UnboundedEnumeration,
     enumerate_monomials,
+    positive_functional,
 )
 from .grading import FGAbelianGroup
 from .coxalg import Presentation
@@ -25,7 +27,7 @@ class MalformedFan(Exception):
     """The fan data violates a structural invariant."""
 
 
-class Fan:
+class Fan(Immutable):
     """Rational fan: ambient lattice rank, primitive rays, maximal cones."""
 
     __slots__ = ("rank", "rays", "max_cones")
@@ -62,6 +64,8 @@ class Fan:
                 if not 0 <= j < len(clean_rays):
                     raise MalformedFan(
                         "cone %d uses ray index %d, out of range" % (k, j))
+            if positive_functional([clean_rays[j] for j in idx]) is None:
+                raise MalformedFan("cone %d is not strongly convex" % k)
             covered.update(idx)
             clean_cones.append(tuple(sorted(idx)))
         if covered != set(range(len(clean_rays))):
@@ -71,9 +75,6 @@ class Fan:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rays", tuple(clean_rays))
         object.__setattr__(self, "max_cones", tuple(clean_cones))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fan is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, Fan) and self.rank == other.rank
@@ -136,7 +137,7 @@ def class_group(fan):
     return group, degrees
 
 
-class ToricCoxData:
+class ToricCoxData(Immutable):
     """Class group, ray degrees, and irrelevant monomials of a fan."""
 
     __slots__ = ("fan", "class_group", "degree_of_ray",
@@ -155,9 +156,6 @@ class ToricCoxData:
         object.__setattr__(self, "degree_of_ray", tuple(degrees))
         object.__setattr__(self, "irrelevant_monomials", tuple(monomials))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ToricCoxData is immutable")
-
     def irrelevant_polynomials(self):
         dmap = tuple(self.degree_of_ray)
         return [MultiPoly.monomial(exps, 1, dmap)
@@ -169,32 +167,6 @@ class ToricCoxData:
 
 def toric_cox_data(fan):
     return ToricCoxData(fan)
-
-
-def _degree_box(group, degrees, radius):
-    """Classes reachable with coefficients up to radius over a greedy
-    generating subset of the ray degrees, smallest first."""
-    from . import exactmath as _em
-    kept = []
-    lattice = [tuple(r) for r in group.relations]
-    for d in degrees:
-        rows = _em._hnf_rows([list(v) for v in kept + lattice])
-        if not _em._lattice_contains(rows, list(d)):
-            kept.append(tuple(d))
-    vecs = sorted(itertools.product(range(-radius, radius + 1),
-                                    repeat=len(kept)),
-                  key=lambda c: (sum(abs(x) for x in c),
-                                 tuple(-x for x in c)))
-    out = []
-    seen = set()
-    for c in vecs:
-        amb = tuple(sum(x * d[i] for x, d in zip(c, kept))
-                    for i in range(group.ambient_rank))
-        key = group.class_key(amb)
-        if key not in seen:
-            seen.add(key)
-            out.append(amb)
-    return out
 
 
 def cox_presentation(fan, radius=2):
@@ -209,7 +181,13 @@ def cox_presentation(fan, radius=2):
     group = data.class_group
     degrees = list(data.degree_of_ray)
     gens = [(d, None) for d in degrees]
-    box = _degree_box(group, degrees, radius)
+    # box over a greedy subset of the ray degrees that generates their span
+    kept = []
+    for d in degrees:
+        rows = _em._hnf_rows([list(v) for v in kept + list(group.relations)])
+        if not _em._lattice_contains(rows, list(d)):
+            kept.append(d)
+    box = group.box(kept, radius)
     cert = []
     for D in box:
         try:

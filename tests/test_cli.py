@@ -8,6 +8,7 @@ import pytest
 
 from coxring import cli
 from coxring.coxalg import Fail
+from coxring.ratcurve import InternalInconsistency
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -225,3 +226,24 @@ class TestErrors:
         with pytest.raises(SystemExit) as info:
             cli.main(["frobnicate", "x.json"])
         assert info.value.code == 1
+
+    @pytest.mark.parametrize("name", ["doubled_line.json", "plain_line.json",
+                                      "tripled_line.json"])
+    def test_box_too_small(self, capsys, name):
+        code, out, err = run_cli(capsys, "verify", fixture(name), "--box", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "generators do not span" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_internal_inconsistency_exits_three(self, capsys, monkeypatch):
+        def inconsistent(*args, **kwargs):
+            raise InternalInconsistency("representatives disagree on rank")
+
+        monkeypatch.setattr(cli, "curve_algebra", inconsistent)
+        code, out, err = run_cli(capsys, "curve", fixture("plain_line.json"))
+        assert code == 3
+        assert out == ""
+        assert err == ("error: internal inconsistency: representatives "
+                       "disagree on rank\n")

@@ -78,6 +78,10 @@ class TestFan:
         with pytest.raises(MalformedFan, match="rank"):
             Fan(-1, [], [[]])
 
+    def test_cone_containing_a_line_rejected(self):
+        with pytest.raises(MalformedFan, match="strongly convex"):
+            Fan(1, [(1,), (-1,)], [[0, 1]])
+
     def test_equality_and_hash(self):
         assert line_fan() == line_fan()
         assert hash(line_fan()) == hash(line_fan())
