@@ -6,6 +6,7 @@ multigraded multivariate polynomials, and exact enumeration of monomials with
 a prescribed multidegree.  No floating point anywhere.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -895,98 +896,93 @@ def _lattice_contains(basis, vector):
     return not any(_hnf_reduce(basis, vector))
 
 
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _smith_solution(U, diag, V, b):
+    """x with A x = b, or None, from a Smith form U A V = diag of A.
+
+    Only the rows of V that are passed are evaluated, so passing the first
+    rows of V yields the leading coordinates of x.
+    """
+    y = []
+    for i, row in enumerate(U):
+        w = _dot(row, b)
+        d = diag[i] if i < len(diag) else 0
+        if (w % d if d else w) != 0:
+            return None
+        y.append(w // d if d else 0)
+    return tuple(_dot(row, y) for row in V)
+
+
+def _smith_parts(A):
+    """(U, diag, V, kernel): the Smith form U A V = diag of A and an integer
+    basis of the kernel of A, the columns of V beyond the nonzero diagonal."""
+    U, D, V = _smith(A)
+    m = len(V)
+    diag = [D[i][i] for i in range(min(len(D), m))]
+    kernel = [tuple(V[i][j] for i in range(m))
+              for j in range(m) if j >= len(diag) or diag[j] == 0]
+    return U, diag, V, kernel
+
+
 def _integer_solve(A, b):
     """One integer solution x of Ax = b, or None.
 
     Also returns an integer basis of the kernel of A: (x, kernel_rows).
     """
-    n = len(A)
-    m = len(A[0]) if n else 0
-    U, D, V = _smith(A)
-    w = [sum(U[i][j] * b[j] for j in range(n)) for i in range(n)]
-    y = [0] * m
-    for i in range(min(n, m)):
-        d = D[i][i]
-        if d != 0:
-            if w[i] % d != 0:
-                return None, None
-            y[i] = w[i] // d
-        elif w[i] != 0:
-            return None, None
-    for i in range(m, n):
-        if w[i] != 0:
-            return None, None
-    x = [sum(V[i][j] * y[j] for j in range(m)) for i in range(m)]
-    kernel = []
-    for j in range(m):
-        if j >= n or D[j][j] == 0:
-            kernel.append(tuple(V[i][j] for i in range(m)))
-    return tuple(x), kernel
+    U, diag, V, kernel = _smith_parts(A)
+    x = _smith_solution(U, diag, V, b)
+    if x is None:
+        return None, None
+    return x, kernel
 
 
 # ---------------------------------------------------------------------------
 # exact linear feasibility (Fourier-Motzkin)
 
 
-def _fm_project(constraints, nvars):
-    """Level systems for integer enumeration or feasibility.
+def _fm_project(rows, nvars):
+    """Fourier-Motzkin elimination of y_nvars, ..., y_1 over the integers.
 
-    constraints: list of (coeffs, rhs) meaning coeffs . y >= rhs.  Returns a
-    list levels[k] for k = nvars..1 where levels[k-1] constrains y_1..y_k, or
-    None when a contradiction among constant constraints appears.
+    rows: (coeffs, tail) pairs of integer tuples, each meaning
+    coeffs . y >= rhs where rhs is a fixed linear function of tail (the
+    right-hand side itself, or a multiplier vector over the original rows).
+    Eliminating y_k adds the row ((-an) * p + ap * n) / gcd(ap, an) for
+    every row p with coefficient ap > 0 and every row n with coefficient
+    an < 0, combining coeffs and tails alike, so rows stay integral.
+
+    Returns (levels, constants).  levels[k-1] is a pair (lower, upper) of
+    the rows (a, head, tail) with coefficient a > 0, resp. a < 0, of y_k
+    and coefficients head of y_1..y_{k-1}; rows without y_k are not kept
+    there, since every prefix that satisfies the lower levels satisfies
+    them.  constants holds the tails of the rows left without variables.
     """
+    current = list(dict.fromkeys(rows))
     levels = [None] * nvars
-    current = [(tuple(Fraction(c) for c in cs), Fraction(r))
-               for cs, r in constraints]
     for k in range(nvars, 0, -1):
-        levels[k - 1] = [c for c in current]
-        pos, neg, zero = [], [], []
-        for cs, r in current:
+        lower, upper, derived = [], [], []
+        for cs, tail in current:
             a = cs[k - 1]
             if a > 0:
-                pos.append((cs, r))
+                lower.append((a, cs[:k - 1], tail))
             elif a < 0:
-                neg.append((cs, r))
+                upper.append((a, cs[:k - 1], tail))
             else:
-                zero.append((cs[:k - 1], r))
-        derived = list(zero)
-        for csp, rp in pos:
-            ap = csp[k - 1]
-            for csn, rn in neg:
-                an = csn[k - 1]
-                # eliminate y_k from ap*yk >= ... and an*yk >= ...
-                cs = tuple(csp[i] * (-an) + csn[i] * ap for i in range(k - 1))
-                r = rp * (-an) + rn * ap
-                derived.append((cs, r))
-        current = derived
-    for cs, r in current:
-        if r > 0:
-            return None
-    return levels
-
-
-def _fm_bounds(level, prefix, k):
-    """Interval [lo, hi] for variable k given fixed prefix values.
-
-    Returns (lo, hi) as Fractions or None, or 'empty' on contradiction among
-    constraints not involving variable k.
-    """
-    lo, hi = None, None
-    for cs, r in level:
-        a = cs[k - 1]
-        rest = r - sum(cs[i] * prefix[i] for i in range(k - 1))
-        if a > 0:
-            v = rest / a
-            if lo is None or v > lo:
-                lo = v
-        elif a < 0:
-            v = rest / a
-            if hi is None or v < hi:
-                hi = v
-        else:
-            if rest > 0:
-                return "empty"
-    return lo, hi
+                derived.append((cs[:k - 1], tail))
+        for ap, headp, tailp in lower:
+            for an, headn, tailn in upper:
+                g = math.gcd(ap, an)
+                fp, fn = -an // g, ap // g
+                derived.append(
+                    (tuple(fp * x + fn * y for x, y in zip(headp, headn)),
+                     tuple(fp * x + fn * y for x, y in zip(tailp, tailn))))
+        levels[k - 1] = (tuple(lower), tuple(upper))
+        current = list(dict.fromkeys(derived))
+    return levels, tuple(tail for _, tail in current)
 
 
 def feasible_point(constraints, nvars):
@@ -995,26 +991,27 @@ def feasible_point(constraints, nvars):
     Returns a tuple of Fractions or None when the system is infeasible.
     Unbounded coordinates are pinned to a closest-to-zero admissible value.
     """
-    levels = _fm_project(constraints, nvars)
-    if levels is None:
+    rows = []
+    for cs, r in constraints:
+        row = [Fraction(x) for x in cs] + [Fraction(r)]
+        scale = math.lcm(*(x.denominator for x in row))
+        row = [x.numerator * (scale // x.denominator) for x in row]
+        rows.append((tuple(row[:-1]), (row[-1],)))
+    levels, constants = _fm_project(rows, nvars)
+    if any(rhs > 0 for rhs, in constants):
         return None
     point = []
-    for k in range(1, nvars + 1):
-        got = _fm_bounds(levels[k - 1], point, k)
-        if got == "empty":
+    for lower, upper in levels:
+        lo = max((Fraction(rhs - _dot(head, point), a)
+                  for a, head, (rhs,) in lower), default=None)
+        hi = min((Fraction(rhs - _dot(head, point), a)
+                  for a, head, (rhs,) in upper), default=None)
+        if lo is None:
+            point.append(Fraction(0) if hi is None else min(hi, Fraction(0)))
+        elif hi is not None and lo > hi:
             return None
-        lo, hi = got
-        if lo is not None and hi is not None:
-            if lo > hi:
-                return None
-            val = lo
-        elif lo is not None:
-            val = lo
-        elif hi is not None:
-            val = min(hi, Fraction(0))
         else:
-            val = Fraction(0)
-        point.append(val)
+            point.append(lo)
     return tuple(point)
 
 
@@ -1040,6 +1037,98 @@ def positive_functional(degrees, orthogonal_to=()):
 # monomial enumeration
 
 
+# enumeration plans kept at once; a curve presentation uses one degree map
+# per generator count (at most eight in the benchmark runs), a fan one
+_PLAN_CACHE_SIZE = 32
+
+
+class _EnumerationPlan(Immutable):
+    """The target-independent work of enumerate_monomials for one degree
+    map, relation list and boundedness.
+
+    The integer solutions of D e + L t = target are e = p_e + c . proj:
+    p_e comes from the Smith form of A = [D | L] (`smith` holds U, the
+    diagonal and the first r rows of V) and proj is an HNF basis of the
+    kernel of A cut to its e-part.  The coefficients c range over the
+    polytope p_e + c . proj >= 0 (and sum(e) <= bound when bounded), whose
+    Fourier-Motzkin levels are kept with the multiplier vector of every row
+    over the original rows; a target then supplies only the right-hand
+    sides (-p_e, sum(p_e) - bound).
+    """
+
+    __slots__ = ("pointed", "smith", "proj", "levels", "constants")
+
+    def __init__(self, degree_map, relations, bounded):
+        pointed = bounded or positive_functional(degree_map,
+                                                 relations) is not None
+        object.__setattr__(self, "pointed", pointed)
+        r = len(degree_map)
+        n = len(degree_map[0]) if degree_map else 0
+        if not pointed or r == 0 or n == 0:
+            return
+        A = [[d[i] for d in degree_map] + [v[i] for v in relations]
+             for i in range(n)]
+        U, diag, V, kernel = _smith_parts(A)
+        proj = _hnf_rows([k[:r] for k in kernel])
+        # row i: e_i >= 0; last row, when bounded: -sum(e) >= -bound
+        width = r + bounded
+        rows = [(tuple(p[i] for p in proj),
+                 tuple(int(j == i) for j in range(width)))
+                for i in range(r)]
+        if bounded:
+            rows.append((tuple(-sum(p) for p in proj), (0,) * r + (1,)))
+        levels, constants = _fm_project(rows, len(proj))
+        object.__setattr__(self, "smith", (
+            tuple(map(tuple, U)), tuple(diag), tuple(map(tuple, V[:r]))))
+        object.__setattr__(self, "proj", tuple(proj))
+        object.__setattr__(self, "levels", tuple(levels))
+        object.__setattr__(self, "constants", constants)
+
+    def monomials(self, target, bound):
+        p_e = _smith_solution(*self.smith, target)
+        if p_e is None:
+            return []
+        proj = self.proj
+        if not proj:
+            if all(x >= 0 for x in p_e) and (bound is None
+                                             or sum(p_e) <= bound):
+                return [p_e]
+            return []
+        rhs = [-x for x in p_e]
+        if bound is not None:
+            rhs.append(sum(p_e) - bound)
+        if any(_dot(tail, rhs) > 0 for tail in self.constants):
+            return []
+        levels = [tuple([(a, head, _dot(tail, rhs)) for a, head, tail in side]
+                        for side in level) for level in self.levels]
+        kdim = len(proj)
+        results = []
+
+        def descend(prefix, e, k):
+            lower, upper = levels[k - 1]
+            if not lower or not upper:
+                raise UnboundedEnumeration(
+                    "solution polytope is unbounded; supply a bound")
+            # a * y_k >= rhs - head . prefix, integer ceil and floor
+            lo = max(-((_dot(head, prefix) - b) // a) for a, head, b in lower)
+            hi = min((b - _dot(head, prefix)) // a for a, head, b in upper)
+            step = proj[k - 1]
+            for v in range(lo, hi + 1):
+                nxt = tuple(x + v * y for x, y in zip(e, step))
+                if k == kdim:
+                    results.append(nxt)
+                else:
+                    descend(prefix + (v,), nxt, k + 1)
+
+        descend((), p_e, 1)
+        results.sort()
+        return results
+
+
+_enumeration_plan = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(
+    _EnumerationPlan)
+
+
 def enumerate_monomials(degree_map, target, bound=None, relations=()):
     """All exponent vectors e >= 0 with sum e_i * degree_map[i] equal to
     target in the grading group.
@@ -1050,10 +1139,15 @@ def enumerate_monomials(degree_map, target, bound=None, relations=()):
     a bound the degree map must be pointed: no nonzero nonnegative
     combination of degrees may vanish in the group.  Results are sorted
     lexicographically.
+
+    Everything that does not depend on the target (the pointedness test,
+    the Smith form, the kernel basis and the Fourier-Motzkin projection) is
+    computed once per (degree_map, relations, bounded) and memoised in a
+    fixed-size cache, so the classes of one box share it.
     """
-    degree_map = [tuple(int(x) for x in d) for d in degree_map]
+    degree_map = tuple(tuple(int(x) for x in d) for d in degree_map)
     target = tuple(int(x) for x in target)
-    relations = [tuple(int(x) for x in v) for v in relations]
+    relations = tuple(tuple(int(x) for x in v) for v in relations)
     r = len(degree_map)
     n = len(target)
     if any(len(d) != n for d in degree_map):
@@ -1061,10 +1155,10 @@ def enumerate_monomials(degree_map, target, bound=None, relations=()):
     if any(len(v) != n for v in relations):
         raise ValueError("relation vector length mismatch")
 
-    if bound is None:
-        if positive_functional(degree_map, relations) is None:
-            raise UnboundedEnumeration(
-                "degree map is not pointed and no bound was given")
+    plan = _enumeration_plan(degree_map, relations, bound is not None)
+    if not plan.pointed:
+        raise UnboundedEnumeration(
+            "degree map is not pointed and no bound was given")
 
     if r == 0:
         hnf = _hnf_rows(relations)
@@ -1086,57 +1180,4 @@ def enumerate_monomials(degree_map, target, bound=None, relations=()):
         out.sort()
         return out
 
-    # integer solutions of  D e + L t = target
-    A = [[degree_map[j][i] for j in range(r)]
-         + [relations[j][i] for j in range(len(relations))]
-         for i in range(n)]
-    particular, kernel = _integer_solve(A, list(target))
-    if particular is None:
-        return []
-    p_e = list(particular[:r])
-    proj = _hnf_rows([k[:r] for k in kernel])
-    kdim = len(proj)
-
-    if kdim == 0:
-        if all(x >= 0 for x in p_e) and (bound is None or sum(p_e) <= bound):
-            return [tuple(p_e)]
-        return []
-
-    # coefficient-space polytope: e(c) = p_e + c . proj >= 0
-    cons = []
-    for i in range(r):
-        cons.append((tuple(Fraction(proj[j][i]) for j in range(kdim)),
-                     Fraction(-p_e[i])))
-    if bound is not None:
-        sums = [sum(row) for row in proj]
-        cons.append((tuple(Fraction(-s) for s in sums),
-                     Fraction(sum(p_e) - bound)))
-    levels = _fm_project(cons, kdim)
-    if levels is None:
-        return []
-
-    results = []
-
-    def descend(prefix, k):
-        got = _fm_bounds(levels[k - 1], prefix, k)
-        if got == "empty":
-            return
-        lo, hi = got
-        if lo is None or hi is None:
-            raise UnboundedEnumeration(
-                "solution polytope is unbounded; supply a bound")
-        lo_i = math.ceil(lo)
-        hi_i = math.floor(hi)
-        for v in range(lo_i, hi_i + 1):
-            nxt = prefix + [Fraction(v)]
-            if k == kdim:
-                e = tuple(p_e[i]
-                          + sum(int(nxt[j]) * proj[j][i] for j in range(kdim))
-                          for i in range(r))
-                results.append(e)
-            else:
-                descend(nxt, k + 1)
-
-    descend([], 1)
-    results.sort()
-    return results
+    return plan.monomials(target, bound)

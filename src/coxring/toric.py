@@ -64,8 +64,19 @@ class Fan(Immutable):
                 if not 0 <= j < len(clean_rays):
                     raise MalformedFan(
                         "cone %d uses ray index %d, out of range" % (k, j))
-            if positive_functional([clean_rays[j] for j in idx]) is None:
+            cone_rays = [clean_rays[j] for j in idx]
+            if positive_functional(cone_rays) is None:
                 raise MalformedFan("cone %d is not strongly convex" % k)
+            # a strongly convex cone with independent rays has every ray
+            # extremal; otherwise no functional positive on the other rays
+            # and zero on u means that u lies in their cone
+            if len(_em._hnf_rows(cone_rays)) < len(idx):
+                for j, u in zip(idx, cone_rays):
+                    others = [v for v in cone_rays if v != u]
+                    if positive_functional(others, [u]) is None:
+                        raise MalformedFan(
+                            "cone %d: ray %d lies in the cone of its other "
+                            "rays" % (k, j))
             covered.update(idx)
             clean_cones.append(tuple(sorted(idx)))
         if covered != set(range(len(clean_rays))):

@@ -324,6 +324,97 @@ class TestEnumerateMonomials:
         assert got == naive_monomials(degree_map, (target,), bound=target)
 
 
+class TestEnumerationPlan:
+    """The memoised plan against the naive scan, with torsion relations and
+    several targets per degree map, warm and after clearing the cache."""
+
+    @staticmethod
+    def _warm_then_cold(degree_map, targets, bound, relations):
+        warm = [enumerate_monomials(degree_map, t, bound=bound,
+                                    relations=relations) for t in targets]
+        em._enumeration_plan.cache_clear()
+        cold = [enumerate_monomials(degree_map, t, bound=bound,
+                                    relations=relations) for t in targets]
+        assert cold == warm
+        return warm
+
+    @given(st.lists(st.tuples(small_ints, small_ints), min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=4),
+           st.tuples(small_ints, small_ints),
+           st.lists(st.tuples(small_ints, small_ints), min_size=2, max_size=4),
+           st.integers(min_value=0, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_torsion_matches_naive(self, degree_map, k, relation,
+                                           targets, bound):
+        relations = [(k, 0), relation]
+        got = self._warm_then_cold(degree_map, targets, bound, relations)
+        assert got == [naive_monomials(degree_map, t, bound, relations)
+                       for t in targets]
+
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=3),
+                              small_ints, small_ints),
+                    min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=4),
+           st.tuples(small_ints, small_ints),
+           st.lists(st.tuples(st.integers(min_value=-1, max_value=5),
+                              small_ints, small_ints),
+                    min_size=2, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_pointed_torsion_matches_naive(self, degree_map, k, relation,
+                                           targets):
+        # the first coordinate is free and positive on every degree, so the
+        # map is pointed and the exponent sum is at most target[0]
+        relations = [(0, k, 0), (0,) + relation]
+        got = self._warm_then_cold(degree_map, targets, None, relations)
+        assert got == [naive_monomials(degree_map, t, max(t[0], 0),
+                                       relations) for t in targets]
+
+
+class TestFeasiblePoint:
+    def test_constant_contradiction(self):
+        assert em.feasible_point([((0, 0), 1), ((1, 0), 0)], 2) is None
+
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.lists(rationals, min_size=n, max_size=n),
+                               rationals),
+                     min_size=1, max_size=6))))
+    @settings(max_examples=80, deadline=None)
+    def test_point_satisfies_every_constraint(self, system):
+        n, constraints = system
+        point = em.feasible_point(constraints, n)
+        if point is not None:
+            assert len(point) == n
+            for cs, r in constraints:
+                assert sum(c * y for c, y in zip(cs, point)) >= r
+
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.lists(rationals, min_size=n, max_size=n),
+            st.lists(st.tuples(st.lists(rationals, min_size=n, max_size=n),
+                               st.fractions(min_value=0, max_value=5,
+                                            max_denominator=7),
+                               st.booleans()),
+                     min_size=1, max_size=6))))
+    @settings(max_examples=80, deadline=None)
+    def test_system_around_a_known_point_is_feasible(self, system):
+        # every constraint holds at x, with some slack or as an equality
+        x, rows = system
+        constraints = []
+        for cs, slack, equality in rows:
+            value = sum(c * v for c, v in zip(cs, x))
+            if equality:
+                constraints.append((cs, value))
+                constraints.append(([-c for c in cs], -value))
+            else:
+                constraints.append((cs, value - slack))
+        point = em.feasible_point(constraints, len(x))
+        assert point is not None
+        for cs, r in constraints:
+            assert sum(c * y for c, y in zip(cs, point)) >= r
+
+
 class TestPositiveFunctional:
     def test_exists_for_pointed(self):
         y = positive_functional(SECTION8_DEGREES)

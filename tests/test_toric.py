@@ -6,11 +6,13 @@ graded componentwise, and the two-ray cone over (1,0),(1,2) has the order
 two quotient read off from the diagonal form of its ray matrix.
 """
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coxring import cli
 from coxring.coxalg import (
     Inconclusive,
     Pass,
@@ -81,6 +83,26 @@ class TestFan:
     def test_cone_containing_a_line_rejected(self):
         with pytest.raises(MalformedFan, match="strongly convex"):
             Fan(1, [(1,), (-1,)], [[0, 1]])
+
+    # (1, 1) = (1, 0) + (0, 1) is listed as a ray but is not extremal
+    RAY_INSIDE = {"rank": 2, "rays": [[1, 0], [1, 1], [0, 1]],
+                  "max_cones": [[0, 1, 2]]}
+
+    def test_ray_inside_the_cone_rejected(self):
+        with pytest.raises(MalformedFan, match="ray 1 lies in the cone"):
+            fan_from_json(self.RAY_INSIDE)
+
+    def test_ray_inside_the_cone_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(self.RAY_INSIDE))
+        assert cli.main(["verify", str(path), "--box", "1"]) == 1
+        assert "lies in the cone" in capsys.readouterr().err
+
+    def test_non_simplicial_cone_accepted(self):
+        # the cone over a square: four extremal, linearly dependent rays
+        fan = Fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+                  [[0, 1, 2, 3]])
+        assert fan.max_cones == ((0, 1, 2, 3),)
 
     def test_equality_and_hash(self):
         assert line_fan() == line_fan()
@@ -304,3 +326,25 @@ class TestStructuralEquality:
         tc = {tuple(e["degree"]): e for e in T.certificate}
         cc = {tuple(e["degree"]): e for e in C.certificate}
         assert tc == cc
+
+
+# P1xP1xP1xP1 after a unimodular change of lattice coordinates that skews
+# its rays: the class group and every count, so the report, are unchanged
+SKEWED_P1_4_RAYS = [[1, 0, 0, 0], [-1, 0, 0, 0], [-1, 1, 0, 0], [1, -1, 0, 0],
+                    [-1, -1, 1, 0], [1, 1, -1, 0], [1, 1, 1, 1],
+                    [-1, -1, -1, -1]]
+
+
+class TestSkewedFan:
+    def test_report_equals_unskewed(self, tmp_path):
+        square = product_fan(line_fan(), line_fan())
+        p1_4 = fan_to_json(product_fan(square, square))
+        skewed = dict(p1_4, rays=SKEWED_P1_4_RAYS)
+        reports = []
+        for name, data in (("p1_4", p1_4), ("skewed", skewed)):
+            path = tmp_path / (name + ".json")
+            path.write_text(json.dumps(data))
+            report, code = cli.run("toric", str(path), box_radius=2)
+            assert code == 0
+            reports.append(cli.render(report, "json"))
+        assert reports[0] == reports[1]
