@@ -8,8 +8,8 @@ identical bytes.
 
 Exit codes: 0 when nothing failed (nonseparatedness and inconclusive checks
 are findings, reported with a flag), 2 when a verification check failed,
-1 for unreadable or malformed input and for a box too small to answer, 3
-when an internal consistency check failed.
+1 for unreadable or malformed input and for a box too small to answer or
+too large to list, 3 when an internal consistency check failed.
 """
 
 import argparse
@@ -32,6 +32,7 @@ from .coxalg import (
     uniqueness_crosscheck,
     weight_monoid_check,
 )
+from .grading import BoxTooLarge
 from .ratcurve import InternalInconsistency, curve_from_json
 from .toric import (
     MalformedFan,
@@ -301,7 +302,7 @@ def main(argv=None):
         report, code = run(args.mode, args.file, box_radius=args.box,
                            power_bound=args.power_bound,
                            lambda_mode=args.lambda_mode)
-    except (InputError, BoxTooSmall, GeneratorsIncomplete,
+    except (InputError, BoxTooSmall, BoxTooLarge, GeneratorsIncomplete,
             NonPointedMonoid) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

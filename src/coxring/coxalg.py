@@ -22,6 +22,7 @@ from .exactmath import (
     MultiPoly,
     RationalFunction,
     UnboundedEnumeration,
+    _Span,
     enumerate_monomials,
     grlex_key,
     rank_kernel,
@@ -208,46 +209,6 @@ def _vsub(a, b):
 
 def _vscale(n, a):
     return tuple(n * x for x in a)
-
-
-class _Span:
-    """Incrementally maintained exact row span."""
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []
-        self.pivots = []
-
-    def _reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, vec):
-        return not any(self._reduce(vec))
-
-    def add(self, vec):
-        """Insert vec, returning True when the span grows."""
-        v = self._reduce(vec)
-        for c, x in enumerate(v):
-            if x != 0:
-                inv = Fraction(1) / x
-                v = [a * inv for a in v]
-                for i, (row, _) in enumerate(zip(self.rows, self.pivots)):
-                    if row[c] != 0:
-                        f = row[c]
-                        self.rows[i] = [a - f * b for a, b in zip(row, v)]
-                self.rows.append(v)
-                self.pivots.append(c)
-                return True
-        return False
-
-    @property
-    def dim(self):
-        return len(self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +525,7 @@ class PicGradedAlgebra(Immutable):
         B = [[lattice.to_pic.matrix[i][j] for j in range(r)]
              + [rels[k][i] for k in range(len(rels))]
              for i in range(n)]
-        U, D, V = _em._smith(B)
+        U, D, V, _, _ = _em._smith(B)
         diag = [D[i][i] for i in range(min(n, m))]
         if len(diag) < n or any(d != 1 for d in diag):
             raise ValueError("lattice does not map onto the class group")
@@ -824,9 +785,8 @@ def find_relations(A, generators, box, bound=None):
         _, kernel = rank_kernel(matrix)
         kdim = len(kernel)
         colorder = sorted(range(nm), key=lambda t: grlex_key(exps_list[t]))
-        perm_kernel = [[vec[colorder[c]] for c in range(nm)]
-                       for vec in kernel]
-        _em._echelonize(perm_kernel, nm)
+        perm_kernel = _Span(nm, ([vec[colorder[c]] for c in range(nm)]
+                                 for vec in kernel)).echelon()
         old = _Span(nm)
         for _, Dr, poly in found:
             diff = _vsub(D, Dr)

@@ -663,36 +663,57 @@ class QMatrix(Immutable):
         return "QMatrix(%r)" % (list(list(r) for r in self.entries),)
 
 
-def _as_rows(M):
-    if isinstance(M, QMatrix):
-        return [list(r) for r in M.entries]
-    return [[Fraction(x) for x in row] for row in M]
+class _Span:
+    """Incrementally maintained exact row span.
 
+    The rows stay in reduced row echelon form up to their order: each row has
+    a leading 1 in its pivot column and zeros in the other rows' pivot
+    columns.  This is the one rational row reduction of the package.
+    """
 
-def _echelonize(rows, ncols):
-    """In-place reduced row echelon form; returns ordered pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+    def __init__(self, ncols, rows=()):
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+        for row in rows:
+            self.add(row)
+
+    def _reduce(self, vec):
+        v = [Fraction(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            if v[p] != 0:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def contains(self, vec):
+        return not any(self._reduce(vec))
+
+    def add(self, vec):
+        """Insert vec, returning True when the span grows."""
+        v = self._reduce(vec)
+        for c, x in enumerate(v):
+            if x != 0:
+                inv = Fraction(1) / x
+                v = [a * inv for a in v]
+                for i, (row, _) in enumerate(zip(self.rows, self.pivots)):
+                    if row[c] != 0:
+                        f = row[c]
+                        self.rows[i] = [a - f * b for a, b in zip(row, v)]
+                self.rows.append(v)
+                self.pivots.append(c)
+                return True
+        return False
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def echelon(self):
+        """The rows sorted by pivot column: the reduced row echelon form of
+        everything added, which is unique."""
+        return [row for _, row in sorted(zip(self.pivots, self.rows),
+                                         key=lambda pr: pr[0])]
 
 
 def rank_kernel(M):
@@ -702,20 +723,22 @@ def rank_kernel(M):
     number of columns.  Kernel vectors are produced one per free column, with
     a 1 in the free position, so the basis is independent by construction.
     """
-    rows = _as_rows(M)
-    ncols = len(rows[0]) if rows else (M.cols if isinstance(M, QMatrix) else 0)
-    pivots = _echelonize(rows, ncols)
-    pivot_set = set(pivots)
+    if isinstance(M, QMatrix):
+        rows, ncols = M.entries, M.cols
+    else:
+        rows, ncols = M, len(M[0]) if M else 0
+    span = _Span(ncols, rows)
+    pivot_set = set(span.pivots)
     kernel = []
     for free in range(ncols):
         if free in pivot_set:
             continue
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][free]
+        for row, pc in zip(span.rows, span.pivots):
+            v[pc] = -row[free]
         kernel.append(tuple(v))
-    return len(pivots), kernel
+    return span.dim, kernel
 
 
 def solve_in_span(vectors, target):
@@ -728,15 +751,14 @@ def solve_in_span(vectors, target):
     target = tuple(Fraction(x) for x in target)
     if any(len(v) != len(target) for v in vectors):
         raise ValueError("vector length mismatch")
-    n = len(target)
     k = len(vectors)
-    rows = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    pivots = _echelonize(rows, k + 1)
-    if k in pivots:
+    span = _Span(k + 1, ([v[i] for v in vectors] + [t]
+                         for i, t in enumerate(target)))
+    if k in span.pivots:
         raise NotInSpan("target outside span")
     coeffs = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = rows[r][k]
+    for row, pc in zip(span.rows, span.pivots):
+        coeffs[pc] = row[k]
     return tuple(coeffs)
 
 
@@ -749,39 +771,49 @@ def _int_rows(M):
 
 
 def _smith(A):
-    """Smith normal form of an integer matrix.
+    """Smith normal form of an integer matrix, with the inverse transforms.
 
-    Returns (U, D, V) with U (n by n) and V (m by m) unimodular integer
-    matrices and D = U*A*V diagonal with nonnegative diagonal entries, each
-    dividing the next.
+    Returns (U, D, V, Uinv, Vinv) with U (n by n) and V (m by m) integer
+    matrices, D = U*A*V diagonal with nonnegative diagonal entries, each
+    dividing the next, and Uinv, Vinv the integer inverses of U and V.  Each
+    elementary operation on U or V is mirrored by its inverse operation on
+    the other side of Uinv or Vinv.
     """
     A = _int_rows(A)
     n = len(A)
     m = len(A[0]) if n else 0
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     V = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    Uinv = [row[:] for row in U]
+    Vinv = [row[:] for row in V]
 
     def row_op(i, j, c):
-        # row i += c * row j
+        # row i += c * row j; on Uinv, col j -= c * col i
         A[i] = [a + c * b for a, b in zip(A[i], A[j])]
         U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        for r in Uinv:
+            r[j] -= c * r[i]
 
     def col_op(i, j, c):
-        # col i += c * col j
+        # col i += c * col j; on Vinv, row j -= c * row i
         for r in range(n):
             A[r][i] += c * A[r][j]
         for r in range(m):
             V[r][i] += c * V[r][j]
+        Vinv[j] = [a - c * b for a, b in zip(Vinv[j], Vinv[i])]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
+        for r in Uinv:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in range(n):
             A[r][i], A[r][j] = A[r][j], A[r][i]
         for r in range(m):
             V[r][i], V[r][j] = V[r][j], V[r][i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     t = 0
     while t < min(n, m):
@@ -828,8 +860,10 @@ def _smith(A):
         if A[t][t] < 0:
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
+            for r in Uinv:
+                r[t] = -r[t]
         t += 1
-    return U, A, V
+    return U, A, V, Uinv, Vinv
 
 
 def _hnf_rows(vectors):
@@ -921,7 +955,7 @@ def _smith_solution(U, diag, V, b):
 def _smith_parts(A):
     """(U, diag, V, kernel): the Smith form U A V = diag of A and an integer
     basis of the kernel of A, the columns of V beyond the nonzero diagonal."""
-    U, D, V = _smith(A)
+    U, D, V, _, _ = _smith(A)
     m = len(V)
     diag = [D[i][i] for i in range(min(len(D), m))]
     kernel = [tuple(V[i][j] for i in range(m))
@@ -993,9 +1027,11 @@ def feasible_point(constraints, nvars):
     """
     rows = []
     for cs, r in constraints:
-        row = [Fraction(x) for x in cs] + [Fraction(r)]
-        scale = math.lcm(*(x.denominator for x in row))
-        row = [x.numerator * (scale // x.denominator) for x in row]
+        row = [*cs, r]
+        if any(type(x) is not int for x in row):
+            row = [Fraction(x) for x in row]
+            scale = math.lcm(*(x.denominator for x in row))
+            row = [x.numerator * (scale // x.denominator) for x in row]
         rows.append((tuple(row[:-1]), (row[-1],)))
     levels, constants = _fm_project(rows, nvars)
     if any(rhs > 0 for rhs, in constants):
@@ -1025,11 +1061,10 @@ def positive_functional(degrees, orthogonal_to=()):
     if not degrees:
         return ()
     n = len(degrees[0])
-    cons = [(tuple(Fraction(x) for x in d), Fraction(1)) for d in degrees]
+    cons = [(d, 1) for d in degrees]
     for v in orthogonal_to:
-        vv = tuple(Fraction(x) for x in v)
-        cons.append((vv, Fraction(0)))
-        cons.append((tuple(-x for x in vv), Fraction(0)))
+        cons.append((v, 0))
+        cons.append(([-x for x in v], 0))
     return feasible_point(cons, n)
 
 

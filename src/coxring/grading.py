@@ -30,55 +30,36 @@ class Obstructed(Exception):
             % (divisor, prime, exponent))
 
 
-def _det_sign_unit(M):
-    """Exact determinant of a square integer matrix via fraction-free
-    elimination; used to certify unimodularity."""
-    n = len(M)
-    rows = [[Fraction(x) for x in r] for r in M]
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = Fraction(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
+# coefficient vectors a class box may list: (2r+1)^k for k generators at
+# radius r are built before deduplication, so a box is refused beyond this
+MAX_BOX_VECTORS = 10 ** 6
 
 
-def smith_normal_form(M):
-    """Smith normal form with verified certificate.
+class BoxTooLarge(Exception):
+    """A class box would list more than MAX_BOX_VECTORS coefficient vectors."""
 
-    Returns (U, D, V) with U*M*V = D, U and V unimodular, and the diagonal of
-    D a nonnegative divisibility chain.  All three properties are rechecked
-    before returning.
-    """
+
+def _matmul(A, B):
+    """Product of integer matrices given as lists of rows."""
+    cols = list(zip(*B))
+    return [[sum(x * y for x, y in zip(row, col, strict=True)) for col in cols]
+            for row in A]
+
+
+def _certified_smith(M):
+    """(U, D, V, U^-1): the Smith normal form of smith_normal_form together
+    with the inverse of U, under the same certificate."""
     M = [[int(x) for x in row] for row in M]
     n = len(M)
     m = len(M[0]) if n else 0
-    U, D, V = em._smith(M)
-    # verification: U*M*V = D
-    if n and m:
-        UM = [[sum(U[i][k] * M[k][j] for k in range(n)) for j in range(m)]
-              for i in range(n)]
-        UMV = [[sum(UM[i][k] * V[k][j] for k in range(m)) for j in range(m)]
-               for i in range(n)]
-        if UMV != D:
-            raise AssertionError("smith normal form certificate failed")
-    if n and abs(_det_sign_unit(U)) != 1:
-        raise AssertionError("U is not unimodular")
-    if m and abs(_det_sign_unit(V)) != 1:
-        raise AssertionError("V is not unimodular")
+    U, D, V, Uinv, Vinv = em._smith(M)
+    if _matmul(_matmul(U, M), V) != D:
+        raise AssertionError("smith normal form certificate failed")
+    # integer matrices whose product is the identity have determinant +-1
+    for name, X, Xinv, k in (("U", U, Uinv, n), ("V", V, Vinv, m)):
+        if _matmul(X, Xinv) != [[int(i == j) for j in range(k)]
+                                for i in range(k)]:
+            raise AssertionError("%s is not unimodular" % name)
     diag = [D[i][i] for i in range(min(n, m))]
     if any(d < 0 for d in diag):
         raise AssertionError("negative diagonal entry")
@@ -88,7 +69,17 @@ def smith_normal_form(M):
                 raise AssertionError("zero before nonzero in the chain")
         elif diag[i + 1] % diag[i] != 0:
             raise AssertionError("divisibility chain violated")
-    return U, D, V
+    return U, D, V, Uinv
+
+
+def smith_normal_form(M):
+    """Smith normal form with verified certificate.
+
+    Returns (U, D, V) with U*M*V = D, U and V unimodular, and the diagonal of
+    D a nonnegative divisibility chain.  All three properties are rechecked
+    before returning: U and V are certified unimodular by integer inverses.
+    """
+    return _certified_smith(M)[:3]
 
 
 class FGAbelianGroup(Immutable):
@@ -107,17 +98,8 @@ class FGAbelianGroup(Immutable):
         object.__setattr__(self, "relations", tuple(rels))
         matrix = [[rels[j][i] for j in range(len(rels))]
                   for i in range(ambient_rank)]
-        if not rels:
-            matrix = [[] for _ in range(ambient_rank)]
-            U = [[1 if i == j else 0 for j in range(ambient_rank)]
-                 for i in range(ambient_rank)]
-            D = [[] for _ in range(ambient_rank)]
-            V = []
-            snf = (U, D, V)
-        else:
-            snf = smith_normal_form(matrix)
-        U, D, V = snf
-        diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
+        U, D, V, Uinv = _certified_smith(matrix)
+        diag = [D[i][i] for i in range(min(ambient_rank, len(rels)))]
         free_rows, torsion_rows, moduli = [], [], []
         for i in range(ambient_rank):
             d = diag[i] if i < len(diag) else 0
@@ -126,13 +108,12 @@ class FGAbelianGroup(Immutable):
             elif d > 1:
                 torsion_rows.append(i)
                 moduli.append(d)
-        object.__setattr__(self, "cached_snf", snf)
+        object.__setattr__(self, "cached_snf", (U, D, V))
         object.__setattr__(self, "_free_rows", tuple(free_rows))
         object.__setattr__(self, "_torsion_rows", tuple(torsion_rows))
         object.__setattr__(self, "_torsion_moduli", tuple(moduli))
         object.__setattr__(self, "_hnf", tuple(em._hnf_rows(rels)))
-        object.__setattr__(self, "_uinv",
-                           tuple(tuple(r) for r in _int_inverse(U)))
+        object.__setattr__(self, "_uinv", tuple(tuple(r) for r in Uinv))
 
     @staticmethod
     def free(rank):
@@ -156,7 +137,14 @@ class FGAbelianGroup(Immutable):
         """The distinct classes sum_k c_k * generators[k] with every |c_k| at
         most radius, as ambient vectors, ordered by sum_k |c_k| and then by
         sign-flipped lexicographic comparison of c, so small positive
-        combinations come first."""
+        combinations come first.  Raises BoxTooLarge before listing more than
+        MAX_BOX_VECTORS coefficient vectors."""
+        count = (2 * radius + 1) ** len(generators)
+        if count > MAX_BOX_VECTORS:
+            raise BoxTooLarge(
+                "a box of radius %d over %d generators lists %d coefficient "
+                "vectors, more than %d" % (radius, len(generators), count,
+                                           MAX_BOX_VECTORS))
         coefficients = sorted(
             itertools.product(range(-radius, radius + 1),
                               repeat=len(generators)),
@@ -237,25 +225,6 @@ class FGAbelianGroup(Immutable):
     def __repr__(self):
         return "FGAbelianGroup(rank=%d, torsion=%r)" % (
             self.rank, list(self.invariant_factors))
-
-
-def _int_inverse(U):
-    """Exact inverse of a unimodular integer matrix, with integer entries."""
-    n = len(U)
-    aug = [[Fraction(U[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    em._echelonize(aug, n)
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise AssertionError("matrix is not unimodular")
-            irow.append(x.numerator)
-        out.append(irow)
-    return out
 
 
 class GroupHom(Immutable):
@@ -424,10 +393,7 @@ def extend_character(c, embedding):
     n = big.ambient_rank
     m = c.domain.ambient_rank
     M = [list(row) for row in embedding.matrix]
-    U, D, V = smith_normal_form(M) if (n and m) else (
-        [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-        [[0] * m for _ in range(n)],
-        [[1 if i == j else 0 for j in range(m)] for i in range(m)])
+    U, D, V = smith_normal_form(M)
     # change basis on the source: the embedding sends the j-th transformed
     # source generator to d_j times the j-th transformed target generator
     diag = [D[i][i] for i in range(min(n, m))]

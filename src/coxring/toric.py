@@ -8,6 +8,7 @@ resulting ring is a free polynomial ring: components have the monomials of
 the matching class as a basis, which makes Hilbert counts pure enumeration.
 """
 
+from itertools import combinations
 from math import gcd
 
 from . import exactmath as _em
@@ -79,6 +80,21 @@ class Fan(Immutable):
                             "rays" % (k, j))
             covered.update(idx)
             clean_cones.append(tuple(sorted(idx)))
+        # separation lemma: two cones meet in the cone of their common rays
+        # exactly when a functional vanishes on those rays, is positive on
+        # the other rays of one cone and negative on the other rays of the
+        # other cone
+        for a, b in combinations(range(len(clean_cones)), 2):
+            common = set(clean_cones[a]) & set(clean_cones[b])
+            apart = ([clean_rays[j] for j in clean_cones[a]
+                      if j not in common]
+                     + [tuple(-x for x in clean_rays[j])
+                        for j in clean_cones[b] if j not in common])
+            if positive_functional(
+                    apart, [clean_rays[j] for j in sorted(common)]) is None:
+                raise MalformedFan(
+                    "cones %d and %d overlap beyond their common rays"
+                    % (a, b))
         if covered != set(range(len(clean_rays))):
             missing = sorted(set(range(len(clean_rays))) - covered)
             raise MalformedFan(

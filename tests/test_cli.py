@@ -237,6 +237,19 @@ class TestErrors:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_box_too_large(self, capsys, tmp_path):
+        # two points of multiplicity 6: eleven box generators, 5^11 vectors
+        path = tmp_path / "sixes.json"
+        path.write_text(json.dumps({"special": [
+            {"point": "0", "multiplicity": 6},
+            {"point": "inf", "multiplicity": 6}]}))
+        code, out, err = run_cli(capsys, "curve", str(path), "--box", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "more than 1000000" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_internal_inconsistency_exits_three(self, capsys, monkeypatch):
         def inconsistent(*args, **kwargs):
             raise InternalInconsistency("representatives disagree on rank")

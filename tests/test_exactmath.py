@@ -415,6 +415,28 @@ class TestFeasiblePoint:
             assert sum(c * y for c, y in zip(cs, point)) >= r
 
 
+class TestSpanEchelon:
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.lists(
+            st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                     min_size=m, max_size=m),
+            min_size=0, max_size=5).map(lambda rows: (m, rows))))
+    @settings(max_examples=80, deadline=None)
+    def test_echelon_is_sympy_rref(self, shape):
+        # reduced row echelon form is unique, so it must match sympy's
+        ncols, rows = shape
+        span = em._Span(ncols, rows)
+        expected, pivots = [], ()
+        if rows:
+            R, pivots = sympy.Matrix(
+                [[sympy.Rational(x.numerator, x.denominator) for x in row]
+                 for row in rows]).rref()
+            expected = [[Fraction(int(x.p), int(x.q)) for x in R.row(i)]
+                        for i in range(len(pivots))]
+        assert span.echelon() == expected
+        assert sorted(span.pivots) == list(pivots)
+
+
 class TestPositiveFunctional:
     def test_exists_for_pointed(self):
         y = positive_functional(SECTION8_DEGREES)

@@ -11,7 +11,10 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hypothesis import given, settings, strategies as st
 
+from coxring import exactmath as em
 from coxring.grading import (
+    MAX_BOX_VECTORS,
+    BoxTooLarge,
     Character,
     FGAbelianGroup,
     GroupHom,
@@ -87,6 +90,70 @@ class TestSmithNormalForm:
                         for x in sympy_snf(sympy.Matrix(M)).diagonal()
                         if x != 0)
         assert mine == theirs
+
+
+def product(A, B):
+    cols = list(zip(*B))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in A]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+class TestSmithInverses:
+    """_smith mirrors every operation on U and V onto their inverses, and
+    smith_normal_form certifies unimodularity by those inverses."""
+
+    # 0 by m matrices are the empty row list; n by 0 have empty rows
+    @given(st.integers(min_value=0, max_value=5).flatmap(
+        lambda n: st.integers(min_value=0, max_value=5).flatmap(
+            lambda m: st.lists(
+                st.lists(small_ints, min_size=m, max_size=m),
+                min_size=n, max_size=n))))
+    @settings(max_examples=120, deadline=None)
+    def test_inverses_are_exact(self, M):
+        U, D, V, Uinv, Vinv = em._smith(M)
+        n, m = len(U), len(V)
+        assert n == len(M)
+        assert product(U, Uinv) == identity(n)
+        assert product(Uinv, U) == identity(n)
+        assert product(V, Vinv) == identity(m)
+        assert product(Vinv, V) == identity(m)
+        assert product(product(U, M), V) == D
+
+    def test_groups_without_relations_keep_their_data(self):
+        G = FGAbelianGroup(3)
+        assert G.cached_snf == (identity(3), [[], [], []], [])
+        assert G._uinv == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        G = FGAbelianGroup(0)
+        assert G.cached_snf == ([], [], [])
+        assert G._uinv == ()
+
+    @pytest.mark.parametrize("spoil", [3, 4])
+    def test_wrong_inverse_is_caught(self, monkeypatch, spoil):
+        honest = em._smith
+
+        def spoiled(A):
+            out = list(honest(A))
+            out[spoil] = [row[:] for row in out[spoil]]
+            out[spoil][0][0] += 1
+            return tuple(out)
+
+        monkeypatch.setattr(em, "_smith", spoiled)
+        with pytest.raises(AssertionError, match="not unimodular"):
+            smith_normal_form([[2, 4], [6, 8]])
+
+
+class TestBoxLimit:
+    def test_eleven_generators_at_radius_two_refused(self):
+        G = FGAbelianGroup.free(11)
+        units = [tuple(int(i == j) for j in range(11)) for i in range(11)]
+        assert 5 ** 11 > MAX_BOX_VECTORS
+        with pytest.raises(BoxTooLarge, match="48828125"):
+            G.box(units, 2)
+        assert G.box(units, 0) == ((0,) * 11,)
 
 
 class TestFGAbelianGroup:

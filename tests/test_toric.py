@@ -8,6 +8,7 @@ two quotient read off from the diagonal form of its ray matrix.
 
 import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +17,14 @@ from coxring import cli
 from coxring.coxalg import (
     Inconclusive,
     Pass,
+    curve_algebra,
+    default_box,
     freely_graded_check,
     tensor_presentation,
 )
 from coxring.exactmath import UnboundedEnumeration
 from coxring.grading import FGAbelianGroup
+from coxring.ratcurve import curve_from_json
 from coxring.toric import (
     Fan,
     MalformedFan,
@@ -39,6 +43,8 @@ from coxring.toric import (
     quadric_cone_fan,
     toric_cox_data,
 )
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 class TestFan:
@@ -97,6 +103,33 @@ class TestFan:
         path.write_text(json.dumps(self.RAY_INSIDE))
         assert cli.main(["verify", str(path), "--box", "1"]) == 1
         assert "lies in the cone" in capsys.readouterr().err
+
+    # cone((1,0),(0,1)) and cone((1,0),(1,1)) share the ray (1,0) but meet
+    # in cone((1,0),(1,1)); the second pair shares no ray and meets in
+    # cone((0,1),(1,1))
+    OVERLAPPING = [{"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]],
+                    "max_cones": [[0, 1], [0, 2]]},
+                   {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1], [-1, 1]],
+                    "max_cones": [[0, 1], [2, 3]]}]
+
+    @pytest.mark.parametrize("data", OVERLAPPING)
+    def test_overlapping_cones_rejected(self, data):
+        with pytest.raises(MalformedFan, match="cones 0 and 1 overlap"):
+            fan_from_json(data)
+
+    def test_overlapping_cones_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(self.OVERLAPPING[0]))
+        assert cli.main(["verify", str(path), "--box", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overlap" in captured.err and "Traceback" not in captured.err
+
+    def test_cones_meeting_in_a_face_accepted(self):
+        # opposite quadrants meet only at the origin; a cone and its face
+        # meet in that face
+        Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1], [2, 3]])
+        Fan(2, [(1, 0), (0, 1)], [[0, 1], [0]])
 
     def test_non_simplicial_cone_accepted(self):
         # the cone over a square: four extremal, linearly dependent rays
@@ -293,6 +326,19 @@ class TestHilbert:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             hilbert_toric(line_fan(), (1, 0, 0))
+
+
+class TestCurveOracle:
+    def test_plain_line_matches_the_projective_line(self):
+        # the plain glued line is P^1; its class-graded components have the
+        # dimensions of the toric ring of the fan of P^1
+        X = curve_from_json(json.loads(FIXTURES.joinpath(
+            "plain_line.json").read_text()))
+        A = curve_algebra(X)
+        box = default_box(X, 3)
+        assert sorted(D[0] for D in box) == list(range(-3, 4))
+        for D in box:
+            assert A.component_dim(D) == hilbert_toric(line_fan(), (D[0], 0))
 
 
 class TestProductFan:
