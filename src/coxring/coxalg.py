@@ -433,7 +433,7 @@ def build_shifting_family(lattice, algebra=None):
     for E in kernel:
         D = lattice.divisor_of(E)
         try:
-            g = is_principal(lattice.curve, -1 * D)
+            g = is_principal(lattice.curve, -1 * D, lattice.picdata)
         except NotPrincipal as exc:
             raise InternalInconsistency(
                 "kernel element has no principal witness") from exc
@@ -907,34 +907,34 @@ def _poly_class(P, poly):
     return degs
 
 
-def _variable_ideal_member(P, poly, j, target):
-    """Truncated test for membership of poly in the ideal of one variable.
+def _variable_ideal_members(P, poly, variables):
+    """The variables T_j among the given indices j for which a truncated test
+    puts poly in the ideal (T_j).
 
-    The span examined consists of all monomials of the target class that
-    contain the variable, plus relation multiples, both truncated by total
-    degree.  A positive answer is exact; a negative answer only reflects the
+    The relation multiples of poly's class span the ideal of relations
+    there, and poly lies in (T_j) plus that span exactly when its image
+    modulo the monomials divisible by T_j lies in the span of the images of
+    the multiples.  Monomials and relation cofactors are truncated by total
+    degree, and a multiple with a monomial outside the truncated set is not
+    used.  A positive answer is exact; a negative answer only reflects the
     truncation.
     """
     gen_degrees = [d for d, _ in P.generators]
+    target = _poly_class(P, poly)
     bound = _total_degree(poly) + max(
         (_total_degree(r) for r in P.relations), default=0)
     try:
         monos = enumerate_monomials(gen_degrees, target, bound=bound,
                                     relations=P.grading.relations)
     except UnboundedEnumeration:
-        return False
-    index = {exps: t for t, exps in enumerate(monos)}
-    nm = len(monos)
-    span = _Span(nm)
-    for exps, t in index.items():
-        if exps[j] >= 1:
-            unit = [Fraction(0)] * nm
-            unit[t] = Fraction(1)
-            span.add(unit)
+        return set()
+    known = set(monos)
+    if any(exps not in known for exps in poly.terms):
+        return set()
     dmap = tuple(gen_degrees)
+    multiples = []
     for r in P.relations:
-        rclass = _poly_class(P, r)
-        diff = _vsub(target, rclass)
+        diff = _vsub(target, _poly_class(P, r))
         try:
             cofs = enumerate_monomials(gen_degrees, diff, bound=bound,
                                        relations=P.grading.relations)
@@ -942,23 +942,27 @@ def _variable_ideal_member(P, poly, j, target):
             continue
         for cof in cofs:
             prod = r * MultiPoly.monomial(cof, 1, dmap)
-            vec = [Fraction(0)] * nm
-            usable = True
-            for exps, coeff in prod.terms.items():
+            if all(exps in known for exps in prod.terms):
+                multiples.append(prod.terms)
+    members = set()
+    for j in variables:
+        index = {}
+        for exps in monos:
+            if exps[j] == 0:
+                index[exps] = len(index)
+
+        def project(terms):
+            vec = [0] * len(index)
+            for exps, coeff in terms.items():
                 t = index.get(exps)
-                if t is None:
-                    usable = False
-                    break
-                vec[t] = coeff
-            if usable:
-                span.add(vec)
-    target_vec = [Fraction(0)] * nm
-    for exps, coeff in poly.terms.items():
-        t = index.get(exps)
-        if t is None:
-            return False
-        target_vec[t] = coeff
-    return span.contains(target_vec)
+                if t is not None:
+                    vec[t] = coeff
+            return vec
+
+        span = _Span(len(index), map(project, multiples))
+        if span.contains(project(poly.terms)):
+            members.add(j)
+    return members
 
 
 def freely_graded_check(P, irrelevant, power_bound=4):
@@ -976,24 +980,27 @@ def freely_graded_check(P, irrelevant, power_bound=4):
                             "data was gathered")
     group = P.grading
     gen_degrees = [d for d, _ in P.generators]
+    k = len(gen_degrees)
     all_witnesses = []
     for idx, f in enumerate(irrelevant):
-        collected = [_poly_class(P, f)]
-        wits = []
-        for j in range(len(P.generators)):
-            hit = None
-            for n in range(1, power_bound + 1):
-                fn = f ** n
-                if all(exps[j] >= 1 for exps in fn.terms):
-                    hit = n
-                    break
-                if P.relations and _variable_ideal_member(
-                        P, fn, j, _poly_class(P, fn)):
-                    hit = n
-                    break
-            if hit is not None:
-                collected.append(gen_degrees[j])
-                wits.append((j, hit))
+        # the smallest power per variable: raise f one step at a time and
+        # test only the variables without a hit
+        hit = {}
+        fn = f
+        for n in range(1, power_bound + 1):
+            if n > 1:
+                fn = fn * f
+            for j in range(k):
+                if j not in hit and fn.divisible_by_variable(j):
+                    hit[j] = n
+            open_js = [j for j in range(k) if j not in hit]
+            if open_js and P.relations:
+                for j in _variable_ideal_members(P, fn, open_js):
+                    hit[j] = n
+            if len(hit) == k:
+                break
+        wits = sorted(hit.items())
+        collected = [_poly_class(P, f)] + [gen_degrees[j] for j, _ in wits]
         quotient = FGAbelianGroup(group.ambient_rank,
                                   collected + list(group.relations))
         if not quotient.is_trivial():
@@ -1075,7 +1082,7 @@ def irrelevant_sections(A):
         c = picdata.class_of(E)
         rep = A.rep(c)
         Drep = A.lattice.divisor_of(rep)
-        s = is_principal(X, E - Drep)
+        s = is_principal(X, E - Drep, picdata)
         if A.pic_component(c).coordinates_of(s) is None:
             raise InternalInconsistency(
                 "covering element escaped its component")
@@ -1273,6 +1280,7 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     """
     A1 = curve_algebra(X, "canonical", basis=basis)
     A2 = curve_algebra(X, "full")
+    picdata = A1.lattice.picdata
     if box is None:
         box = default_box(X, radius, basis=basis)
     hilbert_equal = True
@@ -1287,7 +1295,7 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
             continue
         D1 = A1.lattice.divisor_of(A1.rep(c))
         D2 = A2.lattice.divisor_of(A2.rep(c))
-        w = is_principal(X, D1 - D2)
+        w = is_principal(X, D1 - D2, picdata)
         witness[c] = w
         S2 = A2.pic_component(c)
         for f in A1.pic_component(c).basis:
@@ -1299,7 +1307,7 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
         c12 = _vadd(c1, c2)
         D1 = A1.lattice.divisor_of(A1.rep(c12))
         D2 = A2.lattice.divisor_of(A2.rep(c12))
-        if w1 * w2 != is_principal(X, D1 - D2):
+        if w1 * w2 != is_principal(X, D1 - D2, picdata):
             product_ok = False
     return {"classes": len(list(box)),
             "hilbert_equal": hilbert_equal,

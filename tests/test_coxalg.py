@@ -35,7 +35,11 @@ from coxring.coxalg import (
     Presentation,
     Separated,
     _degree_weights,
+    _poly_class,
+    _total_degree,
     _traversal,
+    _variable_ideal_members,
+    _vsub,
     build_presentation,
     build_shifting_family,
     canonical_lambda,
@@ -49,13 +53,21 @@ from coxring.coxalg import (
     ideal_membership,
     irrelevant_sections,
     is_pointed,
+    sections_as_polynomials,
     separatedness_check,
     shift,
     tensor_presentation,
     uniqueness_crosscheck,
     weight_monoid_check,
 )
-from coxring.exactmath import MultiPoly, RationalFunction
+from coxring import coxalg
+from coxring.exactmath import (
+    MultiPoly,
+    RationalFunction,
+    UnboundedEnumeration,
+    _Span,
+    enumerate_monomials,
+)
 from coxring.grading import FGAbelianGroup
 from coxring.ratcurve import (
     CurvePoint,
@@ -63,6 +75,7 @@ from coxring.ratcurve import (
     GluedCurve,
     InternalInconsistency,
     P1Point,
+    PicardData,
     curve_from_json,
     principal_divisor,
     section_space,
@@ -476,16 +489,17 @@ class TestPresentation:
         assert [e["degree"] for e in P.certificate] == list(distinct.values())
 
 
-def _order_cases():
+def _fixture_curves():
     fixtures = pathlib.Path(__file__).parent / "fixtures"
     for path in sorted(fixtures.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
         if "special" in data:
             yield path.stem, curve_from_json(data)
-    yield "0:3,inf:2", GluedCurve([(pt(0), 3), (pt("inf"), 2)])
 
 
-ORDER_CASES = dict(_order_cases())
+FIXTURE_CURVES = dict(_fixture_curves())
+ORDER_CASES = {**FIXTURE_CURVES,
+               "0:3,inf:2": GluedCurve([(pt(0), 3), (pt("inf"), 2)])}
 
 
 class TestClassOrder:
@@ -586,6 +600,101 @@ class TestFreelyGraded:
         verdict = freely_graded_check(P, [T1], 4)
         assert isinstance(verdict, Inconclusive)
         assert verdict.details["index"] == 0
+
+
+def _full_space_member(P, poly, j, target):
+    """Membership of poly in (T_j) without the quotient: the span of one unit
+    vector per monomial containing T_j and every relation multiple, over all
+    monomials of the class, truncated exactly as the production test."""
+    gen_degrees = [d for d, _ in P.generators]
+    bound = _total_degree(poly) + max(
+        (_total_degree(r) for r in P.relations), default=0)
+    try:
+        monos = enumerate_monomials(gen_degrees, target, bound=bound,
+                                    relations=P.grading.relations)
+    except UnboundedEnumeration:
+        return False
+    index = {exps: t for t, exps in enumerate(monos)}
+    nm = len(monos)
+    span = _Span(nm)
+    for exps, t in index.items():
+        if exps[j] >= 1:
+            unit = [Fraction(0)] * nm
+            unit[t] = Fraction(1)
+            span.add(unit)
+    dmap = tuple(gen_degrees)
+    for r in P.relations:
+        diff = _vsub(target, _poly_class(P, r))
+        try:
+            cofs = enumerate_monomials(gen_degrees, diff, bound=bound,
+                                       relations=P.grading.relations)
+        except UnboundedEnumeration:
+            continue
+        for cof in cofs:
+            prod = r * MultiPoly.monomial(cof, 1, dmap)
+            vec = [Fraction(0)] * nm
+            usable = True
+            for exps, coeff in prod.terms.items():
+                t = index.get(exps)
+                if t is None:
+                    usable = False
+                    break
+                vec[t] = coeff
+            if usable:
+                span.add(vec)
+    target_vec = [Fraction(0)] * nm
+    for exps, coeff in poly.terms.items():
+        t = index.get(exps)
+        if t is None:
+            return False
+        target_vec[t] = coeff
+    return span.contains(target_vec)
+
+
+class TestQuotientMembership:
+    """The membership test modulo the monomials divisible by T_j against the
+    full-space span, on the irrelevant elements of the verify pipeline."""
+
+    @pytest.mark.parametrize("X", FIXTURE_CURVES.values(),
+                             ids=FIXTURE_CURVES)
+    def test_agrees_with_full_space(self, X):
+        A = curve_algebra(X)
+        P = build_presentation(A, default_box(X, 1))
+        k = len(P.generators)
+        # members that only the relation multiples put in (T_j)
+        from_relations = 0
+        for f in sections_as_polynomials(A, P, irrelevant_sections(A)):
+            fn = f
+            for n in range(1, 9):
+                if n > 1:
+                    fn = fn * f
+                target = _poly_class(P, fn)
+                expected = {j for j in range(k)
+                            if _full_space_member(P, fn, j, target)}
+                assert _variable_ideal_members(P, fn, range(k)) == expected
+                from_relations += sum(not fn.divisible_by_variable(j)
+                                      for j in expected)
+        assert from_relations > 0 or not P.relations
+
+    def test_multiple_leaving_the_truncation_is_unused(self):
+        # T1, T2, T3 of degrees 1, 1, 2 with T3 = T2^2: T3^3 = T2^6 is not in
+        # (T1), but T2^4 * (T3 - T2^2) has its T2^6 beyond the total degree
+        # bound, and keeping the rest of it would put T3^3 in every ideal
+        dm = ((1,), (1,), (2,))
+        P = polynomial_ring_presentation(list(dm))
+        rel = MultiPoly(3, {(0, 0, 1): 1, (0, 2, 0): -1}, dm)
+        P = Presentation(P.grading, P.generators, (rel,), P.box,
+                         P.certificate)
+        cube = MultiPoly.monomial((0, 0, 3), 1, dm)
+        assert _variable_ideal_members(P, cube, range(3)) == {1, 2}
+        assert not _full_space_member(P, cube, 0, (6,))
+
+    def test_relation_lies_in_every_variable_ideal(self):
+        P = tripled_presentation()
+        rel = P.relations[0]
+        poly = MultiPoly.monomial((1, 1, 0, 0, 0, 0), 1, rel.degree_map)
+        assert _variable_ideal_members(P, poly, range(6)) == {0, 1}
+        assert _variable_ideal_members(P, rel, range(6)) == set(range(6))
 
 
 class _ComponentStub:
@@ -743,6 +852,26 @@ class TestUniquenessCrosscheck:
         assert report == {"classes": 3, "hilbert_equal": True,
                           "iso_verified": True,
                           "witness_multiplicative": True}
+
+
+class TestPicardDataReuse:
+    def test_one_picard_data_per_lattice(self, monkeypatch):
+        counts = {"picard": 0, "lattice": 0}
+
+        def counting(name, init):
+            def wrapped(self, *args, **kwargs):
+                counts[name] += 1
+                init(self, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(PicardData, "__init__",
+                            counting("picard", PicardData.__init__))
+        monkeypatch.setattr(
+            coxalg.LineBundleLattice, "__init__",
+            counting("lattice", coxalg.LineBundleLattice.__init__))
+        report = uniqueness_crosscheck(tripled_line(), radius=1)
+        assert report["classes"] == 81
+        assert counts == {"picard": 3, "lattice": 3}
 
 
 class TestTensor:

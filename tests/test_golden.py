@@ -2,8 +2,9 @@
 
 Every fixture is reported at box radius 1 in both formats: curves with
 `coxring curve`, fans with `coxring toric`; every fixture also with
-`coxring verify`, and the curves with `coxring crosscheck`.  After a
-deliberate change to the reports, regenerate the files with
+`coxring verify`, and the curves with `coxring crosscheck` and with
+`coxring verify --power-bound 8`.  After a deliberate change to the
+reports, regenerate the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -29,33 +30,36 @@ def _cases():
     for path in sorted(FIXTURES.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
         curve = "special" in data
-        runs = [("curve" if curve else "toric", ""), ("verify", "verify.")]
+        runs = [("curve" if curve else "toric", "box1", ()),
+                ("verify", "verify.box1", ())]
         if curve:
-            runs.append(("crosscheck", "crosscheck."))
-        for mode, tag in runs:
+            runs.append(("crosscheck", "crosscheck.box1", ()))
+            runs.append(("verify", "verify.box1.pb8", ("--power-bound", "8")))
+        for mode, tag, extra in runs:
             for fmt, ext in FORMATS.items():
-                name = "%s.%sbox1.%s" % (path.stem, tag, ext)
-                yield path, mode, fmt, GOLDEN / name
+                name = "%s.%s.%s" % (path.stem, tag, ext)
+                yield path, [mode, *extra], fmt, GOLDEN / name
 
 
 CASES = list(_cases())
 
 
-def _report(path, mode, fmt):
+def _report(path, args, fmt):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main([mode, str(path), "--box", "1", "--format", fmt])
+        code = cli.main([args[0], str(path), "--box", "1", "--format", fmt,
+                         *args[1:]])
     assert code == 0
     return out.getvalue()
 
 
-@pytest.mark.parametrize("path, mode, fmt, golden", CASES,
+@pytest.mark.parametrize("path, args, fmt, golden", CASES,
                          ids=[c[3].name for c in CASES])
-def test_report_matches_golden(path, mode, fmt, golden):
-    assert _report(path, mode, fmt) == golden.read_text(encoding="utf-8")
+def test_report_matches_golden(path, args, fmt, golden):
+    assert _report(path, args, fmt) == golden.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for path, mode, fmt, golden in CASES:
-        golden.write_text(_report(path, mode, fmt), encoding="utf-8")
+    for path, args, fmt, golden in CASES:
+        golden.write_text(_report(path, args, fmt), encoding="utf-8")
