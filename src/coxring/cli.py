@@ -148,7 +148,7 @@ def _run_verify(path, options):
         A, box, P = _curve_pipeline(X, options["box_radius"],
                                     options["lambda"])
         checks["weight_monoid"] = _verdict_entry(
-            weight_monoid_check(A, list(P.generators)))
+            weight_monoid_check(A.pic, [d for d, _ in P.generators]))
         checks["pointed"] = _pointed_entry(is_pointed(A, box))
         elems = irrelevant_sections(A)
         checks["separatedness"] = _verdict_entry(

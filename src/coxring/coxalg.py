@@ -30,6 +30,7 @@ from .exactmath import (
 from . import exactmath as _em
 from .grading import FGAbelianGroup, GroupHom
 from .ratcurve import (
+    CurvePoint,
     Divisor,
     InternalInconsistency,
     NotPrincipal,
@@ -37,6 +38,8 @@ from .ratcurve import (
     PicardData,
     is_principal,
     min_degree,
+    principal_divisor,
+    section_space,
 )
 
 
@@ -338,7 +341,6 @@ class GradedSectionAlgebra(Immutable):
         key = tuple(int(x) for x in vec)
         got = self._cache.get(key)
         if got is None:
-            from .ratcurve import section_space
             got = section_space(self.lattice.curve,
                                 self.lattice.divisor_of(key))
             self._cache.setdefault(key, got)
@@ -373,7 +375,6 @@ class ShiftingFamily(Immutable):
         witnesses = tuple(witnesses)
         if len(kernel) != len(witnesses):
             raise ValueError("one witness per kernel basis element")
-        from .ratcurve import principal_divisor
         for E, g in zip(kernel, witnesses):
             D = lattice.divisor_of(E)
             if principal_divisor(g, lattice.curve) != -1 * D:
@@ -871,16 +872,9 @@ def build_presentation(A, box, bound=None):
 # verification checks
 
 
-def weight_monoid_check(A, generators):
+def weight_monoid_check(group, degrees):
     """Whether the generator degrees generate the whole grading group."""
-    group = A.pic if isinstance(A, PicGradedAlgebra) else A
-    degrees = []
-    for g in generators:
-        if isinstance(g, tuple) and len(g) == 2 \
-                and not isinstance(g[0], int):
-            degrees.append(tuple(int(x) for x in g[0]))
-        else:
-            degrees.append(tuple(int(x) for x in g))
+    degrees = [tuple(int(x) for x in d) for d in degrees]
     cols = degrees + list(group.relations)
     quotient = FGAbelianGroup(group.ambient_rank, cols)
     if quotient.is_trivial():
@@ -1109,7 +1103,6 @@ def irrelevant_sections(A):
         out.append(element(E0))
         a = P1Point.finite(Fraction(1)) if t == P1Point.finite(Fraction(0)) \
             else P1Point.finite(Fraction(0))
-        from .ratcurve import CurvePoint
         for keep in range(m):
             E = Divisor.of_point(CurvePoint(a, 0))
             for i, q in enumerate(X.copies(t)):
@@ -1134,14 +1127,24 @@ def sections_as_polynomials(A, P, elements):
     out = []
     for c, s in elements:
         c = tuple(int(x) for x in c)
-        space = A.pic_component(c)
+        rep = A.rep(c)
+        space = A.base.component(rep)
         target = space.coordinates_of(s)
         if target is None:
             raise NotASection("element lies outside its stated component")
         exps_list = _monomials(A, gen_degrees, c, None)
         cols = []
         for exps in exps_list:
-            v = space.coordinates_of(_monomial_section(gens, exps))
+            sec = _monomial_section(gens, exps)
+            # the monomial lies in the component of its own ambient degree;
+            # a class relation between that degree and c is a kernel
+            # element, crossed by its witness
+            amb = [sum(e * d[i] for e, d in zip(exps, gen_degrees))
+                   for i in range(len(c))]
+            E = _vsub(rep, A.rep(amb))
+            if any(E):
+                sec = sec * A.family.witness_for(E)
+            v = space.coordinates_of(sec)
             if v is None:
                 raise InternalInconsistency(
                     "generator monomial escaped its component")

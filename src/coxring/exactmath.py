@@ -10,8 +10,6 @@ import functools
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class NotInSpan(Exception):
     """Target vector lies outside the span of the given vectors."""
@@ -39,7 +37,7 @@ class Immutable:
 
 
 class UniPoly(Immutable):
-    """Dense univariate polynomial in z with Rational coefficients.
+    """Dense univariate polynomial in z with rational coefficients.
 
     Coefficients are stored ascending by exponent with no trailing zeros, so
     the leading coefficient is nonzero unless the polynomial is zero.
@@ -423,7 +421,7 @@ class MultiPoly(Immutable):
     """Polynomial in variables T1..Tr with an optional multidegree for each
     variable.
 
-    terms maps exponent tuples to nonzero Rational coefficients.  degree_map,
+    terms maps exponent tuples to nonzero rational coefficients.  degree_map,
     when present, is a tuple of integer degree vectors, one per variable; a
     polynomial is homogeneous when all its monomials share the same total
     multidegree.
@@ -446,10 +444,6 @@ class MultiPoly(Immutable):
             if len(degree_map) != nvars:
                 raise ValueError("degree_map length must equal nvars")
         object.__setattr__(self, "degree_map", degree_map)
-
-    @staticmethod
-    def zero(nvars, degree_map=None):
-        return MultiPoly(nvars, {}, degree_map)
 
     @staticmethod
     def variable(i, nvars, degree_map=None):
@@ -501,53 +495,8 @@ class MultiPoly(Immutable):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly(self.nvars, {(0,) * self.nvars: Fraction(1)},
-                           self.degree_map)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def monomial_degree(self, exps):
-        if self.degree_map is None:
-            raise ValueError("no degree_map attached")
-        n = len(self.degree_map[0]) if self.degree_map else 0
-        acc = [0] * n
-        for e, d in zip(exps, self.degree_map):
-            for i, di in enumerate(d):
-                acc[i] += e * di
-        return tuple(acc)
-
-    def multidegree(self):
-        """Common multidegree of all terms, or None if not homogeneous."""
-        degs = {self.monomial_degree(e) for e in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def leading_monomial(self):
-        """Largest exponent tuple under graded lexicographic order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return min(self.terms, key=grlex_key)
-
     def divisible_by_variable(self, i):
         return all(e[i] > 0 for e in self.terms)
-
-    def divide_by_variable(self, i):
-        if not self.divisible_by_variable(i):
-            raise ValueError("not divisible by variable %d" % i)
-        out = {}
-        for exps, c in self.terms.items():
-            key = tuple(e - 1 if j == i else e for j, e in enumerate(exps))
-            out[key] = c
-        return MultiPoly(self.nvars, out, self.degree_map)
 
     def substitute(self, values):
         """Evaluate at values, a list of RationalFunction, one per variable."""
@@ -633,36 +582,6 @@ def parse_multipoly(text, nvars, degree_map=None):
 # dense exact linear algebra
 
 
-class QMatrix(Immutable):
-    """Immutable dense matrix of Rationals."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        if any(len(r) != cols for r in entries):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    @staticmethod
-    def identity(n):
-        return QMatrix([[1 if i == j else 0 for j in range(n)]
-                        for i in range(n)])
-
-    def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(("QMatrix", self.entries))
-
-    def __repr__(self):
-        return "QMatrix(%r)" % (list(list(r) for r in self.entries),)
-
-
 class _Span:
     """Incrementally maintained exact row span.
 
@@ -723,11 +642,8 @@ def rank_kernel(M):
     number of columns.  Kernel vectors are produced one per free column, with
     a 1 in the free position, so the basis is independent by construction.
     """
-    if isinstance(M, QMatrix):
-        rows, ncols = M.entries, M.cols
-    else:
-        rows, ncols = M, len(M[0]) if M else 0
-    span = _Span(ncols, rows)
+    ncols = len(M[0]) if M else 0
+    span = _Span(ncols, M)
     pivot_set = set(span.pivots)
     kernel = []
     for free in range(ncols):

@@ -291,44 +291,6 @@ class Divisor(Immutable):
         return "Divisor(%r)" % (dict(self.coefficients),)
 
 
-def divisor_from_json(data, X=None):
-    """Build a divisor from a list of {"point", "copy", "coeff"} objects."""
-    if not isinstance(data, list):
-        raise ValueError("divisor JSON must be a list")
-    coeffs = {}
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise ValueError("divisor entry %d must be an object" % i)
-        try:
-            base = parse_point(entry["point"])
-        except KeyError:
-            raise ValueError("divisor entry %d is missing 'point'" % i)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError("divisor entry %d has unparseable point %r"
-                             % (i, entry.get("point")))
-        copy = entry.get("copy", 0)
-        coeff = entry.get("coeff")
-        if not is_json_int(copy) or copy < 0:
-            raise ValueError("divisor entry %d needs integer copy >= 0" % i)
-        if not is_json_int(coeff):
-            raise ValueError("divisor entry %d needs integer coeff" % i)
-        point = CurvePoint(base, copy)
-        if X is not None:
-            try:
-                X.validate_point(point)
-            except ValueError as exc:
-                raise ValueError("divisor entry %d: %s" % (i, exc))
-        if point in coeffs:
-            raise ValueError("divisor entry %d repeats point %s" % (i, point))
-        coeffs[point] = coeff
-    return Divisor(coeffs)
-
-
-def divisor_to_json(D):
-    return [{"point": str(p.base), "copy": p.copy_index, "coeff": c}
-            for p, c in D.sorted_items()]
-
-
 # ---------------------------------------------------------------------------
 # orders and divisors of rational functions
 
@@ -495,9 +457,6 @@ class SectionSpace(Immutable):
             return None
         coords = list(q.coeffs) + [Fraction(0)] * (self._dim - len(q.coeffs))
         return tuple(coords)
-
-    def contains(self, f):
-        return self.coordinates_of(f) is not None
 
     def __repr__(self):
         return "SectionSpace(dim=%d, divisor=%s)" % (self._dim, self.divisor)

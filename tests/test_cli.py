@@ -96,6 +96,31 @@ class TestVerifyCommand:
         assert entry["levels"] == 2
         assert report["findings"]["not_separated"] is False
 
+    @pytest.mark.parametrize("name", ["tripled_line.json",
+                                      "doubled_line.json", "plain_line.json",
+                                      "multiplicities_3_2"])
+    def test_full_lattice_agrees_with_canonical(self, capsys, tmp_path,
+                                                name):
+        # a generator monomial whose degree differs from its class's
+        # ambient vector by a relation must be crossed by the witness of
+        # the kernel element between the two lattice components
+        if name.endswith(".json"):
+            path = fixture(name)
+        else:
+            path = tmp_path / "curve.json"
+            path.write_text(json.dumps({"special": [
+                {"point": "0", "multiplicity": 3},
+                {"point": "1", "multiplicity": 2}]}))
+        runs = {}
+        for mode in ("canonical", "full"):
+            code, out, _ = run_cli(capsys, "verify", str(path), "--box", "1",
+                                   "--lambda", mode)
+            assert code == 0
+            checks = json.loads(out)["checks"]
+            runs[mode] = ({k: v["verdict"] for k, v in checks.items()},
+                          checks["freely_graded"]["details"]["witnesses"])
+        assert runs["full"] == runs["canonical"]
+
     def test_plane_fan(self, capsys):
         code, out, _ = run_cli(capsys, "verify", fixture("plane_fan.json"))
         assert code == 0

@@ -526,8 +526,8 @@ class TestClassOrder:
 class TestWeightMonoid:
     def test_tripled_generators_cover_the_class_group(self):
         A = tripled_algebra()
-        verdict = weight_monoid_check(A, list(tripled_presentation()
-                                              .generators))
+        verdict = weight_monoid_check(
+            A.pic, [d for d, _ in tripled_presentation().generators])
         assert isinstance(verdict, Pass)
 
     def test_index_two_subgroup_fails(self):

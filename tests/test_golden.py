@@ -2,9 +2,9 @@
 
 Every fixture is reported at box radius 1 in both formats: curves with
 `coxring curve`, fans with `coxring toric`; every fixture also with
-`coxring verify`, and the curves with `coxring crosscheck` and with
-`coxring verify --power-bound 8`.  After a deliberate change to the
-reports, regenerate the files with
+`coxring verify`, and the curves with `coxring crosscheck`, with
+`coxring verify --power-bound 8` and with `coxring curve --lambda full`.
+After a deliberate change to the reports, regenerate the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -35,6 +35,7 @@ def _cases():
         if curve:
             runs.append(("crosscheck", "crosscheck.box1", ()))
             runs.append(("verify", "verify.box1.pb8", ("--power-bound", "8")))
+            runs.append(("curve", "box1.full", ("--lambda", "full")))
         for mode, tag, extra in runs:
             for fmt, ext in FORMATS.items():
                 name = "%s.%s.%s" % (path.stem, tag, ext)

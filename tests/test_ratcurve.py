@@ -22,8 +22,6 @@ from coxring.ratcurve import (
     ZeroFunction,
     curve_from_json,
     curve_to_json,
-    divisor_from_json,
-    divisor_to_json,
     is_principal,
     min_divisor,
     min_degree,
@@ -147,27 +145,6 @@ class TestJson:
         with pytest.raises(ValueError, match="multiplicity"):
             curve_from_json({"special": [{"point": "0",
                                           "multiplicity": mult}]})
-
-    def test_divisor_roundtrip(self):
-        X = tripled_line()
-        D = Divisor({cp(0): 2, cp(1, 1): -1})
-        assert divisor_from_json(divisor_to_json(D), X) == D
-
-    def test_divisor_errors(self):
-        X = tripled_line()
-        with pytest.raises(ValueError):
-            divisor_from_json([{"point": "0", "copy": 5, "coeff": 1}], X)
-        with pytest.raises(ValueError):
-            divisor_from_json([{"point": "0", "coeff": "x"}], X)
-
-    @pytest.mark.parametrize("entry", [
-        {"point": "0", "copy": True, "coeff": 1},
-        {"point": "0", "copy": 0, "coeff": True},
-        {"point": "0", "coeff": False},
-    ])
-    def test_divisor_rejects_booleans(self, entry):
-        with pytest.raises(ValueError, match="integer"):
-            divisor_from_json([entry], tripled_line())
 
 
 class TestOrderAt:
