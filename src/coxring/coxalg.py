@@ -36,9 +36,9 @@ from .ratcurve import (
     NotPrincipal,
     P1Point,
     PicardData,
+    divisor_on,
     is_principal,
     min_degree,
-    principal_divisor,
     section_space,
 )
 
@@ -377,7 +377,8 @@ class ShiftingFamily(Immutable):
             raise ValueError("one witness per kernel basis element")
         for E, g in zip(kernel, witnesses):
             D = lattice.divisor_of(E)
-            if principal_divisor(g, lattice.curve) != -1 * D:
+            bases = [point.base for point in D.coefficients]
+            if divisor_on(g, lattice.curve, bases) != -1 * D:
                 raise InternalInconsistency(
                     "witness divisor does not match its kernel element")
         object.__setattr__(self, "lattice", lattice)
@@ -754,7 +755,6 @@ def find_relations(A, generators, box, bound=None):
     gens = list(generators)
     nv = len(gens)
     gen_degrees = [tuple(int(x) for x in g[0]) for g in gens]
-    dmap = tuple(gen_degrees)
     found = []
     certificate = []
     for at, D in _traversal(A, box):
@@ -792,7 +792,7 @@ def find_relations(A, generators, box, bound=None):
         for _, Dr, poly in found:
             diff = _vsub(D, Dr)
             for cof in _monomials(A, gen_degrees, diff, bound):
-                prod = poly * MultiPoly.monomial(cof, 1, dmap)
+                prod = poly * MultiPoly.monomial(cof)
                 vec = [Fraction(0)] * nm
                 for exps, coeff in prod.terms.items():
                     t = index.get(exps)
@@ -811,7 +811,7 @@ def find_relations(A, generators, box, bound=None):
             for c, x in enumerate(row):
                 if x != 0:
                     terms[exps_list[colorder[c]]] = x
-            poly = MultiPoly(nv, terms, dmap)
+            poly = MultiPoly(nv, terms)
             if not poly.substitute([g[1] for g in gens]).is_zero():
                 raise InternalInconsistency(
                     "relation does not evaluate to zero")
@@ -925,7 +925,6 @@ def _variable_ideal_members(P, poly, variables):
     known = set(monos)
     if any(exps not in known for exps in poly.terms):
         return set()
-    dmap = tuple(gen_degrees)
     multiples = []
     for r in P.relations:
         diff = _vsub(target, _poly_class(P, r))
@@ -935,7 +934,7 @@ def _variable_ideal_members(P, poly, variables):
         except UnboundedEnumeration:
             continue
         for cof in cofs:
-            prod = r * MultiPoly.monomial(cof, 1, dmap)
+            prod = r * MultiPoly.monomial(cof)
             if all(exps in known for exps in prod.terms):
                 multiples.append(prod.terms)
     members = set()
@@ -1123,7 +1122,6 @@ def sections_as_polynomials(A, P, elements):
     """
     gens = list(P.generators)
     gen_degrees = [tuple(int(x) for x in d) for d, _ in gens]
-    dmap = tuple(gen_degrees)
     out = []
     for c, s in elements:
         c = tuple(int(x) for x in c)
@@ -1154,7 +1152,7 @@ def sections_as_polynomials(A, P, elements):
         except _em.NotInSpan:
             raise GeneratorsIncomplete(c) from None
         terms = {exps: q for exps, q in zip(exps_list, coeffs) if q != 0}
-        out.append(MultiPoly(len(gens), terms, dmap))
+        out.append(MultiPoly(len(gens), terms))
     return out
 
 
@@ -1330,14 +1328,13 @@ def tensor_presentation(P, Q):
     gens += [((0,) * ap + tuple(d), s) for d, s in Q.generators]
     kp = len(P.generators)
     kq = len(Q.generators)
-    dmap = tuple(d for d, _ in gens)
     polys = []
     for r in P.relations:
         terms = {exps + (0,) * kq: c for exps, c in r.terms.items()}
-        polys.append(MultiPoly(kp + kq, terms, dmap))
+        polys.append(MultiPoly(kp + kq, terms))
     for r in Q.relations:
         terms = {(0,) * kp + exps: c for exps, c in r.terms.items()}
-        polys.append(MultiPoly(kp + kq, terms, dmap))
+        polys.append(MultiPoly(kp + kq, terms))
     certp = {tuple(entry["degree"]): entry for entry in P.certificate}
     certq = {tuple(entry["degree"]): entry for entry in Q.certificate}
     box = []

@@ -418,18 +418,14 @@ def grlex_key(exps):
 
 
 class MultiPoly(Immutable):
-    """Polynomial in variables T1..Tr with an optional multidegree for each
-    variable.
+    """Polynomial in variables T1..Tr.
 
-    terms maps exponent tuples to nonzero rational coefficients.  degree_map,
-    when present, is a tuple of integer degree vectors, one per variable; a
-    polynomial is homogeneous when all its monomials share the same total
-    multidegree.
+    terms maps exponent tuples to nonzero rational coefficients.
     """
 
-    __slots__ = ("nvars", "terms", "degree_map")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms, degree_map=None):
+    def __init__(self, nvars, terms):
         clean = {}
         for exps, c in terms.items():
             if len(exps) != nvars:
@@ -439,27 +435,19 @@ class MultiPoly(Immutable):
                 clean[tuple(int(e) for e in exps)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-        if degree_map is not None:
-            degree_map = tuple(tuple(int(x) for x in d) for d in degree_map)
-            if len(degree_map) != nvars:
-                raise ValueError("degree_map length must equal nvars")
-        object.__setattr__(self, "degree_map", degree_map)
 
     @staticmethod
-    def variable(i, nvars, degree_map=None):
+    def variable(i, nvars):
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return MultiPoly(nvars, {exps: Fraction(1)}, degree_map)
+        return MultiPoly(nvars, {exps: Fraction(1)})
 
     @staticmethod
-    def monomial(exps, coeff=1, degree_map=None):
+    def monomial(exps, coeff=1):
         exps = tuple(exps)
-        return MultiPoly(len(exps), {exps: Fraction(coeff)}, degree_map)
+        return MultiPoly(len(exps), {exps: Fraction(coeff)})
 
     def is_zero(self):
         return not self.terms
-
-    def _dm(self, other):
-        return self.degree_map if self.degree_map is not None else other.degree_map
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.nvars == other.nvars
@@ -472,11 +460,10 @@ class MultiPoly(Immutable):
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) + c
-        return MultiPoly(self.nvars, out, self._dm(other))
+        return MultiPoly(self.nvars, out)
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()},
-                         self.degree_map)
+        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -484,14 +471,13 @@ class MultiPoly(Immutable):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return MultiPoly(self.nvars,
-                             {e: c * other for e, c in self.terms.items()},
-                             self.degree_map)
+                             {e: c * other for e, c in self.terms.items()})
         out = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
                 out[key] = out.get(key, Fraction(0)) + ca * cb
-        return MultiPoly(self.nvars, out, self._dm(other))
+        return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -538,7 +524,7 @@ class MultiPoly(Immutable):
         return "MultiPoly(%d, %r)" % (self.nvars, self.terms)
 
 
-def parse_multipoly(text, nvars, degree_map=None):
+def parse_multipoly(text, nvars):
     """Parse strings like 'T1*T6 - T2*T3 - T4*T5' or '2*T1^2 + 1/2'."""
     text = text.strip()
     pieces, cur, sign = [], "", 1
@@ -575,7 +561,7 @@ def parse_multipoly(text, nvars, degree_map=None):
                 coeff *= Fraction(factor)
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + sg * coeff
-    return MultiPoly(nvars, terms, degree_map)
+    return MultiPoly(nvars, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ copies, modulo principal divisors.
 import math
 from fractions import Fraction
 
-import sympy
-
 from .exactmath import Immutable, RationalFunction, UniPoly
 from .grading import FGAbelianGroup
 
@@ -306,6 +304,9 @@ def order_at(f, p):
 
 
 def _divisors_of(n):
+    # the only use of sympy; imported here so that no CLI mode loads it
+    import sympy
+
     n = abs(int(n))
     if n == 0:
         raise ValueError("no divisors of zero")
@@ -362,12 +363,23 @@ def rational_roots(poly):
     return roots, p.degree
 
 
+def _lift_orders(X, orders):
+    """The divisor on X with the given order at every copy of each base."""
+    coeffs = {}
+    for base, order in orders.items():
+        if order:
+            for point in X.copies(base):
+                coeffs[point] = order
+    return Divisor(coeffs)
+
+
 def principal_divisor(f, X):
     """Divisor of zeros and poles of f on the curve.
 
     The order at a special base point is repeated at every copy.  Rational
     functions whose zeros or poles are not defined over the rationals are
-    rejected: such points cannot be addressed on this curve.
+    rejected: such points cannot be addressed on this curve.  This finds the
+    zeros by factoring; the program itself uses divisor_on.
     """
     if f.is_zero():
         raise ZeroFunction("the zero function has no divisor")
@@ -380,15 +392,35 @@ def principal_divisor(f, X):
         orders[P1Point.finite(a)] = m
     for a, m in den_roots.items():
         orders[P1Point.finite(a)] = orders.get(P1Point.finite(a), 0) - m
-    inf_ord = f.den.degree - f.num.degree
-    if inf_ord:
-        orders[P1Point.infinity()] = inf_ord
-    coeffs = {}
-    for base, order in orders.items():
-        if order:
-            for point in X.copies(base):
-                coeffs[point] = order
-    return Divisor(coeffs)
+    orders[P1Point.infinity()] = f.den.degree - f.num.degree
+    return _lift_orders(X, orders)
+
+
+def divisor_on(f, X, bases):
+    """Divisor of f when every finite zero and pole of f lies at one of the
+    given base points, None otherwise.
+
+    Orders are read by division at each base.  num and den are coprime, so
+    f has no zero or pole elsewhere exactly when the zero orders add up to
+    deg num and the pole orders to deg den; no factoring is needed.
+    """
+    if f.is_zero():
+        raise ZeroFunction("the zero function has no divisor")
+    orders = {}
+    zeros = poles = 0
+    for base in dict.fromkeys(bases):
+        if base.is_infinity():
+            continue
+        k = order_at(f, base)
+        orders[base] = k
+        if k > 0:
+            zeros += k
+        else:
+            poles -= k
+    if zeros != f.num.degree or poles != f.den.degree:
+        return None
+    orders[P1Point.infinity()] = f.den.degree - f.num.degree
+    return _lift_orders(X, orders)
 
 
 def min_divisor(X, D):
@@ -482,11 +514,13 @@ def section_space(X, D):
             vpoly = vpoly * linear ** (-c)
     if degmin < 0:
         return SectionSpace(D, [], vpoly, wpoly)
+    # every zero and pole of a basis element is a base of mind or z = 0
+    candidates = list(mind) + [P1Point.finite(0)]
     basis = []
     for j in range(degmin + 1):
         f = RationalFunction(vpoly * UniPoly.z() ** j, wpoly)
-        div = principal_divisor(f, X)
-        if not (div + D).is_effective():
+        div = divisor_on(f, X, candidates)
+        if div is None or not (div + D).is_effective():
             raise InternalInconsistency(
                 "constructed section fails its order conditions")
         basis.append(f)
@@ -580,7 +614,13 @@ def is_principal(X, D, _data=None):
     g = data.moving_witness(D)
     if g.is_zero():
         raise InternalInconsistency("moving witness vanished")
-    rem = D - principal_divisor(g, X)
+    anchor = X.special[0][0]
+    supp = [point.base for point in D.coefficients]
+    moved = divisor_on(g, X, supp + [anchor])
+    if moved is None:
+        raise InternalInconsistency(
+            "moving witness has a zero or pole off D and the anchor")
+    rem = D - moved
     # rem is supported on special copies with equal coefficients per base
     base_coeff = {}
     for point, c in rem.coefficients.items():
@@ -595,13 +635,12 @@ def is_principal(X, D, _data=None):
             if rem.coefficient(point) != c:
                 raise InternalInconsistency(
                     "class-zero divisor missing a copy")
-    anchor = X.special[0][0]
     for base, c in sorted(base_coeff.items(), key=lambda kv: kv[0].sort_key()):
         if base == anchor:
             continue
         ratio = _linear_at(base) / _linear_at(anchor)
         g = g * ratio ** c
     witness = g
-    if principal_divisor(witness, X) != D:
+    if divisor_on(witness, X, supp) != D:
         raise InternalInconsistency("principal witness fails verification")
     return witness

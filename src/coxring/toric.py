@@ -184,8 +184,7 @@ class ToricCoxData(Immutable):
         object.__setattr__(self, "irrelevant_monomials", tuple(monomials))
 
     def irrelevant_polynomials(self):
-        dmap = tuple(self.degree_of_ray)
-        return [MultiPoly.monomial(exps, 1, dmap)
+        return [MultiPoly.monomial(exps)
                 for exps in self.irrelevant_monomials]
 
     def __repr__(self):

@@ -2,7 +2,10 @@
 files: report contents, exit codes, determinism, and error handling."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,16 @@ def run_cli(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(args, timeout):
+    """Run python with args in a fresh process that imports this coxring."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env, timeout=timeout,
+                          capture_output=True, text=True)
 
 
 class TestCurveCommand:
@@ -285,3 +298,35 @@ class TestErrors:
         assert out == ""
         assert err == ("error: internal inconsistency: representatives "
                        "disagree on rank\n")
+
+
+class TestStartUp:
+    def test_no_mode_imports_sympy(self):
+        # a fresh process: other test modules import sympy in this one
+        runs = [["curve", fixture("tripled_line.json")],
+                ["toric", fixture("plane_fan.json")],
+                ["verify", fixture("doubled_line.json")],
+                ["crosscheck", fixture("tripled_line.json")]]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from coxring import cli\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(args + ['--box', '1']) == 0, args\n"
+            "print('sympy' in sys.modules)\n")
+        child = run_child(["-c", code, json.dumps(runs)], timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "False\n"
+
+    def test_large_semiprime_point_is_not_factored(self, tmp_path):
+        # a 62-digit semiprime, the product of two 31-digit primes: a root
+        # search by factoring its divisors does not finish here
+        p = 3005450223913743454122006859421
+        q = 8715912062659141526792386114381
+        path = tmp_path / "semiprime.json"
+        path.write_text(json.dumps({"special": [
+            {"point": str(p * q), "multiplicity": 2},
+            {"point": "0", "multiplicity": 2}]}), encoding="utf-8")
+        child = run_child(["-m", "coxring.cli", "curve", str(path),
+                           "--box", "1"], timeout=20)
+        assert child.returncode == 0, child.stderr

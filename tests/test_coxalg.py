@@ -23,7 +23,6 @@ from coxring.coxalg import (
     Equivalent,
     Fail,
     GeneratorsIncomplete,
-    GradedSectionAlgebra,
     InIdeal,
     Inconclusive,
     NotASection,
@@ -45,7 +44,6 @@ from coxring.coxalg import (
     canonical_lambda,
     curve_algebra,
     default_box,
-    find_generators,
     find_relations,
     freely_graded_check,
     full_lambda,
@@ -558,7 +556,6 @@ def polynomial_ring_presentation(degrees):
 def tripled_irrelevant_monomials():
     """The covering monomials of the tripled line in the T variables."""
     X = tripled_line()
-    dm = tuple(d for d, _ in tripled_presentation().generators)
     out = []
     for t_idx, (t, _) in enumerate(X.special):
         others = [e for k, e in enumerate(X.special) if k != t_idx]
@@ -570,15 +567,15 @@ def tripled_irrelevant_monomials():
                 for i, q in enumerate(X.copies(s)):
                     if i != keep:
                         exps[COPY_VARIABLE[q]] += 1
-            out.append(MultiPoly.monomial(tuple(exps), 1, dm))
+            out.append(MultiPoly.monomial(tuple(exps)))
     return out
 
 
 class TestFreelyGraded:
     def test_two_variables_of_degree_one(self):
         P = polynomial_ring_presentation([(1,), (1,)])
-        T1 = MultiPoly.variable(0, 2, ((1,), (1,)))
-        T2 = MultiPoly.variable(1, 2, ((1,), (1,)))
+        T1 = MultiPoly.variable(0, 2)
+        T2 = MultiPoly.variable(1, 2)
         verdict = freely_graded_check(P, [T1, T2], 4)
         assert isinstance(verdict, Pass)
         assert verdict.details["witnesses"] == (((0, 1),), ((1, 1),))
@@ -590,13 +587,13 @@ class TestFreelyGraded:
 
     def test_zero_power_bound(self):
         P = polynomial_ring_presentation([(1,)])
-        T1 = MultiPoly.variable(0, 1, ((1,),))
+        T1 = MultiPoly.variable(0, 1)
         verdict = freely_graded_check(P, [T1], 0)
         assert isinstance(verdict, Inconclusive)
 
     def test_uncovered_degrees_are_inconclusive(self):
         P = polynomial_ring_presentation([(1, 0), (0, 1)])
-        T1 = MultiPoly.variable(0, 2, ((1, 0), (0, 1)))
+        T1 = MultiPoly.variable(0, 2)
         verdict = freely_graded_check(P, [T1], 4)
         assert isinstance(verdict, Inconclusive)
         assert verdict.details["index"] == 0
@@ -622,7 +619,6 @@ def _full_space_member(P, poly, j, target):
             unit = [Fraction(0)] * nm
             unit[t] = Fraction(1)
             span.add(unit)
-    dmap = tuple(gen_degrees)
     for r in P.relations:
         diff = _vsub(target, _poly_class(P, r))
         try:
@@ -631,7 +627,7 @@ def _full_space_member(P, poly, j, target):
         except UnboundedEnumeration:
             continue
         for cof in cofs:
-            prod = r * MultiPoly.monomial(cof, 1, dmap)
+            prod = r * MultiPoly.monomial(cof)
             vec = [Fraction(0)] * nm
             usable = True
             for exps, coeff in prod.terms.items():
@@ -680,19 +676,18 @@ class TestQuotientMembership:
         # T1, T2, T3 of degrees 1, 1, 2 with T3 = T2^2: T3^3 = T2^6 is not in
         # (T1), but T2^4 * (T3 - T2^2) has its T2^6 beyond the total degree
         # bound, and keeping the rest of it would put T3^3 in every ideal
-        dm = ((1,), (1,), (2,))
-        P = polynomial_ring_presentation(list(dm))
-        rel = MultiPoly(3, {(0, 0, 1): 1, (0, 2, 0): -1}, dm)
+        P = polynomial_ring_presentation([(1,), (1,), (2,)])
+        rel = MultiPoly(3, {(0, 0, 1): 1, (0, 2, 0): -1})
         P = Presentation(P.grading, P.generators, (rel,), P.box,
                          P.certificate)
-        cube = MultiPoly.monomial((0, 0, 3), 1, dm)
+        cube = MultiPoly.monomial((0, 0, 3))
         assert _variable_ideal_members(P, cube, range(3)) == {1, 2}
         assert not _full_space_member(P, cube, 0, (6,))
 
     def test_relation_lies_in_every_variable_ideal(self):
         P = tripled_presentation()
         rel = P.relations[0]
-        poly = MultiPoly.monomial((1, 1, 0, 0, 0, 0), 1, rel.degree_map)
+        poly = MultiPoly.monomial((1, 1, 0, 0, 0, 0))
         assert _variable_ideal_members(P, poly, range(6)) == {0, 1}
         assert _variable_ideal_members(P, rel, range(6)) == set(range(6))
 

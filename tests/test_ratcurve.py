@@ -6,6 +6,8 @@ construction.
 """
 
 import itertools
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from coxring.ratcurve import (
     ZeroFunction,
     curve_from_json,
     curve_to_json,
+    divisor_on,
     is_principal,
     min_divisor,
     min_degree,
@@ -216,6 +219,66 @@ class TestPrincipalDivisor:
         X = tripled_line()
         D = principal_divisor(f, X)
         assert min_degree(X, D) == 0
+
+
+def _fixture_curves():
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    for path in sorted(fixtures.glob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if "special" in data:
+            yield path.stem, curve_from_json(data)
+
+
+FIXTURE_CURVES = dict(_fixture_curves())
+ROOT_SET = [Fraction(0), Fraction(1), Fraction(-1, 2)]
+# z^2 - 2 has no rational root
+IRREDUCIBLE = RationalFunction(UniPoly([-2, 0, 1]))
+
+
+def _root_products():
+    """Every 3/2 * prod (z - a)^e over a in ROOT_SET with |e| <= 2, with
+    the roots of nonzero order."""
+    for exps in itertools.product(range(-2, 3), repeat=len(ROOT_SET)):
+        f = RationalFunction(UniPoly.const(Fraction(3, 2)))
+        for a, e in zip(ROOT_SET, exps):
+            f = f * RationalFunction(UniPoly([-a, Fraction(1)])) ** e
+        yield f, [a for a, e in zip(ROOT_SET, exps) if e]
+
+
+class TestDivisorOn:
+    """Division at known points against the factoring oracle."""
+
+    @pytest.mark.parametrize("X", FIXTURE_CURVES.values(),
+                             ids=FIXTURE_CURVES)
+    def test_covering_bases_match_principal_divisor(self, X):
+        # exactly the roots, and a superset with a non-root and infinity
+        wide = [pt(a) for a in ROOT_SET] + [pt(2), pt("inf")]
+        for f, roots in _root_products():
+            expected = principal_divisor(f, X)
+            assert divisor_on(f, X, [pt(a) for a in roots]) == expected
+            assert divisor_on(f, X, wide) == expected
+
+    @pytest.mark.parametrize("X", FIXTURE_CURVES.values(),
+                             ids=FIXTURE_CURVES)
+    def test_left_out_root_gives_none(self, X):
+        for f, roots in _root_products():
+            for a in roots:
+                rest = [pt(b) for b in ROOT_SET if b != a] + [pt("inf")]
+                assert divisor_on(f, X, rest) is None
+
+    @pytest.mark.parametrize("X", FIXTURE_CURVES.values(),
+                             ids=FIXTURE_CURVES)
+    def test_irreducible_factor_gives_none(self, X):
+        bases = [pt(a) for a in ROOT_SET]
+        for f, _ in _root_products():
+            for g in (f * IRREDUCIBLE, f / IRREDUCIBLE):
+                with pytest.raises(ValueError):
+                    principal_divisor(g, X)
+                assert divisor_on(g, X, bases) is None
+
+    def test_zero_function(self):
+        with pytest.raises(ZeroFunction):
+            divisor_on(RationalFunction.zero(), tripled_line(), [pt(0)])
 
 
 class TestMinDivisor:

@@ -23,12 +23,10 @@ from coxring.coxalg import (
     tensor_presentation,
 )
 from coxring.exactmath import UnboundedEnumeration
-from coxring.grading import FGAbelianGroup
 from coxring.ratcurve import curve_from_json
 from coxring.toric import (
     Fan,
     MalformedFan,
-    ToricCoxData,
     affine_line_fan,
     class_group,
     cox_presentation,
