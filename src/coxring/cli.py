@@ -27,6 +27,7 @@ from .coxalg import (
     freely_graded_check,
     irrelevant_sections,
     is_pointed,
+    lattice_box,
     sections_as_polynomials,
     separatedness_check,
     uniqueness_crosscheck,
@@ -102,7 +103,11 @@ def _load_fan(path):
 
 def _curve_pipeline(X, box_radius, lambda_mode):
     A = curve_algebra(X, mode=lambda_mode)
-    box = default_box(X, box_radius)
+    # the box is always that of the canonical lattice
+    if lambda_mode == "canonical":
+        box = lattice_box(A.lattice, box_radius)
+    else:
+        box = default_box(X, box_radius)
     P = build_presentation(A, box)
     return A, box, P
 

@@ -22,6 +22,7 @@ from .exactmath import (
     MultiPoly,
     RationalFunction,
     UnboundedEnumeration,
+    UniPoly,
     _Span,
     enumerate_monomials,
     grlex_key,
@@ -38,7 +39,6 @@ from .ratcurve import (
     PicardData,
     divisor_on,
     is_principal,
-    min_degree,
     section_space,
 )
 
@@ -222,11 +222,12 @@ class LineBundleLattice(Immutable):
     """Free group of divisors on a glued curve, mapping into the class group.
 
     The basis consists of divisors supported on copies of special points; the
-    map to the class group records each basis divisor's class.  Linear
+    map to the class group records each basis divisor's class, and copy_rows
+    its coefficients on the special copies in input order.  Linear
     independence of the basis is certified at construction.
     """
 
-    __slots__ = ("curve", "basis", "to_pic", "picdata")
+    __slots__ = ("curve", "basis", "to_pic", "picdata", "copy_rows")
 
     def __init__(self, curve, basis, picdata=None):
         basis = tuple(basis)
@@ -250,6 +251,8 @@ class LineBundleLattice(Immutable):
             coord_rows.append(row)
         if len(_em._hnf_rows(coord_rows)) != len(basis):
             raise ValueError("lattice basis divisors are dependent")
+        object.__setattr__(self, "copy_rows",
+                           tuple(tuple(row) for row in coord_rows))
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "picdata", picdata)
@@ -270,6 +273,22 @@ class LineBundleLattice(Immutable):
             if c:
                 D = D + c * B
         return D
+
+    def min_orders(self, vec):
+        """Least coefficient of the divisor of vec over the copies of each
+        special base, in input order: min_divisor read from integer rows,
+        with no Divisor built."""
+        coeffs = [0] * sum(m for _, m in self.curve.special)
+        for c, row in zip(vec, self.copy_rows):
+            if c:
+                for k, x in enumerate(row):
+                    coeffs[k] += c * x
+        out = []
+        start = 0
+        for _, m in self.curve.special:
+            out.append(min(coeffs[start:start + m]))
+            start += m
+        return tuple(out)
 
     def kernel_basis(self):
         return self.to_pic.kernel_lattice()
@@ -351,8 +370,7 @@ class GradedSectionAlgebra(Immutable):
         got = self._cache.get(key)
         if got is not None:
             return got.dim
-        d = min_degree(self.lattice.curve, self.lattice.divisor_of(key))
-        return max(0, d + 1)
+        return max(0, sum(self.lattice.min_orders(key)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +645,22 @@ def curve_algebra(X, mode="canonical", basis=None):
     return PicGradedAlgebra(base, family)
 
 
-def default_box(X, radius=2, basis=None):
-    """Classes whose coefficients over a lifted class-group basis lie in
-    [-radius, radius], ordered by total size then by sign-flipped
+def lattice_box(lattice, radius):
+    """Classes whose coefficients over the classes of the lattice basis lie
+    in [-radius, radius], ordered by total size then by sign-flipped
     lexicographic comparison of the coefficients.
 
     The ordering puts small positive degrees first, which keeps generator
     discovery deterministic and stable across runs.
     """
-    to_pic = canonical_lambda(X, basis=basis).to_pic
+    to_pic = lattice.to_pic
     return to_pic.target.box(tuple(zip(*to_pic.matrix)), radius)
+
+
+def default_box(X, radius=2, basis=None):
+    """The box of the canonical lattice, which lifts a basis of the class
+    group (lattice_box)."""
+    return lattice_box(canonical_lambda(X, basis=basis), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +727,105 @@ def _monomial_section(gens, exps):
     return s
 
 
+class _MonomialCoordinates:
+    """Coordinate polynomials of generator monomials, one product each.
+
+    A section of lattice degree L is V_L * q / W_L with deg q < dim L
+    (SectionSpace).  A generator of class D lies in lattice degree
+    L_i = rep(D), and a monomial with exponents e in L = sum e_i L_i.  With
+    m_L(a) the least coefficient of the divisor of L over the copies of a,
+    V_L / W_L is the product of (z - a)^(-m_L(a)) over the finite special
+    bases a, so the coordinate polynomial of a product of sections of L'
+    and L_i is q' * q_i * C, where C is the product of
+    (z - a)^(m_{L'+L_i}(a) - m_{L'}(a) - m_{L_i}(a)).  A minimum of sums is
+    at least the sum of minima, so no exponent is negative; one that is
+    raises.  The polynomial of each exponent vector is built once, from the
+    vector with its last nonzero exponent lowered by one.
+
+    Membership stays checked completely: each generator's q is read once
+    with SectionSpace.coordinate_polynomial, and every monomial's q must
+    have degree below the dimension of its component, which together is
+    the test SectionSpace.coordinates_of makes.
+    """
+
+    def __init__(self, A):
+        self._A = A
+        # (position among the special bases, value) of the finite ones
+        self._finite = [(k, base.value)
+                        for k, (base, _) in enumerate(A.curve.special)
+                        if not base.is_infinity()]
+        self._gens = []
+        # exponent vectors without trailing zeros -> (lattice degree, q)
+        self._memo = {(): ((0,) * A.lattice.rank, UniPoly.one())}
+        self._mins = {}
+        # (lattice degree, generator index) -> (exponents of C, C)
+        self.corrections = {}
+
+    def add(self, degree, section):
+        """Append a generator of the given class."""
+        L = self._A.rep(degree)
+        q = self._A.base.component(L).coordinate_polynomial(section)
+        if q is None:
+            raise InternalInconsistency(
+                "generator monomial escaped its component")
+        self._gens.append((L, q))
+
+    def _min_orders(self, L):
+        got = self._mins.get(L)
+        if got is None:
+            m = self._A.lattice.min_orders(L)
+            got = tuple(m[k] for k, _ in self._finite)
+            self._mins[L] = got
+        return got
+
+    def _correction(self, L0, i):
+        got = self.corrections.get((L0, i))
+        if got is None:
+            Li = self._gens[i][0]
+            exps = tuple(m - m0 - mi for m, m0, mi in zip(
+                self._min_orders(_vadd(L0, Li)), self._min_orders(L0),
+                self._min_orders(Li)))
+            if any(e < 0 for e in exps):
+                raise InternalInconsistency(
+                    "product of sections has a negative correction exponent")
+            C = UniPoly.one()
+            for (_, a), e in zip(self._finite, exps):
+                if e:
+                    C = C * UniPoly([-a, 1]) ** e
+            got = (exps, C)
+            self.corrections[(L0, i)] = got
+        return got[1]
+
+    def _entry(self, exps):
+        # lower the last exponent down to a known vector, then multiply back
+        chain = []
+        while exps not in self._memo:
+            chain.append(exps)
+            exps = exps[:-1] + (exps[-1] - 1,)
+            while exps and not exps[-1]:
+                exps = exps[:-1]
+        L, q = self._memo[exps]
+        for exps in reversed(chain):
+            i = len(exps) - 1
+            Li, qi = self._gens[i]
+            q = q * qi * self._correction(L, i)
+            L = _vadd(L, Li)
+            self._memo[exps] = (L, q)
+        return L, q
+
+    def coordinates(self, exps, L, dim):
+        """Coordinates of the monomial with these exponents in the component
+        of lattice degree L and dimension dim; raises when it lies outside."""
+        k = len(exps)
+        while k and not exps[k - 1]:
+            k -= 1
+        got_L, q = self._entry(exps[:k])
+        if got_L != L or q.degree >= dim:
+            raise InternalInconsistency(
+                "generator monomial escaped its component")
+        return tuple(q.coeffs) + (Fraction(0),) * (dim - len(q.coeffs))
+
+
 def find_generators(A, box, bound=None):
     """Minimal homogeneous generators of the components inside the box.
 
@@ -710,31 +833,33 @@ def find_generators(A, box, bound=None):
     products of earlier generators are available when each component is
     examined.  A section becomes a generator exactly when the monomials in
     the previously found generators fail to span its component; the basis
-    elements filling the gap are appended in basis order.  The returned
-    list is sorted by the position of each degree in the box, which makes
-    the output independent of which linear extension was traversed.
+    elements filling the gap are appended in basis order.  Monomials are
+    known by their coordinates in the component of their lattice degree
+    rep(D), one polynomial product per exponent vector
+    (_MonomialCoordinates); a component's section space is built only
+    where it contributes a generator.  The returned list is sorted by the
+    position of each degree in the box, which makes the output independent
+    of which linear extension was traversed.
     """
     visit = _traversal(A, box)
     pos = {D: i for i, D in visit}
     gens = []
+    coords = _MonomialCoordinates(A)
     for _, D in visit:
         dim = A.component_dim(D)
         if dim == 0:
             continue
-        space = A.pic_component(D)
+        L = A.rep(D)
         exps_list = _monomials(A, [g[0] for g in gens], D, bound)
         span = _Span(dim)
         for exps in exps_list:
-            sec = _monomial_section(gens, exps)
-            coords = space.coordinates_of(sec)
-            if coords is None:
-                raise InternalInconsistency(
-                    "generator monomial escaped its component")
-            span.add(coords)
+            span.add(coords.coordinates(exps, L, dim))
         for idx in range(dim):
             unit = tuple(Fraction(1 if t == idx else 0) for t in range(dim))
             if not span.contains(unit):
-                gens.append((D, space.basis[idx]))
+                section = A.pic_component(D).basis[idx]
+                gens.append((D, section))
+                coords.add(D, section)
                 span.add(unit)
     gens.sort(key=lambda g: pos[g[0]])
     return gens
@@ -750,18 +875,23 @@ def find_relations(A, generators, box, bound=None):
     records, per class, the monomial count, the component dimension, the
     kernel dimension, and the dimension spanned by relation multiples.
     Relations and certificate rows are listed by the position of their
-    degree in the box, like the generators.
+    degree in the box, like the generators.  Monomials are evaluated as
+    coordinate vectors in the component of their lattice degree
+    (_MonomialCoordinates), never as rational functions; each relation found
+    is still substituted into the generator sections and must vanish.
     """
     gens = list(generators)
     nv = len(gens)
     gen_degrees = [tuple(int(x) for x in g[0]) for g in gens]
+    monomial_coords = _MonomialCoordinates(A)
+    for d, (_, s) in zip(gen_degrees, gens):
+        monomial_coords.add(d, s)
     found = []
     certificate = []
     for at, D in _traversal(A, box):
         exps_list = _monomials(A, gen_degrees, D, bound)
         nm = len(exps_list)
-        space = A.pic_component(D)
-        dim = space.dim
+        dim = A.component_dim(D)
         if dim == 0:
             if exps_list:
                 raise InternalInconsistency(
@@ -771,13 +901,11 @@ def find_relations(A, generators, box, bound=None):
                                      "ideal_span": 0}))
             continue
         index = {exps: t for t, exps in enumerate(exps_list)}
+        L = A.rep(D)
         coords = []
         span = _Span(dim)
         for exps in exps_list:
-            v = space.coordinates_of(_monomial_section(gens, exps))
-            if v is None:
-                raise InternalInconsistency(
-                    "generator monomial escaped its component")
+            v = monomial_coords.coordinates(exps, L, dim)
             coords.append(v)
             span.add(v)
         if span.dim < dim:
@@ -1283,7 +1411,7 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     A2 = curve_algebra(X, "full")
     picdata = A1.lattice.picdata
     if box is None:
-        box = default_box(X, radius, basis=basis)
+        box = lattice_box(A1.lattice, radius)
     hilbert_equal = True
     iso_verified = True
     witness = {}

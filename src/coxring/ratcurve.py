@@ -451,7 +451,9 @@ class SectionSpace(Immutable):
 
     Basis elements are V * z^j / W for j = 0 .. deg_min, where W collects the
     allowed finite poles and V the forced finite vanishing; the number of
-    sections is deg_min + 1 (empty when negative).
+    sections is deg_min + 1 (empty when negative).  A section is therefore
+    V * q / W for one polynomial q of degree below the dimension, its
+    coordinate polynomial, and its coordinates are the coefficients of q.
     """
 
     __slots__ = ("divisor", "basis", "_vpoly", "_wpoly", "_dim")
@@ -467,17 +469,10 @@ class SectionSpace(Immutable):
     def dim(self):
         return self._dim
 
-    def coordinates_of(self, f):
-        """Coordinates of f in the stored basis, or None when f is outside.
-
-        The structured basis makes this a polynomial division: f belongs to
-        the space iff f * W is a polynomial multiple of V of degree at most
-        deg V + dim - 1.
-        """
-        if f.is_zero():
-            return (Fraction(0),) * self._dim
-        if self._dim == 0:
-            return None
+    def coordinate_polynomial(self, f):
+        """The polynomial q = f * W / V, or None when f * W is no polynomial
+        multiple of V.  f lies in the space iff q exists and has degree
+        below the dimension."""
         g = f * RationalFunction(self._wpoly)
         if g.den.degree != 0:
             return None
@@ -485,7 +480,17 @@ class SectionSpace(Immutable):
         q, r = divmod(scaled, self._vpoly)
         if not r.is_zero():
             return None
-        if q.degree >= self._dim:
+        return q
+
+    def coordinates_of(self, f):
+        """Coordinates of f in the stored basis, or None when f is outside:
+        the coefficients of its coordinate polynomial."""
+        if f.is_zero():
+            return (Fraction(0),) * self._dim
+        if self._dim == 0:
+            return None
+        q = self.coordinate_polynomial(f)
+        if q is None or q.degree >= self._dim:
             return None
         coords = list(q.coeffs) + [Fraction(0)] * (self._dim - len(q.coeffs))
         return tuple(coords)

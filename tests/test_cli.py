@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from coxring import cli
+from coxring import cli, coxalg
 from coxring.coxalg import Fail
 from coxring.ratcurve import InternalInconsistency
 
@@ -65,6 +65,23 @@ class TestCurveCommand:
         report = json.loads(out)
         assert report["options"] == {"box_radius": 1, "power_bound": 4,
                                      "lambda": "full"}
+
+    @pytest.mark.parametrize("mode, builds", [("canonical", 1), ("full", 2)])
+    def test_canonical_lattice_is_built_once(self, capsys, monkeypatch,
+                                             mode, builds):
+        count = [0]
+        init = coxalg.LineBundleLattice.__init__
+
+        def counting(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(coxalg.LineBundleLattice, "__init__", counting)
+        code, _, _ = run_cli(capsys, "curve", fixture("doubled_line.json"),
+                             "--box", "1", "--lambda", mode)
+        assert code == 0
+        # the full lattice run builds the canonical one for its box
+        assert count[0] == builds
 
 
 class TestToricCommand:

@@ -1,9 +1,10 @@
 """Byte-for-byte comparison of CLI reports with the committed golden files.
 
-Every fixture is reported at box radius 1 in both formats: curves with
-`coxring curve`, fans with `coxring toric`; every fixture also with
-`coxring verify`, and the curves with `coxring crosscheck`, with
-`coxring verify --power-bound 8` and with `coxring curve --lambda full`.
+Every fixture is reported in both formats at box radii 1 and 2: curves
+with `coxring curve`, fans with `coxring toric`. At box radius 1 every
+fixture is also reported with `coxring verify`, and the curves with
+`coxring crosscheck`, with `coxring verify --power-bound 8` and with
+`coxring curve --lambda full`.
 After a deliberate change to the reports, regenerate the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -30,7 +31,8 @@ def _cases():
     for path in sorted(FIXTURES.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
         curve = "special" in data
-        runs = [("curve" if curve else "toric", "box1", ()),
+        present = "curve" if curve else "toric"
+        runs = [(present, "box1", ()), (present, "box2", ("--box", "2")),
                 ("verify", "verify.box1", ())]
         if curve:
             runs.append(("crosscheck", "crosscheck.box1", ()))
