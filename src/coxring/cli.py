@@ -33,7 +33,7 @@ from .coxalg import (
     uniqueness_crosscheck,
     weight_monoid_check,
 )
-from .grading import BoxTooLarge
+from .grading import BoxTooLarge, box_vector_count
 from .ratcurve import InternalInconsistency, curve_from_json
 from .toric import (
     MalformedFan,
@@ -101,7 +101,16 @@ def _load_fan(path):
         raise InputError("%s: %s" % (path, exc)) from exc
 
 
+def _refuse_large_curve_box(X, radius):
+    """Raise BoxTooLarge before any Smith form: the box lists classes over
+    the basis of the canonical lattice, one divisor per special copy but the
+    last copy of each special point after the first (canonical_lambda)."""
+    box_vector_count(sum(m for _, m in X.special) - len(X.special) + 1,
+                     radius)
+
+
 def _curve_pipeline(X, box_radius, lambda_mode):
+    _refuse_large_curve_box(X, box_radius)
     A = curve_algebra(X, mode=lambda_mode)
     # the box is always that of the canonical lattice
     if lambda_mode == "canonical":
@@ -197,6 +206,7 @@ def _run_verify(path, options):
 
 def _run_crosscheck(path, options):
     X = _load_curve(path)
+    _refuse_large_curve_box(X, options["box_radius"])
     result = uniqueness_crosscheck(X, radius=options["box_radius"])
     agreed = (result["hilbert_equal"] and result["iso_verified"]
               and result["witness_multiplicative"])

@@ -221,38 +221,32 @@ def _vscale(n, a):
 class LineBundleLattice(Immutable):
     """Free group of divisors on a glued curve, mapping into the class group.
 
-    The basis consists of divisors supported on copies of special points; the
-    map to the class group records each basis divisor's class, and copy_rows
-    its coefficients on the special copies in input order.  Linear
-    independence of the basis is certified at construction.
+    The basis consists of divisors supported on copies of special points.
+    The class group is presented on the special copies, so the class of such
+    a divisor is its coefficient vector on the copies in input order: the
+    columns of to_pic.matrix are at once the classes of the basis divisors
+    and their copy coefficients, and to_pic.apply(vec) is the copy vector of
+    the divisor of vec.  Linear independence of the basis is certified at
+    construction.
     """
 
-    __slots__ = ("curve", "basis", "to_pic", "picdata", "copy_rows")
+    __slots__ = ("curve", "basis", "to_pic", "picdata")
 
     def __init__(self, curve, basis, picdata=None):
         basis = tuple(basis)
         picdata = picdata or PicardData(curve)
         pic = picdata.group
-        cols = [picdata.class_of(D) for D in basis]
         for D in basis:
             for p in D.support():
                 if not curve.is_special(p.base):
                     raise ValueError(
                         "lattice basis divisors must be supported on copies "
                         "of special points")
+        cols = [picdata.class_of(D) for D in basis]
+        if len(_em._hnf_rows(cols)) != len(basis):
+            raise ValueError("lattice basis divisors are dependent")
         matrix = [[cols[j][i] for j in range(len(cols))]
                   for i in range(pic.ambient_rank)]
-        # independence in the divisor group: positions of copies
-        coord_rows = []
-        for D in basis:
-            row = [0] * len(curve.special_copies())
-            for p, c in D.sorted_items():
-                row[curve.copy_position(p)] = c
-            coord_rows.append(row)
-        if len(_em._hnf_rows(coord_rows)) != len(basis):
-            raise ValueError("lattice basis divisors are dependent")
-        object.__setattr__(self, "copy_rows",
-                           tuple(tuple(row) for row in coord_rows))
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "picdata", picdata)
@@ -268,21 +262,14 @@ class LineBundleLattice(Immutable):
         vec = [int(x) for x in vec]
         if len(vec) != self.rank:
             raise ValueError("vector length differs from lattice rank")
-        D = Divisor.zero()
-        for c, B in zip(vec, self.basis):
-            if c:
-                D = D + c * B
-        return D
+        return Divisor(zip(self.curve.special_copies(),
+                           self.to_pic.apply(vec)))
 
     def min_orders(self, vec):
         """Least coefficient of the divisor of vec over the copies of each
-        special base, in input order: min_divisor read from integer rows,
+        special base, in input order: min_divisor read from the copy vector,
         with no Divisor built."""
-        coeffs = [0] * sum(m for _, m in self.curve.special)
-        for c, row in zip(vec, self.copy_rows):
-            if c:
-                for k, x in enumerate(row):
-                    coeffs[k] += c * x
+        coeffs = self.to_pic.apply(vec)
         out = []
         start = 0
         for _, m in self.curve.special:
@@ -300,38 +287,29 @@ class LineBundleLattice(Immutable):
 def canonical_lambda(X, basis=None):
     """Lattice lifting a basis of the class group, with trivial kernel.
 
-    Without an explicit basis, single-copy divisors are scanned in input
-    order and kept greedily whenever the span they generate stays a direct
-    summand of the class group.  An explicit basis (a list of divisors
-    supported on special copies) is verified instead of scanned.
+    Without an explicit basis, the basis is every copy of the first special
+    point and every copy but the last of each other special point, as
+    single-copy divisors in input order.  The class relation of a point has
+    coefficient 1 on its last copy and no other relation uses that copy, so
+    these classes form a basis of the class group.  Either basis is verified
+    to map onto the class group with trivial kernel: an explicit basis (a
+    list of divisors supported on special copies) that fails raises
+    ValueError, the default one InternalInconsistency.
     """
     picdata = PicardData(X)
-    pic = picdata.group
-    if basis is not None:
-        lat = LineBundleLattice(X, basis, picdata)
-        if not lat.to_pic.is_surjective():
-            raise ValueError("provided basis does not map onto the class "
-                             "group")
-        if lat.kernel_basis():
-            raise ValueError("provided basis has classes with relations")
-        return lat
-    chosen = []
-    chosen_cols = []
-    rels = list(pic.relations)
-    for q in X.special_copies():
-        if len(chosen) == pic.rank:
-            break
-        col = picdata.class_of(Divisor.of_point(q))
-        quotient = FGAbelianGroup(pic.ambient_rank,
-                                  chosen_cols + [col] + rels)
-        if (quotient.rank == pic.rank - len(chosen) - 1
-                and not quotient.invariant_factors):
-            chosen.append(Divisor.of_point(q))
-            chosen_cols.append(col)
-    lat = LineBundleLattice(X, chosen, picdata)
+    if basis is None:
+        (first, _), *rest = X.special
+        copies = X.copies(first) + [q for p, _ in rest
+                                    for q in X.copies(p)[:-1]]
+        basis = [Divisor.of_point(q) for q in copies]
+        error, name = InternalInconsistency, "default"
+    else:
+        error, name = ValueError, "provided"
+    lat = LineBundleLattice(X, basis, picdata)
     if not lat.to_pic.is_surjective():
-        raise InternalInconsistency(
-            "greedy scan failed to reach the whole class group")
+        raise error("%s basis does not map onto the class group" % name)
+    if lat.kernel_basis():
+        raise error("%s basis has classes with relations" % name)
     return lat
 
 
@@ -415,7 +393,8 @@ class ShiftingFamily(Immutable):
             return ()
         A = [[self.kernel[j][i] for j in range(len(self.kernel))]
              for i in range(self.lattice.rank)]
-        x, _ = _em._integer_solve(A, E)
+        U, diag, V, _ = _em._smith_parts(A)
+        x = _em._smith_solution(U, diag, V, E)
         if x is None:
             raise NotInKernel("degree is not an integer combination of the "
                               "kernel basis")
@@ -530,10 +509,12 @@ class PicGradedAlgebra(Immutable):
     section of the class map, derived from a diagonalization of the combined
     class-map and relation columns; linearity makes component products land
     in the component of the sum of classes with no correction factors.
+    Dimensions and sections are read at the representative, from the base
+    algebra, which caches section spaces by lattice vector; no table is
+    keyed by class.
     """
 
-    __slots__ = ("base", "family", "section_of_pic", "_dim_memo",
-                 "_eff_memo")
+    __slots__ = ("base", "family", "section_of_pic")
 
     def __init__(self, base, family):
         lattice = base.lattice
@@ -563,8 +544,6 @@ class PicGradedAlgebra(Immutable):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "section_of_pic",
                            tuple(tuple(row) for row in S))
-        object.__setattr__(self, "_dim_memo", {})
-        object.__setattr__(self, "_eff_memo", {})
 
     @property
     def lattice(self):
@@ -589,22 +568,11 @@ class PicGradedAlgebra(Immutable):
         return self.base.component(self.rep(class_vec))
 
     def component_dim(self, class_vec):
-        key = self.pic.class_key(tuple(int(x) for x in class_vec))
-        got = self._dim_memo.get(key)
-        if got is None:
-            got = self.base.component_dim(self.rep(class_vec))
-            self._dim_memo.setdefault(key, got)
-        return got
+        return self.base.component_dim(self.rep(class_vec))
 
     def effective_nonzero(self, class_vec):
-        vec = tuple(int(x) for x in class_vec)
-        key = self.pic.class_key(vec)
-        got = self._eff_memo.get(key)
-        if got is None:
-            got = ((not self.pic.contains_zero(vec))
-                   and self.component_dim(vec) > 0)
-            self._eff_memo.setdefault(key, got)
-        return got
+        return (not self.pic.contains_zero(class_vec)
+                and self.component_dim(class_vec) > 0)
 
     def verify_representative(self, class_vec, L):
         """Check that component L matches the chosen representative through

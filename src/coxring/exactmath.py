@@ -865,18 +865,6 @@ def _smith_parts(A):
     return U, diag, V, kernel
 
 
-def _integer_solve(A, b):
-    """One integer solution x of Ax = b, or None.
-
-    Also returns an integer basis of the kernel of A: (x, kernel_rows).
-    """
-    U, diag, V, kernel = _smith_parts(A)
-    x = _smith_solution(U, diag, V, b)
-    if x is None:
-        return None, None
-    return x, kernel
-
-
 # ---------------------------------------------------------------------------
 # exact linear feasibility (Fourier-Motzkin)
 

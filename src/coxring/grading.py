@@ -21,6 +21,22 @@ class BoxTooLarge(Exception):
     """A class box would list more than MAX_BOX_VECTORS coefficient vectors."""
 
 
+def box_vector_count(generators, radius):
+    """The (2r+1)^k coefficient vectors a box of radius r over k generators
+    lists before it drops repeated classes; raises BoxTooLarge beyond
+    MAX_BOX_VECTORS."""
+    count = (2 * radius + 1) ** generators
+    if count > MAX_BOX_VECTORS:
+        # str() of an int of more than 4300 digits raises
+        shown = (str(count) if count.bit_length() <= 1000
+                 else "%d^%d" % (2 * radius + 1, generators))
+        raise BoxTooLarge(
+            "a box of radius %d over %d generators lists %s coefficient "
+            "vectors, more than %d" % (radius, generators, shown,
+                                       MAX_BOX_VECTORS))
+    return count
+
+
 def _matmul(A, B):
     """Product of integer matrices given as lists of rows."""
     cols = list(zip(*B))
@@ -62,7 +78,7 @@ class FGAbelianGroup(Immutable):
     """Quotient of Z^ambient_rank by the lattice spanned by relation columns."""
 
     __slots__ = ("ambient_rank", "relations", "cached_snf", "_free_rows",
-                 "_torsion_rows", "_torsion_moduli", "_hnf")
+                 "_torsion_rows", "_torsion_moduli")
 
     def __init__(self, ambient_rank, relations=()):
         ambient_rank = int(ambient_rank)
@@ -88,7 +104,6 @@ class FGAbelianGroup(Immutable):
         object.__setattr__(self, "_free_rows", tuple(free_rows))
         object.__setattr__(self, "_torsion_rows", tuple(torsion_rows))
         object.__setattr__(self, "_torsion_moduli", tuple(moduli))
-        object.__setattr__(self, "_hnf", tuple(em._hnf_rows(rels)))
 
     @staticmethod
     def free(rank):
@@ -114,12 +129,7 @@ class FGAbelianGroup(Immutable):
         sign-flipped lexicographic comparison of c, so small positive
         combinations come first.  Raises BoxTooLarge before listing more than
         MAX_BOX_VECTORS coefficient vectors."""
-        count = (2 * radius + 1) ** len(generators)
-        if count > MAX_BOX_VECTORS:
-            raise BoxTooLarge(
-                "a box of radius %d over %d generators lists %d coefficient "
-                "vectors, more than %d" % (radius, len(generators), count,
-                                           MAX_BOX_VECTORS))
+        box_vector_count(len(generators), radius)
         coefficients = sorted(
             itertools.product(range(-radius, radius + 1),
                               repeat=len(generators)),
@@ -136,15 +146,10 @@ class FGAbelianGroup(Immutable):
         return tuple(out)
 
     def contains_zero(self, vector):
-        """Whether the ambient vector represents the zero class."""
-        vector = tuple(int(x) for x in vector)
-        if len(vector) != self.ambient_rank:
-            raise ValueError("vector length differs from ambient rank")
-        if not any(vector):
-            return True
-        if not self.relations:
-            return False
-        return em._lattice_contains(self._hnf, vector)
+        """Whether the ambient vector represents the zero class: its Smith
+        coordinates (class_key) all vanish exactly on the relation
+        lattice."""
+        return not any(self.class_key(vector))
 
     def same_class(self, a, b):
         return self.contains_zero([x - y for x, y in zip(a, b)])
@@ -234,9 +239,7 @@ class GroupHom(Immutable):
         A = [[self.matrix[i][j] for j in range(m)]
              + [rels[k][i] for k in range(len(rels))]
              for i in range(n)]
-        _, kernel = em._integer_solve(A, [0] * n)
-        if kernel is None:
-            kernel = []
+        kernel = em._smith_parts(A)[3]
         return em._hnf_rows([k[:m] for k in kernel])
 
     def __repr__(self):

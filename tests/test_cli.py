@@ -347,3 +347,19 @@ class TestStartUp:
         child = run_child(["-m", "coxring.cli", "curve", str(path),
                            "--box", "1"], timeout=20)
         assert child.returncode == 0, child.stderr
+
+    @pytest.mark.parametrize("mode", ["curve", "verify", "crosscheck"])
+    def test_wide_curve_box_is_refused_up_front(self, tmp_path, mode):
+        # 401 box generators: 3^401 vectors at radius 1, refused before the
+        # class group and the lattices of 402 copies are built
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"special": [
+            {"point": "0", "multiplicity": 400},
+            {"point": "inf", "multiplicity": 2}]}), encoding="utf-8")
+        child = run_child(["-m", "coxring.cli", mode, str(path),
+                           "--box", "1"], timeout=20)
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert child.stderr.startswith("error:")
+        assert "over 401 generators" in child.stderr
+        assert child.stderr.count("\n") == 1

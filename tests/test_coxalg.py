@@ -164,7 +164,7 @@ class TestLattices:
             Divisor.of_point(cp(1)) + Divisor.of_point(cp(1, 1))
             - Divisor.of_point(cp("inf")))
 
-    def test_greedy_basis(self):
+    def test_closed_form_basis(self):
         lat = canonical_lambda(tripled_line())
         assert [D for D in lat.basis] == [
             Divisor.of_point(cp(0)), Divisor.of_point(cp(0, 1)),
@@ -508,6 +508,89 @@ def _oracle_curves():
               for path in sorted(here.glob("fixtures/*_line.json"))]
     curves.append(("c32", GluedCurve([(pt(0), 3), (pt("inf"), 2)])))
     return curves
+
+
+def _greedy_basis(X):
+    """The single-copy divisors kept by a greedy scan of the copies in input
+    order: a copy is kept while the classes kept so far together with its
+    own still span a direct summand of the class group."""
+    picdata = PicardData(X)
+    pic = picdata.group
+    chosen, cols = [], []
+    for q in X.special_copies():
+        if len(chosen) == pic.rank:
+            break
+        col = picdata.class_of(Divisor.of_point(q))
+        quotient = FGAbelianGroup(pic.ambient_rank,
+                                  cols + [col] + list(pic.relations))
+        if (quotient.rank == pic.rank - len(chosen) - 1
+                and not quotient.invariant_factors):
+            chosen.append(Divisor.of_point(q))
+            cols.append(col)
+    return chosen
+
+
+@st.composite
+def small_curves(draw):
+    """Curves with 1-4 special points, in any order, of multiplicity 1-4."""
+    points = draw(st.lists(st.sampled_from([0, 1, "inf", -1]), min_size=1,
+                           max_size=4, unique=True))
+    mults = draw(st.lists(st.integers(min_value=1, max_value=4),
+                          min_size=len(points), max_size=len(points)))
+    return GluedCurve([(pt(v), m) for v, m in zip(points, mults)])
+
+
+class TestCopyCoordinates:
+    """The closed-form canonical basis against the greedy scan, and lattice
+    divisors read from the copy map against the sum of basis divisors."""
+
+    @staticmethod
+    def _assert_greedy(X):
+        lat = canonical_lambda(X)
+        assert list(lat.basis) == _greedy_basis(X)
+        # the generator count the command line checks before any Smith form
+        assert lat.rank == sum(m for _, m in X.special) - len(X.special) + 1
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixture_basis_matches_the_greedy_scan(self, name):
+        self._assert_greedy(FIXTURE_CURVES[name])
+
+    @given(small_curves())
+    @settings(max_examples=40, deadline=None)
+    def test_basis_matches_the_greedy_scan(self, X):
+        self._assert_greedy(X)
+
+    @pytest.mark.parametrize("hook, match", [("is_surjective", "onto"),
+                                             ("kernel_basis", "relations")])
+    def test_failed_default_basis_is_internal(self, monkeypatch, hook,
+                                              match):
+        # a failing default basis is a bug; a failing explicit one is input
+        if hook == "is_surjective":
+            monkeypatch.setattr(coxalg.GroupHom, hook, lambda self: False)
+        else:
+            monkeypatch.setattr(coxalg.LineBundleLattice, hook,
+                                lambda self: [(1,) * self.rank])
+        with pytest.raises(InternalInconsistency, match=match):
+            canonical_lambda(tripled_line())
+        with pytest.raises(ValueError, match=match):
+            canonical_lambda(tripled_line(), basis=explicit_basis())
+
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_divisor_of_matches_the_basis_sum(self, name, mode):
+        X = FIXTURE_CURVES[name]
+        A = curve_algebra(X, mode)
+        lat = A.lattice
+        degrees = [A.rep(c) for c in default_box(X, 2)]
+        degrees += [tuple(E) for E in lat.kernel_basis()]
+        for L in degrees:
+            expected = Divisor.zero()
+            for c, B in zip(L, lat.basis):
+                expected = expected + c * B
+            assert lat.divisor_of(L) == expected
+            assert lat.min_orders(L) == tuple(
+                min(expected.coefficient(q) for q in X.copies(p))
+                for p, _ in X.special)
 
 
 class TestMonomialCoordinates:

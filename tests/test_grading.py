@@ -15,6 +15,7 @@ from coxring.grading import (
     BoxTooLarge,
     FGAbelianGroup,
     GroupHom,
+    box_vector_count,
     smith_normal_form,
 )
 
@@ -146,6 +147,13 @@ class TestBoxLimit:
             G.box(units, 2)
         assert G.box(units, 0) == ((0,) * 11,)
 
+    def test_count_too_long_to_print_is_refused(self):
+        # 3^100001 has more decimal digits than str() of an int allows
+        with pytest.raises(BoxTooLarge, match=r"lists 3\^100001 coefficient"):
+            box_vector_count(100001, 1)
+        assert box_vector_count(100001, 0) == 1
+        assert box_vector_count(12, 1) == 3 ** 12
+
 
 class TestFGAbelianGroup:
     def test_free_group(self):
@@ -185,7 +193,9 @@ class TestFGAbelianGroup:
     @settings(max_examples=60, deadline=None)
     def test_coords_separate_classes(self, rels, v, w):
         G = FGAbelianGroup(3, rels)
-        same = G.same_class(v, w)
+        diff = [a - b for a, b in zip(v, w)]
+        same = em._lattice_contains(em._hnf_rows(rels), diff)
+        assert G.same_class(v, w) == same
         assert (G.class_key(v) == G.class_key(w)) == same
 
     @given(st.lists(st.lists(small_ints, min_size=3, max_size=3),
