@@ -34,7 +34,7 @@ from .coxalg import (
     weight_monoid_check,
 )
 from .grading import BoxTooLarge, box_vector_count
-from .ratcurve import InternalInconsistency, curve_from_json
+from .ratcurve import InternalInconsistency, curve_from_json, picard_rank
 from .toric import (
     MalformedFan,
     class_group,
@@ -102,11 +102,10 @@ def _load_fan(path):
 
 
 def _refuse_large_curve_box(X, radius):
-    """Raise BoxTooLarge before any Smith form: the box lists classes over
-    the basis of the canonical lattice, one divisor per special copy but the
-    last copy of each special point after the first (canonical_lambda)."""
-    box_vector_count(sum(m for _, m in X.special) - len(X.special) + 1,
-                     radius)
+    """Raise BoxTooLarge before any lattice is built: the box lists classes
+    over the basis of the canonical lattice, one divisor per class
+    coordinate (canonical_lambda), so over picard_rank generators."""
+    box_vector_count(picard_rank(X), radius)
 
 
 def _curve_pipeline(X, box_radius, lambda_mode):

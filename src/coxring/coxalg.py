@@ -29,7 +29,7 @@ from .exactmath import (
     rank_kernel,
 )
 from . import exactmath as _em
-from .grading import FGAbelianGroup, GroupHom
+from .grading import FGAbelianGroup, box_vectors
 from .ratcurve import (
     CurvePoint,
     Divisor,
@@ -222,54 +222,70 @@ class LineBundleLattice(Immutable):
     """Free group of divisors on a glued curve, mapping into the class group.
 
     The basis consists of divisors supported on copies of special points.
-    The class group is presented on the special copies, so the class of such
-    a divisor is its coefficient vector on the copies in input order: the
-    columns of to_pic.matrix are at once the classes of the basis divisors
-    and their copy coefficients, and to_pic.apply(vec) is the copy vector of
-    the divisor of vec.  Linear independence of the basis is certified at
-    construction.
+    The class group is presented on the special copies, so the columns M,
+    the copy coefficients of the basis divisors, are also their classes,
+    and copy_vector(vec) = M vec is the copy vector of the divisor of vec.
+    Linear independence of the basis is certified at construction.
+
+    K = C M, one row per basis divisor, holds the closed-form coordinates
+    (PicardData.coords) of the basis classes.  The Hermite normal form of
+    the rows (K_j, e_j), taken once, splits into lifts, lattice vectors x_i
+    with K x_i = e_i (None unless the classes span the class group), and an
+    HNF basis of the lattice degrees of class zero (kernel_basis).
     """
 
-    __slots__ = ("curve", "basis", "to_pic", "picdata")
+    __slots__ = ("curve", "basis", "picdata", "columns", "lifts", "_kernel")
 
-    def __init__(self, curve, basis, picdata=None):
+    def __init__(self, curve, basis):
         basis = tuple(basis)
-        picdata = picdata or PicardData(curve)
-        pic = picdata.group
+        picdata = PicardData(curve)
         for D in basis:
             for p in D.support():
                 if not curve.is_special(p.base):
                     raise ValueError(
                         "lattice basis divisors must be supported on copies "
                         "of special points")
-        cols = [picdata.class_of(D) for D in basis]
+        cols = tuple(picdata.class_of(D) for D in basis)
         if len(_em._hnf_rows(cols)) != len(basis):
             raise ValueError("lattice basis divisors are dependent")
-        matrix = [[cols[j][i] for j in range(len(cols))]
-                  for i in range(pic.ambient_rank)]
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "picdata", picdata)
-        object.__setattr__(self, "to_pic",
-                           GroupHom(FGAbelianGroup.free(len(basis)), pic,
-                                    matrix))
+        object.__setattr__(self, "columns", cols)
+        K = self.class_coordinates()
+        rho = picdata.rank
+        H = _em._hnf_rows([k + e for k, e in zip(K, _identity(len(K)))])
+        image = tuple(h for h in H if any(h[:rho]))
+        object.__setattr__(self, "lifts", tuple(h[rho:] for h in image)
+                           if tuple(h[:rho] for h in image) == _identity(rho)
+                           else None)
+        object.__setattr__(self, "_kernel",
+                           tuple(h[rho:] for h in H if not any(h[:rho])))
 
     @property
     def rank(self):
         return len(self.basis)
+
+    def copy_vector(self, vec):
+        """The copy vector of the divisor of vec: M vec."""
+        return _combination(vec, self.columns, self.picdata.ambient_rank)
+
+    def class_coordinates(self):
+        """K: the closed-form class coordinates of the basis divisors."""
+        return [self.picdata.coords(col) for col in self.columns]
 
     def divisor_of(self, vec):
         vec = [int(x) for x in vec]
         if len(vec) != self.rank:
             raise ValueError("vector length differs from lattice rank")
         return Divisor(zip(self.curve.special_copies(),
-                           self.to_pic.apply(vec)))
+                           self.copy_vector(vec)))
 
     def min_orders(self, vec):
         """Least coefficient of the divisor of vec over the copies of each
         special base, in input order: min_divisor read from the copy vector,
         with no Divisor built."""
-        coeffs = self.to_pic.apply(vec)
+        coeffs = self.copy_vector(vec)
         out = []
         start = 0
         for _, m in self.curve.special:
@@ -278,10 +294,24 @@ class LineBundleLattice(Immutable):
         return tuple(out)
 
     def kernel_basis(self):
-        return self.to_pic.kernel_lattice()
+        """HNF row basis of the lattice degrees of class zero."""
+        return list(self._kernel)
 
     def __repr__(self):
         return "LineBundleLattice(rank=%d)" % self.rank
+
+
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _combination(coeffs, vectors, length):
+    """sum_i coeffs[i] * vectors[i], skipping zero coefficients."""
+    out = [0] * length
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [a + c * b for a, b in zip(out, v)]
+    return tuple(out)
 
 
 def canonical_lambda(X, basis=None):
@@ -289,14 +319,13 @@ def canonical_lambda(X, basis=None):
 
     Without an explicit basis, the basis is every copy of the first special
     point and every copy but the last of each other special point, as
-    single-copy divisors in input order.  The class relation of a point has
-    coefficient 1 on its last copy and no other relation uses that copy, so
-    these classes form a basis of the class group.  Either basis is verified
-    to map onto the class group with trivial kernel: an explicit basis (a
+    single-copy divisors in input order: the copies PicardData.coords keeps,
+    so K is the identity.  Either basis must have K square with an integral
+    inverse: too few classes or a determinant other than +-1 do not map onto
+    the class group, a class kernel gives relations.  An explicit basis (a
     list of divisors supported on special copies) that fails raises
     ValueError, the default one InternalInconsistency.
     """
-    picdata = PicardData(X)
     if basis is None:
         (first, _), *rest = X.special
         copies = X.copies(first) + [q for p, _ in rest
@@ -305,8 +334,8 @@ def canonical_lambda(X, basis=None):
         error, name = InternalInconsistency, "default"
     else:
         error, name = ValueError, "provided"
-    lat = LineBundleLattice(X, basis, picdata)
-    if not lat.to_pic.is_surjective():
+    lat = LineBundleLattice(X, basis)
+    if lat.lifts is None:
         raise error("%s basis does not map onto the class group" % name)
     if lat.kernel_basis():
         raise error("%s basis has classes with relations" % name)
@@ -315,9 +344,8 @@ def canonical_lambda(X, basis=None):
 
 def full_lambda(X):
     """Lattice spanned by every single-copy divisor, in input order."""
-    picdata = PicardData(X)
-    basis = [Divisor.of_point(q) for q in X.special_copies()]
-    return LineBundleLattice(X, basis, picdata)
+    return LineBundleLattice(
+        X, [Divisor.of_point(q) for q in X.special_copies()])
 
 
 class GradedSectionAlgebra(Immutable):
@@ -384,21 +412,21 @@ class ShiftingFamily(Immutable):
                            algebra or GradedSectionAlgebra(lattice))
 
     def kernel_coords(self, E):
+        """Coordinates of E over the kernel basis, an HNF: read one by one
+        at the pivot columns, then checked against E."""
         E = [int(x) for x in E]
         if len(E) != self.lattice.rank:
             raise NotInKernel("degree length differs from lattice rank")
-        if not self.kernel:
-            if any(E):
-                raise NotInKernel("lattice kernel is trivial")
-            return ()
-        A = [[self.kernel[j][i] for j in range(len(self.kernel))]
-             for i in range(self.lattice.rank)]
-        U, diag, V, _ = _em._smith_parts(A)
-        x = _em._smith_solution(U, diag, V, E)
-        if x is None:
+        rest = E
+        coords = []
+        for row in self.kernel:
+            pivot = next(j for j, x in enumerate(row) if x)
+            coords.append(rest[pivot] // row[pivot])
+            rest = [a - coords[-1] * b for a, b in zip(rest, row)]
+        if any(rest):
             raise NotInKernel("degree is not an integer combination of the "
                               "kernel basis")
-        return tuple(x)
+        return tuple(coords)
 
     def witness_for(self, E):
         coords = self.kernel_coords(E)
@@ -468,13 +496,13 @@ def ideal_membership(family, candidate, box):
     certified classes raise BoxTooSmall.
     """
     lattice = family.lattice
-    pic = lattice.to_pic.target
+    pic = lattice.picdata
     boxkeys = {pic.class_key(tuple(int(x) for x in c)) for c in box}
     groups = {}
     order = []
     for L, f in candidate:
         L = tuple(int(x) for x in L)
-        key = pic.class_key(lattice.to_pic.apply(L))
+        key = pic.class_key(lattice.copy_vector(L))
         if key not in boxkeys:
             raise BoxTooSmall(
                 "candidate degree leaves the certified box")
@@ -506,9 +534,11 @@ class PicGradedAlgebra(Immutable):
     Components at a class are realized as components of the underlying
     lattice algebra at a fixed linear representative, so the quotient is
     never materialized.  The representative map is an integral linear
-    section of the class map, derived from a diagonalization of the combined
-    class-map and relation columns; linearity makes component products land
-    in the component of the sum of classes with no correction factors.
+    section of the class map in closed form: the identity on the full
+    lattice, whose basis divisors are the special copies, and otherwise
+    K^-1 C with the lattice's lifts as the rows of section_of_pic (K times
+    them is checked to be I).  Linearity makes component products land in
+    the component of the sum of classes with no correction factors.
     Dimensions and sections are read at the representative, from the base
     algebra, which caches section spaces by lattice vector; no table is
     keyed by class.
@@ -518,32 +548,19 @@ class PicGradedAlgebra(Immutable):
 
     def __init__(self, base, family):
         lattice = base.lattice
-        pic = lattice.to_pic.target
-        n = pic.ambient_rank
-        r = lattice.rank
-        rels = list(pic.relations)
-        m = r + len(rels)
-        B = [[lattice.to_pic.matrix[i][j] for j in range(r)]
-             + [rels[k][i] for k in range(len(rels))]
-             for i in range(n)]
-        U, D, V, _, _ = _em._smith(B)
-        diag = [D[i][i] for i in range(min(n, m))]
-        if len(diag) < n or any(d != 1 for d in diag):
-            raise ValueError("lattice does not map onto the class group")
-        # section matrix: rows of V restricted to the lattice block, applied
-        # after U; integrality holds because every invariant factor is 1
-        S = [[sum(V[i][k] * U[k][j] for k in range(n)) for j in range(n)]
-             for i in range(r)]
-        for t in range(n):
-            e = tuple(1 if i == t else 0 for i in range(n))
-            image = lattice.to_pic.apply([S[i][t] for i in range(r)])
-            if not pic.same_class(image, e):
+        section = None
+        if lattice.columns != _identity(lattice.picdata.ambient_rank):
+            section = lattice.lifts
+            if section is None:
+                raise ValueError("lattice does not map onto the class group")
+            K = lattice.class_coordinates()
+            if tuple(_combination(x, K, len(section))
+                     for x in section) != _identity(len(section)):
                 raise InternalInconsistency(
                     "representative map fails to split the class map")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "section_of_pic",
-                           tuple(tuple(row) for row in S))
+        object.__setattr__(self, "section_of_pic", section)
 
     @property
     def lattice(self):
@@ -555,14 +572,16 @@ class PicGradedAlgebra(Immutable):
 
     @property
     def pic(self):
-        return self.base.lattice.to_pic.target
+        return self.base.lattice.picdata
 
     def rep(self, class_vec):
         v = [int(x) for x in class_vec]
         if len(v) != self.pic.ambient_rank:
             raise ValueError("class vector length differs from ambient rank")
-        return tuple(sum(row[j] * v[j] for j in range(len(v)))
-                     for row in self.section_of_pic)
+        if self.section_of_pic is None:
+            return tuple(v)
+        return _combination(self.pic.coords(v), self.section_of_pic,
+                            self.lattice.rank)
 
     def pic_component(self, class_vec):
         return self.base.component(self.rep(class_vec))
@@ -579,7 +598,7 @@ class PicGradedAlgebra(Immutable):
         multiplication by the kernel witness; raises on any mismatch."""
         L = tuple(int(x) for x in L)
         vec = tuple(int(x) for x in class_vec)
-        if not self.pic.same_class(self.lattice.to_pic.apply(L), vec):
+        if not self.pic.same_class(self.lattice.copy_vector(L), vec):
             raise ValueError("alternative representative has the wrong class")
         rep = self.rep(vec)
         E = _vsub(L, rep)
@@ -616,13 +635,14 @@ def curve_algebra(X, mode="canonical", basis=None):
 def lattice_box(lattice, radius):
     """Classes whose coefficients over the classes of the lattice basis lie
     in [-radius, radius], ordered by total size then by sign-flipped
-    lexicographic comparison of the coefficients.
+    lexicographic comparison of the coefficients (grading.box_vectors).
 
     The ordering puts small positive degrees first, which keeps generator
-    discovery deterministic and stable across runs.
+    discovery deterministic and stable across runs.  The lattice is meant
+    to have trivial kernel (canonical_lambda), so no class repeats.
     """
-    to_pic = lattice.to_pic
-    return to_pic.target.box(tuple(zip(*to_pic.matrix)), radius)
+    return tuple(box_vectors(lattice.columns, radius,
+                             lattice.picdata.ambient_rank))
 
 
 def default_box(X, radius=2, basis=None):
@@ -1335,8 +1355,7 @@ def graded_homs_equivalent(mu, nu, grading=None):
     if not mu:
         return Equivalent({})
     n = len(mu[0][0])
-    if grading is None:
-        grading = FGAbelianGroup.free(n)
+    relations = grading.relations if grading is not None else ()
     ratios = []
     for (d, f), (_, g) in zip(mu, nu):
         if f.is_zero() or g.is_zero():
@@ -1348,10 +1367,11 @@ def graded_homs_equivalent(mu, nu, grading=None):
         val = q.num.coeffs[0] / q.den.coeffs[0]
         ratios.append(val)
     degrees = [d for d, _ in mu]
-    hom = GroupHom(FGAbelianGroup.free(len(degrees)), grading,
-                   [[degrees[j][i] for j in range(len(degrees))]
-                    for i in range(n)])
-    for rel in hom.kernel_lattice():
+    # HNF basis of the integer relations among the degrees in the grading
+    A = [[d[i] for d in degrees] + [r[i] for r in relations]
+         for i in range(n)]
+    kernel = _em._smith_parts(A)[3]
+    for rel in _em._hnf_rows([k[:len(degrees)] for k in kernel]):
         prod = Fraction(1)
         for a, c in zip(rel, ratios):
             if a:

@@ -2,8 +2,9 @@
 
 A group is the quotient of an ambient free group by the lattice spanned by
 relation columns.  Every group carries a verified Smith normal form of its
-relation matrix, which drives rank, torsion, canonical coordinates and
-homomorphism checks.
+relation matrix, which drives rank, torsion and canonical coordinates.
+These groups grade fans and the quotients of the verification checks; a
+curve's Picard group is free in closed form (ratcurve.PicardData).
 """
 
 import itertools
@@ -13,7 +14,8 @@ from .exactmath import Immutable
 
 
 # coefficient vectors a class box may list: (2r+1)^k for k generators at
-# radius r are built before deduplication, so a box is refused beyond this
+# radius r are built before any repeated class is dropped, so a box is
+# refused beyond this
 MAX_BOX_VECTORS = 10 ** 6
 
 
@@ -35,6 +37,21 @@ def box_vector_count(generators, radius):
             "vectors, more than %d" % (radius, generators, shown,
                                        MAX_BOX_VECTORS))
     return count
+
+
+def box_vectors(generators, radius, ambient_rank):
+    """The combinations sum_k c_k * generators[k] with every |c_k| at most
+    radius, as ambient vectors, ordered by sum_k |c_k| and then by
+    sign-flipped lexicographic comparison of c, so small positive
+    combinations come first.  Raises BoxTooLarge before listing more than
+    MAX_BOX_VECTORS coefficient vectors."""
+    box_vector_count(len(generators), radius)
+    coefficients = sorted(
+        itertools.product(range(-radius, radius + 1), repeat=len(generators)),
+        key=lambda c: (sum(abs(x) for x in c), tuple(-x for x in c)))
+    return [tuple(sum(x * g[i] for x, g in zip(c, generators))
+                  for i in range(ambient_rank))
+            for c in coefficients]
 
 
 def _matmul(A, B):
@@ -105,10 +122,6 @@ class FGAbelianGroup(Immutable):
         object.__setattr__(self, "_torsion_rows", tuple(torsion_rows))
         object.__setattr__(self, "_torsion_moduli", tuple(moduli))
 
-    @staticmethod
-    def free(rank):
-        return FGAbelianGroup(rank)
-
     @property
     def rank(self):
         return len(self._free_rows)
@@ -117,28 +130,15 @@ class FGAbelianGroup(Immutable):
     def invariant_factors(self):
         return self._torsion_moduli
 
-    def is_free(self):
-        return not self._torsion_moduli
-
     def is_trivial(self):
         return self.rank == 0 and not self._torsion_moduli
 
     def box(self, generators, radius):
-        """The distinct classes sum_k c_k * generators[k] with every |c_k| at
-        most radius, as ambient vectors, ordered by sum_k |c_k| and then by
-        sign-flipped lexicographic comparison of c, so small positive
-        combinations come first.  Raises BoxTooLarge before listing more than
-        MAX_BOX_VECTORS coefficient vectors."""
-        box_vector_count(len(generators), radius)
-        coefficients = sorted(
-            itertools.product(range(-radius, radius + 1),
-                              repeat=len(generators)),
-            key=lambda c: (sum(abs(x) for x in c), tuple(-x for x in c)))
+        """The distinct classes of box_vectors(generators, radius), each at
+        its first combination."""
         out = []
         seen = set()
-        for c in coefficients:
-            amb = tuple(sum(x * g[i] for x, g in zip(c, generators))
-                        for i in range(self.ambient_rank))
+        for amb in box_vectors(generators, radius, self.ambient_rank):
             key = self.class_key(amb)
             if key not in seen:
                 seen.add(key)
@@ -146,36 +146,25 @@ class FGAbelianGroup(Immutable):
         return tuple(out)
 
     def contains_zero(self, vector):
-        """Whether the ambient vector represents the zero class: its Smith
-        coordinates (class_key) all vanish exactly on the relation
-        lattice."""
+        """Whether the ambient vector represents the zero class."""
         return not any(self.class_key(vector))
 
     def same_class(self, a, b):
         return self.contains_zero([x - y for x, y in zip(a, b)])
 
-    def coords(self, vector):
-        """Canonical coordinates (free part, torsion part) of a class.
-
-        Free coordinates are integers; torsion coordinates are reduced into
-        [0, d).  Two ambient vectors get equal coordinates exactly when they
-        represent the same class.
-        """
+    def class_key(self, vector):
+        """Canonical coordinates of a class: the free part, then the torsion
+        part reduced into [0, d).  Two ambient vectors get equal keys
+        exactly when they represent the same class."""
         vector = [int(x) for x in vector]
         if len(vector) != self.ambient_rank:
             raise ValueError("vector length differs from ambient rank")
         U = self.cached_snf[0]
         w = [sum(U[i][j] * vector[j] for j in range(self.ambient_rank))
              for i in range(self.ambient_rank)]
-        free = tuple(w[i] for i in self._free_rows)
-        torsion = tuple(w[i] % d
-                        for i, d in zip(self._torsion_rows,
-                                        self._torsion_moduli))
-        return free, torsion
-
-    def class_key(self, vector):
-        free, torsion = self.coords(vector)
-        return free + torsion
+        return (tuple(w[i] for i in self._free_rows)
+                + tuple(w[i] % d for i, d in zip(self._torsion_rows,
+                                                 self._torsion_moduli)))
 
     def describe(self):
         return {"rank": self.rank,
@@ -188,59 +177,3 @@ class FGAbelianGroup(Immutable):
     def __repr__(self):
         return "FGAbelianGroup(rank=%d, torsion=%r)" % (
             self.rank, list(self.invariant_factors))
-
-
-class GroupHom(Immutable):
-    """Homomorphism between presented groups, given on ambient coordinates.
-
-    Well-definedness (relation lattice of the source maps into the relation
-    lattice of the target) is checked at construction.
-    """
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source, target, matrix):
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        if len(matrix) != target.ambient_rank:
-            raise ValueError("matrix rows must equal target ambient rank")
-        for row in matrix:
-            if len(row) != source.ambient_rank:
-                raise ValueError("matrix cols must equal source ambient rank")
-        for col in source.relations:
-            image = [sum(matrix[i][j] * col[j]
-                         for j in range(source.ambient_rank))
-                     for i in range(target.ambient_rank)]
-            if not target.contains_zero(image):
-                raise ValueError("homomorphism not well defined on relations")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
-
-    def apply(self, vector):
-        vector = [int(x) for x in vector]
-        return tuple(sum(self.matrix[i][j] * vector[j]
-                         for j in range(self.source.ambient_rank))
-                     for i in range(self.target.ambient_rank))
-
-    def is_surjective(self):
-        """Certified surjectivity: image columns plus target relations span a
-        sublattice with trivial cokernel inside the target ambient."""
-        cols = [tuple(self.matrix[i][j] for i in range(self.target.ambient_rank))
-                for j in range(self.source.ambient_rank)]
-        cols += list(self.target.relations)
-        quotient = FGAbelianGroup(self.target.ambient_rank, cols)
-        return quotient.is_trivial()
-
-    def kernel_lattice(self):
-        """HNF row basis of {v in ambient source : f(v) = 0 in target}."""
-        n = self.target.ambient_rank
-        m = self.source.ambient_rank
-        rels = list(self.target.relations)
-        A = [[self.matrix[i][j] for j in range(m)]
-             + [rels[k][i] for k in range(len(rels))]
-             for i in range(n)]
-        kernel = em._smith_parts(A)[3]
-        return em._hnf_rows([k[:m] for k in kernel])
-
-    def __repr__(self):
-        return "GroupHom(%r -> %r)" % (self.source, self.target)

@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 
 from .exactmath import Immutable, RationalFunction, UniPoly
-from .grading import FGAbelianGroup
 
 
 class ZeroFunction(Exception):
@@ -111,7 +110,7 @@ class GluedCurve(Immutable):
     """The projective line with pairwise distinct special points, each taken
     with multiplicity at least 1."""
 
-    __slots__ = ("special", "_mult", "_copy_index")
+    __slots__ = ("special", "_mult", "_offset")
 
     def __init__(self, special):
         special = tuple((p, int(m)) for p, m in special)
@@ -126,13 +125,12 @@ class GluedCurve(Immutable):
             seen.add(p)
         object.__setattr__(self, "special", special)
         object.__setattr__(self, "_mult", {p: m for p, m in special})
-        idx = {}
-        k = 0
+        # position of the first copy of each special point
+        offset, k = {}, 0
         for p, m in special:
-            for i in range(m):
-                idx[CurvePoint(p, i)] = k
-                k += 1
-        object.__setattr__(self, "_copy_index", idx)
+            offset[p] = k
+            k += m
+        object.__setattr__(self, "_offset", offset)
 
     def multiplicity(self, base):
         return self._mult.get(base, 1)
@@ -152,7 +150,9 @@ class GluedCurve(Immutable):
 
     def copy_position(self, point):
         """Position of a special copy in the ambient coordinate order."""
-        return self._copy_index[point]
+        if point.copy_index >= self._mult.get(point.base, 0):
+            raise KeyError(point)
+        return self._offset[point.base] + point.copy_index
 
     def validate_point(self, point):
         if point.copy_index >= self.multiplicity(point.base):
@@ -543,46 +543,90 @@ def _linear_at(base):
     return RationalFunction(UniPoly([-base.value, Fraction(1)]))
 
 
+def picard_rank(X):
+    """Rank of the free Picard group of X (PicardData): one class per
+    special copy, less one relation per special point after the first."""
+    return sum(m for _, m in X.special) - len(X.special) + 1
+
+
 class PicardData(Immutable):
     """Picard group of a glued curve, presented on divisors supported on
-    special copies modulo the lattice of principal special divisors."""
+    special copies modulo the lattice of principal special divisors.
 
-    __slots__ = ("curve", "group", "_n")
+    The relation of a special point p after the first (the anchor) is the
+    copies of p minus the copies of the anchor.  It has coefficient 1 on the
+    last copy of p, and no other relation uses that copy, so the group is
+    free of rank picard_rank and a class has closed-form coordinates.
+    """
+
+    __slots__ = ("curve", "ambient_rank", "relations", "_sizes")
+
+    invariant_factors = ()
 
     def __init__(self, X):
         if not X.special:
             raise ValueError(
                 "presenting Pic needs at least one special point; mark one "
                 "ordinary point with multiplicity 1")
-        n = len(X.special_copies())
-        relations = []
-        first, m0 = X.special[0]
-        for p, m in X.special[1:]:
-            vec = [0] * n
-            for point in X.copies(p):
-                vec[X.copy_position(point)] += 1
-            for point in X.copies(first):
-                vec[X.copy_position(point)] -= 1
-            relations.append(tuple(vec))
+        sizes = tuple(m for _, m in X.special)
+        n, m0 = sum(sizes), sizes[0]
+        relations, start = [], m0
+        for m in sizes[1:]:
+            relations.append(tuple([-1] * m0 + [0] * (start - m0) + [1] * m
+                                   + [0] * (n - start - m)))
+            start += m
         object.__setattr__(self, "curve", X)
-        object.__setattr__(self, "group", FGAbelianGroup(n, relations))
-        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "ambient_rank", n)
+        object.__setattr__(self, "relations", tuple(relations))
+        object.__setattr__(self, "_sizes", sizes)
+
+    @property
+    def rank(self):
+        return picard_rank(self.curve)
+
+    def coords(self, vector):
+        """Coordinates of the class of an ambient vector: with c_p its entry
+        on the last copy of each special point p after the first, add c_p
+        to the anchor's copies, subtract it from p's copies and drop the
+        last copies.  Two ambient vectors get equal coordinates exactly when
+        they represent the same class."""
+        v = [int(x) for x in vector]
+        if len(v) != self.ambient_rank:
+            raise ValueError("vector length differs from ambient rank")
+        m0, *rest = self._sizes
+        shift, out, start = 0, [], m0
+        for m in rest:
+            c = v[start + m - 1]
+            shift += c
+            out += [x - c for x in v[start:start + m - 1]]
+            start += m
+        return tuple([x + shift for x in v[:m0]] + out)
+
+    class_key = coords
+
+    def contains_zero(self, vector):
+        return not any(self.coords(vector))
+
+    def same_class(self, a, b):
+        return self.contains_zero([x - y for x, y in zip(a, b)])
+
+    def describe(self):
+        return {"rank": self.rank, "invariant_factors": []}
 
     def class_of(self, D):
         """Ambient class vector of a divisor, moving ordinary support onto
         copies of the first special point."""
         X = self.curve
-        vec = [0] * self._n
-        anchor = X.special[0][0]
+        vec = [0] * self.ambient_rank
         for point, c in D.coefficients.items():
             X.validate_point(point)
             if X.is_special(point.base):
                 vec[X.copy_position(point)] += c
             else:
-                # an ordinary point is linearly equivalent to the full set of
-                # copies of the anchor special point
-                for cp in X.copies(anchor):
-                    vec[X.copy_position(cp)] += c
+                # an ordinary point is linearly equivalent to the copies of
+                # the anchor, the first ones in the ambient order
+                for i in range(self._sizes[0]):
+                    vec[i] += c
         return tuple(vec)
 
     def moving_witness(self, D):
@@ -601,11 +645,12 @@ class PicardData(Immutable):
 def picard_group(X):
     """The Picard group with its class map.
 
-    Returns (Pic, class_of) where class_of sends a divisor to its ambient
-    class vector; class_of of any principal divisor is zero.
+    Returns (Pic, class_of) where Pic is the PicardData and class_of sends a
+    divisor to its ambient class vector; class_of of any principal divisor
+    is zero.
     """
     data = PicardData(X)
-    return data.group, data.class_of
+    return data, data.class_of
 
 
 def is_principal(X, D, _data=None):
@@ -613,7 +658,7 @@ def is_principal(X, D, _data=None):
     by the nonzero Picard class."""
     data = _data if _data is not None else PicardData(X)
     vec = data.class_of(D)
-    if not data.group.contains_zero(vec):
+    if not data.contains_zero(vec):
         raise NotPrincipal(vec)
     # peel off ordinary support
     g = data.moving_witness(D)

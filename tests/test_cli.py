@@ -6,12 +6,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from coxring import cli, coxalg
+from coxring import cli, coxalg, grading
+from coxring import exactmath as em
 from coxring.coxalg import Fail
-from coxring.ratcurve import InternalInconsistency
+from coxring.grading import BoxTooLarge
+from coxring.ratcurve import InternalInconsistency, curve_from_json
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -82,6 +85,37 @@ class TestCurveCommand:
         assert code == 0
         # the full lattice run builds the canonical one for its box
         assert count[0] == builds
+
+
+class TestSmithFormCount:
+    """A curve's class group is free with closed-form coordinates: no
+    curve run certifies a Smith form, and the only Smith forms left are
+    those of the monomial enumeration plans, one per plan built."""
+
+    @pytest.mark.parametrize("args", [
+        ("curve", "--lambda", "canonical"), ("curve", "--lambda", "full"),
+        ("crosscheck",)], ids=["canonical", "full", "crosscheck"])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in FIXTURES.glob("*_line.json")))
+    def test_smith_forms_only_in_enumeration_plans(self, capsys,
+                                                   monkeypatch, name, args):
+        counts = {"certified": 0, "smith": 0}
+
+        def counting(key, fn):
+            def wrapped(*a, **kw):
+                counts[key] += 1
+                return fn(*a, **kw)
+            return wrapped
+
+        monkeypatch.setattr(grading, "smith_normal_form",
+                            counting("certified", grading.smith_normal_form))
+        monkeypatch.setattr(em, "_smith", counting("smith", em._smith))
+        em._enumeration_plan.cache_clear()
+        code, _, _ = run_cli(capsys, args[0], fixture(name), *args[1:],
+                             "--box", "1")
+        assert code == 0
+        assert counts["certified"] == 0
+        assert counts["smith"] <= em._enumeration_plan.cache_info().misses
 
 
 class TestToricCommand:
@@ -363,3 +397,19 @@ class TestStartUp:
         assert child.stderr.startswith("error:")
         assert "over 401 generators" in child.stderr
         assert child.stderr.count("\n") == 1
+
+    def test_huge_multiplicity_loads_small_and_is_refused(self, tmp_path):
+        # a point of multiplicity 10^6: the curve keeps one offset per
+        # special point, not one entry per copy
+        data = {"special": [{"point": "0", "multiplicity": 10 ** 6}]}
+        tracemalloc.start()
+        try:
+            curve_from_json(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(BoxTooLarge, match="over 1000000 generators"):
+            cli.run("curve", str(path), box_radius=1)
