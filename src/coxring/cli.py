@@ -8,12 +8,16 @@ identical bytes.
 
 Exit codes: 0 when nothing failed (nonseparatedness and inconclusive checks
 are findings, reported with a flag), 2 when a verification check failed,
-1 for unreadable or malformed input and for a box too small to answer or
-too large to list, 3 when an internal consistency check failed.
+1 for unreadable or malformed input, for a box too small to answer or
+too large to list, for too many irrelevant elements to build and when
+stdout is closed before the report is written, 3 when an internal
+consistency check failed.
 """
 
 import argparse
 import json
+import math
+import os
 import sys
 from fractions import Fraction
 
@@ -33,7 +37,8 @@ from .coxalg import (
     uniqueness_crosscheck,
     weight_monoid_check,
 )
-from .grading import BoxTooLarge, box_vector_count
+from .grading import (MAX_IRRELEVANT_ELEMENTS, BoxTooLarge, box_vector_count,
+                      within_limit)
 from .ratcurve import InternalInconsistency, curve_from_json, picard_rank
 from .toric import (
     MalformedFan,
@@ -108,6 +113,19 @@ def _refuse_large_curve_box(X, radius):
     box_vector_count(picard_rank(X), radius)
 
 
+def _refuse_many_irrelevant(X):
+    """The irrelevant elements verify builds on X (irrelevant_sections):
+    the sum over special points t of the product of the other
+    multiplicities, or 1 + m with one special point.  Raises BoxTooLarge
+    beyond MAX_IRRELEVANT_ELEMENTS, before any lattice is built."""
+    mults = [m for _, m in X.special]
+    product = math.prod(mults)
+    count = (1 + product if len(mults) == 1
+             else sum(product // m for m in mults))
+    return within_limit(count, MAX_IRRELEVANT_ELEMENTS,
+                        "verify would build %s irrelevant elements")
+
+
 def _curve_pipeline(X, box_radius, lambda_mode):
     _refuse_large_curve_box(X, box_radius)
     A = curve_algebra(X, mode=lambda_mode)
@@ -158,6 +176,7 @@ def _run_verify(path, options):
     if isinstance(data, dict) and "special" in data:
         kind = "curve"
         X = _load_curve(path)
+        _refuse_many_irrelevant(X)
         A, box, P = _curve_pipeline(X, options["box_radius"],
                                     options["lambda"])
         checks["weight_monoid"] = _verdict_entry(
@@ -323,7 +342,13 @@ def main(argv=None):
     except InternalInconsistency as exc:
         print("error: internal inconsistency: %s" % exc, file=sys.stderr)
         return 3
-    print(render(report, args.format))
+    try:
+        print(render(report, args.format), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`); point it at devnull so
+        # the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -252,15 +252,11 @@ class LineBundleLattice(Immutable):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "picdata", picdata)
         object.__setattr__(self, "columns", cols)
-        K = self.class_coordinates()
-        rho = picdata.rank
-        H = _em._hnf_rows([k + e for k, e in zip(K, _identity(len(K)))])
-        image = tuple(h for h in H if any(h[:rho]))
-        object.__setattr__(self, "lifts", tuple(h[rho:] for h in image)
-                           if tuple(h[:rho] for h in image) == _identity(rho)
-                           else None)
-        object.__setattr__(self, "_kernel",
-                           tuple(h[rho:] for h in H if not any(h[:rho])))
+        image, kernel = _em._hnf_split(self.class_coordinates())
+        object.__setattr__(self, "lifts", tuple(c for _, c in image)
+                           if tuple(h for h, _ in image)
+                           == _identity(picdata.rank) else None)
+        object.__setattr__(self, "_kernel", kernel)
 
     @property
     def rank(self):
@@ -412,21 +408,14 @@ class ShiftingFamily(Immutable):
                            algebra or GradedSectionAlgebra(lattice))
 
     def kernel_coords(self, E):
-        """Coordinates of E over the kernel basis, an HNF: read one by one
-        at the pivot columns, then checked against E."""
-        E = [int(x) for x in E]
+        """Coordinates of E over the kernel basis, an HNF (_hnf_coords)."""
         if len(E) != self.lattice.rank:
             raise NotInKernel("degree length differs from lattice rank")
-        rest = E
-        coords = []
-        for row in self.kernel:
-            pivot = next(j for j, x in enumerate(row) if x)
-            coords.append(rest[pivot] // row[pivot])
-            rest = [a - coords[-1] * b for a, b in zip(rest, row)]
-        if any(rest):
+        coords = _em._hnf_coords(self.kernel, E)
+        if coords is None:
             raise NotInKernel("degree is not an integer combination of the "
                               "kernel basis")
-        return tuple(coords)
+        return coords
 
     def witness_for(self, E):
         coords = self.kernel_coords(E)
@@ -1352,9 +1341,6 @@ def graded_homs_equivalent(mu, nu, grading=None):
     for (d1, _), (d2, _) in zip(mu, nu):
         if d1 != d2:
             raise DegreeMismatch("generator degrees differ")
-    if not mu:
-        return Equivalent({})
-    n = len(mu[0][0])
     relations = grading.relations if grading is not None else ()
     ratios = []
     for (d, f), (_, g) in zip(mu, nu):
@@ -1368,10 +1354,7 @@ def graded_homs_equivalent(mu, nu, grading=None):
         ratios.append(val)
     degrees = [d for d, _ in mu]
     # HNF basis of the integer relations among the degrees in the grading
-    A = [[d[i] for d in degrees] + [r[i] for r in relations]
-         for i in range(n)]
-    kernel = _em._smith_parts(A)[3]
-    for rel in _em._hnf_rows([k[:len(degrees)] for k in kernel]):
+    for rel in _em._hnf_split(degrees, relations)[1]:
         prod = Fraction(1)
         for a, c in zip(rel, ratios):
             if a:
@@ -1379,10 +1362,7 @@ def graded_homs_equivalent(mu, nu, grading=None):
         if prod != 1:
             return NotEquivalent(
                 "ratios violate the degree relation %r" % (list(rel),))
-    character = {}
-    for d, c in zip(degrees, ratios):
-        character[d] = c
-    return Equivalent(character)
+    return Equivalent(dict(zip(degrees, ratios)))
 
 
 def uniqueness_crosscheck(X, box=None, radius=2, basis=None):

@@ -668,10 +668,6 @@ def solve_in_span(vectors, target):
 # integer lattice utilities (private helpers for grading and enumeration)
 
 
-def _int_rows(M):
-    return [[int(x) for x in row] for row in M]
-
-
 def _smith(A):
     """Smith normal form of an integer matrix, with the inverse transforms.
 
@@ -681,7 +677,7 @@ def _smith(A):
     elementary operation on U or V is mirrored by its inverse operation on
     the other side of Uinv or Vinv.
     """
-    A = _int_rows(A)
+    A = [[int(x) for x in row] for row in A]
     n = len(A)
     m = len(A[0]) if n else 0
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -806,8 +802,8 @@ def _hnf_rows(vectors):
             pivot_row = [-x for x in pivot_row]
         basis.append(pivot_row)
         rows = rest
-    # reduce entries above pivots
-    for i in range(len(basis) - 1, -1, -1):
+    # reduce entries above pivots, leftmost first: later pivots keep them
+    for i in range(len(basis)):
         pc = next(j for j, x in enumerate(basis[i]) if x != 0)
         for k in range(i):
             q = basis[k][pc] // basis[i][pc]
@@ -817,52 +813,45 @@ def _hnf_rows(vectors):
     return [tuple(r) for r in basis]
 
 
-def _hnf_reduce(basis, vector):
-    """Remainder of vector after reduction modulo an HNF row basis."""
-    v = [int(x) for x in vector]
+def _hnf_split(vectors, modulo=()):
+    """(image, kernel) from the Hermite normal form of the rows (v_j, e_j)
+    of the vectors and (l, 0) of the vectors l of modulo.
+
+    image pairs each HNF row h of the lattice spanned by the vectors and
+    modulo with a coefficient vector c, h - sum_j c_j v_j in the span of
+    modulo; kernel is the HNF basis of the c with sum_j c_j v_j in the span
+    of modulo, the integer relations among the vectors.
+    """
+    r = len(vectors)
+    H = _hnf_rows([tuple(v) + (0,) * j + (1,) + (0,) * (r - j - 1)
+                   for j, v in enumerate(vectors)]
+                  + [tuple(v) + (0,) * r for v in modulo])
+    image, kernel = [], []
+    for h in H:
+        n = len(h) - r
+        if any(h[:n]):
+            image.append((h[:n], h[n:]))
+        else:
+            kernel.append(h[n:])
+    return tuple(image), tuple(kernel)
+
+
+def _hnf_coords(basis, vector):
+    """Integer coefficients of vector over an HNF row basis, read one by
+    one at the pivot columns, or None when vector is not in its lattice."""
+    rest = [int(x) for x in vector]
+    coords = []
     for row in basis:
-        pc = next(j for j, x in enumerate(row) if x != 0)
-        q = v[pc] // row[pc]
+        pc = next(j for j, x in enumerate(row) if x)
+        q = rest[pc] // row[pc]
+        coords.append(q)
         if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return tuple(v)
-
-
-def _lattice_contains(basis, vector):
-    return not any(_hnf_reduce(basis, vector))
-
-
+            rest = [a - q * b for a, b in zip(rest, row)]
+    return None if any(rest) else tuple(coords)
 
 
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def _smith_solution(U, diag, V, b):
-    """x with A x = b, or None, from a Smith form U A V = diag of A.
-
-    Only the rows of V that are passed are evaluated, so passing the first
-    rows of V yields the leading coordinates of x.
-    """
-    y = []
-    for i, row in enumerate(U):
-        w = _dot(row, b)
-        d = diag[i] if i < len(diag) else 0
-        if (w % d if d else w) != 0:
-            return None
-        y.append(w // d if d else 0)
-    return tuple(_dot(row, y) for row in V)
-
-
-def _smith_parts(A):
-    """(U, diag, V, kernel): the Smith form U A V = diag of A and an integer
-    basis of the kernel of A, the columns of V beyond the nonzero diagonal."""
-    U, D, V, _, _ = _smith(A)
-    m = len(V)
-    diag = [D[i][i] for i in range(min(len(D), m))]
-    kernel = [tuple(V[i][j] for i in range(m))
-              for j in range(m) if j >= len(diag) or diag[j] == 0]
-    return U, diag, V, kernel
 
 
 # ---------------------------------------------------------------------------
@@ -971,30 +960,29 @@ class _EnumerationPlan(Immutable):
     """The target-independent work of enumerate_monomials for one degree
     map, relation list and boundedness.
 
-    The integer solutions of D e + L t = target are e = p_e + c . proj:
-    p_e comes from the Smith form of A = [D | L] (`smith` holds U, the
-    diagonal and the first r rows of V) and proj is an HNF basis of the
-    kernel of A cut to its e-part.  The coefficients c range over the
-    polytope p_e + c . proj >= 0 (and sum(e) <= bound when bounded), whose
+    The solutions of D e = target modulo the relations L are
+    e = p_e + c . proj, both from the Hermite split of D modulo L
+    (_hnf_split): the coordinates of a target over its image rows, an HNF
+    basis of the span of D and L, combine their lifts into p_e, and its
+    kernel is proj.  The coefficients c range over the polytope
+    p_e + c . proj >= 0 (and sum(e) <= bound when bounded), whose
     Fourier-Motzkin levels are kept with the multiplier vector of every row
     over the original rows; a target then supplies only the right-hand
     sides (-p_e, sum(p_e) - bound).
     """
 
-    __slots__ = ("pointed", "smith", "proj", "levels", "constants")
+    __slots__ = ("pointed", "nvars", "image", "lifts", "proj", "levels",
+                 "constants")
 
     def __init__(self, degree_map, relations, bounded):
         pointed = bounded or positive_functional(degree_map,
                                                  relations) is not None
         object.__setattr__(self, "pointed", pointed)
-        r = len(degree_map)
-        n = len(degree_map[0]) if degree_map else 0
-        if not pointed or r == 0 or n == 0:
+        if not pointed:
             return
-        A = [[d[i] for d in degree_map] + [v[i] for v in relations]
-             for i in range(n)]
-        U, diag, V, kernel = _smith_parts(A)
-        proj = _hnf_rows([k[:r] for k in kernel])
+        r = len(degree_map)
+        image, proj = _hnf_split(degree_map, relations)
+        object.__setattr__(self, "nvars", r)
         # row i: e_i >= 0; last row, when bounded: -sum(e) >= -bound
         width = r + bounded
         rows = [(tuple(p[i] for p in proj),
@@ -1003,27 +991,29 @@ class _EnumerationPlan(Immutable):
         if bounded:
             rows.append((tuple(-sum(p) for p in proj), (0,) * r + (1,)))
         levels, constants = _fm_project(rows, len(proj))
-        object.__setattr__(self, "smith", (
-            tuple(map(tuple, U)), tuple(diag), tuple(map(tuple, V[:r]))))
-        object.__setattr__(self, "proj", tuple(proj))
+        object.__setattr__(self, "image", tuple(h for h, _ in image))
+        object.__setattr__(self, "lifts", tuple(c for _, c in image))
+        object.__setattr__(self, "proj", proj)
         object.__setattr__(self, "levels", tuple(levels))
         object.__setattr__(self, "constants", constants)
 
     def monomials(self, target, bound):
-        p_e = _smith_solution(*self.smith, target)
-        if p_e is None:
+        coords = _hnf_coords(self.image, target)
+        if coords is None:
             return []
-        proj = self.proj
-        if not proj:
-            if all(x >= 0 for x in p_e) and (bound is None
-                                             or sum(p_e) <= bound):
-                return [p_e]
-            return []
+        p_e = (0,) * self.nvars
+        for a, lift in zip(coords, self.lifts):
+            if a:
+                p_e = tuple(x + a * y for x, y in zip(p_e, lift))
         rhs = [-x for x in p_e]
         if bound is not None:
             rhs.append(sum(p_e) - bound)
+        # with an empty kernel every row is a constant: p_e >= 0 and the bound
         if any(_dot(tail, rhs) > 0 for tail in self.constants):
             return []
+        proj = self.proj
+        if not proj:
+            return [p_e]
         levels = [tuple([(a, head, _dot(tail, rhs)) for a, head, tail in side]
                         for side in level) for level in self.levels]
         kdim = len(proj)
@@ -1066,14 +1056,15 @@ def enumerate_monomials(degree_map, target, bound=None, relations=()):
     lexicographically.
 
     Everything that does not depend on the target (the pointedness test,
-    the Smith form, the kernel basis and the Fourier-Motzkin projection) is
-    computed once per (degree_map, relations, bounded) and memoised in a
-    fixed-size cache, so the classes of one box share it.
+    the Hermite split of the degrees modulo the relations and the
+    Fourier-Motzkin projection) is computed once per (degree_map,
+    relations, bounded) and memoised in a fixed-size cache, so the classes
+    of one box share it.  An empty degree map and a trivial grading group
+    (zero-length degrees) take the same path.
     """
     degree_map = tuple(tuple(int(x) for x in d) for d in degree_map)
     target = tuple(int(x) for x in target)
     relations = tuple(tuple(int(x) for x in v) for v in relations)
-    r = len(degree_map)
     n = len(target)
     if any(len(d) != n for d in degree_map):
         raise ValueError("degree vector length mismatch")
@@ -1084,25 +1075,5 @@ def enumerate_monomials(degree_map, target, bound=None, relations=()):
     if not plan.pointed:
         raise UnboundedEnumeration(
             "degree map is not pointed and no bound was given")
-
-    if r == 0:
-        hnf = _hnf_rows(relations)
-        ok = not any(target) or _lattice_contains(hnf, target)
-        return [()] if ok else []
-
-    if n == 0:
-        # trivial grading group: every exponent vector qualifies
-        out = []
-
-        def fill(prefix, remaining):
-            if len(prefix) == r:
-                out.append(tuple(prefix))
-                return
-            for v in range(remaining + 1):
-                fill(prefix + [v], remaining - v)
-
-        fill([], bound)
-        out.sort()
-        return out
 
     return plan.monomials(target, bound)

@@ -17,26 +17,39 @@ from .exactmath import Immutable
 # radius r are built before any repeated class is dropped, so a box is
 # refused beyond this
 MAX_BOX_VECTORS = 10 ** 6
+# irrelevant elements verify may build on a curve: each solves a principal
+# divisor, and 1280 (five points of multiplicity 4) take seconds
+MAX_IRRELEVANT_ELEMENTS = 10 ** 3
 
 
 class BoxTooLarge(Exception):
-    """A class box would list more than MAX_BOX_VECTORS coefficient vectors."""
+    """A class box would list more than MAX_BOX_VECTORS coefficient vectors,
+    or verify build more than MAX_IRRELEVANT_ELEMENTS irrelevant elements."""
+
+
+def within_limit(count, limit, what, power=None):
+    """count, or BoxTooLarge when it exceeds limit; what has one %s for the
+    count, which beyond 4300 digits (str() raises) is shown as power, a
+    (base, exponent) pair, or else by its bit length."""
+    if count <= limit:
+        return count
+    if count.bit_length() <= 1000:
+        shown = str(count)
+    elif power is not None:
+        shown = "%d^%d" % power
+    else:
+        shown = "about 2^%d" % (count.bit_length() - 1)
+    raise BoxTooLarge("%s, more than %d" % (what % shown, limit))
 
 
 def box_vector_count(generators, radius):
     """The (2r+1)^k coefficient vectors a box of radius r over k generators
     lists before it drops repeated classes; raises BoxTooLarge beyond
     MAX_BOX_VECTORS."""
-    count = (2 * radius + 1) ** generators
-    if count > MAX_BOX_VECTORS:
-        # str() of an int of more than 4300 digits raises
-        shown = (str(count) if count.bit_length() <= 1000
-                 else "%d^%d" % (2 * radius + 1, generators))
-        raise BoxTooLarge(
-            "a box of radius %d over %d generators lists %s coefficient "
-            "vectors, more than %d" % (radius, generators, shown,
-                                       MAX_BOX_VECTORS))
-    return count
+    return within_limit(
+        (2 * radius + 1) ** generators, MAX_BOX_VECTORS,
+        "a box of radius %d over %d generators lists %%s coefficient vectors"
+        % (radius, generators), power=(2 * radius + 1, generators))
 
 
 def box_vectors(generators, radius, ambient_rank):

@@ -86,6 +86,12 @@ class Fan(Immutable):
         # other cone
         for a, b in combinations(range(len(clean_cones)), 2):
             common = set(clean_cones[a]) & set(clean_cones[b])
+            # a cone whose rays all belong to another cone lies in it
+            for small, big in ((b, a), (a, b)):
+                if common == set(clean_cones[small]):
+                    raise MalformedFan(
+                        "cone %d lies in cone %d, so it is not maximal"
+                        % (small, big))
             apart = ([clean_rays[j] for j in clean_cones[a]
                       if j not in common]
                      + [tuple(-x for x in clean_rays[j])
@@ -211,7 +217,7 @@ def cox_presentation(fan, radius=2):
     kept = []
     for d in degrees:
         rows = _em._hnf_rows([list(v) for v in kept + list(group.relations)])
-        if not _em._lattice_contains(rows, list(d)):
+        if _em._hnf_coords(rows, d) is None:
             kept.append(d)
     box = group.box(kept, radius)
     cert = []

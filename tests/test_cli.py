@@ -88,9 +88,10 @@ class TestCurveCommand:
 
 
 class TestSmithFormCount:
-    """A curve's class group is free with closed-form coordinates: no
-    curve run certifies a Smith form, and the only Smith forms left are
-    those of the monomial enumeration plans, one per plan built."""
+    """A curve's class group is free with closed-form coordinates and the
+    monomial enumeration plans solve their systems by the Hermite split:
+    no curve run computes a Smith form, certified or not, even with every
+    plan built afresh."""
 
     @pytest.mark.parametrize("args", [
         ("curve", "--lambda", "canonical"), ("curve", "--lambda", "full"),
@@ -114,8 +115,10 @@ class TestSmithFormCount:
         code, _, _ = run_cli(capsys, args[0], fixture(name), *args[1:],
                              "--box", "1")
         assert code == 0
-        assert counts["certified"] == 0
-        assert counts["smith"] <= em._enumeration_plan.cache_info().misses
+        # a crosscheck enumerates no monomials; a presentation builds plans
+        assert (em._enumeration_plan.cache_info().misses > 0) == (
+            args[0] == "curve")
+        assert counts == {"certified": 0, "smith": 0}
 
 
 class TestToricCommand:
@@ -150,6 +153,28 @@ class TestVerifyCommand:
         assert report["findings"] == {"not_separated": True,
                                       "inconclusive": []}
         assert report["all_passed"] is True
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in FIXTURES.glob("*_line.json")))
+    def test_irrelevant_count_matches_the_elements(self, name):
+        X = curve_from_json(json.loads((FIXTURES / name).read_text()))
+        assert (cli._refuse_many_irrelevant(X)
+                == len(coxalg.irrelevant_sections(coxalg.curve_algebra(X))))
+
+    def test_many_irrelevant_elements_are_refused_up_front(self, tmp_path):
+        # six points of multiplicity 4: 6 * 4^5 = 6144 irrelevant elements,
+        # refused before the class group is built
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps({"special": [
+            {"point": p, "multiplicity": 4}
+            for p in ("0", "1", "2", "3", "4", "inf")]}), encoding="utf-8")
+        child = run_child(["-m", "coxring.cli", "verify", str(path),
+                           "--box", "0"], timeout=10)
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert child.stderr == ("error: verify would build 6144 irrelevant "
+                                "elements, more than %d\n"
+                                % grading.MAX_IRRELEVANT_ELEMENTS)
 
     def test_plain_line_is_separated(self, capsys):
         code, out, _ = run_cli(capsys, "verify", fixture("plain_line.json"))
@@ -272,6 +297,23 @@ class TestTextFormat:
 
 
 class TestErrors:
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # as under `| head`: the read end of stdout is closed before the
+        # report is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "coxring.cli", "curve", "--format",
+                 "text", fixture("tripled_line.json")],
+                env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "curve", "/no/such/file.json")
         assert code == 1

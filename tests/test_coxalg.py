@@ -620,8 +620,11 @@ def _smith_kernel_lattice(lattice):
     B = [[col[i] for col in lattice.columns]
          + [rel[i] for rel in pic.relations]
          for i in range(pic.ambient_rank)]
-    kernel = em._smith_parts(B)[3]
-    return em._hnf_rows([k[:lattice.rank] for k in kernel])
+    _, D, V, _, _ = em._smith(B)
+    m = len(V)
+    kernel = [[V[i][j] for i in range(lattice.rank)] for j in range(m)
+              if j >= len(D) or D[j][j] == 0]
+    return em._hnf_rows(kernel)
 
 
 class TestSmithOracle:

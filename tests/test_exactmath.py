@@ -220,23 +220,99 @@ class TestLinearAlgebra:
             assert sum(c * v[i] for c, v in zip(coeffs, vectors)) == target[i]
 
 
+def smith_solve(columns, target):
+    """Some integer x with sum_j x_j * columns[j] == target, or None, read
+    from the Smith form U A V = D of the matrix A with those columns: y
+    solves D y = U target, and x = V y."""
+    n = len(target)
+    A = [[col[i] for col in columns] for i in range(n)]
+    U, D, V, _, _ = em._smith(A)
+    y = []
+    for j in range(len(columns)):
+        w = sum(u * t for u, t in zip(U[j], target)) if j < n else 0
+        d = D[j][j] if j < n else 0
+        if d == 0 or w % d:
+            y.append(0)
+        else:
+            y.append(w // d)
+    x = [sum(V[i][j] * y[j] for j in range(len(columns)))
+         for i in range(len(columns))]
+    got = [sum(c * col[i] for c, col in zip(x, columns)) for i in range(n)]
+    return tuple(x) if got == list(target) else None
+
+
+def smith_kernel(columns, r):
+    """HNF basis of the integer relations among columns, cut to the first r
+    entries: the columns of V beyond the nonzero diagonal of the Smith form
+    U A V = D."""
+    n = len(columns[0]) if columns else 0
+    A = [[col[i] for col in columns] for i in range(n)]
+    _, D, V, _, _ = em._smith(A)
+    m = len(columns)
+    kernel = [[V[i][j] for i in range(r)] for j in range(m)
+              if j >= n or D[j][j] == 0]
+    return tuple(em._hnf_rows(kernel))
+
+
 def naive_monomials(degree_map, target, bound, relations=()):
     """Brute force reference: scan all exponent vectors with sum <= bound."""
     r = len(degree_map)
-    hnf = em._hnf_rows(relations) if relations else []
     out = []
     for exps in itertools.product(range(bound + 1), repeat=r):
         if sum(exps) > bound:
             continue
         residual = [sum(e * d[k] for e, d in zip(exps, degree_map)) - target[k]
                     for k in range(len(target))]
-        if relations:
-            ok = em._lattice_contains(hnf, residual)
-        else:
-            ok = not any(residual)
-        if ok:
+        if smith_solve(relations, residual) is not None:
             out.append(exps)
     return sorted(out)
+
+
+class TestHermiteSplit:
+    """_hnf_split and _hnf_coords against the Smith form: the same kernel
+    lattice in HNF, and a solution exactly when the Smith form has one,
+    with torsion relations among the columns that are quotiented out."""
+
+    def test_entries_above_pivots_are_reduced(self):
+        # reducing the last pivot first would leave the 3 above the 2
+        assert em._hnf_rows([(1, 0, 3), (0, 1, 1), (0, 0, 2)]) == [
+            (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(small_ints, min_size=n, max_size=n),
+                     min_size=0, max_size=4),
+            st.lists(st.tuples(st.integers(min_value=0, max_value=n - 1),
+                               st.integers(min_value=2, max_value=4)),
+                     max_size=2),
+            st.lists(st.lists(small_ints, min_size=n, max_size=n),
+                     max_size=1),
+            st.lists(st.lists(small_ints, min_size=n, max_size=n),
+                     min_size=1, max_size=3))))
+    @settings(max_examples=80, deadline=None)
+    def test_against_smith(self, system):
+        vectors, torsion, extra, targets = system
+        n = len(targets[0])
+        modulo = [tuple(k * int(i == j) for j in range(n))
+                  for i, k in torsion] + [tuple(v) for v in extra]
+        r = len(vectors)
+        image, kernel = em._hnf_split(vectors, modulo)
+        assert kernel == smith_kernel(vectors + modulo, r)
+        basis = [h for h, _ in image]
+        assert basis == em._hnf_rows(vectors + modulo)
+        for h, c in image:
+            # h differs from the combination of its coefficients by an
+            # element of the span of modulo
+            rest = [x - sum(a * v[i] for a, v in zip(c, vectors))
+                    for i, x in enumerate(h)]
+            assert not any(rest) or smith_solve(modulo, rest) is not None
+        for target in targets:
+            coords = em._hnf_coords(basis, target)
+            assert (coords is None) == (
+                smith_solve(vectors + modulo, target) is None)
+            if coords is not None:
+                assert [sum(a * h[i] for a, h in zip(coords, basis))
+                        for i in range(n)] == list(target)
 
 
 SECTION8_DEGREES = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -344,6 +420,31 @@ class TestEnumerationPlan:
         got = self._warm_then_cold(degree_map, targets, None, relations)
         assert got == [naive_monomials(degree_map, t, max(t[0], 0),
                                        relations) for t in targets]
+
+
+    @given(st.lists(st.tuples(small_ints, small_ints), min_size=1, max_size=3),
+           st.lists(st.tuples(small_ints, small_ints), min_size=1, max_size=4),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=4)))
+    @settings(max_examples=40, deadline=None)
+    def test_empty_degree_map_matches_naive(self, relations, targets, bound):
+        # r = 0: the empty monomial, exactly when the target is a relation
+        got = self._warm_then_cold([], targets, bound, relations)
+        assert got == [naive_monomials([], t, 0, relations) for t in targets]
+
+    @given(st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=4))
+    @settings(max_examples=25, deadline=None)
+    def test_trivial_grading_group_matches_naive(self, r, bound):
+        # n = 0: every exponent vector has the one degree, so a bound is
+        # needed unless there are no variables
+        degree_map = [()] * r
+        got = self._warm_then_cold(degree_map, [()], bound, [])
+        assert got == [naive_monomials(degree_map, (), bound)]
+        if r:
+            with pytest.raises(UnboundedEnumeration):
+                enumerate_monomials(degree_map, ())
+        else:
+            assert enumerate_monomials(degree_map, ()) == [()]
 
 
 class TestFeasiblePoint:

@@ -124,10 +124,34 @@ class TestFan:
         assert "overlap" in captured.err and "Traceback" not in captured.err
 
     def test_cones_meeting_in_a_face_accepted(self):
-        # opposite quadrants meet only at the origin; a cone and its face
-        # meet in that face
+        # opposite quadrants meet only at the origin
         Fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1], [2, 3]])
-        Fan(2, [(1, 0), (0, 1)], [[0, 1], [0]])
+
+    # a cone listed twice, and a face of the plane's first cone listed
+    # beside it: neither is maximal, and the face would add the irrelevant
+    # monomial T2*T3
+    NOT_MAXIMAL = [({"rank": 2, "rays": [[1, 0], [0, 1]],
+                     "max_cones": [[0, 1], [1, 0]]}, "cone 1 lies in cone 0"),
+                   ({"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                     "max_cones": [[0, 1], [1, 2], [0, 2], [0]]},
+                    "cone 3 lies in cone 0")]
+
+    @pytest.mark.parametrize("data, message", NOT_MAXIMAL,
+                             ids=["repeated", "face"])
+    def test_non_maximal_cone_rejected(self, data, message):
+        with pytest.raises(MalformedFan, match=message):
+            fan_from_json(data)
+
+    @pytest.mark.parametrize("data, message", NOT_MAXIMAL,
+                             ids=["repeated", "face"])
+    def test_non_maximal_cone_exits_one(self, tmp_path, capsys, data,
+                                        message):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["verify", str(path), "--box", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
 
     def test_non_simplicial_cone_accepted(self):
         # the cone over a square: four extremal, linearly dependent rays
