@@ -177,6 +177,11 @@ def _run_verify(path, options):
         kind = "curve"
         X = _load_curve(path)
         _refuse_many_irrelevant(X)
+        if options["box_radius"] == 0:
+            raise BoxTooSmall(
+                "verify on a curve needs --box 1 or more: a radius-0 box "
+                "holds only the zero class, and every irrelevant element "
+                "has a nonzero class")
         A, box, P = _curve_pipeline(X, options["box_radius"],
                                     options["lambda"])
         checks["weight_monoid"] = _verdict_entry(

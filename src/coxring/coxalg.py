@@ -696,14 +696,6 @@ def _monomials(A, degrees, target, bound):
         raise NonPointedMonoid(str(exc)) from exc
 
 
-def _monomial_section(gens, exps):
-    s = RationalFunction.one()
-    for e, (_, sec) in zip(exps, gens):
-        if e:
-            s = s * sec ** e
-    return s
-
-
 class _MonomialCoordinates:
     """Coordinate polynomials of generator monomials, one product each.
 
@@ -803,130 +795,123 @@ class _MonomialCoordinates:
         return tuple(q.coeffs) + (Fraction(0),) * (dim - len(q.coeffs))
 
 
-def find_generators(A, box, bound=None):
-    """Minimal homogeneous generators of the components inside the box.
+def _search(A, box, bound=None, generators=None):
+    """Generators, relations and certificate rows over the box, in one
+    traversal of its classes (_traversal).
 
-    Classes are visited in a linear extension of the effectivity order, so
-    products of earlier generators are available when each component is
-    examined.  A section becomes a generator exactly when the monomials in
-    the previously found generators fail to span its component; the basis
-    elements filling the gap are appended in basis order.  Monomials are
-    known by their coordinates in the component of their lattice degree
-    rep(D), one polynomial product per exponent vector
-    (_MonomialCoordinates); a component's section space is built only
-    where it contributes a generator.  The returned list is sorted by the
-    position of each degree in the box, which makes the output independent
-    of which linear extension was traversed.
+    At each class D the monomials in the known generators are read as
+    coordinates in the component of lattice degree rep(D)
+    (_MonomialCoordinates).  Basis elements outside their span become
+    generators of class D, in basis order; given generators instead keep
+    their order, and a component they fail to span raises
+    GeneratorsIncomplete.  Kernel vectors outside the span of multiples of
+    earlier relations become relations, each checked to vanish on the
+    generator sections.  A certificate row per class records the monomial
+    count, the dimension, the kernel dimension and the dimension spanned by
+    relation multiples.  One pass gives what a generator search followed by
+    a relation search over the finished generators gives:
+
+    - A monomial of class D uses only generators of classes visited before
+      D.  The one exception is a generator of class D, taken alone.  This
+      holds because the traversal extends the effectivity order, and no
+      generator has class zero.
+    - A generator found at D is a unit vector outside the span of the
+      earlier monomials.  So it adds 1 to the monomial count and nothing to
+      the kernel, and no multiple of an earlier relation contains it.
+    - Relations stay in reduced echelon form over grlex in the final
+      variable order: discovered generators sorted by the box position of
+      their degree, stably.  At D the columns are sorted by grlex of the
+      exponents read in the box order of the generators found so far; at
+      the end the relation exponents are re-indexed into that order and
+      padded with zeros.
+
+    Everything is listed by the box position of its degree, so the output
+    does not depend on which linear extension was traversed.
     """
-    visit = _traversal(A, box)
-    pos = {D: i for i, D in visit}
-    gens = []
+    given = generators is not None
+    gens = [(tuple(int(x) for x in d), s) for d, s in generators or ()]
     coords = _MonomialCoordinates(A)
-    for _, D in visit:
-        dim = A.component_dim(D)
-        if dim == 0:
-            continue
-        L = A.rep(D)
-        exps_list = _monomials(A, [g[0] for g in gens], D, bound)
-        span = _Span(dim)
-        for exps in exps_list:
-            span.add(coords.coordinates(exps, L, dim))
-        for idx in range(dim):
-            unit = tuple(Fraction(1 if t == idx else 0) for t in range(dim))
-            if not span.contains(unit):
-                section = A.pic_component(D).basis[idx]
-                gens.append((D, section))
-                coords.add(D, section)
-                span.add(unit)
-    gens.sort(key=lambda g: pos[g[0]])
-    return gens
+    for d, s in gens:
+        coords.add(d, s)
+    pos = {}
 
+    def box_order(n):
+        if given:
+            return range(n)
+        return sorted(range(n), key=lambda j: pos[gens[j][0]])
 
-def find_relations(A, generators, box, bound=None):
-    """Relations among the generators, with an exactness certificate.
-
-    For every class in the box the kernel of evaluating monomials into the
-    component is computed; kernel vectors outside the span of multiples of
-    earlier relations become new relations, normalized to reduced echelon
-    form over the graded lexicographic monomial order.  The certificate
-    records, per class, the monomial count, the component dimension, the
-    kernel dimension, and the dimension spanned by relation multiples.
-    Relations and certificate rows are listed by the position of their
-    degree in the box, like the generators.  Monomials are evaluated as
-    coordinate vectors in the component of their lattice degree
-    (_MonomialCoordinates), never as rational functions; each relation found
-    is still substituted into the generator sections and must vanish.
-    """
-    gens = list(generators)
-    nv = len(gens)
-    gen_degrees = [tuple(int(x) for x in g[0]) for g in gens]
-    monomial_coords = _MonomialCoordinates(A)
-    for d, (_, s) in zip(gen_degrees, gens):
-        monomial_coords.add(d, s)
     found = []
     certificate = []
     for at, D in _traversal(A, box):
-        exps_list = _monomials(A, gen_degrees, D, bound)
-        nm = len(exps_list)
+        pos[D] = at
         dim = A.component_dim(D)
+        row = {"degree": list(D), "monomials": 0, "dim": dim, "kernel": 0,
+               "ideal_span": 0}
+        certificate.append((at, row))
         if dim == 0:
-            if exps_list:
-                raise InternalInconsistency(
-                    "monomials exist in a zero component")
-            certificate.append((at, {"degree": list(D), "monomials": 0,
-                                     "dim": 0, "kernel": 0,
-                                     "ideal_span": 0}))
             continue
-        index = {exps: t for t, exps in enumerate(exps_list)}
+        n = len(gens)
+        degrees = [d for d, _ in gens]
+        exps_list = _monomials(A, degrees, D, bound)
+        nm = len(exps_list)
         L = A.rep(D)
-        coords = []
-        span = _Span(dim)
-        for exps in exps_list:
-            v = monomial_coords.coordinates(exps, L, dim)
-            coords.append(v)
-            span.add(v)
-        if span.dim < dim:
+        vectors = [coords.coordinates(exps, L, dim) for exps in exps_list]
+        span = _Span(dim, vectors)
+        if span.dim < dim and given:
             raise GeneratorsIncomplete(D)
-        matrix = [[coords[t][i] for t in range(nm)] for i in range(dim)]
-        _, kernel = rank_kernel(matrix)
-        kdim = len(kernel)
-        colorder = sorted(range(nm), key=lambda t: grlex_key(exps_list[t]))
-        perm_kernel = _Span(nm, ([vec[colorder[c]] for c in range(nm)]
-                                 for vec in kernel)).echelon()
+        for idx in range(dim):
+            if span.dim < dim and span.add([int(t == idx)
+                                             for t in range(dim)]):
+                section = A.pic_component(D).basis[idx]
+                gens.append((D, section))
+                coords.add(D, section)
+        _, kernel = rank_kernel([[v[i] for v in vectors] for i in range(dim)])
+        order = box_order(n)
+        colorder = sorted(range(nm), key=lambda t: grlex_key(
+            [exps_list[t][j] for j in order]))
+        index = {exps: t for t, exps in enumerate(exps_list)}
         old = _Span(nm)
-        for _, Dr, poly in found:
-            diff = _vsub(D, Dr)
-            for cof in _monomials(A, gen_degrees, diff, bound):
-                prod = poly * MultiPoly.monomial(cof)
+        for _, Dr, terms in found:
+            for cof in _monomials(A, degrees, _vsub(D, Dr), bound):
                 vec = [Fraction(0)] * nm
-                for exps, coeff in prod.terms.items():
-                    t = index.get(exps)
+                for exps, x in terms.items():
+                    t = index.get(_vadd(exps + (0,) * (n - len(exps)), cof))
                     if t is None:
                         raise InternalInconsistency(
                             "relation multiple uses an unlisted monomial")
-                    vec[t] = coeff
-                old.add([vec[colorder[c]] for c in range(nm)])
-        for row in perm_kernel:
-            if not any(row):
+                    vec[t] = x
+                old.add([vec[c] for c in colorder])
+        for rel in _Span(nm, ([vec[c] for c in colorder]
+                              for vec in kernel)).echelon():
+            if not old.add(rel):
                 continue
-            if old.contains(row):
-                continue
-            old.add(row)
-            terms = {}
-            for c, x in enumerate(row):
-                if x != 0:
-                    terms[exps_list[colorder[c]]] = x
-            poly = MultiPoly(nv, terms)
-            if not poly.substitute([g[1] for g in gens]).is_zero():
+            terms = {exps_list[c]: x for c, x in zip(colorder, rel) if x}
+            if not MultiPoly(n, terms).substitute(
+                    [s for _, s in gens[:n]]).is_zero():
                 raise InternalInconsistency(
                     "relation does not evaluate to zero")
-            found.append((at, D, poly))
-        certificate.append((at, {"degree": list(D), "monomials": nm,
-                                 "dim": dim, "kernel": kdim,
-                                 "ideal_span": old.dim}))
-    found.sort(key=lambda f: f[0])
+            found.append((at, D, terms))
+        row.update(monomials=nm + len(gens) - n, kernel=len(kernel),
+                   ideal_span=old.dim)
+    nv = len(gens)
+    order = box_order(nv)
+    relations = [MultiPoly(nv, {
+        tuple((exps + (0,) * (nv - len(exps)))[j] for j in order): x
+        for exps, x in terms.items()})
+        for _, _, terms in sorted(found, key=lambda f: f[0])]
     certificate.sort(key=lambda row: row[0])
-    return [poly for _, _, poly in found], [row for _, row in certificate]
+    return ([gens[j] for j in order], relations,
+            [row for _, row in certificate])
+
+
+def find_generators(A, box, bound=None):
+    """Minimal homogeneous generators inside the box (_search)."""
+    return _search(A, box, bound)[0]
+
+
+def find_relations(A, generators, box, bound=None):
+    """Relations among the given generators, and a certificate (_search)."""
+    return _search(A, box, bound, generators)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -968,8 +953,7 @@ class Presentation(Immutable):
 
 
 def build_presentation(A, box, bound=None):
-    gens = find_generators(A, box, bound=bound)
-    rels, cert = find_relations(A, gens, box, bound=bound)
+    gens, rels, cert = _search(A, box, bound)
     return Presentation(A.pic, gens, rels, box, cert)
 
 
@@ -1220,44 +1204,43 @@ def sections_as_polynomials(A, P, elements):
     """Rewrite homogeneous elements as polynomials in the generators.
 
     Every element is a pair (class vector, section).  The generator
-    monomials of the class evaluate to a spanning set of the component
+    monomials of the class all lie in one lattice degree L, since rep is
+    linear, and are read there by _MonomialCoordinates.  The section is
+    crossed from rep(class) into L by the witness of L - rep(class) when
+    that is nonzero, an isomorphism of components.  The monomials span L
     whenever the presentation is complete there, so the section has an
-    exact linear expression in them; the combination with free coefficients
-    zeroed is taken, which keeps the rewriting deterministic.
+    exact linear expression in them; the combination with free
+    coefficients zeroed is taken, which keeps the rewriting deterministic.
     """
-    gens = list(P.generators)
-    gen_degrees = [tuple(int(x) for x in d) for d, _ in gens]
+    coords = _MonomialCoordinates(A)
+    for d, s in P.generators:
+        coords.add(d, s)
+    gen_degrees = [d for d, _ in P.generators]
+    gen_lattice = [A.rep(d) for d in gen_degrees]
     out = []
     for c, s in elements:
         c = tuple(int(x) for x in c)
         rep = A.rep(c)
-        space = A.base.component(rep)
-        target = space.coordinates_of(s)
+        target = A.base.component(rep).coordinates_of(s)
         if target is None:
             raise NotASection("element lies outside its stated component")
         exps_list = _monomials(A, gen_degrees, c, None)
-        cols = []
-        for exps in exps_list:
-            sec = _monomial_section(gens, exps)
-            # the monomial lies in the component of its own ambient degree;
-            # a class relation between that degree and c is a kernel
-            # element, crossed by its witness
-            amb = [sum(e * d[i] for e, d in zip(exps, gen_degrees))
-                   for i in range(len(c))]
-            E = _vsub(rep, A.rep(amb))
-            if any(E):
-                sec = sec * A.family.witness_for(E)
-            v = space.coordinates_of(sec)
-            if v is None:
+        L = _combination(exps_list[0], gen_lattice, A.lattice.rank) \
+            if exps_list else rep
+        if L != rep:
+            target = A.base.component(L).coordinates_of(
+                s * A.family.witness_for(_vsub(L, rep)))
+            if target is None:
                 raise InternalInconsistency(
-                    "generator monomial escaped its component")
-            cols.append(v)
+                    "witness crossing left the component")
+        cols = [coords.coordinates(exps, L, len(target))
+                for exps in exps_list]
         try:
             coeffs = _em.solve_in_span(cols, target)
         except _em.NotInSpan:
             raise GeneratorsIncomplete(c) from None
         terms = {exps: q for exps, q in zip(exps_list, coeffs) if q != 0}
-        out.append(MultiPoly(len(gens), terms))
+        out.append(MultiPoly(len(gen_degrees), terms))
     return out
 
 

@@ -86,6 +86,27 @@ class TestCurveCommand:
         # the full lattice run builds the canonical one for its box
         assert count[0] == builds
 
+    def test_one_traversal_finds_generators_and_relations(self, capsys,
+                                                          monkeypatch):
+        counts = {"traversal": 0, "coordinates": 0}
+        traversal = coxalg._traversal
+
+        def counting_traversal(*args):
+            counts["traversal"] += 1
+            return traversal(*args)
+
+        class CountingCoordinates(coxalg._MonomialCoordinates):
+            def __init__(self, A):
+                counts["coordinates"] += 1
+                super().__init__(A)
+
+        monkeypatch.setattr(coxalg, "_traversal", counting_traversal)
+        monkeypatch.setattr(coxalg, "_MonomialCoordinates",
+                            CountingCoordinates)
+        code, _, _ = run_cli(capsys, "curve", fixture("tripled_line.json"))
+        assert code == 0
+        assert counts == {"traversal": 1, "coordinates": 1}
+
 
 class TestSmithFormCount:
     """A curve's class group is free with closed-form coordinates and the
@@ -358,15 +379,27 @@ class TestErrors:
             cli.main(["frobnicate", "x.json"])
         assert info.value.code == 1
 
-    @pytest.mark.parametrize("name", ["doubled_line.json", "plain_line.json",
-                                      "tripled_line.json"])
-    def test_box_too_small(self, capsys, name):
+    @pytest.mark.parametrize("name", ["doubled_line.json", "mixed_line.json",
+                                      "plain_line.json", "tripled_line.json"])
+    def test_box_too_small(self, capsys, monkeypatch, name):
+        # a radius-0 box holds no irrelevant element: refused before any
+        # lattice is built
+        built = []
+        monkeypatch.setattr(cli, "curve_algebra",
+                            lambda *a, **k: built.append(a))
         code, out, err = run_cli(capsys, "verify", fixture(name), "--box", "0")
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and "generators do not span" in err
+        assert err.startswith("error:") and "--box 1 or more" in err
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        assert built == []
+
+    def test_box_zero_on_a_fan(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", fixture("plane_fan.json"),
+                               "--box", "0")
+        assert code == 0
+        assert json.loads(out)["all_passed"] is True
 
     def test_box_too_large(self, capsys, tmp_path):
         # two points of multiplicity 6: eleven box generators, 5^11 vectors

@@ -687,6 +687,14 @@ class TestMonomialCoordinates:
     """The memoised coordinate polynomials against the rational-function
     product of the generator sections, read back by coordinates_of."""
 
+    @staticmethod
+    def _monomial_section(gens, exps):
+        s = ONE
+        for e, (_, sec) in zip(exps, gens):
+            if e:
+                s = s * sec ** e
+        return s
+
     @pytest.mark.parametrize("mode", ["canonical", "full"])
     @pytest.mark.parametrize("name, X", _oracle_curves(),
                              ids=[n for n, _ in _oracle_curves()])
@@ -708,7 +716,7 @@ class TestMonomialCoordinates:
             space = A.pic_component(D)
             for exps in exps_list:
                 expected = space.coordinates_of(
-                    coxalg._monomial_section(gens, exps))
+                    self._monomial_section(gens, exps))
                 assert expected is not None
                 assert coords.coordinates(exps, A.rep(D), dim) == expected
                 checked += 1
@@ -731,6 +739,182 @@ class TestMonomialCoordinates:
         with pytest.raises(InternalInconsistency,
                            match="escaped its component"):
             find_relations(A, gens, box)
+
+
+def _two_pass_generators(A, box):
+    """The generator search as its own traversal: a class contributes the
+    basis elements outside the span of the monomials in the generators
+    found before it."""
+    visit = _traversal(A, box)
+    pos = {D: i for i, D in visit}
+    gens = []
+    coords = coxalg._MonomialCoordinates(A)
+    for _, D in visit:
+        dim = A.component_dim(D)
+        if dim == 0:
+            continue
+        L = A.rep(D)
+        span = _Span(dim)
+        for exps in coxalg._monomials(A, [g[0] for g in gens], D, None):
+            span.add(coords.coordinates(exps, L, dim))
+        for idx in range(dim):
+            unit = tuple(Fraction(1 if t == idx else 0) for t in range(dim))
+            if not span.contains(unit):
+                section = A.pic_component(D).basis[idx]
+                gens.append((D, section))
+                coords.add(D, section)
+                span.add(unit)
+    gens.sort(key=lambda g: pos[g[0]])
+    return gens
+
+
+def _two_pass_relations(A, generators, box):
+    """The relation search as a second traversal over finished generators:
+    at each class the kernel of all monomials, less the span of multiples
+    of earlier relations, in reduced echelon form over grlex."""
+    gens = list(generators)
+    nv = len(gens)
+    gen_degrees = [tuple(int(x) for x in g[0]) for g in gens]
+    monomial_coords = coxalg._MonomialCoordinates(A)
+    for d, (_, s) in zip(gen_degrees, gens):
+        monomial_coords.add(d, s)
+    found = []
+    certificate = []
+    for at, D in _traversal(A, box):
+        exps_list = coxalg._monomials(A, gen_degrees, D, None)
+        nm = len(exps_list)
+        dim = A.component_dim(D)
+        if dim == 0:
+            assert exps_list == []
+            certificate.append((at, {"degree": list(D), "monomials": 0,
+                                     "dim": 0, "kernel": 0,
+                                     "ideal_span": 0}))
+            continue
+        index = {exps: t for t, exps in enumerate(exps_list)}
+        L = A.rep(D)
+        coords = [monomial_coords.coordinates(exps, L, dim)
+                  for exps in exps_list]
+        if _Span(dim, coords).dim < dim:
+            raise GeneratorsIncomplete(D)
+        matrix = [[coords[t][i] for t in range(nm)] for i in range(dim)]
+        _, kernel = em.rank_kernel(matrix)
+        colorder = sorted(range(nm), key=lambda t: em.grlex_key(exps_list[t]))
+        perm_kernel = _Span(nm, ([vec[colorder[c]] for c in range(nm)]
+                                 for vec in kernel)).echelon()
+        old = _Span(nm)
+        for _, Dr, poly in found:
+            for cof in coxalg._monomials(A, gen_degrees, vsub(D, Dr), None):
+                prod = poly * MultiPoly.monomial(cof)
+                vec = [Fraction(0)] * nm
+                for exps, coeff in prod.terms.items():
+                    vec[index[exps]] = coeff
+                old.add([vec[colorder[c]] for c in range(nm)])
+        for row in perm_kernel:
+            if not any(row) or old.contains(row):
+                continue
+            old.add(row)
+            terms = {exps_list[colorder[c]]: x for c, x in enumerate(row)
+                     if x != 0}
+            found.append((at, D, MultiPoly(nv, terms)))
+        certificate.append((at, {"degree": list(D), "monomials": nm,
+                                 "dim": dim, "kernel": len(kernel),
+                                 "ideal_span": old.dim}))
+    found.sort(key=lambda f: f[0])
+    certificate.sort(key=lambda row: row[0])
+    return [poly for _, _, poly in found], [row for _, row in certificate]
+
+
+def _per_monomial_sections(A, P, elements):
+    """sections_as_polynomials with every monomial built as a rational
+    function and crossed by its own kernel witness into the component of
+    the element's representative."""
+    gens = list(P.generators)
+    gen_degrees = [d for d, _ in gens]
+    out = []
+    for c, s in elements:
+        rep = A.rep(c)
+        space = A.base.component(rep)
+        cols = []
+        exps_list = coxalg._monomials(A, gen_degrees, c, None)
+        for exps in exps_list:
+            sec = TestMonomialCoordinates._monomial_section(gens, exps)
+            amb = [sum(e * d[i] for e, d in zip(exps, gen_degrees))
+                   for i in range(len(c))]
+            E = vsub(rep, A.rep(amb))
+            if any(E):
+                sec = sec * A.family.witness_for(E)
+            cols.append(space.coordinates_of(sec))
+        coeffs = em.solve_in_span(cols, space.coordinates_of(s))
+        out.append(MultiPoly(len(gens), {
+            exps: q for exps, q in zip(exps_list, coeffs) if q != 0}))
+    return out
+
+
+class TestOnePassSearch:
+    """build_presentation against a generator traversal followed by a
+    relation traversal over the finished generators."""
+
+    @staticmethod
+    def _assert_two_passes_agree(A, box):
+        P = build_presentation(A, box)
+        gens = _two_pass_generators(A, box)
+        rels, cert = _two_pass_relations(A, gens, box)
+        assert P.generators == tuple(gens)
+        assert P.relations == tuple(rels)
+        assert [str(r) for r in P.relations] == [str(r) for r in rels]
+        assert list(P.certificate) == cert
+        return P
+
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixture_curves(self, name, mode):
+        X = FIXTURE_CURVES[name]
+        self._assert_two_passes_agree(curve_algebra(X, mode),
+                                      default_box(X, 2))
+
+    def test_explicit_basis(self):
+        P = self._assert_two_passes_agree(tripled_algebra(), tripled_box())
+        assert len(P.relations) == 1
+
+    @given(small_curves(max_mult=3), st.sampled_from(["canonical", "full"]))
+    @settings(max_examples=15, deadline=None)
+    def test_small_curves(self, X, mode):
+        self._assert_two_passes_agree(curve_algebra(X, mode),
+                                      default_box(X, 1))
+
+    def test_incomplete_generators_at_the_same_class(self):
+        A, box = tripled_algebra(), tripled_box()
+        gens = list(tripled_presentation().generators)
+        for drop in range(len(gens)):
+            given = gens[:drop] + gens[drop + 1:]
+            with pytest.raises(GeneratorsIncomplete) as one:
+                find_relations(A, given, box)
+            with pytest.raises(GeneratorsIncomplete) as two:
+                _two_pass_relations(A, given, box)
+            assert one.value.degree == two.value.degree
+
+
+class TestSectionsAsPolynomials:
+    """One witness crossing of the element against one per monomial."""
+
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixture_curves(self, name, mode):
+        X = FIXTURE_CURVES[name]
+        self._assert_agrees(X, mode)
+
+    @given(small_curves(max_mult=3), st.sampled_from(["canonical", "full"]))
+    @settings(max_examples=15, deadline=None)
+    def test_small_curves(self, X, mode):
+        self._assert_agrees(X, mode)
+
+    @staticmethod
+    def _assert_agrees(X, mode):
+        A = curve_algebra(X, mode)
+        P = build_presentation(A, default_box(X, 1))
+        elements = irrelevant_sections(A)
+        assert (sections_as_polynomials(A, P, elements)
+                == _per_monomial_sections(A, P, elements))
 
 
 class TestClassOrder:
