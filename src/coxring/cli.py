@@ -26,6 +26,7 @@ from .coxalg import (
     GeneratorsIncomplete,
     NonPointedMonoid,
     build_presentation,
+    candidate_points,
     curve_algebra,
     default_box,
     freely_graded_check,
@@ -192,7 +193,8 @@ def _run_verify(path, options):
             separatedness_check(A, elems, levels=2), levels=2)
         polys = sections_as_polynomials(A, P, elems)
         checks["freely_graded"] = _verdict_entry(
-            freely_graded_check(P, polys, options["power_bound"]),
+            freely_graded_check(P, polys, options["power_bound"],
+                                candidate_points(A, P)),
             power_bound=options["power_bound"])
     elif isinstance(data, dict) and "rays" in data:
         kind = "toric"
@@ -308,7 +310,9 @@ def _build_parser():
     shared.add_argument("--power-bound", type=_nonnegative, default=4,
                         dest="power_bound", metavar="N",
                         help="power search bound for the freely graded "
-                             "check (default 4)")
+                             "check (default 4); a pair certified by a "
+                             "rational point is decided exactly at once, "
+                             "the bound truncates only the others")
     shared.add_argument("--lambda", choices=("canonical", "full"),
                         default="canonical", dest="lambda_mode",
                         help="lattice pipeline (default canonical)")

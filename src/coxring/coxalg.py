@@ -990,6 +990,65 @@ def _poly_class(P, poly):
     return degs
 
 
+def _leading_term(f, base):
+    """(k, c) with f = c * pi^k + terms of higher order at the base point,
+    c nonzero, where pi = z - base, or 1/z at infinity."""
+    if base.is_infinity():
+        return f.den.degree - f.num.degree, f.num.leading() / f.den.leading()
+    linear = UniPoly([-base.value, Fraction(1)])
+    parts = []
+    for p in (f.num, f.den):
+        k = 0
+        q, r = divmod(p, linear)
+        while r.is_zero():
+            p, k = q, k + 1
+            q, r = divmod(p, linear)
+        parts.append((k, p.eval(base.value)))
+    (a, u), (b, v) = parts
+    return a - b, u / v
+
+
+# non-special points of the line at which candidate_points also reads the
+# generators, taken first from infinity, 0, 1, -1, 2, -2, ...
+ORDINARY_CANDIDATES = 3
+
+
+def candidate_points(A, P):
+    """Points of the affine space of P's generators, one per special copy q
+    and per ordinary point among the first ORDINARY_CANDIDATES: the
+    generator sections read in a local trivialization at q.
+
+    A generator s_i of class d_i is a section of D_i, the divisor of the
+    lattice degree rep(d_i), and s_i * pi^D_i(q), with pi = z - b at a
+    point over the base b (1/z at infinity), has no pole at b; its value
+    there is the i-th coordinate.  Every monomial of a relation lies in one
+    lattice degree, where the D_i add up, so each relation vanishes at each
+    point.  freely_graded_check tests that again and keeps only the points
+    that pass.  A generator vanishing at q has coordinate zero, an element
+    not vanishing there a nonzero value.
+    """
+    X = A.curve
+    divisors = [A.lattice.divisor_of(A.rep(d)) for d, _ in P.generators]
+    ordinary = itertools.chain(
+        [P1Point.infinity(), P1Point.finite(0)],
+        (P1Point.finite(s * k) for k in itertools.count(1) for s in (1, -1)))
+    bases = [b for b, _ in X.special] + list(itertools.islice(
+        (b for b in ordinary if not X.is_special(b)), ORDINARY_CANDIDATES))
+    points = []
+    for base in bases:
+        terms = [_leading_term(s, base) for _, s in P.generators]
+        for q in X.copies(base):
+            point = []
+            for D, (k, c) in zip(divisors, terms):
+                k += D.coefficient(q)
+                if k < 0:
+                    raise InternalInconsistency(
+                        "generator section has a pole beyond its degree")
+                point.append(c if k == 0 else Fraction(0))
+            points.append(tuple(point))
+    return points
+
+
 def _variable_ideal_members(P, poly, variables):
     """The variables T_j among the given indices j for which a truncated test
     puts poly in the ideal (T_j).
@@ -1000,7 +1059,8 @@ def _variable_ideal_members(P, poly, variables):
     the multiples.  Monomials and relation cofactors are truncated by total
     degree, and a multiple with a monomial outside the truncated set is not
     used.  A positive answer is exact; a negative answer only reflects the
-    truncation.
+    truncation, so freely_graded_check asks only about the pairs that no
+    point certifies exactly.
     """
     gen_degrees = [d for d, _ in P.generators]
     target = _poly_class(P, poly)
@@ -1047,15 +1107,23 @@ def _variable_ideal_members(P, poly, variables):
     return members
 
 
-def freely_graded_check(P, irrelevant, power_bound=4):
+def freely_graded_check(P, irrelevant, power_bound=4, points=()):
     """Localization unit degrees generate the grading group for every
     irrelevant element.
 
     For each irrelevant f the variables T with a power of f inside the ideal
     of T become units after inverting f, so their degrees join the unit
     degree subgroup; the check passes when each such subgroup is the whole
-    grading group.  Power searches stop at power_bound; a zero bound decides
-    nothing.
+    grading group.
+
+    A point p where every relation of P vanishes (checked here; points that
+    fail are dropped), p_j = 0 and f(p) != 0 proves that no power of f lies
+    in (T_j) plus the relations: evaluating f^n = a T_j + sum b_R R at p
+    gives f(p)^n = 0.  Such a pair is decided at once and never searched.
+    The power search over the other pairs stops at power_bound, or once
+    every variable is hit or certified; a zero bound decides nothing.  A
+    certified pair adds no unit degree, so the certificates change neither
+    the witnesses nor the verdict, only the work.
     """
     if power_bound <= 0:
         return Inconclusive("power bound exhausted before any localization "
@@ -1063,10 +1131,13 @@ def freely_graded_check(P, irrelevant, power_bound=4):
     group = P.grading
     gen_degrees = [d for d, _ in P.generators]
     k = len(gen_degrees)
+    points = [p for p in points if all(r.eval(p) == 0 for r in P.relations)]
     all_witnesses = []
     for idx, f in enumerate(irrelevant):
+        never = {j for p in points if f.eval(p) != 0
+                 for j in range(k) if p[j] == 0}
         # the smallest power per variable: raise f one step at a time and
-        # test only the variables without a hit
+        # test only the variables neither hit nor certified
         hit = {}
         fn = f
         for n in range(1, power_bound + 1):
@@ -1075,11 +1146,11 @@ def freely_graded_check(P, irrelevant, power_bound=4):
             for j in range(k):
                 if j not in hit and fn.divisible_by_variable(j):
                     hit[j] = n
-            open_js = [j for j in range(k) if j not in hit]
+            open_js = [j for j in range(k) if j not in hit and j not in never]
             if open_js and P.relations:
                 for j in _variable_ideal_members(P, fn, open_js):
                     hit[j] = n
-            if len(hit) == k:
+            if len(hit.keys() | never) == k:
                 break
         wits = sorted(hit.items())
         collected = [_poly_class(P, f)] + [gen_degrees[j] for j, _ in wits]

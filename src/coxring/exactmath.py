@@ -484,6 +484,18 @@ class MultiPoly(Immutable):
     def divisible_by_variable(self, i):
         return all(e[i] > 0 for e in self.terms)
 
+    def eval(self, point):
+        """Value at a point, a sequence of rationals, one per variable."""
+        if len(point) != self.nvars:
+            raise ValueError("need one value per variable")
+        acc = Fraction(0)
+        for exps, c in self.terms.items():
+            for v, e in zip(point, exps):
+                if e:
+                    c *= v ** e
+            acc += c
+        return acc
+
     def substitute(self, values):
         """Evaluate at values, a list of RationalFunction, one per variable."""
         if len(values) != self.nvars:

@@ -255,6 +255,37 @@ class TestVerifyCommand:
         assert entry["power_bound"] == 0
         assert report["findings"]["inconclusive"] == ["freely_graded"]
 
+    def test_power_bound_zero_on_a_curve_is_a_finding(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", fixture("tripled_line.json"),
+                               "--box", "1", "--power-bound", "0")
+        assert code == 0
+        report = json.loads(out)
+        assert report["checks"]["freely_graded"]["verdict"] == "inconclusive"
+        assert report["findings"]["inconclusive"] == ["freely_graded"]
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in FIXTURES.glob("*_line.json")))
+    def test_span_tests_do_not_grow_with_the_power_bound(
+            self, capsys, monkeypatch, name):
+        # every pair the first power leaves open has a point certificate,
+        # so a larger bound makes no further span test
+        calls = []
+        honest = coxalg._variable_ideal_members
+
+        def counted(*args):
+            calls.append(args)
+            return honest(*args)
+
+        monkeypatch.setattr(coxalg, "_variable_ideal_members", counted)
+        counts = []
+        for bound in ("1", "8"):
+            calls.clear()
+            code, _, _ = run_cli(capsys, "verify", fixture(name), "--box",
+                                 "1", "--power-bound", bound)
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_unrecognized_schema(self, capsys, tmp_path):
         path = tmp_path / "neither.json"
         path.write_text(json.dumps({"something": 1}))

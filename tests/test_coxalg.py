@@ -42,6 +42,7 @@ from coxring.coxalg import (
     build_presentation,
     build_shifting_family,
     canonical_lambda,
+    candidate_points,
     curve_algebra,
     default_box,
     find_relations,
@@ -531,11 +532,12 @@ def _greedy_basis(X):
 
 
 @st.composite
-def small_curves(draw, max_mult=4):
-    """Curves with 1-4 special points, in any order, of multiplicity 1 to
-    max_mult."""
-    points = draw(st.lists(st.sampled_from([0, 1, "inf", -1]), min_size=1,
-                           max_size=4, unique=True))
+def small_curves(draw, max_mult=4, min_points=1, max_points=4):
+    """Curves with min_points to max_points special points (1-4), in any
+    order, of multiplicity 1 to max_mult."""
+    points = draw(st.lists(st.sampled_from([0, 1, "inf", -1]),
+                           min_size=min_points, max_size=max_points,
+                           unique=True))
     mults = draw(st.lists(st.integers(min_value=1, max_value=max_mult),
                           min_size=len(points), max_size=len(points)))
     return GluedCurve([(pt(v), m) for v, m in zip(points, mults)])
@@ -1062,6 +1064,134 @@ def _full_space_member(P, poly, j, target):
             return False
         target_vec[t] = coeff
     return span.contains(target_vec)
+
+
+# {2,2,2,2}: kept out of tests/fixtures, whose every curve the golden files
+# report eight times
+QUADRUPLED_LINE = GluedCurve([(pt(0), 2), (pt(1), 2), (pt(-1), 2),
+                              (pt("inf"), 2)])
+
+
+def _verify_inputs(X, mode="canonical"):
+    """What verify hands freely_graded_check on X at box radius 1."""
+    A = curve_algebra(X, mode)
+    P = build_presentation(A, default_box(X, 1))
+    polys = sections_as_polynomials(A, P, irrelevant_sections(A))
+    return P, polys, candidate_points(A, P)
+
+
+def _certified(f, points):
+    return {j for p in points if f.eval(p) != 0
+            for j, x in enumerate(p) if x == 0}
+
+
+@pytest.fixture
+def span_tests(monkeypatch):
+    """Records each _variable_ideal_members call as (poly, variables)."""
+    calls = []
+    honest = coxalg._variable_ideal_members
+
+    def recorded(P, poly, variables):
+        calls.append((poly, tuple(variables)))
+        return honest(P, poly, variables)
+
+    monkeypatch.setattr(coxalg, "_variable_ideal_members", recorded)
+    return calls
+
+
+class TestNeverCertificates:
+    """Exact "never" certificates in the free-grading check against the
+    power search without them (points=()), which stays as the oracle."""
+
+    @staticmethod
+    def _assert_agrees(X, mode="canonical"):
+        P, polys, points = _verify_inputs(X, mode)
+        assert all(r.eval(p) == 0 for r in P.relations for p in points)
+        fast = freely_graded_check(P, polys, 8, points)
+        slow = freely_graded_check(P, polys, 8)
+        # the glued curves are freely graded, so the search lists every hit
+        assert isinstance(slow, Pass)
+        assert isinstance(fast, Pass)
+        assert fast.details == slow.details
+        for f, wits in zip(polys, slow.details["witnesses"]):
+            assert _certified(f, points).isdisjoint(j for j, _ in wits)
+
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixtures_agree_with_the_search(self, name, mode):
+        self._assert_agrees(FIXTURE_CURVES[name], mode)
+
+    def test_quadrupled_line_agrees_with_the_search(self):
+        self._assert_agrees(QUADRUPLED_LINE)
+
+    @given(small_curves(max_mult=3, min_points=2, max_points=3))
+    @settings(max_examples=12, deadline=None)
+    def test_small_curves_agree_with_the_search(self, X):
+        self._assert_agrees(X)
+
+    def test_copy_points_vanish_at_their_generator(self):
+        # on the tripled line exactly one generator vanishes at each copy
+        X = tripled_line()
+        points = candidate_points(tripled_algebra(), tripled_presentation())
+        zeros = [{j for j, x in enumerate(p) if x == 0} for p in points]
+        assert zeros[:6] == [{COPY_VARIABLE[q]} for q in X.special_copies()]
+        assert zeros[6:] == [set()] * coxalg.ORDINARY_CANDIDATES
+
+    def test_point_off_the_relations_is_dropped(self, span_tests):
+        P, polys, points = _verify_inputs(FIXTURE_CURVES["tripled_line"])
+        good = points[0]
+        bad = good[:2] + (good[2] + 1,) + good[2 + 1:]
+        assert all(r.eval(good) == 0 for r in P.relations)
+        assert any(r.eval(bad) != 0 for r in P.relations)
+        assert any(_certified(f, [bad]) for f in polys)
+        runs = []
+        for pts in ([good], [bad], ()):
+            span_tests.clear()
+            runs.append((freely_graded_check(P, polys, 8, pts).details,
+                         list(span_tests)))
+        with_good, with_bad, slow = runs
+        # the good point narrows the variables searched, the bad one nothing
+        assert with_good[1] != slow[1]
+        assert with_bad == slow
+        assert len(with_bad[1]) == len(slow[1]) == 96
+
+    def test_vanishing_element_certifies_nothing(self, span_tests):
+        P, polys, points = _verify_inputs(FIXTURE_CURVES["tripled_line"])
+        p = points[0]
+        calls = {}
+        for f in polys:
+            for pts in ([p], ()):
+                span_tests.clear()
+                freely_graded_check(P, [f], 8, pts)
+                calls[f, len(pts)] = list(span_tests)
+        vanishing = [f for f in polys if f.eval(p) == 0]
+        # p vanishes at T1 only, which none of these elements is divisible by
+        assert any(not f.divisible_by_variable(0) for f in vanishing)
+        assert all(calls[f, 1] == calls[f, 0] for f in vanishing)
+        assert all(calls[f, 1] != calls[f, 0] for f in polys
+                   if f.eval(p) != 0 and not f.divisible_by_variable(0))
+
+    def test_certificates_keep_an_inconclusive_verdict(self, span_tests):
+        # T1 alone has too few unit degrees; the points certify every other
+        # variable, and the verdict stays inconclusive
+        P, _, points = _verify_inputs(FIXTURE_CURVES["tripled_line"])
+        T1 = MultiPoly.variable(0, len(P.generators))
+        runs = []
+        for pts in (points, ()):
+            span_tests.clear()
+            runs.append((freely_graded_check(P, [T1], 8, pts),
+                         len(span_tests)))
+        (fast, fast_calls), (slow, slow_calls) = runs
+        assert _certified(T1, points) == set(range(1, len(P.generators)))
+        assert isinstance(fast, Inconclusive)
+        assert isinstance(slow, Inconclusive)
+        assert fast.details == slow.details
+        assert fast_calls == 0 < slow_calls
+
+    def test_zero_power_bound_with_points(self):
+        P, polys, points = _verify_inputs(FIXTURE_CURVES["tripled_line"])
+        assert isinstance(freely_graded_check(P, polys, 0, points),
+                          Inconclusive)
 
 
 class TestQuotientMembership:

@@ -4,7 +4,8 @@ Every fixture is reported in both formats at box radii 1 and 2: curves
 with `coxring curve`, fans with `coxring toric`. At box radius 1 every
 fixture is also reported with `coxring verify`, and the curves with
 `coxring crosscheck`, with `coxring verify --power-bound 8` and with
-`coxring curve --lambda full`.
+`coxring curve --lambda full`.  One more curve, {2,2,2,2}, is written
+inline and reported with `coxring verify --power-bound 8` in JSON only.
 After a deliberate change to the reports, regenerate the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -16,6 +17,7 @@ import contextlib
 import io
 import json
 import pathlib
+import tempfile
 
 import pytest
 
@@ -46,6 +48,12 @@ def _cases():
 
 CASES = list(_cases())
 
+# {2,2,2,2} at power bound 8, one report; the input is kept out of
+# tests/fixtures, whose every curve is reported eight times above
+QUADRUPLED_LINE = {"special": [{"point": p, "multiplicity": 2}
+                               for p in ("0", "1", "-1", "inf")]}
+QUADRUPLED_GOLDEN = GOLDEN / "quadrupled_line.verify.box1.pb8.json"
+
 
 def _report(path, args, fmt):
     out = io.StringIO()
@@ -56,13 +64,27 @@ def _report(path, args, fmt):
     return out.getvalue()
 
 
+def _quadrupled_report(directory):
+    path = pathlib.Path(directory) / "quadrupled_line.json"
+    path.write_text(json.dumps(QUADRUPLED_LINE), encoding="utf-8")
+    return _report(path, ["verify", "--power-bound", "8"], "json")
+
+
 @pytest.mark.parametrize("path, args, fmt, golden", CASES,
                          ids=[c[3].name for c in CASES])
 def test_report_matches_golden(path, args, fmt, golden):
     assert _report(path, args, fmt) == golden.read_text(encoding="utf-8")
 
 
+def test_quadrupled_line_matches_golden(tmp_path):
+    assert (_quadrupled_report(tmp_path)
+            == QUADRUPLED_GOLDEN.read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for path, args, fmt, golden in CASES:
         golden.write_text(_report(path, args, fmt), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as directory:
+        QUADRUPLED_GOLDEN.write_text(_quadrupled_report(directory),
+                                     encoding="utf-8")
