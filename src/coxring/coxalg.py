@@ -39,6 +39,7 @@ from .ratcurve import (
     PicardData,
     divisor_on,
     is_principal,
+    leading_term,
     section_space,
 )
 
@@ -441,15 +442,15 @@ def build_shifting_family(lattice, algebra=None):
     """Shifting family on the kernel of the lattice's class map.
 
     The kernel basis is computed from the class map; every basis element is
-    principal by definition of the kernel, and the principal witness search
-    is what produces the family.
+    principal by definition of the kernel, and is_principal gives its
+    witness in closed form.
     """
     kernel = lattice.kernel_basis()
     witnesses = []
     for E in kernel:
         D = lattice.divisor_of(E)
         try:
-            g = is_principal(lattice.curve, -1 * D, lattice.picdata)
+            g = is_principal(lattice.curve, -1 * D)
         except NotPrincipal as exc:
             raise InternalInconsistency(
                 "kernel element has no principal witness") from exc
@@ -961,14 +962,24 @@ def build_presentation(A, box, bound=None):
 # verification checks
 
 
+def _cokernel(group, vectors):
+    """None when the vectors generate the grading group, else the describe()
+    of the quotient by them: they generate it exactly when the Hermite form
+    of the vectors and the relations is the identity."""
+    cols = list(vectors) + list(group.relations)
+    rows = _em._hnf_rows(cols)
+    if tuple(map(tuple, rows)) == _identity(group.ambient_rank):
+        return None
+    return FGAbelianGroup(group.ambient_rank, cols).describe()
+
+
 def weight_monoid_check(group, degrees):
     """Whether the generator degrees generate the whole grading group."""
     degrees = [tuple(int(x) for x in d) for d in degrees]
-    cols = degrees + list(group.relations)
-    quotient = FGAbelianGroup(group.ambient_rank, cols)
-    if quotient.is_trivial():
+    cokernel = _cokernel(group, degrees)
+    if cokernel is None:
         return Pass(degrees=degrees)
-    return Fail(cokernel=quotient.describe())
+    return Fail(cokernel=cokernel)
 
 
 def _total_degree(poly):
@@ -988,24 +999,6 @@ def _poly_class(P, poly):
     if degs is None:
         raise ValueError("zero polynomial has no degree")
     return degs
-
-
-def _leading_term(f, base):
-    """(k, c) with f = c * pi^k + terms of higher order at the base point,
-    c nonzero, where pi = z - base, or 1/z at infinity."""
-    if base.is_infinity():
-        return f.den.degree - f.num.degree, f.num.leading() / f.den.leading()
-    linear = UniPoly([-base.value, Fraction(1)])
-    parts = []
-    for p in (f.num, f.den):
-        k = 0
-        q, r = divmod(p, linear)
-        while r.is_zero():
-            p, k = q, k + 1
-            q, r = divmod(p, linear)
-        parts.append((k, p.eval(base.value)))
-    (a, u), (b, v) = parts
-    return a - b, u / v
 
 
 # non-special points of the line at which candidate_points also reads the
@@ -1036,7 +1029,7 @@ def candidate_points(A, P):
         (b for b in ordinary if not X.is_special(b)), ORDINARY_CANDIDATES))
     points = []
     for base in bases:
-        terms = [_leading_term(s, base) for _, s in P.generators]
+        terms = [leading_term(s, base) for _, s in P.generators]
         for q in X.copies(base):
             point = []
             for D, (k, c) in zip(divisors, terms):
@@ -1128,7 +1121,6 @@ def freely_graded_check(P, irrelevant, power_bound=4, points=()):
     if power_bound <= 0:
         return Inconclusive("power bound exhausted before any localization "
                             "data was gathered")
-    group = P.grading
     gen_degrees = [d for d, _ in P.generators]
     k = len(gen_degrees)
     points = [p for p in points if all(r.eval(p) == 0 for r in P.relations)]
@@ -1154,12 +1146,11 @@ def freely_graded_check(P, irrelevant, power_bound=4, points=()):
                 break
         wits = sorted(hit.items())
         collected = [_poly_class(P, f)] + [gen_degrees[j] for j, _ in wits]
-        quotient = FGAbelianGroup(group.ambient_rank,
-                                  collected + list(group.relations))
-        if not quotient.is_trivial():
+        uncovered = _cokernel(P.grading, collected)
+        if uncovered is not None:
             return Inconclusive(
                 "unit degrees of one localization do not generate the "
-                "grading group", index=idx, uncovered=quotient.describe())
+                "grading group", index=idx, uncovered=uncovered)
         all_witnesses.append(tuple(wits))
     return Pass(witnesses=tuple(all_witnesses))
 
@@ -1235,7 +1226,7 @@ def irrelevant_sections(A):
         c = picdata.class_of(E)
         rep = A.rep(c)
         Drep = A.lattice.divisor_of(rep)
-        s = is_principal(X, E - Drep, picdata)
+        s = is_principal(X, E - Drep)
         if A.pic_component(c).coordinates_of(s) is None:
             raise InternalInconsistency(
                 "covering element escaped its component")
@@ -1431,7 +1422,6 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     """
     A1 = curve_algebra(X, "canonical", basis=basis)
     A2 = curve_algebra(X, "full")
-    picdata = A1.lattice.picdata
     if box is None:
         box = lattice_box(A1.lattice, radius)
     hilbert_equal = True
@@ -1446,7 +1436,7 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
             continue
         D1 = A1.lattice.divisor_of(A1.rep(c))
         D2 = A2.lattice.divisor_of(A2.rep(c))
-        w = is_principal(X, D1 - D2, picdata)
+        w = is_principal(X, D1 - D2)
         witness[c] = w
         S2 = A2.pic_component(c)
         for f in A1.pic_component(c).basis:
@@ -1458,7 +1448,7 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
         c12 = _vadd(c1, c2)
         D1 = A1.lattice.divisor_of(A1.rep(c12))
         D2 = A2.lattice.divisor_of(A2.rep(c12))
-        if w1 * w2 != is_principal(X, D1 - D2, picdata):
+        if w1 * w2 != is_principal(X, D1 - D2):
             product_ok = False
     return {"classes": len(list(box)),
             "hilbert_equal": hilbert_equal,

@@ -167,20 +167,6 @@ class UniPoly(Immutable):
             acc = acc * x + c
         return acc
 
-    def root_multiplicity(self, a):
-        """Multiplicity of the root z = a (0 when a is not a root)."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero polynomial vanishes everywhere")
-        linear = UniPoly([-Fraction(a), Fraction(1)])
-        mult = 0
-        p = self
-        while True:
-            q, r = divmod(p, linear)
-            if not r.is_zero():
-                return mult
-            mult += 1
-            p = q
-
     def __str__(self):
         if not self.coeffs:
             return "0"

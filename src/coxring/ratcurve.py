@@ -293,14 +293,30 @@ class Divisor(Immutable):
 # orders and divisors of rational functions
 
 
-def order_at(f, p):
-    """Vanishing order of f at a point of the line (negative at poles)."""
+def leading_term(f, base):
+    """(k, c) with f = c * pi^k + terms of higher order at the base point,
+    c nonzero, where pi = z - base, or 1/z at infinity."""
     if f.is_zero():
         raise ZeroFunction("the zero function has no order")
-    if p.is_infinity():
-        return f.den.degree - f.num.degree
-    a = p.value
-    return f.num.root_multiplicity(a) - f.den.root_multiplicity(a)
+    if base.is_infinity():
+        return f.den.degree - f.num.degree, f.num.leading() / f.den.leading()
+    linear = UniPoly([-base.value, Fraction(1)])
+    parts = []
+    for p in (f.num, f.den):
+        k = 0
+        q, r = divmod(p, linear)
+        while r.is_zero():
+            p, k = q, k + 1
+            q, r = divmod(p, linear)
+        # the remainder modulo z - a is the value at a
+        parts.append((k, r.coeffs[0]))
+    (a, u), (b, v) = parts
+    return a - b, u / v
+
+
+def order_at(f, p):
+    """Vanishing order of f at a point of the line (negative at poles)."""
+    return leading_term(f, p)[0]
 
 
 def _divisors_of(n):
@@ -499,6 +515,18 @@ class SectionSpace(Immutable):
         return "SectionSpace(dim=%d, divisor=%s)" % (self._dim, self.divisor)
 
 
+def order_polynomials(orders):
+    """(W, V) for a map base point -> order: W is the product of (z - b)^c
+    over the finite bases b of order c > 0, V that of (z - b)^-c over those
+    of order c < 0."""
+    polys = [UniPoly.one(), UniPoly.one()]
+    for base, c in orders.items():
+        if c and not base.is_infinity():
+            linear = UniPoly([-base.value, Fraction(1)])
+            polys[c < 0] = polys[c < 0] * linear ** abs(c)
+    return tuple(polys)
+
+
 def section_space(X, D):
     """Basis of {f : div(f) + D >= 0 on X}, of dimension deg_min + 1.
 
@@ -506,17 +534,7 @@ def section_space(X, D):
     """
     mind = min_divisor(X, D)
     degmin = sum(mind.values())
-    wpoly = UniPoly.one()
-    vpoly = UniPoly.one()
-    for base in sorted(mind, key=lambda b: b.sort_key()):
-        c = mind[base]
-        if base.is_infinity():
-            continue
-        linear = UniPoly([-base.value, Fraction(1)])
-        if c > 0:
-            wpoly = wpoly * linear ** c
-        else:
-            vpoly = vpoly * linear ** (-c)
+    wpoly, vpoly = order_polynomials(mind)
     if degmin < 0:
         return SectionSpace(D, [], vpoly, wpoly)
     # every zero and pole of a basis element is a base of mind or z = 0
@@ -534,13 +552,6 @@ def section_space(X, D):
 
 # ---------------------------------------------------------------------------
 # Picard group
-
-
-def _linear_at(base):
-    """z - a for finite base, the constant 1 for infinity."""
-    if base.is_infinity():
-        return RationalFunction.one()
-    return RationalFunction(UniPoly([-base.value, Fraction(1)]))
 
 
 def picard_rank(X):
@@ -629,18 +640,6 @@ class PicardData(Immutable):
                     vec[i] += c
         return tuple(vec)
 
-    def moving_witness(self, D):
-        """g with div(g) = D - M where M is the special-supported divisor
-        given by class_of's moving step (identity on special support)."""
-        X = self.curve
-        anchor = X.special[0][0]
-        g = RationalFunction.one()
-        for point, c in D.coefficients.items():
-            if not X.is_special(point.base):
-                move = _linear_at(point.base) / _linear_at(anchor)
-                g = g * move ** c
-        return g
-
 
 def picard_group(X):
     """The Picard group with its class map.
@@ -653,44 +652,20 @@ def picard_group(X):
     return data, data.class_of
 
 
-def is_principal(X, D, _data=None):
+def is_principal(X, D):
     """Witness g with div(g) = D exactly, or a NotPrincipal error certified
-    by the nonzero Picard class."""
-    data = _data if _data is not None else PicardData(X)
-    vec = data.class_of(D)
-    if not data.contains_zero(vec):
-        raise NotPrincipal(vec)
-    # peel off ordinary support
-    g = data.moving_witness(D)
-    if g.is_zero():
-        raise InternalInconsistency("moving witness vanished")
-    anchor = X.special[0][0]
-    supp = [point.base for point in D.coefficients]
-    moved = divisor_on(g, X, supp + [anchor])
-    if moved is None:
-        raise InternalInconsistency(
-            "moving witness has a zero or pole off D and the anchor")
-    rem = D - moved
-    # rem is supported on special copies with equal coefficients per base
-    base_coeff = {}
-    for point, c in rem.coefficients.items():
-        b = base_coeff.setdefault(point.base, c)
-        if b != c:
-            raise InternalInconsistency(
-                "class-zero divisor with unequal copy coefficients")
-    for base, c in base_coeff.items():
-        if not X.is_special(base):
-            raise InternalInconsistency("residual support off special points")
-        for point in X.copies(base):
-            if rem.coefficient(point) != c:
-                raise InternalInconsistency(
-                    "class-zero divisor missing a copy")
-    for base, c in sorted(base_coeff.items(), key=lambda kv: kv[0].sort_key()):
-        if base == anchor:
-            continue
-        ratio = _linear_at(base) / _linear_at(anchor)
-        g = g * ratio ** c
-    witness = g
-    if divisor_on(witness, X, supp) != D:
+    by the nonzero Picard class.
+
+    D is principal exactly when it has one coefficient c_b on every copy of
+    each base b and these add up to zero; g is then the product of
+    (z - b)^c_b over the finite bases.
+    """
+    orders = {}
+    for point, c in D.coefficients.items():
+        orders.setdefault(point.base, c)
+    if sum(orders.values()) or _lift_orders(X, orders) != D:
+        raise NotPrincipal(PicardData(X).class_of(D))
+    witness = RationalFunction(*order_polynomials(orders))
+    if divisor_on(witness, X, orders) != D:
         raise InternalInconsistency("principal witness fails verification")
     return witness

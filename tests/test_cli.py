@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from coxring import cli, coxalg, grading
+from coxring import cli, coxalg, grading, ratcurve
 from coxring import exactmath as em
 from coxring.coxalg import Fail
 from coxring.grading import BoxTooLarge
@@ -109,14 +109,16 @@ class TestCurveCommand:
 
 
 class TestSmithFormCount:
-    """A curve's class group is free with closed-form coordinates and the
-    monomial enumeration plans solve their systems by the Hermite split:
-    no curve run computes a Smith form, certified or not, even with every
-    plan built afresh."""
+    """A curve's class group is free with closed-form coordinates, the
+    monomial enumeration plans solve their systems by the Hermite split and
+    the verification checks decide generation by a Hermite form: no curve
+    run computes a Smith form, certified or not, even with every plan built
+    afresh."""
 
     @pytest.mark.parametrize("args", [
         ("curve", "--lambda", "canonical"), ("curve", "--lambda", "full"),
-        ("crosscheck",)], ids=["canonical", "full", "crosscheck"])
+        ("crosscheck",), ("verify",)],
+        ids=["canonical", "full", "crosscheck", "verify"])
     @pytest.mark.parametrize(
         "name", sorted(p.name for p in FIXTURES.glob("*_line.json")))
     def test_smith_forms_only_in_enumeration_plans(self, capsys,
@@ -138,7 +140,7 @@ class TestSmithFormCount:
         assert code == 0
         # a crosscheck enumerates no monomials; a presentation builds plans
         assert (em._enumeration_plan.cache_info().misses > 0) == (
-            args[0] == "curve")
+            args[0] != "crosscheck")
         assert counts == {"certified": 0, "smith": 0}
 
 
@@ -455,6 +457,18 @@ class TestErrors:
         assert out == ""
         assert err == ("error: internal inconsistency: representatives "
                        "disagree on rank\n")
+
+    def test_wrong_principal_witness_exits_three(self, capsys, monkeypatch):
+        # the full lattice's shifting family asks for kernel witnesses
+        honest = ratcurve.order_polynomials
+        monkeypatch.setattr(ratcurve, "order_polynomials",
+                            lambda orders: honest(orders)[::-1])
+        code, out, err = run_cli(capsys, "crosscheck",
+                                 fixture("tripled_line.json"), "--box", "1")
+        assert code == 3
+        assert out == ""
+        assert err == ("error: internal inconsistency: principal witness "
+                       "fails verification\n")
 
 
 class TestStartUp:

@@ -33,6 +33,7 @@ from coxring.coxalg import (
     Pass,
     Presentation,
     Separated,
+    _cokernel,
     _degree_weights,
     _poly_class,
     _total_degree,
@@ -70,6 +71,7 @@ from coxring.exactmath import (
     parse_rational_function,
 )
 from coxring.grading import FGAbelianGroup
+from coxring.toric import class_group, fan_from_json
 from coxring.ratcurve import (
     CurvePoint,
     Divisor,
@@ -959,6 +961,63 @@ class TestWeightMonoid:
     def test_trivial_group_with_no_generators(self):
         assert isinstance(weight_monoid_check(FGAbelianGroup(0, []), []),
                           Pass)
+
+
+@st.composite
+def groups_with_vectors(draw, max_rank=3):
+    """A group of ambient rank at most max_rank, its relations mixing
+    multiples of unit vectors (torsion) with arbitrary columns, and a few
+    vectors in it."""
+    n = draw(st.integers(min_value=0, max_value=max_rank))
+    column = st.lists(st.integers(min_value=-3, max_value=3),
+                      min_size=n, max_size=n).map(tuple)
+    relations = draw(st.lists(column, max_size=2))
+    if n:
+        for i, k in draw(st.lists(st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=2, max_value=4)), max_size=2)):
+            relations.append(tuple(k * (t == i) for t in range(n)))
+    return FGAbelianGroup(n, relations), draw(st.lists(column, max_size=4))
+
+
+class TestCokernel:
+    """_cokernel's Hermite test against the Smith form of the quotient."""
+
+    @staticmethod
+    def _assert_agrees(group, vectors):
+        quotient = FGAbelianGroup(group.ambient_rank,
+                                  list(vectors) + list(group.relations))
+        got = _cokernel(group, vectors)
+        if quotient.is_trivial():
+            assert got is None
+        else:
+            assert got == quotient.describe()
+
+    @given(groups_with_vectors())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_smith_form(self, case):
+        self._assert_agrees(*case)
+
+    def test_torsion_fan(self):
+        path = pathlib.Path(__file__).parent / "fixtures" / "torsion_fan.json"
+        group, degrees = class_group(fan_from_json(
+            json.loads(path.read_text(encoding="utf-8"))))
+        assert group.invariant_factors == (2,)
+        for k in range(len(degrees) + 1):
+            for subset in itertools.combinations(degrees, k):
+                self._assert_agrees(group, list(subset))
+        assert _cokernel(group, []) == {"rank": 0, "invariant_factors": [2]}
+        assert _cokernel(group, degrees[:1]) is None
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_curve_generator_degrees(self, name):
+        X = FIXTURE_CURVES[name]
+        A = curve_algebra(X)
+        degrees = [d for d, _ in build_presentation(
+            A, default_box(X, 1)).generators]
+        for k in range(len(degrees) + 1):
+            for subset in itertools.combinations(degrees, k):
+                self._assert_agrees(A.pic, list(subset))
 
 
 def polynomial_ring_presentation(degrees):

@@ -91,13 +91,6 @@ class TestUniPoly:
         assert (b % g).is_zero()
         assert g.leading() == 1
 
-    def test_root_multiplicity(self):
-        # (z - 2)^3 * (z + 1)
-        p = (UniPoly([-2, 1]) ** 3) * UniPoly([1, 1])
-        assert p.root_multiplicity(2) == 3
-        assert p.root_multiplicity(-1) == 1
-        assert p.root_multiplicity(5) == 0
-
     def test_str(self):
         p = UniPoly([Fraction(3, 2), -2, 1])
         assert str(p) == "z^2 - 2*z + 3/2"

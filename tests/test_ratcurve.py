@@ -14,18 +14,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxring import exactmath as em
+from coxring import ratcurve
 from coxring.exactmath import RationalFunction, UniPoly
 from coxring.ratcurve import (
     CurvePoint,
     Divisor,
     GluedCurve,
+    InternalInconsistency,
     NotPrincipal,
     P1Point,
+    PicardData,
     ZeroFunction,
     curve_from_json,
     curve_to_json,
     divisor_on,
     is_principal,
+    leading_term,
     min_divisor,
     min_degree,
     order_at,
@@ -87,6 +91,24 @@ def divisors_on(draw, X, max_points=3, max_coeff=3):
         st.integers(min_value=-max_coeff, max_value=max_coeff).filter(bool),
         min_size=k, max_size=k))
     return Divisor({p: c for p, c in zip(chosen, coeffs)})
+
+
+@st.composite
+def principal_divisors_on(draw, X, max_bases=3, max_coeff=3):
+    """Divisors with one order per base on all its copies, the orders
+    adding up to zero: the principal divisors, which divisors_on rarely
+    draws."""
+    bases = [b for b, _ in X.special]
+    bases += [pt(v) for v in POINT_POOL if not X.is_special(pt(v))]
+    k = draw(st.integers(min_value=0, max_value=max_bases))
+    chosen = draw(st.permutations(bases))[:k]
+    orders = draw(st.lists(
+        st.integers(min_value=-max_coeff, max_value=max_coeff),
+        min_size=k, max_size=k))
+    if orders:
+        orders[-1] -= sum(orders)
+    return Divisor({q: c for b, c in zip(chosen, orders)
+                    for q in X.copies(b)})
 
 
 @st.composite
@@ -163,6 +185,17 @@ class TestOrderAt:
     def test_zero_function(self):
         with pytest.raises(ZeroFunction):
             order_at(RationalFunction.zero(), pt(0))
+
+    def test_leading_term_of_zero_function(self):
+        with pytest.raises(ZeroFunction):
+            leading_term(RationalFunction.zero(), pt(1))
+
+    def test_orders_of_a_polynomial(self):
+        # (z - 2)^3 * (z + 1)
+        f = RationalFunction((UniPoly([-2, 1]) ** 3) * UniPoly([1, 1]))
+        assert order_at(f, pt(2)) == 3
+        assert order_at(f, pt(-1)) == 1
+        assert order_at(f, pt(5)) == 0
 
     @given(factored_functions(), factored_functions())
     def test_additive_on_products(self, f, g):
@@ -485,3 +518,140 @@ class TestIsPrincipal:
             assert not Pic.contains_zero(class_of(D))
             return
         assert principal_divisor(w, X) == D
+
+
+# ---------------------------------------------------------------------------
+# oracles: the moving-step witness search and the root-multiplicity orders
+# that the closed forms replaced, kept as they were
+
+
+def _root_multiplicity(poly, a):
+    linear = UniPoly([-Fraction(a), Fraction(1)])
+    mult = 0
+    while True:
+        q, r = divmod(poly, linear)
+        if not r.is_zero():
+            return mult
+        mult += 1
+        poly = q
+
+
+def _oracle_order_at(f, p):
+    if p.is_infinity():
+        return f.den.degree - f.num.degree
+    return (_root_multiplicity(f.num, p.value)
+            - _root_multiplicity(f.den, p.value))
+
+
+def _oracle_leading_term(f, base):
+    if base.is_infinity():
+        return f.den.degree - f.num.degree, f.num.leading() / f.den.leading()
+    linear = UniPoly([-base.value, Fraction(1)])
+    parts = []
+    for p in (f.num, f.den):
+        k = 0
+        q, r = divmod(p, linear)
+        while r.is_zero():
+            p, k = q, k + 1
+            q, r = divmod(p, linear)
+        parts.append((k, p.eval(base.value)))
+    (a, u), (b, v) = parts
+    return a - b, u / v
+
+
+def _linear_at(base):
+    if base.is_infinity():
+        return RationalFunction.one()
+    return RationalFunction(UniPoly([-base.value, Fraction(1)]))
+
+
+def _oracle_is_principal(X, D):
+    """Move ordinary support onto the anchor, then cancel the class-zero
+    remainder base by base against the anchor."""
+    data = PicardData(X)
+    vec = data.class_of(D)
+    if not data.contains_zero(vec):
+        raise NotPrincipal(vec)
+    anchor = X.special[0][0]
+    g = RationalFunction.one()
+    for point, c in D.coefficients.items():
+        if not X.is_special(point.base):
+            g = g * (_linear_at(point.base) / _linear_at(anchor)) ** c
+    supp = [point.base for point in D.coefficients]
+    rem = D - divisor_on(g, X, supp + [anchor])
+    base_coeff = {}
+    for point, c in rem.coefficients.items():
+        assert base_coeff.setdefault(point.base, c) == c
+    for base, c in base_coeff.items():
+        assert X.is_special(base)
+        assert all(rem.coefficient(q) == c for q in X.copies(base))
+    for base, c in sorted(base_coeff.items(), key=lambda kv: kv[0].sort_key()):
+        if base != anchor:
+            g = g * (_linear_at(base) / _linear_at(anchor)) ** c
+    assert divisor_on(g, X, supp) == D
+    return g
+
+
+def _outcome(decide, X, D):
+    try:
+        return decide(X, D)
+    except NotPrincipal as exc:
+        return exc.class_vector
+
+
+class TestClosedFormAgainstSearch:
+    """The closed-form witness and leading term against the search and the
+    orders they replaced."""
+
+    @given(factored_functions())
+    def test_orders_match_root_multiplicities(self, f):
+        for v in POINT_POOL + [5]:
+            assert order_at(f, pt(v)) == _oracle_order_at(f, pt(v))
+
+    @given(curves(), factored_functions())
+    def test_leading_terms_match(self, X, f):
+        bases = [b for b, _ in X.special]
+        bases += [pt(v) for v in POINT_POOL if not X.is_special(pt(v))]
+        for base in bases:
+            assert leading_term(f, base) == _oracle_leading_term(f, base)
+
+    @given(curves(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_divisors_match(self, X, data):
+        D = data.draw(divisors_on(X))
+        assert (_outcome(is_principal, X, D)
+                == _outcome(_oracle_is_principal, X, D))
+
+    @given(curves(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_principal_divisors_match(self, X, data):
+        D = data.draw(principal_divisors_on(X))
+        w = is_principal(X, D)
+        assert isinstance(w, RationalFunction)
+        assert w == _oracle_is_principal(X, D)
+
+    def test_wrong_witness_is_caught(self, monkeypatch):
+        honest = ratcurve.order_polynomials
+        monkeypatch.setattr(ratcurve, "order_polynomials",
+                            lambda orders: honest(orders)[::-1])
+        D = Divisor({cp(0): 1, cp(0, 1): 1, cp("inf"): -1, cp("inf", 1): -1})
+        with pytest.raises(InternalInconsistency):
+            is_principal(tripled_line(), D)
+
+    def test_principal_divisor_builds_no_picard_data(self, monkeypatch):
+        calls = []
+        init = PicardData.__init__
+
+        def counting(self, X):
+            calls.append(X)
+            init(self, X)
+
+        monkeypatch.setattr(PicardData, "__init__", counting)
+        X = tripled_line()
+        D = Divisor({cp(0): 2, cp(0, 1): 2, cp(1): -1, cp(1, 1): -1,
+                     cp(5): -1})
+        assert is_principal(X, D) == Z ** 2 / ((Z - ONE) * (Z - 5 * ONE))
+        assert calls == []
+        with pytest.raises(NotPrincipal):
+            is_principal(X, Divisor({cp(0): 1}))
+        assert calls == [X]
