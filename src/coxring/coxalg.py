@@ -37,6 +37,7 @@ from .ratcurve import (
     NotPrincipal,
     P1Point,
     PicardData,
+    _lift_orders,
     divisor_on,
     is_principal,
     leading_term,
@@ -278,17 +279,22 @@ class LineBundleLattice(Immutable):
         return Divisor(zip(self.curve.special_copies(),
                            self.copy_vector(vec)))
 
-    def min_orders(self, vec):
-        """Least coefficient of the divisor of vec over the copies of each
-        special base, in input order: min_divisor read from the copy vector,
-        with no Divisor built."""
+    def blocks(self, vec):
+        """The copy vector of the divisor of vec cut into one tuple per
+        special base, in input order."""
         coeffs = self.copy_vector(vec)
         out = []
         start = 0
         for _, m in self.curve.special:
-            out.append(min(coeffs[start:start + m]))
+            out.append(coeffs[start:start + m])
             start += m
-        return tuple(out)
+        return out
+
+    def min_orders(self, vec):
+        """Least coefficient of the divisor of vec over the copies of each
+        special base, in input order: min_divisor read from the copy vector,
+        with no Divisor built."""
+        return tuple(min(block) for block in self.blocks(vec))
 
     def kernel_basis(self):
         """HNF row basis of the lattice degrees of class zero."""
@@ -303,11 +309,14 @@ def _identity(n):
 
 
 def _combination(coeffs, vectors, length):
-    """sum_i coeffs[i] * vectors[i], skipping zero coefficients."""
+    """sum_i coeffs[i] * vectors[i], skipping zero coefficients and zero
+    entries (the columns and lifts of the default bases are unit vectors)."""
     out = [0] * length
     for c, v in zip(coeffs, vectors):
         if c:
-            out = [a + c * b for a, b in zip(out, v)]
+            for i, b in enumerate(v):
+                if b:
+                    out[i] += c * b
     return tuple(out)
 
 
@@ -1410,47 +1419,132 @@ def graded_homs_equivalent(mu, nu, grading=None):
     return Equivalent(dict(zip(degrees, ratios)))
 
 
+def _representative_moves(A):
+    """The move of the crosscheck's representatives on the full lattice A.
+
+    One pair (position, relation) per special point p after the anchor: the
+    ambient position of p's first copy and p's relation in
+    PicardData.relations.  The full lattice's basis is the special copies,
+    so a relation is also a lattice vector of class zero.  Class c is read
+    at A.rep(c) plus c[position] times the relation, summed over the pairs.
+    """
+    X = A.curve
+    return tuple((X.copy_position(CurvePoint(p, 0)), rel)
+                 for (p, _), rel in zip(X.special[1:], A.pic.relations))
+
+
+def _witness_orders(blocks1, blocks2):
+    """Per-base orders e of the witness of D1 - D2, read from the blocks of
+    their copy vectors (LineBundleLattice.blocks): e_b is the difference on
+    the copies of base b.  None when D1 - D2 is not principal: it differs
+    between two copies of a base, or the orders do not add up to zero."""
+    e = []
+    for x, y in zip(blocks1, blocks2):
+        d = x[0] - y[0]
+        if any(a - b != d for a, b in zip(x, y)):
+            return None
+        e.append(d)
+    return None if sum(e) else tuple(e)
+
+
+def _class_orders(A1, A2, moves, c):
+    """(m1, m2, e) for class c: the least coefficients per special base of
+    D1, the divisor of A1.rep(c), and of D2, that of the moved
+    representative of c on the full lattice A2, and the witness orders of
+    D1 - D2 (None when it is not principal)."""
+    L2 = A2.rep(c)
+    for pos, rel in moves:
+        k = c[pos]
+        if k:
+            L2 = [a + k * r for a, r in zip(L2, rel)]
+    b1 = A1.lattice.blocks(A1.rep(c))
+    b2 = A2.lattice.blocks(L2)
+    return (tuple(min(x) for x in b1), tuple(min(y) for y in b2),
+            _witness_orders(b1, b2))
+
+
 def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     """Agreement of the two lattice pipelines on one curve.
 
-    Builds the class-graded algebra once from a kernel-free lattice and once
-    from the full lattice with its shifting family, then verifies equal
-    dimension tables over the box and exhibits the degreewise isomorphism:
-    multiplication by the witness of the difference of representatives.
-    Those witnesses multiply along sums of classes, which is the product
+    Builds the class-graded algebra A1 from a kernel-free lattice and A2
+    from the full lattice with its shifting family.  A class c is read in
+    A1 at D1, the divisor of A1.rep(c), and in A2 at D2, the divisor of a
+    representative moved along the class relations (_representative_moves),
+    so that D1 - D2 is a nonzero principal divisor on most classes.  The
+    check verifies equal dimension tables over the box and exhibits the
+    degreewise isomorphism, multiplication by the witness w of D1 - D2;
+    the witnesses multiply along sums of classes, which is the product
     compatibility of the isomorphism.
+
+    All of it is decided on per-base integer orders (_class_orders); no
+    section space, divisor or function is built per class.  The component
+    of a divisor D depends only on m_b, the least coefficient of D over the
+    copies of each base b (min_orders): it is V q / W with W the product of
+    (z - b)^m_b over the finite bases with m_b > 0, V that of (z - b)^-m_b
+    over those with m_b < 0, and q any polynomial of degree at most
+    Σ_b m_b, infinity included.  Its dimension is max(0, Σ_b m_b + 1).
+
+    Witness.  A principal divisor has one order at all copies of a base,
+    and these orders add up to zero; conversely such orders e_b are the
+    divisor of w = ∏ (z - b)^e_b over the finite bases, whose order at
+    infinity is -Σ e_b over the finite ones.  So D1 - D2 is principal
+    exactly when its copy vector is constant, e_b, on the copies of every
+    base and Σ e_b = 0 (_witness_orders).
+
+    Landing.  For f = V1 q / W1 in the component of D1,
+    f w = V2 q' / W2 with q' = q · V1 W2 w / (W1 V2).  At a finite base b
+    the exponent of z - b in V1 W2 w / (W1 V2) is m2_b - m1_b + e_b.  When
+    the component is nonzero, q = 1 lies in it, so q' is a polynomial for
+    every q exactly when all these exponents are >= 0.  q = z^(Σ m1) then
+    gives deg q' = Σ_b m1_b + Σ_finite (m2_b - m1_b + e_b), at most the
+    bound Σ_b m2_b exactly when m2_inf >= m1_inf - e_inf.  So
+    multiplication by w maps the component of D1 into that of D2 exactly
+    when m2_b >= m1_b - e_b at every base, infinity included (at an
+    ordinary base m1 = m2 = e = 0).  w is nonzero, so the map is injective,
+    and with equal dimensions it is an isomorphism.
+
+    Product.  The witnesses are monic, so w(c1) w(c2) = w(c1 + c2) exactly
+    when e(c1) + e(c2) = e(c1 + c2).  This is checked for each pair of
+    consecutive classes.
+
+    One exact is_principal check per distinct witness order vector builds
+    the witness and verifies its divisor, which ties the integers back to
+    functions.
     """
     A1 = curve_algebra(X, "canonical", basis=basis)
     A2 = curve_algebra(X, "full")
     if box is None:
         box = lattice_box(A1.lattice, radius)
+    box = [tuple(int(x) for x in c) for c in box]
+    moves = _representative_moves(A2)
     hilbert_equal = True
     iso_verified = True
     witness = {}
     for c in box:
-        c = tuple(int(x) for x in c)
-        d1 = A1.component_dim(c)
-        d2 = A2.component_dim(c)
-        if d1 != d2:
+        m1, m2, e = _class_orders(A1, A2, moves, c)
+        dim = max(0, sum(m1) + 1)
+        if dim != max(0, sum(m2) + 1):
             hilbert_equal = False
             continue
-        D1 = A1.lattice.divisor_of(A1.rep(c))
-        D2 = A2.lattice.divisor_of(A2.rep(c))
-        w = is_principal(X, D1 - D2)
-        witness[c] = w
-        S2 = A2.pic_component(c)
-        for f in A1.pic_component(c).basis:
-            if S2.coordinates_of(f * w) is None:
-                iso_verified = False
+        if e is None:
+            iso_verified = False
+            continue
+        witness[c] = e
+        if dim and any(y < x - k for x, y, k in zip(m1, m2, e)):
+            iso_verified = False
+    bases = [p for p, _ in X.special]
+    for e in dict.fromkeys(witness.values()):
+        try:
+            is_principal(X, _lift_orders(X, dict(zip(bases, e))))
+        except NotPrincipal:
+            iso_verified = False
     product_ok = True
     items = list(witness.items())
-    for (c1, w1), (c2, w2) in zip(items, items[1:]):
-        c12 = _vadd(c1, c2)
-        D1 = A1.lattice.divisor_of(A1.rep(c12))
-        D2 = A2.lattice.divisor_of(A2.rep(c12))
-        if w1 * w2 != is_principal(X, D1 - D2):
+    for (c1, e1), (c2, e2) in zip(items, items[1:]):
+        e12 = _class_orders(A1, A2, moves, _vadd(c1, c2))[2]
+        if e12 is None or _vadd(e1, e2) != e12:
             product_ok = False
-    return {"classes": len(list(box)),
+    return {"classes": len(box),
             "hilbert_equal": hilbert_equal,
             "iso_verified": iso_verified,
             "witness_multiplicative": product_ok}

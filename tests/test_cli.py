@@ -325,6 +325,57 @@ class TestCrosscheckCommand:
         assert json.loads(out)["agreed"] is False
 
 
+class TestCrosscheckMutations:
+    """A fault in either pipeline or in the witness makes crosscheck report
+    disagreement: exit 2 with a report, never a traceback."""
+
+    @staticmethod
+    def _assert_disagrees(capsys):
+        code, out, err = run_cli(capsys, "crosscheck",
+                                 fixture("tripled_line.json"), "--box", "1")
+        assert code == 2
+        assert err == ""
+        assert json.loads(out)["agreed"] is False
+
+    def test_witness_order_off_by_one(self, capsys, monkeypatch):
+        honest = coxalg._witness_orders
+
+        def off_by_one(blocks1, blocks2):
+            e = honest(blocks1, blocks2)
+            return None if e is None else (e[0] + 1,) + e[1:]
+
+        monkeypatch.setattr(coxalg, "_witness_orders", off_by_one)
+        self._assert_disagrees(capsys)
+
+    def test_representative_moved_by_non_principal_divisor(
+            self, capsys, monkeypatch):
+        honest = coxalg._representative_moves
+
+        def first_copy_moves(A):
+            # each move adds a single copy of the point: a nonzero class
+            return tuple((pos, tuple(int(i == pos) for i in range(len(rel))))
+                         for pos, rel in honest(A))
+
+        monkeypatch.setattr(coxalg, "_representative_moves",
+                            first_copy_moves)
+        self._assert_disagrees(capsys)
+
+    def test_swapped_basis_columns_in_one_pipeline(self, capsys,
+                                                   monkeypatch):
+        honest = coxalg.curve_algebra
+
+        def swapped(X, mode="canonical", basis=None):
+            A = honest(X, mode, basis)
+            if mode == "full":
+                cols = list(A.lattice.columns)
+                cols[0], cols[2] = cols[2], cols[0]
+                object.__setattr__(A.lattice, "columns", tuple(cols))
+            return A
+
+        monkeypatch.setattr(coxalg, "curve_algebra", swapped)
+        self._assert_disagrees(capsys)
+
+
 class TestDeterminism:
     def test_identical_bytes_across_runs(self, capsys):
         _, first, _ = run_cli(capsys, "verify", fixture("plane_fan.json"))

@@ -38,6 +38,7 @@ from coxring.coxalg import (
     _poly_class,
     _total_degree,
     _traversal,
+    _vadd,
     _variable_ideal_members,
     _vsub,
     build_presentation,
@@ -53,6 +54,7 @@ from coxring.coxalg import (
     ideal_membership,
     irrelevant_sections,
     is_pointed,
+    lattice_box,
     sections_as_polynomials,
     separatedness_check,
     shift,
@@ -77,9 +79,12 @@ from coxring.ratcurve import (
     Divisor,
     GluedCurve,
     InternalInconsistency,
+    NotPrincipal,
     P1Point,
     PicardData,
     curve_from_json,
+    is_principal,
+    order_at,
     principal_divisor,
     section_space,
 )
@@ -1473,6 +1478,192 @@ class TestUniquenessCrosscheck:
         assert report == {"classes": 3, "hilbert_equal": True,
                           "iso_verified": True,
                           "witness_multiplicative": True}
+
+
+def _moved(A, c):
+    """The full lattice's representative of c plus c[first copy of p] times
+    the relation of p, for each special point p after the anchor."""
+    X = A.curve
+    L = list(A.rep(c))
+    for (p, _), rel in zip(X.special[1:], A.pic.relations):
+        k = c[X.copy_position(CurvePoint(p, 0))]
+        L = [a + k * r for a, r in zip(L, rel)]
+    return tuple(L)
+
+
+def _section_space_crosscheck(X, box=None, radius=2, basis=None,
+                              mutate=None):
+    """The crosscheck on section spaces and functions, kept as the oracle of
+    the order-vector one: the same verdicts, read at the same moved
+    representatives.  Returns the report and the witness of every class.
+    mutate, when given, is applied to the full algebra before any read."""
+    A1 = curve_algebra(X, "canonical", basis=basis)
+    A2 = curve_algebra(X, "full")
+    if mutate is not None:
+        mutate(A2)
+    if box is None:
+        box = lattice_box(A1.lattice, radius)
+    box = [tuple(c) for c in box]
+
+    def difference(c):
+        return (A1.lattice.divisor_of(A1.rep(c))
+                - A2.lattice.divisor_of(_moved(A2, c)))
+
+    hilbert_equal = iso_verified = True
+    witness = {}
+    for c in box:
+        S1 = A1.pic_component(c)
+        S2 = A2.base.component(_moved(A2, c))
+        if S1.dim != S2.dim:
+            hilbert_equal = False
+            continue
+        try:
+            w = is_principal(X, difference(c))
+        except NotPrincipal:
+            iso_verified = False
+            continue
+        witness[c] = w
+        if any(S2.coordinates_of(f * w) is None for f in S1.basis):
+            iso_verified = False
+    product_ok = True
+    items = list(witness.items())
+    for (c1, w1), (c2, w2) in zip(items, items[1:]):
+        try:
+            if w1 * w2 != is_principal(X, difference(_vadd(c1, c2))):
+                product_ok = False
+        except NotPrincipal:
+            product_ok = False
+    report = {"classes": len(box), "hilbert_equal": hilbert_equal,
+              "iso_verified": iso_verified,
+              "witness_multiplicative": product_ok}
+    return report, witness
+
+
+def _recorded_orders(monkeypatch):
+    """Record the witness orders of every class the crosscheck reads."""
+    seen = {}
+    honest = coxalg._class_orders
+
+    def recording(A1, A2, moves, c):
+        out = honest(A1, A2, moves, c)
+        seen[c] = out[2]
+        return out
+
+    monkeypatch.setattr(coxalg, "_class_orders", recording)
+    return seen
+
+
+def _swap_first_columns(A):
+    cols = list(A.lattice.columns)
+    cols[0], cols[1] = cols[1], cols[0]
+    object.__setattr__(A.lattice, "columns", tuple(cols))
+
+
+class TestCrosscheckOracle:
+    """The order-vector crosscheck against the section-space one at the
+    same moved representatives."""
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in FIXTURE_CURVES if n.endswith("_line")))
+    def test_fixtures(self, monkeypatch, name):
+        X = FIXTURE_CURVES[name]
+        seen = _recorded_orders(monkeypatch)
+        report = uniqueness_crosscheck(X, radius=1)
+        expected, witness = _section_space_crosscheck(X, radius=1)
+        assert report == expected
+        assert all(expected.values())
+        # every class witness has the recorded orders at every base
+        for c, w in witness.items():
+            assert tuple(order_at(w, p) for p, _ in X.special) == seen[c]
+
+    def test_explicit_basis(self):
+        args = (tripled_line(), tripled_box(), 2, explicit_basis())
+        assert (uniqueness_crosscheck(*args)
+                == _section_space_crosscheck(*args)[0])
+
+    @given(small_curves(max_mult=3))
+    @settings(max_examples=25, deadline=None)
+    def test_hypothesis_curves(self, X):
+        box = lattice_box(canonical_lambda(X), 1)
+        # at most about 150 classes of the box, spread over all of it
+        box = box[::max(1, len(box) // 150)]
+        assert (uniqueness_crosscheck(X, box=box)
+                == _section_space_crosscheck(X, box=box)[0])
+
+    def test_swapped_columns_fail_in_both(self, monkeypatch):
+        honest = coxalg.curve_algebra
+
+        def swapped(X, mode="canonical", basis=None):
+            A = honest(X, mode, basis)
+            if mode == "full":
+                _swap_first_columns(A)
+            return A
+
+        expected, _ = _section_space_crosscheck(
+            tripled_line(), radius=1, mutate=_swap_first_columns)
+        monkeypatch.setattr(coxalg, "curve_algebra", swapped)
+        report = uniqueness_crosscheck(tripled_line(), radius=1)
+        assert report == expected
+        assert not (report["hilbert_equal"] and report["iso_verified"])
+
+    def test_witness_orders(self):
+        assert coxalg._witness_orders([(1, 1), (2, 2)],
+                                      [(0, 0), (3, 3)]) == (1, -1)
+        # differs between the copies of a base
+        assert coxalg._witness_orders([(1, 2)], [(0, 0)]) is None
+        # constant on the copies, but the orders add up to 1
+        assert coxalg._witness_orders([(1, 1), (0,)], [(0, 0), (0,)]) is None
+
+    def test_misread_orders_fail_to_land(self, monkeypatch):
+        # the full pipeline's least coefficients moved by -1 at the first
+        # base and +1 at the second: equal dimensions, the same principal
+        # witness, but the components no longer match
+        honest = coxalg._class_orders
+
+        def misread(A1, A2, moves, c):
+            m1, m2, e = honest(A1, A2, moves, c)
+            return m1, (m2[0] - 1, m2[1] + 1) + m2[2:], e
+
+        monkeypatch.setattr(coxalg, "_class_orders", misread)
+        report = uniqueness_crosscheck(tripled_line(), radius=1)
+        assert report["hilbert_equal"] and report["witness_multiplicative"]
+        assert not report["iso_verified"]
+
+    @pytest.mark.parametrize("name", ["tripled_line", "mixed_line"])
+    def test_most_witnesses_are_not_one(self, monkeypatch, name):
+        X = FIXTURE_CURVES[name]
+        seen = _recorded_orders(monkeypatch)
+        box = lattice_box(canonical_lambda(X), 1)
+        assert uniqueness_crosscheck(X, box=box)["iso_verified"]
+        nontrivial = sum(1 for c in box if any(seen[c]))
+        assert 2 * nontrivial >= len(box)
+
+    def test_generator_box_counts_every_class(self):
+        box = tripled_box()
+        report = uniqueness_crosscheck(tripled_line(), box=iter(box),
+                                       basis=explicit_basis())
+        assert report["classes"] == len(box) == 625
+
+    def test_no_section_space_and_one_check_per_witness(self, monkeypatch):
+        counts = {"section_space": 0, "is_principal": 0}
+
+        def counting(name, fn):
+            def wrapped(*a, **kw):
+                counts[name] += 1
+                return fn(*a, **kw)
+            return wrapped
+
+        monkeypatch.setattr(coxalg, "section_space",
+                            counting("section_space", section_space))
+        monkeypatch.setattr(coxalg, "is_principal",
+                            counting("is_principal", is_principal))
+        seen = _recorded_orders(monkeypatch)
+        box = lattice_box(canonical_lambda(tripled_line()), 1)
+        uniqueness_crosscheck(tripled_line(), box=box)
+        distinct = {seen[c] for c in box}
+        # the full lattice's two kernel witnesses, then one per vector
+        assert counts == {"section_space": 0,
+                          "is_principal": 2 + len(distinct)}
 
 
 class TestPicardDataReuse:
