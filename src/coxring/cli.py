@@ -71,18 +71,6 @@ def _verdict_entry(verdict, **context):
     return dict(_plain(verdict.to_json()), **context)
 
 
-def _pointed_entry(report):
-    if not report["a0_is_field"] or report["units_are_constants"] == "fail":
-        verdict = "fail"
-    elif report["units_are_constants"] == "inconclusive":
-        verdict = "inconclusive"
-    else:
-        verdict = "pass"
-    return {"verdict": verdict, "a0_is_field": report["a0_is_field"],
-            "units_are_constants": report["units_are_constants"],
-            "witness": _plain(report["witness"]), "note": report["note"]}
-
-
 def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -93,16 +81,16 @@ def _load(path):
         raise InputError("%s is not valid JSON: %s" % (path, exc)) from exc
 
 
-def _load_curve(path):
+def _parse_curve(path, data):
     try:
-        return curve_from_json(_load(path))
+        return curve_from_json(data)
     except ValueError as exc:
         raise InputError("%s: %s" % (path, exc)) from exc
 
 
-def _load_fan(path):
+def _parse_fan(path, data):
     try:
-        return fan_from_json(_load(path))
+        return fan_from_json(data)
     except MalformedFan as exc:
         raise InputError("%s: %s" % (path, exc)) from exc
 
@@ -140,7 +128,7 @@ def _curve_pipeline(X, box_radius, lambda_mode):
 
 
 def _run_curve(path, options):
-    X = _load_curve(path)
+    X = _parse_curve(path, _load(path))
     A, _, P = _curve_pipeline(X, options["box_radius"],
                               options["lambda"])
     report = {
@@ -154,7 +142,7 @@ def _run_curve(path, options):
 
 
 def _run_toric(path, options):
-    fan = _load_fan(path)
+    fan = _parse_fan(path, _load(path))
     data = toric_cox_data(fan)
     P = cox_presentation(fan, options["box_radius"])
     report = {
@@ -176,7 +164,7 @@ def _run_verify(path, options):
     checks = {}
     if isinstance(data, dict) and "special" in data:
         kind = "curve"
-        X = _load_curve(path)
+        X = _parse_curve(path, data)
         _refuse_many_irrelevant(X)
         if options["box_radius"] == 0:
             raise BoxTooSmall(
@@ -187,7 +175,7 @@ def _run_verify(path, options):
                                     options["lambda"])
         checks["weight_monoid"] = _verdict_entry(
             weight_monoid_check(A.pic, [d for d, _ in P.generators]))
-        checks["pointed"] = _pointed_entry(is_pointed(A, box))
+        checks["pointed"] = _verdict_entry(is_pointed(A, box))
         elems = irrelevant_sections(A)
         checks["separatedness"] = _verdict_entry(
             separatedness_check(A, elems, levels=2), levels=2)
@@ -198,7 +186,7 @@ def _run_verify(path, options):
             power_bound=options["power_bound"])
     elif isinstance(data, dict) and "rays" in data:
         kind = "toric"
-        fan = _load_fan(path)
+        fan = _parse_fan(path, data)
         group, degrees = class_group(fan)
         P = cox_presentation(fan, options["box_radius"])
         checks["weight_monoid"] = _verdict_entry(
@@ -230,15 +218,14 @@ def _run_verify(path, options):
 
 
 def _run_crosscheck(path, options):
-    X = _load_curve(path)
+    X = _parse_curve(path, _load(path))
     _refuse_large_curve_box(X, options["box_radius"])
-    result = uniqueness_crosscheck(X, radius=options["box_radius"])
-    agreed = (result["hilbert_equal"] and result["iso_verified"]
-              and result["witness_multiplicative"])
+    verdict = uniqueness_crosscheck(X, radius=options["box_radius"])
+    agreed = verdict.verdict == "pass"
     report = {
         "mode": "crosscheck",
         "options": options,
-        "result": dict(result),
+        "result": dict(verdict.fields),
         "agreed": agreed,
     }
     return report, (0 if agreed else 2)

@@ -16,6 +16,7 @@ import itertools
 import math
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .exactmath import (
     Immutable,
@@ -67,8 +68,8 @@ class GeneratorsIncomplete(Exception):
 
 
 class NonPointedMonoid(Exception):
-    """The effective degree monoid admits cancellation inside the box;
-    searches need an explicit bound to terminate."""
+    """The effective degree monoid admits cancellation inside the box, so
+    a class has infinitely many generator monomials to list."""
 
 
 class DegreeMismatch(Exception):
@@ -80,124 +81,21 @@ class DegreeMismatch(Exception):
 
 
 class Verdict(Immutable):
-    """Outcome of a check.  The outcomes a report lists return their report
-    entry, before conversion to plain JSON values, from to_json()."""
+    """Outcome of a check: a verdict string and one read-only mapping of
+    fields.  to_json() is the check's report entry, {"verdict": verdict,
+    **fields}, before conversion to plain JSON values."""
+
+    __slots__ = ("verdict", "fields")
+
+    def __init__(self, verdict, **fields):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "fields", MappingProxyType(fields))
 
     def to_json(self):
-        raise TypeError("unknown verdict %r" % (self,))
-
-
-class InIdeal(Verdict):
-    def __repr__(self):
-        return "InIdeal()"
-
-
-class NotInIdeal(Verdict):
-    """Carries the nonzero residual sections, one per class grouping."""
-
-    def __init__(self, residuals):
-        object.__setattr__(self, "residuals", tuple(residuals))
+        return {"verdict": self.verdict, **self.fields}
 
     def __repr__(self):
-        return "NotInIdeal(%d residuals)" % len(self.residuals)
-
-
-class Pass(Verdict):
-    def __init__(self, **details):
-        object.__setattr__(self, "details", details)
-
-    def __repr__(self):
-        return "Pass(%r)" % (self.details,)
-
-    def to_json(self):
-        out = {"verdict": "pass"}
-        if self.details:
-            out["details"] = self.details
-        return out
-
-
-class Fail(Verdict):
-    def __init__(self, cokernel=None, **details):
-        object.__setattr__(self, "cokernel", cokernel)
-        object.__setattr__(self, "details", details)
-
-    def __repr__(self):
-        return "Fail(cokernel=%r)" % (self.cokernel,)
-
-    def to_json(self):
-        out = {"verdict": "fail"}
-        if self.cokernel is not None:
-            out["cokernel"] = self.cokernel
-        if self.details:
-            out["details"] = self.details
-        return out
-
-
-class Inconclusive(Verdict):
-    def __init__(self, reason="", **details):
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "details", details)
-
-    def __repr__(self):
-        return "Inconclusive(%r)" % (self.reason,)
-
-    def to_json(self):
-        out = {"verdict": "inconclusive", "reason": self.reason}
-        if self.details:
-            out["details"] = self.details
-        return out
-
-
-class Separated(Verdict):
-    def __init__(self, levels):
-        object.__setattr__(self, "levels", levels)
-
-    def __repr__(self):
-        return "Separated(levels=%d)" % self.levels
-
-    def to_json(self):
-        return {"verdict": "separated", "levels": self.levels}
-
-
-class NotSeparated(Verdict):
-    """A defect of the localization product map that survives one extra
-    truncation level.
-
-    pair: indices of the two localizing elements; level: truncation where the
-    defect appears; witness: the uncovered section; shifted: the witness
-    multiplied back, still uncovered at the next level.
-    """
-
-    def __init__(self, pair, level, witness, shifted):
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "shifted", shifted)
-
-    def __repr__(self):
-        return "NotSeparated(pair=%r, level=%d, witness=%s)" % (
-            self.pair, self.level, self.witness)
-
-    def to_json(self):
-        return {"verdict": "not_separated", "pair": list(self.pair),
-                "level": self.level, "witness": str(self.witness),
-                "shifted": str(self.shifted)}
-
-
-class Equivalent(Verdict):
-    def __init__(self, character):
-        object.__setattr__(self, "character", character)
-
-    def __repr__(self):
-        return "Equivalent(character=%r)" % (self.character,)
-
-
-class NotEquivalent(Verdict):
-    def __init__(self, reason):
-        object.__setattr__(self, "reason", reason)
-
-    def __repr__(self):
-        return "NotEquivalent(%r)" % (self.reason,)
+        return "Verdict(%r, %r)" % (self.verdict, dict(self.fields))
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +276,7 @@ class GradedSectionAlgebra(Immutable):
         return got
 
     def component_dim(self, vec):
-        key = tuple(int(x) for x in vec)
-        got = self._cache.get(key)
-        if got is not None:
-            return got.dim
-        return max(0, sum(self.lattice.min_orders(key)) + 1)
+        return max(0, sum(self.lattice.min_orders(vec)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +385,8 @@ def ideal_membership(family, candidate, box):
 
     candidate: iterable of (lattice degree, section) pairs.  All terms are
     shifted to one reference degree per class; the sum belongs to the ideal
-    exactly when every shifted total vanishes.  Degrees outside the box of
+    exactly when every shifted total vanishes, and the nonzero totals are
+    the residuals of a not_in_ideal verdict.  Degrees outside the box of
     certified classes raise BoxTooSmall.
     """
     lattice = family.lattice
@@ -519,8 +414,8 @@ def ideal_membership(family, candidate, box):
         if not total.is_zero():
             residuals.append((L0, total))
     if residuals:
-        return NotInIdeal(residuals)
-    return InIdeal()
+        return Verdict("not_in_ideal", residuals=tuple(residuals))
+    return Verdict("in_ideal")
 
 
 # ---------------------------------------------------------------------------
@@ -695,12 +590,12 @@ def _traversal(A, box):
     return [(i, vec) for _, i, vec in classes]
 
 
-def _monomials(A, degrees, target, bound):
+def _monomials(A, degrees, target):
     if degrees and not A.effective_nonzero(target) \
             and not A.pic.contains_zero(target):
         return []
     try:
-        return enumerate_monomials(degrees, target, bound=bound,
+        return enumerate_monomials(degrees, target,
                                    relations=A.pic.relations)
     except UnboundedEnumeration as exc:
         raise NonPointedMonoid(str(exc)) from exc
@@ -805,7 +700,7 @@ class _MonomialCoordinates:
         return tuple(q.coeffs) + (Fraction(0),) * (dim - len(q.coeffs))
 
 
-def _search(A, box, bound=None, generators=None):
+def _search(A, box, generators=None):
     """Generators, relations and certificate rows over the box, in one
     traversal of its classes (_traversal).
 
@@ -862,7 +757,7 @@ def _search(A, box, bound=None, generators=None):
             continue
         n = len(gens)
         degrees = [d for d, _ in gens]
-        exps_list = _monomials(A, degrees, D, bound)
+        exps_list = _monomials(A, degrees, D)
         nm = len(exps_list)
         L = A.rep(D)
         vectors = [coords.coordinates(exps, L, dim) for exps in exps_list]
@@ -882,7 +777,7 @@ def _search(A, box, bound=None, generators=None):
         index = {exps: t for t, exps in enumerate(exps_list)}
         old = _Span(nm)
         for _, Dr, terms in found:
-            for cof in _monomials(A, degrees, _vsub(D, Dr), bound):
+            for cof in _monomials(A, degrees, _vsub(D, Dr)):
                 vec = [Fraction(0)] * nm
                 for exps, x in terms.items():
                     t = index.get(_vadd(exps + (0,) * (n - len(exps)), cof))
@@ -914,14 +809,14 @@ def _search(A, box, bound=None, generators=None):
             [row for _, row in certificate])
 
 
-def find_generators(A, box, bound=None):
+def find_generators(A, box):
     """Minimal homogeneous generators inside the box (_search)."""
-    return _search(A, box, bound)[0]
+    return _search(A, box)[0]
 
 
-def find_relations(A, generators, box, bound=None):
+def find_relations(A, generators, box):
     """Relations among the given generators, and a certificate (_search)."""
-    return _search(A, box, bound, generators)[1:]
+    return _search(A, box, generators)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -962,8 +857,8 @@ class Presentation(Immutable):
             len(self.generators), len(self.relations))
 
 
-def build_presentation(A, box, bound=None):
-    gens, rels, cert = _search(A, box, bound)
+def build_presentation(A, box):
+    gens, rels, cert = _search(A, box)
     return Presentation(A.pic, gens, rels, box, cert)
 
 
@@ -987,8 +882,8 @@ def weight_monoid_check(group, degrees):
     degrees = [tuple(int(x) for x in d) for d in degrees]
     cokernel = _cokernel(group, degrees)
     if cokernel is None:
-        return Pass(degrees=degrees)
-    return Fail(cokernel=cokernel)
+        return Verdict("pass", details={"degrees": degrees})
+    return Verdict("fail", cokernel=cokernel)
 
 
 def _total_degree(poly):
@@ -1128,8 +1023,8 @@ def freely_graded_check(P, irrelevant, power_bound=4, points=()):
     the witnesses nor the verdict, only the work.
     """
     if power_bound <= 0:
-        return Inconclusive("power bound exhausted before any localization "
-                            "data was gathered")
+        return Verdict("inconclusive", reason="power bound exhausted before "
+                       "any localization data was gathered")
     gen_degrees = [d for d, _ in P.generators]
     k = len(gen_degrees)
     points = [p for p in points if all(r.eval(p) == 0 for r in P.relations)]
@@ -1157,42 +1052,39 @@ def freely_graded_check(P, irrelevant, power_bound=4, points=()):
         collected = [_poly_class(P, f)] + [gen_degrees[j] for j, _ in wits]
         uncovered = _cokernel(P.grading, collected)
         if uncovered is not None:
-            return Inconclusive(
-                "unit degrees of one localization do not generate the "
-                "grading group", index=idx, uncovered=uncovered)
+            return Verdict(
+                "inconclusive", reason="unit degrees of one localization do "
+                "not generate the grading group",
+                details={"index": idx, "uncovered": uncovered})
         all_witnesses.append(tuple(wits))
-    return Pass(witnesses=tuple(all_witnesses))
+    return Verdict("pass", details={"witnesses": tuple(all_witnesses)})
 
 
 def is_pointed(A, box):
-    """Pointedness report: is the degree-zero part the ground field, and are
-    all units constant within the box.
+    """Pointedness: is the degree-zero part the ground field, and are all
+    units constant within the box.  The verdict fails when either is
+    refuted, and is inconclusive when the units are not decided.
 
     A unit of nonzero degree requires both the degree and its negative to
     carry sections whose product is a nonzero constant; when the degree-zero
     component is one dimensional, products of basis pairs decide this
-    exactly.
+    exactly.  Dimensions are read first, so a component is built only when
+    both it and its negative are nonzero.
     """
     pic = A.pic
-    zero = (0,) * pic.ambient_rank
-    a0 = A.pic_component(zero).dim == 1
+    a0 = A.component_dim((0,) * pic.ambient_rank) == 1
     nonzero = [tuple(int(x) for x in c) for c in box
                if not pic.contains_zero(c)]
     witness = None
     for c in nonzero:
-        plus = A.pic_component(c)
-        if plus.dim == 0:
+        minus = tuple(-x for x in c)
+        if not (A.component_dim(c) and A.component_dim(minus)):
             continue
-        minus = A.pic_component(tuple(-x for x in c))
-        if minus.dim == 0:
-            continue
-        for a in plus.basis:
-            for b in minus.basis:
-                p = a * b
-                if not p.is_zero() and p.is_constant():
-                    witness = (c, a)
-                    break
-            if witness:
+        for a, b in itertools.product(A.pic_component(c).basis,
+                                      A.pic_component(minus).basis):
+            p = a * b
+            if not p.is_zero() and p.is_constant():
+                witness = (c, a)
                 break
         if witness:
             break
@@ -1209,8 +1101,8 @@ def is_pointed(A, box):
     else:
         units = "pass"
         note = ""
-    return {"a0_is_field": a0, "units_are_constants": units,
-            "witness": witness, "note": note}
+    return Verdict(units if a0 else "fail", a0_is_field=a0,
+                   units_are_constants=units, witness=witness, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -1295,7 +1187,7 @@ def sections_as_polynomials(A, P, elements):
         target = A.base.component(rep).coordinates_of(s)
         if target is None:
             raise NotASection("element lies outside its stated component")
-        exps_list = _monomials(A, gen_degrees, c, None)
+        exps_list = _monomials(A, gen_degrees, c)
         L = _combination(exps_list[0], gen_lattice, A.lattice.rank) \
             if exps_list else rep
         if L != rep:
@@ -1336,14 +1228,15 @@ def separatedness_check(A, irrelevant, levels=2):
     Per pair and truncation level n, products of sections from the two
     n-scaled components must span the component of the n-scaled sum.  A
     spanning failure alone can be a truncation artifact: the verdict
-    NotSeparated additionally requires the uncovered section, multiplied by
-    both localizing elements, to stay uncovered at level n + 1.  Failures at
-    the last level with no room for that confirmation leave the pair
-    inconclusive.
+    not_separated additionally requires the uncovered section, multiplied by
+    both localizing elements, to stay uncovered at level n + 1, and names
+    the pair of element indices, the level, the uncovered section (witness)
+    and that product (shifted).  Failures at the last level with no room for
+    that confirmation leave the pair inconclusive.
     """
     elements = [(tuple(int(x) for x in c), s) for c, s in irrelevant]
     if levels < 1:
-        return Inconclusive("no truncation levels requested")
+        return Verdict("inconclusive", reason="no truncation levels requested")
     unresolved = False
     for i, j in itertools.combinations(range(len(elements)), 2):
         ci, si = elements[i]
@@ -1369,11 +1262,13 @@ def separatedness_check(A, irrelevant, levels=2):
                     raise InternalInconsistency(
                         "persistence product escaped its component")
                 if not span2.contains(v2):
-                    return NotSeparated((i, j), n, h, shifted)
+                    return Verdict("not_separated", pair=(i, j), level=n,
+                                   witness=h, shifted=shifted)
     if unresolved:
-        return Inconclusive("spanning failure at the final truncation level "
-                            "could not be confirmed at the next one")
-    return Separated(levels)
+        return Verdict("inconclusive", reason="spanning failure at the final "
+                       "truncation level could not be confirmed at the next "
+                       "one")
+    return Verdict("separated", levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -1402,8 +1297,8 @@ def graded_homs_equivalent(mu, nu, grading=None):
             raise ValueError("generator images must be nonzero")
         q = g / f
         if not q.is_constant():
-            return NotEquivalent("image ratio is not constant in degree %r"
-                                 % (d,))
+            return Verdict("not_equivalent", reason="image ratio is not "
+                           "constant in degree %r" % (d,))
         val = q.num.coeffs[0] / q.den.coeffs[0]
         ratios.append(val)
     degrees = [d for d, _ in mu]
@@ -1414,9 +1309,9 @@ def graded_homs_equivalent(mu, nu, grading=None):
             if a:
                 prod *= c ** a
         if prod != 1:
-            return NotEquivalent(
-                "ratios violate the degree relation %r" % (list(rel),))
-    return Equivalent(dict(zip(degrees, ratios)))
+            return Verdict("not_equivalent", reason="ratios violate the "
+                           "degree relation %r" % (list(rel),))
+    return Verdict("equivalent", character=dict(zip(degrees, ratios)))
 
 
 def _representative_moves(A):
@@ -1544,10 +1439,10 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
         e12 = _class_orders(A1, A2, moves, _vadd(c1, c2))[2]
         if e12 is None or _vadd(e1, e2) != e12:
             product_ok = False
-    return {"classes": len(box),
-            "hilbert_equal": hilbert_equal,
-            "iso_verified": iso_verified,
-            "witness_multiplicative": product_ok}
+    agreed = hilbert_equal and iso_verified and product_ok
+    return Verdict("pass" if agreed else "fail", classes=len(box),
+                   hilbert_equal=hilbert_equal, iso_verified=iso_verified,
+                   witness_multiplicative=product_ok)
 
 
 def tensor_presentation(P, Q):

@@ -320,17 +320,12 @@ def order_at(f, p):
 
 
 def _divisors_of(n):
-    # the only use of sympy; imported here so that no CLI mode loads it
-    import sympy
-
+    """Positive divisors of n, ascending, by trial division up to isqrt."""
     n = abs(int(n))
     if n == 0:
         raise ValueError("no divisors of zero")
-    out = [1]
-    for prime, e in sympy.factorint(n).items():
-        prime = int(prime)
-        out = [d * prime ** k for d in out for k in range(e + 1)]
-    return sorted(out)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 def rational_roots(poly):

@@ -12,12 +12,7 @@ import time
 from fractions import Fraction
 
 from coxring.coxalg import (
-    InIdeal,
-    NotInIdeal,
-    NotSeparated,
-    Pass,
     PicGradedAlgebra,
-    Separated,
     build_presentation,
     curve_algebra,
     default_box,
@@ -213,7 +208,7 @@ def test_criterion_3_shifting_family_laws():
         prev = (L, f)
 
         # a nonzero homogeneous element never lies in the shifting ideal
-        assert isinstance(ideal_membership(fam, [(L, f)], [c]), NotInIdeal)
+        assert ideal_membership(fam, [(L, f)], [c]).verdict == "not_in_ideal"
 
         # the squared shift difference stays in the ideal
         h = shift(fam, E1, f, L)
@@ -221,8 +216,8 @@ def test_criterion_3_shifting_family_laws():
         square = [(L2, f * f),
                   (vadd(L2, E1), f * h * Fraction(-2)),
                   (vadd(L2, vadd(E1, E1)), h * h)]
-        assert isinstance(ideal_membership(fam, square, [vadd(c, c)]),
-                          InIdeal)
+        verdict = ideal_membership(fam, square, [vadd(c, c)])
+        assert verdict.verdict == "in_ideal"
 
         # rescaled witnesses shift by an exact character value; each
         # family recognizes its own shift differences and, when the
@@ -234,9 +229,9 @@ def test_criterion_3_shifting_family_laws():
         h2 = shift(fam2, E1, f, L)
         assert (h2 - h * value).is_zero()
         own = [(L, f), (vadd(L, E1), h2 * Fraction(-1))]
-        assert isinstance(ideal_membership(fam2, own, [c]), InIdeal)
+        assert ideal_membership(fam2, own, [c]).verdict == "in_ideal"
         if value != 1:
-            assert isinstance(ideal_membership(fam, own, [c]), NotInIdeal)
+            assert ideal_membership(fam, own, [c]).verdict == "not_in_ideal"
 
     assert sections_used >= 100
     elapsed = time.monotonic() - start
@@ -251,9 +246,10 @@ def test_criterion_4_lattice_pipelines_agree():
     isomorphism exhibited, on both glued fixtures."""
     for X, classes in ((tripled_line(), 625), (doubled_line(), 25)):
         result = uniqueness_crosscheck(X, radius=2)
-        assert result == {"classes": classes, "hilbert_equal": True,
-                          "iso_verified": True,
-                          "witness_multiplicative": True}
+        assert result.verdict == "pass"
+        assert result.fields == {"classes": classes, "hilbert_equal": True,
+                                 "iso_verified": True,
+                                 "witness_multiplicative": True}
     print("PASS criterion 4: pipelines agree on 625 + 25 classes")
 
 
@@ -288,8 +284,8 @@ def test_criterion_5_toric_baseline():
                        hirzebruch_fan(1)]
     for fan in smooth_complete:
         irr = toric_cox_data(fan).irrelevant_polynomials()
-        assert isinstance(freely_graded_check(cox_presentation(fan), irr,
-                                              4), Pass)
+        assert freely_graded_check(cox_presentation(fan), irr,
+                                   4).verdict == "pass"
     print("PASS criterion 5: 5 class groups, plane pattern, free "
           "grading on 4 smooth complete fans")
 
@@ -342,8 +338,8 @@ def test_criterion_7_separatedness():
     consecutive truncation levels."""
     Ap = curve_algebra(plain_line())
     verdict = separatedness_check(Ap, irrelevant_sections(Ap), levels=2)
-    assert isinstance(verdict, Separated)
-    assert verdict.levels == 2
+    assert verdict.verdict == "separated"
+    assert verdict.fields["levels"] == 2
 
     A = tripled_algebra()
     elements = irrelevant_sections(A)
@@ -352,15 +348,15 @@ def test_criterion_7_separatedness():
     for v in (v2, v3):
         # the verdict is only issued when the spanning defect found at
         # level n survives multiplication into level n + 1
-        assert isinstance(v, NotSeparated)
-        assert v.pair == (0, 1)
-        assert v.level == 1
-    assert str(v2.witness) == str(v3.witness)
+        assert v.verdict == "not_separated"
+        assert v.fields["pair"] == (0, 1)
+        assert v.fields["level"] == 1
+    assert str(v2.fields["witness"]) == str(v3.fields["witness"])
     si = elements[0][1]
     sj = elements[1][1]
-    assert (v2.shifted - v2.witness * si * sj).is_zero()
+    assert (v2.fields["shifted"] - v2.fields["witness"] * si * sj).is_zero()
     print("PASS criterion 7: plain line separated, tripled line witness "
-          "%s persists at levels 1 and 2" % v2.witness)
+          "%s persists at levels 1 and 2" % v2.fields["witness"])
 
 
 def _det(M):

@@ -12,7 +12,7 @@ import pytest
 
 from coxring import cli, coxalg, grading, ratcurve
 from coxring import exactmath as em
-from coxring.coxalg import Fail
+from coxring.coxalg import Verdict
 from coxring.grading import BoxTooLarge
 from coxring.ratcurve import InternalInconsistency, curve_from_json
 
@@ -295,9 +295,19 @@ class TestVerifyCommand:
         assert code == 1
         assert "neither" in err
 
+    @pytest.mark.parametrize("name", ["tripled_line.json", "plane_fan.json"])
+    def test_input_is_read_once(self, capsys, monkeypatch, name):
+        loads = []
+        honest = cli._load
+        monkeypatch.setattr(cli, "_load",
+                            lambda path: loads.append(path) or honest(path))
+        code, _, _ = run_cli(capsys, "verify", fixture(name), "--box", "1")
+        assert code == 0
+        assert loads == [fixture(name)]
+
     def test_failed_check_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "weight_monoid_check",
-                            lambda *a, **k: Fail())
+                            lambda *a, **k: Verdict("fail"))
         code, out, _ = run_cli(capsys, "verify", fixture("plane_fan.json"))
         assert code == 2
         assert json.loads(out)["all_passed"] is False
@@ -315,8 +325,8 @@ class TestCrosscheckCommand:
                                     "witness_multiplicative": True}
 
     def test_disagreement_exits_two(self, capsys, monkeypatch):
-        bad = {"classes": 1, "hilbert_equal": False, "iso_verified": True,
-               "witness_multiplicative": True}
+        bad = Verdict("fail", classes=1, hilbert_equal=False,
+                      iso_verified=True, witness_multiplicative=True)
         monkeypatch.setattr(cli, "uniqueness_crosscheck",
                             lambda *a, **k: bad)
         code, out, _ = run_cli(capsys, "crosscheck",
@@ -539,6 +549,15 @@ class TestStartUp:
         child = run_child(["-c", code, json.dumps(runs)], timeout=120)
         assert child.returncode == 0, child.stderr
         assert child.stdout == "False\n"
+
+    def test_no_runtime_dependencies(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        root = pathlib.Path(cli.__file__).resolve().parents[2]
+        with open(root / "pyproject.toml", "rb") as handle:
+            project = tomllib.load(handle)["project"]
+        assert project["dependencies"] == []
+        assert any(req.startswith("sympy")
+                   for req in project["optional-dependencies"]["test"])
 
     def test_large_semiprime_point_is_not_factored(self, tmp_path):
         # a 62-digit semiprime, the product of two 31-digit primes: a root

@@ -20,19 +20,10 @@ from hypothesis import given, settings, strategies as st
 from coxring.coxalg import (
     BoxTooSmall,
     DegreeMismatch,
-    Equivalent,
-    Fail,
     GeneratorsIncomplete,
-    InIdeal,
-    Inconclusive,
     NotASection,
-    NotEquivalent,
-    NotInIdeal,
     NotInKernel,
-    NotSeparated,
-    Pass,
     Presentation,
-    Separated,
     _cokernel,
     _degree_weights,
     _poly_class,
@@ -344,15 +335,15 @@ class TestIdealMembership:
         g = shift(fam, E, f, L)
         verdict = ideal_membership(fam, [(L, f), (vadd(L, E), -1 * g)],
                                    self.box())
-        assert isinstance(verdict, InIdeal)
+        assert verdict.verdict == "in_ideal"
 
     def test_single_term_is_not_in_ideal(self):
         fam = tripled_full_algebra().family
         L = (1, 1, 0, 0, 0, 0)
         f = ONE / Z
         verdict = ideal_membership(fam, [(L, f)], self.box())
-        assert isinstance(verdict, NotInIdeal)
-        assert list(verdict.residuals) == [(L, f)]
+        assert verdict.verdict == "not_in_ideal"
+        assert list(verdict.fields["residuals"]) == [(L, f)]
 
     def test_square_of_difference_is_in_ideal(self):
         fam = tripled_full_algebra().family
@@ -363,8 +354,8 @@ class TestIdealMembership:
         candidate = [(vadd(L, L), f * f),
                      (vadd(vadd(L, L), E), -2 * (f * g)),
                      (vadd(vadd(L, L), vadd(E, E)), g * g)]
-        assert isinstance(ideal_membership(fam, candidate, self.box()),
-                          InIdeal)
+        verdict = ideal_membership(fam, candidate, self.box())
+        assert verdict.verdict == "in_ideal"
 
     def test_box_too_small(self):
         fam = tripled_full_algebra().family
@@ -373,7 +364,7 @@ class TestIdealMembership:
 
     def test_empty_candidate(self):
         fam = tripled_full_algebra().family
-        assert isinstance(ideal_membership(fam, [], self.box()), InIdeal)
+        assert ideal_membership(fam, [], self.box()).verdict == "in_ideal"
 
 
 class TestPicGradedAlgebra:
@@ -717,7 +708,7 @@ class TestMonomialCoordinates:
             coords.add(d, s)
         checked = 0
         for _, D in _traversal(A, box):
-            exps_list = coxalg._monomials(A, degrees, D, None)
+            exps_list = coxalg._monomials(A, degrees, D)
             dim = A.component_dim(D)
             if dim == 0:
                 assert exps_list == []
@@ -764,7 +755,7 @@ def _two_pass_generators(A, box):
             continue
         L = A.rep(D)
         span = _Span(dim)
-        for exps in coxalg._monomials(A, [g[0] for g in gens], D, None):
+        for exps in coxalg._monomials(A, [g[0] for g in gens], D):
             span.add(coords.coordinates(exps, L, dim))
         for idx in range(dim):
             unit = tuple(Fraction(1 if t == idx else 0) for t in range(dim))
@@ -790,7 +781,7 @@ def _two_pass_relations(A, generators, box):
     found = []
     certificate = []
     for at, D in _traversal(A, box):
-        exps_list = coxalg._monomials(A, gen_degrees, D, None)
+        exps_list = coxalg._monomials(A, gen_degrees, D)
         nm = len(exps_list)
         dim = A.component_dim(D)
         if dim == 0:
@@ -812,7 +803,7 @@ def _two_pass_relations(A, generators, box):
                                  for vec in kernel)).echelon()
         old = _Span(nm)
         for _, Dr, poly in found:
-            for cof in coxalg._monomials(A, gen_degrees, vsub(D, Dr), None):
+            for cof in coxalg._monomials(A, gen_degrees, vsub(D, Dr)):
                 prod = poly * MultiPoly.monomial(cof)
                 vec = [Fraction(0)] * nm
                 for exps, coeff in prod.terms.items():
@@ -844,7 +835,7 @@ def _per_monomial_sections(A, P, elements):
         rep = A.rep(c)
         space = A.base.component(rep)
         cols = []
-        exps_list = coxalg._monomials(A, gen_degrees, c, None)
+        exps_list = coxalg._monomials(A, gen_degrees, c)
         for exps in exps_list:
             sec = TestMonomialCoordinates._monomial_section(gens, exps)
             amb = [sum(e * d[i] for e, d in zip(exps, gen_degrees))
@@ -952,20 +943,20 @@ class TestWeightMonoid:
         A = tripled_algebra()
         verdict = weight_monoid_check(
             A.pic, [d for d, _ in tripled_presentation().generators])
-        assert isinstance(verdict, Pass)
+        assert verdict.verdict == "pass"
 
     def test_index_two_subgroup_fails(self):
         verdict = weight_monoid_check(FGAbelianGroup(1), [(2,)])
-        assert isinstance(verdict, Fail)
-        assert verdict.cokernel["invariant_factors"] == [2]
+        assert verdict.verdict == "fail"
+        assert verdict.fields["cokernel"]["invariant_factors"] == [2]
 
     def test_torsion_target_passes(self):
         G = FGAbelianGroup(1, [(2,)])
-        assert isinstance(weight_monoid_check(G, [(1,)]), Pass)
+        assert weight_monoid_check(G, [(1,)]).verdict == "pass"
 
     def test_trivial_group_with_no_generators(self):
-        assert isinstance(weight_monoid_check(FGAbelianGroup(0, []), []),
-                          Pass)
+        verdict = weight_monoid_check(FGAbelianGroup(0, []), [])
+        assert verdict.verdict == "pass"
 
 
 @st.composite
@@ -1060,26 +1051,27 @@ class TestFreelyGraded:
         T1 = MultiPoly.variable(0, 2)
         T2 = MultiPoly.variable(1, 2)
         verdict = freely_graded_check(P, [T1, T2], 4)
-        assert isinstance(verdict, Pass)
-        assert verdict.details["witnesses"] == (((0, 1),), ((1, 1),))
+        assert verdict.verdict == "pass"
+        assert verdict.fields["details"]["witnesses"] == (
+            ((0, 1),), ((1, 1),))
 
     def test_tripled_covering(self):
         verdict = freely_graded_check(tripled_presentation(),
                                       tripled_irrelevant_monomials(), 4)
-        assert isinstance(verdict, Pass)
+        assert verdict.verdict == "pass"
 
     def test_zero_power_bound(self):
         P = polynomial_ring_presentation([(1,)])
         T1 = MultiPoly.variable(0, 1)
         verdict = freely_graded_check(P, [T1], 0)
-        assert isinstance(verdict, Inconclusive)
+        assert verdict.verdict == "inconclusive"
 
     def test_uncovered_degrees_are_inconclusive(self):
         P = polynomial_ring_presentation([(1, 0), (0, 1)])
         T1 = MultiPoly.variable(0, 2)
         verdict = freely_graded_check(P, [T1], 4)
-        assert isinstance(verdict, Inconclusive)
-        assert verdict.details["index"] == 0
+        assert verdict.verdict == "inconclusive"
+        assert verdict.fields["details"]["index"] == 0
 
 
 def _full_space_member(P, poly, j, target):
@@ -1174,10 +1166,10 @@ class TestNeverCertificates:
         fast = freely_graded_check(P, polys, 8, points)
         slow = freely_graded_check(P, polys, 8)
         # the glued curves are freely graded, so the search lists every hit
-        assert isinstance(slow, Pass)
-        assert isinstance(fast, Pass)
-        assert fast.details == slow.details
-        for f, wits in zip(polys, slow.details["witnesses"]):
+        assert slow.verdict == "pass"
+        assert fast.verdict == "pass"
+        assert fast.to_json() == slow.to_json()
+        for f, wits in zip(polys, slow.fields["details"]["witnesses"]):
             assert _certified(f, points).isdisjoint(j for j, _ in wits)
 
     @pytest.mark.parametrize("mode", ["canonical", "full"])
@@ -1211,7 +1203,7 @@ class TestNeverCertificates:
         runs = []
         for pts in ([good], [bad], ()):
             span_tests.clear()
-            runs.append((freely_graded_check(P, polys, 8, pts).details,
+            runs.append((freely_graded_check(P, polys, 8, pts).to_json(),
                          list(span_tests)))
         with_good, with_bad, slow = runs
         # the good point narrows the variables searched, the bad one nothing
@@ -1247,15 +1239,15 @@ class TestNeverCertificates:
                          len(span_tests)))
         (fast, fast_calls), (slow, slow_calls) = runs
         assert _certified(T1, points) == set(range(1, len(P.generators)))
-        assert isinstance(fast, Inconclusive)
-        assert isinstance(slow, Inconclusive)
-        assert fast.details == slow.details
+        assert fast.verdict == "inconclusive"
+        assert slow.verdict == "inconclusive"
+        assert fast.to_json() == slow.to_json()
         assert fast_calls == 0 < slow_calls
 
     def test_zero_power_bound_with_points(self):
         P, polys, points = _verify_inputs(FIXTURE_CURVES["tripled_line"])
-        assert isinstance(freely_graded_check(P, polys, 0, points),
-                          Inconclusive)
+        verdict = freely_graded_check(P, polys, 0, points)
+        assert verdict.verdict == "inconclusive"
 
 
 class TestQuotientMembership:
@@ -1319,6 +1311,9 @@ class _LaurentStub:
     def pic_component(self, c):
         return _ComponentStub([Z ** c[0]])
 
+    def component_dim(self, c):
+        return 1
+
 
 class _FatZeroStub:
     """Graded ring whose degree zero part is two dimensional."""
@@ -1330,27 +1325,54 @@ class _FatZeroStub:
             return _ComponentStub([ONE, Z])
         return _ComponentStub([])
 
+    def component_dim(self, c):
+        return self.pic_component(c).dim
+
 
 class TestIsPointed:
     def test_tripled(self):
         report = is_pointed(tripled_algebra(), tripled_box())
-        assert report["a0_is_field"]
-        assert report["units_are_constants"] == "pass"
-        assert report["witness"] is None
+        assert report.verdict == "pass"
+        assert report.fields["a0_is_field"]
+        assert report.fields["units_are_constants"] == "pass"
+        assert report.fields["witness"] is None
 
     def test_zero_box_is_inconclusive(self):
         report = is_pointed(tripled_algebra(), [(0,) * 6])
-        assert report["units_are_constants"] == "inconclusive"
+        assert report.verdict == "inconclusive"
+        assert report.fields["units_are_constants"] == "inconclusive"
 
     def test_invertible_variable_fails(self):
         report = is_pointed(_LaurentStub(), [(0,), (1,), (-1,)])
-        assert report["units_are_constants"] == "fail"
-        assert report["witness"] == ((1,), Z)
+        assert report.verdict == "fail"
+        assert report.fields["units_are_constants"] == "fail"
+        assert report.fields["witness"] == ((1,), Z)
 
     def test_fat_degree_zero_is_inconclusive(self):
         report = is_pointed(_FatZeroStub(), [(0,), (1,), (-1,)])
-        assert not report["a0_is_field"]
-        assert report["units_are_constants"] == "inconclusive"
+        assert not report.fields["a0_is_field"]
+        assert report.fields["units_are_constants"] == "inconclusive"
+
+    def test_fat_degree_zero_fails(self):
+        # units undecided, but a degree zero part beyond the ground field
+        # already refutes pointedness
+        report = is_pointed(_FatZeroStub(), [(0,), (1,), (-1,)])
+        assert report.verdict == "fail"
+
+    def test_reads_dimensions_before_building(self, monkeypatch):
+        # verify --box 1 on {2,2,2}: 80 nonzero classes, none with both
+        # itself and its negative effective, so no component is built
+        X = tripled_line()
+        A = curve_algebra(X)
+        box = default_box(X, 1)
+        built = []
+        honest = coxalg.GradedSectionAlgebra.component
+        monkeypatch.setattr(coxalg.GradedSectionAlgebra, "component",
+                            lambda self, vec: built.append(vec)
+                            or honest(self, vec))
+        assert is_pointed(A, box).verdict == "pass"
+        assert sum(not A.pic.contains_zero(c) for c in box) == 80
+        assert built == []
 
 
 class TestSeparatedness:
@@ -1369,64 +1391,64 @@ class TestSeparatedness:
     def test_plain_line_is_separated(self):
         A = curve_algebra(plain_line())
         verdict = separatedness_check(A, irrelevant_sections(A))
-        assert isinstance(verdict, Separated)
-        assert verdict.levels == 2
+        assert verdict.verdict == "separated"
+        assert verdict.fields["levels"] == 2
 
     def test_tripled_line_is_not_separated(self):
         A = tripled_algebra()
         elems = irrelevant_sections(A)
         verdict = separatedness_check(A, elems)
-        assert isinstance(verdict, NotSeparated)
-        assert verdict.pair == (0, 1)
-        assert verdict.level == 1
-        assert str(verdict.witness) == "z^3/(z^3 - 3*z^2 + 3*z - 1)"
+        assert verdict.verdict == "not_separated"
+        assert verdict.fields["pair"] == (0, 1)
+        assert verdict.fields["level"] == 1
+        assert str(verdict.fields["witness"]) == "z^3/(z^3 - 3*z^2 + 3*z - 1)"
         si = elems[0][1]
         sj = elems[1][1]
-        assert verdict.shifted == verdict.witness * si * sj
+        assert verdict.fields["shifted"] == verdict.fields["witness"] * si * sj
 
     def test_single_element_is_vacuously_separated(self):
         A = tripled_algebra()
         verdict = separatedness_check(A, irrelevant_sections(A)[:1])
-        assert isinstance(verdict, Separated)
+        assert verdict.verdict == "separated"
 
     def test_no_levels_is_inconclusive(self):
         A = curve_algebra(plain_line())
         verdict = separatedness_check(A, irrelevant_sections(A), levels=0)
-        assert isinstance(verdict, Inconclusive)
+        assert verdict.verdict == "inconclusive"
 
 
 class TestHomEquivalence:
     def test_identity(self):
         gens = [(d, s) for d, s in tripled_presentation().generators]
         verdict = graded_homs_equivalent(gens, gens)
-        assert isinstance(verdict, Equivalent)
-        assert set(verdict.character.values()) == {Fraction(1)}
+        assert verdict.verdict == "equivalent"
+        assert set(verdict.fields["character"].values()) == {Fraction(1)}
 
     def test_global_scaling(self):
         gens = [(d, s) for d, s in tripled_presentation().generators]
         scaled = [(d, s * 2) for d, s in gens]
         verdict = graded_homs_equivalent(gens, scaled)
-        assert isinstance(verdict, Equivalent)
-        assert set(verdict.character.values()) == {Fraction(2)}
+        assert verdict.verdict == "equivalent"
+        assert set(verdict.fields["character"].values()) == {Fraction(2)}
 
     def test_swapped_basis_is_not_a_character(self):
         mu = [((1,), ONE), ((1,), Z)]
         nu = [((1,), Z), ((1,), ONE)]
         verdict = graded_homs_equivalent(mu, nu)
-        assert isinstance(verdict, NotEquivalent)
+        assert verdict.verdict == "not_equivalent"
 
     def test_relation_violating_ratios(self):
         mu = [((1,), ONE), ((1,), Z)]
         nu = [((1,), ONE * 2), ((1,), Z * 3)]
         verdict = graded_homs_equivalent(mu, nu)
-        assert isinstance(verdict, NotEquivalent)
+        assert verdict.verdict == "not_equivalent"
 
     def test_ratios_on_independent_degrees(self):
         mu = [((1, 0), ONE), ((0, 1), Z)]
         nu = [((1, 0), ONE * 2), ((0, 1), Z * 3)]
         verdict = graded_homs_equivalent(mu, nu)
-        assert isinstance(verdict, Equivalent)
-        assert verdict.character == {(1, 0): Fraction(2),
+        assert verdict.verdict == "equivalent"
+        assert verdict.fields["character"] == {(1, 0): Fraction(2),
                                      (0, 1): Fraction(3)}
 
     def test_kernel_of_equal_degrees(self):
@@ -1434,20 +1456,22 @@ class TestHomEquivalence:
         # ratios pass it, unequal ones name it
         mu = [((1,), ONE), ((1,), Z)]
         verdict = graded_homs_equivalent(mu, [((1,), ONE * 2), ((1,), Z * 2)])
-        assert verdict.character == {(1,): Fraction(2)}
+        assert verdict.fields["character"] == {(1,): Fraction(2)}
         verdict = graded_homs_equivalent(mu, [((1,), ONE * 2), ((1,), Z * 3)])
-        assert verdict.reason == "ratios violate the degree relation [1, -1]"
+        assert verdict.fields["reason"] == (
+            "ratios violate the degree relation [1, -1]")
 
     def test_grading_relations_join_the_kernel(self):
         # in Z/2 twice the degree vanishes, so the ratio squares to 1
         grading = FGAbelianGroup(1, [(2,)])
         mu = [((1,), Z)]
         verdict = graded_homs_equivalent(mu, [((1,), -Z)], grading)
-        assert verdict.character == {(1,): Fraction(-1)}
+        assert verdict.fields["character"] == {(1,): Fraction(-1)}
         verdict = graded_homs_equivalent(mu, [((1,), Z * 2)], grading)
-        assert verdict.reason == "ratios violate the degree relation [2]"
-        assert isinstance(graded_homs_equivalent(mu, [((1,), Z * 2)]),
-                          Equivalent)
+        assert verdict.fields["reason"] == (
+            "ratios violate the degree relation [2]")
+        verdict = graded_homs_equivalent(mu, [((1,), Z * 2)])
+        assert verdict.verdict == "equivalent"
 
     def test_length_mismatch(self):
         with pytest.raises(DegreeMismatch):
@@ -1463,21 +1487,24 @@ class TestUniquenessCrosscheck:
         report = uniqueness_crosscheck(tripled_line(),
                                        box=tripled_box(),
                                        basis=explicit_basis())
-        assert report == {"classes": 625, "hilbert_equal": True,
-                          "iso_verified": True,
-                          "witness_multiplicative": True}
+        assert report.verdict == "pass"
+        assert report.fields == {"classes": 625, "hilbert_equal": True,
+                                 "iso_verified": True,
+                                 "witness_multiplicative": True}
 
     def test_doubled(self):
         report = uniqueness_crosscheck(doubled_line())
-        assert report == {"classes": 25, "hilbert_equal": True,
-                          "iso_verified": True,
-                          "witness_multiplicative": True}
+        assert report.verdict == "pass"
+        assert report.fields == {"classes": 25, "hilbert_equal": True,
+                                 "iso_verified": True,
+                                 "witness_multiplicative": True}
 
     def test_plain(self):
         report = uniqueness_crosscheck(plain_line(), radius=1)
-        assert report == {"classes": 3, "hilbert_equal": True,
-                          "iso_verified": True,
-                          "witness_multiplicative": True}
+        assert report.verdict == "pass"
+        assert report.fields == {"classes": 3, "hilbert_equal": True,
+                                 "iso_verified": True,
+                                 "witness_multiplicative": True}
 
 
 def _moved(A, c):
@@ -1570,7 +1597,7 @@ class TestCrosscheckOracle:
         seen = _recorded_orders(monkeypatch)
         report = uniqueness_crosscheck(X, radius=1)
         expected, witness = _section_space_crosscheck(X, radius=1)
-        assert report == expected
+        assert report.fields == expected
         assert all(expected.values())
         # every class witness has the recorded orders at every base
         for c, w in witness.items():
@@ -1578,7 +1605,7 @@ class TestCrosscheckOracle:
 
     def test_explicit_basis(self):
         args = (tripled_line(), tripled_box(), 2, explicit_basis())
-        assert (uniqueness_crosscheck(*args)
+        assert (uniqueness_crosscheck(*args).fields
                 == _section_space_crosscheck(*args)[0])
 
     @given(small_curves(max_mult=3))
@@ -1587,7 +1614,7 @@ class TestCrosscheckOracle:
         box = lattice_box(canonical_lambda(X), 1)
         # at most about 150 classes of the box, spread over all of it
         box = box[::max(1, len(box) // 150)]
-        assert (uniqueness_crosscheck(X, box=box)
+        assert (uniqueness_crosscheck(X, box=box).fields
                 == _section_space_crosscheck(X, box=box)[0])
 
     def test_swapped_columns_fail_in_both(self, monkeypatch):
@@ -1603,8 +1630,10 @@ class TestCrosscheckOracle:
             tripled_line(), radius=1, mutate=_swap_first_columns)
         monkeypatch.setattr(coxalg, "curve_algebra", swapped)
         report = uniqueness_crosscheck(tripled_line(), radius=1)
-        assert report == expected
-        assert not (report["hilbert_equal"] and report["iso_verified"])
+        assert report.fields == expected
+        assert report.verdict == "fail"
+        assert not (report.fields["hilbert_equal"]
+                    and report.fields["iso_verified"])
 
     def test_witness_orders(self):
         assert coxalg._witness_orders([(1, 1), (2, 2)],
@@ -1626,15 +1655,17 @@ class TestCrosscheckOracle:
 
         monkeypatch.setattr(coxalg, "_class_orders", misread)
         report = uniqueness_crosscheck(tripled_line(), radius=1)
-        assert report["hilbert_equal"] and report["witness_multiplicative"]
-        assert not report["iso_verified"]
+        assert report.verdict == "fail"
+        assert report.fields["hilbert_equal"]
+        assert report.fields["witness_multiplicative"]
+        assert not report.fields["iso_verified"]
 
     @pytest.mark.parametrize("name", ["tripled_line", "mixed_line"])
     def test_most_witnesses_are_not_one(self, monkeypatch, name):
         X = FIXTURE_CURVES[name]
         seen = _recorded_orders(monkeypatch)
         box = lattice_box(canonical_lambda(X), 1)
-        assert uniqueness_crosscheck(X, box=box)["iso_verified"]
+        assert uniqueness_crosscheck(X, box=box).fields["iso_verified"]
         nontrivial = sum(1 for c in box if any(seen[c]))
         assert 2 * nontrivial >= len(box)
 
@@ -1642,7 +1673,7 @@ class TestCrosscheckOracle:
         box = tripled_box()
         report = uniqueness_crosscheck(tripled_line(), box=iter(box),
                                        basis=explicit_basis())
-        assert report["classes"] == len(box) == 625
+        assert report.fields["classes"] == len(box) == 625
 
     def test_no_section_space_and_one_check_per_witness(self, monkeypatch):
         counts = {"section_space": 0, "is_principal": 0}
@@ -1682,7 +1713,7 @@ class TestPicardDataReuse:
             coxalg.LineBundleLattice, "__init__",
             counting("lattice", coxalg.LineBundleLattice.__init__))
         report = uniqueness_crosscheck(tripled_line(), radius=1)
-        assert report["classes"] == 81
+        assert report.fields["classes"] == 81
         assert counts == {"picard": 2, "lattice": 2}
 
 

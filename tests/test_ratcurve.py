@@ -11,6 +11,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from coxring import exactmath as em
@@ -25,6 +26,7 @@ from coxring.ratcurve import (
     P1Point,
     PicardData,
     ZeroFunction,
+    _divisors_of,
     curve_from_json,
     curve_to_json,
     divisor_on,
@@ -215,6 +217,17 @@ class TestRationalRoots:
         roots, residual = rational_roots(UniPoly([-2, 0, 1]))
         assert roots == {}
         assert residual == 2
+
+    def test_divisors_match_sympy(self):
+        # trial division against sympy's factoring, on small integers and
+        # on products of large primes (and a square of one)
+        large = [1000003 * 1000033, 999983 ** 2, 2 ** 10 * 999983,
+                 7919 * 104729 * 3]
+        for n in list(range(1, 2001)) + large:
+            assert _divisors_of(n) == sympy.divisors(n)
+            assert _divisors_of(-n) == _divisors_of(n)
+        with pytest.raises(ValueError):
+            _divisors_of(0)
 
 
 class TestPrincipalDivisor:
