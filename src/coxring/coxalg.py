@@ -42,6 +42,8 @@ from .ratcurve import (
     divisor_on,
     is_principal,
     leading_term,
+    order_polynomials,
+    polynomial_quotient,
     section_space,
 )
 
@@ -601,20 +603,65 @@ def _monomials(A, degrees, target):
         raise NonPointedMonoid(str(exc)) from exc
 
 
+def _correction(X, m, *factors):
+    """The correction of a product of sections, as (exponents, C).
+
+    A section of lattice degree L is V_L * q / W_L with deg q < dim L
+    (SectionSpace), its coordinate polynomial q.  With m_L(b) the least
+    coefficient of the divisor of L over the copies of the special base b
+    (min_orders), V_L / W_L is the product of (z - b)^(-m_L(b)) over the
+    finite b.  So a product of sections of L_1, ..., L_k has coordinate
+    polynomial q_1 ... q_k C in L = sum L_k, C the product of (z - b)^e_b
+    over the finite b, where e_b = m(b) - sum_k m_k(b) for m = m_L and the
+    factors m_k = m_{L_k}.  A minimum of sums is at least the sum of
+    minima, so no exponent is negative, infinity included; one that is
+    raises.  Its landing is then the degree bound (_coordinates).
+    """
+    exps = tuple(a - sum(f) for a, *f in zip(m, *factors))
+    if any(e < 0 for e in exps):
+        raise InternalInconsistency(
+            "product of sections has a negative correction exponent")
+    C = UniPoly.one()
+    for (base, _), e in zip(X.special, exps):
+        if e and not base.is_infinity():
+            C = C * UniPoly([-base.value, 1]) ** e
+    return exps, C
+
+
+def _coordinates(q, dim, escaped):
+    """The coefficients of q padded to dim, the coordinates of its section;
+    InternalInconsistency(escaped) when deg q >= dim."""
+    if q.degree >= dim:
+        raise InternalInconsistency(escaped)
+    return q.coeffs + (Fraction(0),) * (dim - len(q.coeffs))
+
+
+def _component_polynomials(A, L):
+    """(W_L, V_L, dim) of the component of lattice degree L, read from its
+    least coefficients (min_orders) with no section space built."""
+    m = A.lattice.min_orders(L)
+    W, V = order_polynomials(dict(zip((b for b, _ in A.curve.special), m)))
+    return W, V, max(0, sum(m) + 1)
+
+
+def _section_polynomial(A, L, num, den):
+    """The coordinate polynomial of num / den in the component of lattice
+    degree L, or None when num / den lies outside: one exact division of
+    num W_L by den V_L (polynomial_quotient, no gcd, so num / den need not
+    be reduced) and the degree bound."""
+    W, V, dim = _component_polynomials(A, L)
+    q = polynomial_quotient(num * W, den * V)
+    return q if q is not None and q.degree < dim else None
+
+
 class _MonomialCoordinates:
     """Coordinate polynomials of generator monomials, one product each.
 
-    A section of lattice degree L is V_L * q / W_L with deg q < dim L
-    (SectionSpace).  A generator of class D lies in lattice degree
-    L_i = rep(D), and a monomial with exponents e in L = sum e_i L_i.  With
-    m_L(a) the least coefficient of the divisor of L over the copies of a,
-    V_L / W_L is the product of (z - a)^(-m_L(a)) over the finite special
-    bases a, so the coordinate polynomial of a product of sections of L'
-    and L_i is q' * q_i * C, where C is the product of
-    (z - a)^(m_{L'+L_i}(a) - m_{L'}(a) - m_{L_i}(a)).  A minimum of sums is
-    at least the sum of minima, so no exponent is negative; one that is
-    raises.  The polynomial of each exponent vector is built once, from the
-    vector with its last nonzero exponent lowered by one.
+    A generator of class D lies in lattice degree L_i = rep(D), and a
+    monomial with exponents e in L = sum e_i L_i.  Its coordinate
+    polynomial is built once per exponent vector, from the vector with its
+    last nonzero exponent lowered by one, by the product rule of
+    _correction.
 
     Membership stays checked completely: each generator's q is read once
     with SectionSpace.coordinate_polynomial, and every monomial's q must
@@ -624,10 +671,6 @@ class _MonomialCoordinates:
 
     def __init__(self, A):
         self._A = A
-        # (position among the special bases, value) of the finite ones
-        self._finite = [(k, base.value)
-                        for k, (base, _) in enumerate(A.curve.special)
-                        if not base.is_infinity()]
         self._gens = []
         # exponent vectors without trailing zeros -> (lattice degree, q)
         self._memo = {(): ((0,) * A.lattice.rank, UniPoly.one())}
@@ -645,29 +688,17 @@ class _MonomialCoordinates:
         self._gens.append((L, q))
 
     def _min_orders(self, L):
-        got = self._mins.get(L)
-        if got is None:
-            m = self._A.lattice.min_orders(L)
-            got = tuple(m[k] for k, _ in self._finite)
-            self._mins[L] = got
-        return got
+        if L not in self._mins:
+            self._mins[L] = self._A.lattice.min_orders(L)
+        return self._mins[L]
 
     def _correction(self, L0, i):
         got = self.corrections.get((L0, i))
         if got is None:
             Li = self._gens[i][0]
-            exps = tuple(m - m0 - mi for m, m0, mi in zip(
-                self._min_orders(_vadd(L0, Li)), self._min_orders(L0),
-                self._min_orders(Li)))
-            if any(e < 0 for e in exps):
-                raise InternalInconsistency(
-                    "product of sections has a negative correction exponent")
-            C = UniPoly.one()
-            for (_, a), e in zip(self._finite, exps):
-                if e:
-                    C = C * UniPoly([-a, 1]) ** e
-            got = (exps, C)
-            self.corrections[(L0, i)] = got
+            got = self.corrections[(L0, i)] = _correction(
+                self._A.curve, self._min_orders(_vadd(L0, Li)),
+                self._min_orders(L0), self._min_orders(Li))
         return got[1]
 
     def _entry(self, exps):
@@ -694,10 +725,10 @@ class _MonomialCoordinates:
         while k and not exps[k - 1]:
             k -= 1
         got_L, q = self._entry(exps[:k])
-        if got_L != L or q.degree >= dim:
-            raise InternalInconsistency(
-                "generator monomial escaped its component")
-        return tuple(q.coeffs) + (Fraction(0),) * (dim - len(q.coeffs))
+        escaped = "generator monomial escaped its component"
+        if got_L != L:
+            raise InternalInconsistency(escaped)
+        return _coordinates(q, dim, escaped)
 
 
 def _search(A, box, generators=None):
@@ -1117,49 +1148,38 @@ def irrelevant_sections(A):
     copies and all but one copy of every other special point, over all
     choices of kept copies.  With a single special point the complement of
     its copies is one open, and the others remove one copy plus a fixed
-    ordinary point so the removed set stays nonempty.
+    ordinary point so the removed set stays nonempty.  Each element is
+    checked to lie in its component by its coordinate polynomial
+    (_section_polynomial).
     """
     X = A.curve
-    picdata = A.lattice.picdata
-    out = []
 
-    def element(E):
-        c = picdata.class_of(E)
+    def element(*points):
+        # the element vanishing on the given points, once each
+        E = Divisor({q: 1 for q in points})
+        c = A.lattice.picdata.class_of(E)
         rep = A.rep(c)
-        Drep = A.lattice.divisor_of(rep)
-        s = is_principal(X, E - Drep)
-        if A.pic_component(c).coordinates_of(s) is None:
+        s = is_principal(X, E - A.lattice.divisor_of(rep))
+        if _section_polynomial(A, rep, s.num, s.den) is None:
             raise InternalInconsistency(
                 "covering element escaped its component")
         return (c, s)
 
-    specials = X.special
-    if len(specials) >= 2:
-        for t_idx, (t, _) in enumerate(specials):
-            others = [entry for k, entry in enumerate(specials) if k != t_idx]
-            for kept in itertools.product(*[range(m) for _, m in others]):
-                E = Divisor.zero()
-                for q in X.copies(t):
-                    E = E + Divisor.of_point(q)
-                for (s, m), keep in zip(others, kept):
-                    for i, q in enumerate(X.copies(s)):
-                        if i != keep:
-                            E = E + Divisor.of_point(q)
-                out.append(element(E))
-    else:
-        t, m = specials[0]
-        E0 = Divisor.zero()
-        for q in X.copies(t):
-            E0 = E0 + Divisor.of_point(q)
-        out.append(element(E0))
-        a = P1Point.finite(Fraction(1)) if t == P1Point.finite(Fraction(0)) \
-            else P1Point.finite(Fraction(0))
-        for keep in range(m):
-            E = Divisor.of_point(CurvePoint(a, 0))
-            for i, q in enumerate(X.copies(t)):
-                if i != keep:
-                    E = E + Divisor.of_point(q)
-            out.append(element(E))
+    def all_but(p, keep):
+        return [q for i, q in enumerate(X.copies(p)) if i != keep]
+
+    if len(X.special) == 1:
+        (t, m), = X.special
+        a = P1Point.finite(1 if t == P1Point.finite(0) else 0)
+        return [element(*X.copies(t))] + [
+            element(CurvePoint(a, 0), *all_but(t, keep)) for keep in range(m)]
+    out = []
+    for t, _ in X.special:
+        others = [(p, m) for p, m in X.special if p != t]
+        for kept in itertools.product(*[range(m) for _, m in others]):
+            out.append(element(*X.copies(t), *(
+                q for (p, _), keep in zip(others, kept)
+                for q in all_but(p, keep))))
     return out
 
 
@@ -1170,7 +1190,8 @@ def sections_as_polynomials(A, P, elements):
     monomials of the class all lie in one lattice degree L, since rep is
     linear, and are read there by _MonomialCoordinates.  The section is
     crossed from rep(class) into L by the witness of L - rep(class) when
-    that is nonzero, an isomorphism of components.  The monomials span L
+    that is nonzero, an isomorphism of components, and read there by its
+    coordinate polynomial (_section_polynomial).  The monomials span L
     whenever the presentation is complete there, so the section has an
     exact linear expression in them; the combination with free
     coefficients zeroed is taken, which keeps the rewriting deterministic.
@@ -1184,20 +1205,21 @@ def sections_as_polynomials(A, P, elements):
     for c, s in elements:
         c = tuple(int(x) for x in c)
         rep = A.rep(c)
-        target = A.base.component(rep).coordinates_of(s)
-        if target is None:
+        q = _section_polynomial(A, rep, s.num, s.den)
+        if q is None:
             raise NotASection("element lies outside its stated component")
         exps_list = _monomials(A, gen_degrees, c)
         L = _combination(exps_list[0], gen_lattice, A.lattice.rank) \
             if exps_list else rep
         if L != rep:
-            target = A.base.component(L).coordinates_of(
-                s * A.family.witness_for(_vsub(L, rep)))
-            if target is None:
+            w = A.family.witness_for(_vsub(L, rep))
+            q = _section_polynomial(A, L, s.num * w.num, s.den * w.den)
+            if q is None:
                 raise InternalInconsistency(
                     "witness crossing left the component")
-        cols = [coords.coordinates(exps, L, len(target))
-                for exps in exps_list]
+        dim = A.base.component_dim(L)
+        cols = [coords.coordinates(exps, L, dim) for exps in exps_list]
+        target = q.coeffs + (Fraction(0),) * (dim - len(q.coeffs))
         try:
             coeffs = _em.solve_in_span(cols, target)
         except _em.NotInSpan:
@@ -1207,19 +1229,37 @@ def sections_as_polynomials(A, P, elements):
     return out
 
 
-def _image_span(A, ci, cj, n):
-    target = A.pic_component(_vscale(n, _vadd(ci, cj)))
-    span = _Span(target.dim)
-    Si = A.pic_component(_vscale(n, ci))
-    Sj = A.pic_component(_vscale(n, cj))
-    for a in Si.basis:
-        for b in Sj.basis:
-            v = target.coordinates_of(a * b)
-            if v is None:
-                raise InternalInconsistency(
-                    "product of sections escaped the component of the sum")
-            span.add(v)
-    return target, span
+def _image_span(A, L1, L2):
+    """The dimension of the component of L1 + L2 and the span of the
+    products of sections of L1 and L2 in it.  Basis element k of a
+    component has coordinate polynomial z^k, so by the product rule
+    (_correction) the products are spanned by z^k C for k < d1 + d2 - 1,
+    each checked to land by its degree."""
+    m1, m2, m12 = (A.lattice.min_orders(L) for L in (L1, L2, _vadd(L1, L2)))
+    d1, d2, dim = (max(0, sum(m) + 1) for m in (m1, m2, m12))
+    C = _correction(A.curve, m12, m1, m2)[1]
+    span = _Span(dim)
+    for k in range(d1 + d2 - 1 if d1 and d2 else 0):
+        span.add(_coordinates(UniPoly((0,) * k + C.coeffs), dim,
+                              "product of sections escaped the component "
+                              "of the sum"))
+    return dim, span
+
+
+def _reported(A, L, idx, si, sj, L2, q2):
+    """The fields witness, basis element idx of the component of L, and
+    shifted, its product with si and sj, of a not_separated verdict: built
+    as functions and each read back exactly against its coordinate
+    polynomial (z^idx, and q2 in L2)."""
+    W, V, _ = _component_polynomials(A, L)
+    zk = UniPoly((0,) * idx + (1,))
+    witness = RationalFunction(V * zk, W)
+    shifted = witness * si * sj
+    for f, M, q in ((witness, L, zk), (shifted, L2, q2)):
+        if _section_polynomial(A, M, f.num, f.den) != q:
+            raise InternalInconsistency(
+                "reported section disagrees with its coordinate polynomial")
+    return {"witness": witness, "shifted": shifted}
 
 
 def separatedness_check(A, irrelevant, levels=2):
@@ -1233,37 +1273,42 @@ def separatedness_check(A, irrelevant, levels=2):
     the pair of element indices, the level, the uncovered section (witness)
     and that product (shifted).  Failures at the last level with no room for
     that confirmation leave the pair inconclusive.
+
+    Every section is read by its coordinate polynomial (_image_span, and
+    one _section_polynomial per element), so no section space is built and
+    functions are multiplied only for the reported pair (_reported).
     """
-    elements = [(tuple(int(x) for x in c), s) for c, s in irrelevant]
     if levels < 1:
         return Verdict("inconclusive", reason="no truncation levels requested")
+    elements = [(A.rep(c), s) for c, s in irrelevant]
+    qs = [_section_polynomial(A, L, s.num, s.den) for L, s in elements]
+    if None in qs:
+        raise NotASection("element lies outside its stated component")
     unresolved = False
     for i, j in itertools.combinations(range(len(elements)), 2):
-        ci, si = elements[i]
-        cj, sj = elements[j]
+        (Li, si), (Lj, sj) = elements[i], elements[j]
         for n in range(1, levels + 1):
-            target, span = _image_span(A, ci, cj, n)
-            if span.dim == target.dim:
+            L = _vscale(n, _vadd(Li, Lj))
+            dim, span = _image_span(A, _vscale(n, Li), _vscale(n, Lj))
+            if span.dim == dim:
                 continue
-            defects = []
-            for idx in range(target.dim):
-                unit = tuple(Fraction(1 if t == idx else 0)
-                             for t in range(target.dim))
-                if not span.contains(unit):
-                    defects.append(target.basis[idx])
             if n == levels:
                 unresolved = True
                 continue
-            target2, span2 = _image_span(A, ci, cj, n + 1)
-            for h in defects:
-                shifted = h * si * sj
-                v2 = target2.coordinates_of(shifted)
-                if v2 is None:
-                    raise InternalInconsistency(
-                        "persistence product escaped its component")
+            L2 = _vadd(L, _vadd(Li, Lj))
+            dim2, span2 = _image_span(A, _vscale(n + 1, Li),
+                                      _vscale(n + 1, Lj))
+            lift = qs[i] * qs[j] * _correction(
+                A.curve, *map(A.lattice.min_orders, (L2, L, Li, Lj)))[1]
+            for idx in range(dim):
+                if span.contains([int(t == idx) for t in range(dim)]):
+                    continue
+                q2 = UniPoly((0,) * idx + lift.coeffs)
+                v2 = _coordinates(q2, dim2,
+                                  "persistence product escaped its component")
                 if not span2.contains(v2):
                     return Verdict("not_separated", pair=(i, j), level=n,
-                                   witness=h, shifted=shifted)
+                                   **_reported(A, L, idx, si, sj, L2, q2))
     if unresolved:
         return Verdict("inconclusive", reason="spanning failure at the final "
                        "truncation level could not be confirmed at the next "

@@ -481,33 +481,28 @@ class SectionSpace(Immutable):
         return self._dim
 
     def coordinate_polynomial(self, f):
-        """The polynomial q = f * W / V, or None when f * W is no polynomial
-        multiple of V.  f lies in the space iff q exists and has degree
-        below the dimension."""
-        g = f * RationalFunction(self._wpoly)
-        if g.den.degree != 0:
-            return None
-        scaled = g.num * (Fraction(1) / g.den.coeffs[0])
-        q, r = divmod(scaled, self._vpoly)
-        if not r.is_zero():
-            return None
-        return q
+        """The polynomial q = f * W / V, or None when that is no polynomial
+        (polynomial_quotient).  f lies in the space iff q exists and has
+        degree below the dimension."""
+        return polynomial_quotient(f.num * self._wpoly, f.den * self._vpoly)
 
     def coordinates_of(self, f):
         """Coordinates of f in the stored basis, or None when f is outside:
         the coefficients of its coordinate polynomial."""
-        if f.is_zero():
-            return (Fraction(0),) * self._dim
-        if self._dim == 0:
-            return None
         q = self.coordinate_polynomial(f)
         if q is None or q.degree >= self._dim:
             return None
-        coords = list(q.coeffs) + [Fraction(0)] * (self._dim - len(q.coeffs))
-        return tuple(coords)
+        return q.coeffs + (Fraction(0),) * (self._dim - len(q.coeffs))
 
     def __repr__(self):
         return "SectionSpace(dim=%d, divisor=%s)" % (self._dim, self.divisor)
+
+
+def polynomial_quotient(num, den):
+    """num / den when den divides num, else None: one exact division, so
+    neither side needs to be reduced and no gcd is taken."""
+    q, r = divmod(num, den)
+    return q if r.is_zero() else None
 
 
 def order_polynomials(orders):

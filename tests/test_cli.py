@@ -144,6 +144,56 @@ class TestSmithFormCount:
         assert counts == {"certified": 0, "smith": 0}
 
 
+class TestSectionSpaceCount:
+    """verify reads covering elements, separatedness products and rewritten
+    elements by their coordinate polynomials: section spaces are built only
+    where the generator search takes a generator, and none inside the
+    separatedness check."""
+
+    def test_only_generator_components_are_built(self, capsys, monkeypatch):
+        inside = [False]
+        built = []
+        counts = {"coordinates_of": 0}
+        honest_space = coxalg.section_space
+        honest_coordinates = ratcurve.SectionSpace.coordinates_of
+        honest_check = cli.separatedness_check
+
+        def recording_space(X, D):
+            built.append((inside[0], D))
+            return honest_space(X, D)
+
+        def counting_coordinates(self, f):
+            if inside[0]:
+                counts["coordinates_of"] += 1
+            return honest_coordinates(self, f)
+
+        def marked_check(*args, **kwargs):
+            inside[0] = True
+            try:
+                return honest_check(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(coxalg, "section_space", recording_space)
+        monkeypatch.setattr(ratcurve.SectionSpace, "coordinates_of",
+                            counting_coordinates)
+        monkeypatch.setattr(cli, "separatedness_check", marked_check)
+        code, out, _ = run_cli(capsys, "verify", fixture("tripled_line.json"),
+                               "--box", "1", "--power-bound", "8")
+        assert code == 0
+        report = json.loads(out)
+        assert report["checks"]["separatedness"]["verdict"] == "not_separated"
+        assert counts == {"coordinates_of": 0}
+        assert not any(flag for flag, _ in built)
+        X = curve_from_json(json.loads(
+            (FIXTURES / "tripled_line.json").read_text()))
+        A = coxalg.curve_algebra(X)
+        degrees = report["checks"]["weight_monoid"]["details"]["degrees"]
+        expected = {A.lattice.divisor_of(A.rep(d)) for d in degrees}
+        assert [D for _, D in built] and len(built) == len(expected)
+        assert {D for _, D in built} == expected
+
+
 class TestToricCommand:
     def test_plane(self, capsys):
         code, out, _ = run_cli(capsys, "toric", fixture("plane_fan.json"))
@@ -384,6 +434,92 @@ class TestCrosscheckMutations:
 
         monkeypatch.setattr(coxalg, "curve_algebra", swapped)
         self._assert_disagrees(capsys)
+
+
+class TestSeparatednessMutations:
+    """The exact checks of verify's coordinate-polynomial reading can fail:
+    a fault in a correction, a covering element or a reported section is an
+    internal inconsistency, exit 3 with no report."""
+
+    @staticmethod
+    def _assert_inconsistent(capsys, message, name="tripled_line.json"):
+        code, out, err = run_cli(capsys, "verify", fixture(name), "--box",
+                                 "1")
+        assert code == 3
+        assert out == ""
+        assert err == "error: internal inconsistency: %s\n" % message
+
+    @staticmethod
+    def _inside_separatedness(monkeypatch, owner, attr, mutated):
+        # the mutation is live only while the separatedness check runs, so
+        # the presentation and the covering elements are read honestly
+        honest_check = cli.separatedness_check
+        honest = getattr(owner, attr)
+
+        def check(*args, **kwargs):
+            setattr(owner, attr, mutated)
+            try:
+                return honest_check(*args, **kwargs)
+            finally:
+                setattr(owner, attr, honest)
+
+        monkeypatch.setattr(cli, "separatedness_check", check)
+
+    @pytest.mark.parametrize("base, delta, message", [
+        (0, 1, "product of sections escaped the component of the sum"),
+        (1, 1, "reported section disagrees with its coordinate polynomial"),
+        (0, -1, "product of sections has a negative correction exponent")],
+        ids=["+1 at 0", "+1 at 1", "-1 at 0"])
+    def test_correction_exponent_off_by_one(self, capsys, monkeypatch,
+                                            base, delta, message):
+        honest = coxalg._correction
+
+        def off_by_one(X, m, *factors):
+            m = m[:base] + (m[base] + delta,) + m[base + 1:]
+            return honest(X, m, *factors)
+
+        self._inside_separatedness(monkeypatch, coxalg, "_correction",
+                                   off_by_one)
+        self._assert_inconsistent(capsys, message)
+
+    def test_correction_exponent_off_by_one_everywhere(self, capsys,
+                                                       monkeypatch):
+        honest = coxalg._correction
+
+        def off_by_one(X, m, *factors):
+            return honest(X, (m[0] - 1,) + m[1:], *factors)
+
+        monkeypatch.setattr(coxalg, "_correction", off_by_one)
+        self._assert_inconsistent(
+            capsys, "product of sections has a negative correction exponent")
+
+    @pytest.mark.parametrize("name", ["tripled_line.json", "mixed_line.json",
+                                      "doubled_line.json"])
+    def test_covering_element_times_a_special_factor(self, capsys,
+                                                     monkeypatch, name):
+        honest = coxalg.is_principal
+
+        def vanishing_more(X, D):
+            # one more zero, at the first special base
+            b = X.special[0][0].value
+            return honest(X, D) * em.RationalFunction(em.UniPoly([-b, 1]))
+
+        monkeypatch.setattr(coxalg, "is_principal", vanishing_more)
+        self._assert_inconsistent(
+            capsys, "covering element escaped its component", name)
+
+    def test_corrupted_shifted_fails_the_exact_reread(self, capsys,
+                                                      monkeypatch):
+        honest = em.RationalFunction.__mul__
+
+        def doubled(self, other):
+            return honest(honest(self, other), 2)
+
+        self._inside_separatedness(monkeypatch, em.RationalFunction,
+                                   "__mul__", doubled)
+        self._assert_inconsistent(
+            capsys, "reported section disagrees with its coordinate "
+            "polynomial")
 
 
 class TestDeterminism:

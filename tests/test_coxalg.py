@@ -1417,6 +1417,109 @@ class TestSeparatedness:
         assert verdict.verdict == "inconclusive"
 
 
+def _section_space_image_span(A, ci, cj, n):
+    """The image span on section spaces: every product of basis sections of
+    the n-scaled components, read back in the component of their sum."""
+    target = A.pic_component(tuple(n * (a + b) for a, b in zip(ci, cj)))
+    span = _Span(target.dim)
+    for a in A.pic_component(tuple(n * x for x in ci)).basis:
+        for b in A.pic_component(tuple(n * x for x in cj)).basis:
+            v = target.coordinates_of(a * b)
+            if v is None:
+                raise InternalInconsistency(
+                    "product of sections escaped the component of the sum")
+            span.add(v)
+    return target, span
+
+
+def _section_space_separatedness(A, irrelevant, levels=2):
+    """The separatedness check on section spaces and rational functions,
+    kept as the oracle of the coordinate-polynomial one."""
+    elements = [(tuple(int(x) for x in c), s) for c, s in irrelevant]
+    if levels < 1:
+        return coxalg.Verdict("inconclusive",
+                              reason="no truncation levels requested")
+    unresolved = False
+    for i, j in itertools.combinations(range(len(elements)), 2):
+        ci, si = elements[i]
+        cj, sj = elements[j]
+        for n in range(1, levels + 1):
+            target, span = _section_space_image_span(A, ci, cj, n)
+            if span.dim == target.dim:
+                continue
+            defects = []
+            for idx in range(target.dim):
+                unit = tuple(Fraction(1 if t == idx else 0)
+                             for t in range(target.dim))
+                if not span.contains(unit):
+                    defects.append(target.basis[idx])
+            if n == levels:
+                unresolved = True
+                continue
+            target2, span2 = _section_space_image_span(A, ci, cj, n + 1)
+            for h in defects:
+                shifted = h * si * sj
+                v2 = target2.coordinates_of(shifted)
+                if v2 is None:
+                    raise InternalInconsistency(
+                        "persistence product escaped its component")
+                if not span2.contains(v2):
+                    return coxalg.Verdict("not_separated", pair=(i, j),
+                                          level=n, witness=h,
+                                          shifted=shifted)
+    if unresolved:
+        return coxalg.Verdict(
+            "inconclusive", reason="spanning failure at the final "
+            "truncation level could not be confirmed at the next one")
+    return coxalg.Verdict("separated", levels=levels)
+
+
+class TestSeparatednessOracle:
+    """The coordinate-polynomial separatedness check and covering elements
+    against the section-space ones."""
+
+    @staticmethod
+    def _assert_agrees(X, mode, levels):
+        A = curve_algebra(X, mode)
+        elements = irrelevant_sections(A)
+        # every covering element lies in its section-space component, with
+        # the coordinate polynomial the exact division reads
+        for c, s in elements:
+            space = A.pic_component(c)
+            assert space.coordinates_of(s) is not None
+            assert (coxalg._section_polynomial(A, A.rep(c), s.num, s.den)
+                    == space.coordinate_polynomial(s))
+        got = separatedness_check(A, elements, levels)
+        expected = _section_space_separatedness(A, elements, levels)
+        assert got.verdict == expected.verdict
+        assert dict(got.fields) == dict(expected.fields)
+        assert str(got.fields.get("witness")) == str(
+            expected.fields.get("witness"))
+        assert str(got.fields.get("shifted")) == str(
+            expected.fields.get("shifted"))
+        return got
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixture_curves(self, name, mode, levels):
+        self._assert_agrees(FIXTURE_CURVES[name], mode, levels)
+
+    def test_explicit_basis(self):
+        A = tripled_algebra()
+        elements = irrelevant_sections(A)
+        got = separatedness_check(A, elements)
+        assert got.verdict == "not_separated"
+        expected = _section_space_separatedness(A, elements)
+        assert dict(got.fields) == dict(expected.fields)
+
+    @given(small_curves(max_mult=3), st.sampled_from(["canonical", "full"]),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=25, deadline=None)
+    def test_hypothesis_curves(self, X, mode, levels):
+        self._assert_agrees(X, mode, levels)
+
+
 class TestHomEquivalence:
     def test_identity(self):
         gens = [(d, s) for d, s in tripled_presentation().generators]

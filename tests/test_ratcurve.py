@@ -451,6 +451,38 @@ class TestSectionSpace:
             for g in S2.basis:
                 assert S12.coordinates_of(f * g) is not None
 
+    @staticmethod
+    def _reduced_coordinate_polynomial(S, f):
+        """coordinate_polynomial through a reduced product: f * W as a
+        rational function (a gcd), then its numerator divided by V."""
+        g = f * RationalFunction(S._wpoly)
+        if g.den.degree != 0:
+            return None
+        q, r = divmod(g.num * (Fraction(1) / g.den.coeffs[0]), S._vpoly)
+        return q if r.is_zero() else None
+
+    @given(curves(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_coordinate_polynomial_matches_the_reduced_product(self, X,
+                                                               data):
+        S = section_space(X, data.draw(divisors_on(X)))
+        others = [data.draw(factored_functions()) for _ in range(3)]
+        functions = ([RationalFunction.zero()] + list(S.basis) + others
+                     + [f * g for f in S.basis for g in others])
+        inside = 0
+        for f in functions:
+            q = S.coordinate_polynomial(f)
+            assert q == self._reduced_coordinate_polynomial(S, f)
+            inside += q is not None
+        assert inside >= 1 + S.dim
+
+    def test_polynomial_quotient_needs_no_reduced_form(self):
+        z2, z = UniPoly([0, 0, 1]), UniPoly.z()
+        assert ratcurve.polynomial_quotient(z2 * z, z2) == z
+        assert ratcurve.polynomial_quotient(z2 + UniPoly.one(), z) is None
+        assert ratcurve.polynomial_quotient(UniPoly.zero(), z2) == \
+            UniPoly.zero()
+
 
 class TestPicardGroup:
     def test_plain_line(self):
