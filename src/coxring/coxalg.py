@@ -257,16 +257,17 @@ def full_lambda(X):
 class GradedSectionAlgebra(Immutable):
     """Components of the lattice grading, computed once and cached.
 
-    The cache is the only mutable state; entries are immutable section
-    spaces and insertions of an already present key are idempotent, so
-    concurrent fills stay consistent.
+    The caches are the only mutable state; entries are immutable section
+    spaces and (W_L, V_L, dim) triples, and insertions of an already
+    present key are idempotent, so concurrent fills stay consistent.
     """
 
-    __slots__ = ("lattice", "_cache")
+    __slots__ = ("lattice", "_cache", "_polynomials")
 
     def __init__(self, lattice):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_polynomials", {})
 
     def component(self, vec):
         key = tuple(int(x) for x in vec)
@@ -279,6 +280,20 @@ class GradedSectionAlgebra(Immutable):
 
     def component_dim(self, vec):
         return max(0, sum(self.lattice.min_orders(vec)) + 1)
+
+    def polynomials(self, vec):
+        """(W_L, V_L, dim) of the component of lattice degree L = vec, read
+        from its least coefficients (min_orders) with no section space
+        built: its sections are V_L q / W_L with deg q < dim."""
+        key = tuple(int(x) for x in vec)
+        got = self._polynomials.get(key)
+        if got is None:
+            m = self.lattice.min_orders(key)
+            W, V = order_polynomials(
+                dict(zip((b for b, _ in self.lattice.curve.special), m)))
+            got = (W, V, max(0, sum(m) + 1))
+            self._polynomials.setdefault(key, got)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -636,20 +651,12 @@ def _coordinates(q, dim, escaped):
     return q.coeffs + (Fraction(0),) * (dim - len(q.coeffs))
 
 
-def _component_polynomials(A, L):
-    """(W_L, V_L, dim) of the component of lattice degree L, read from its
-    least coefficients (min_orders) with no section space built."""
-    m = A.lattice.min_orders(L)
-    W, V = order_polynomials(dict(zip((b for b, _ in A.curve.special), m)))
-    return W, V, max(0, sum(m) + 1)
-
-
 def _section_polynomial(A, L, num, den):
     """The coordinate polynomial of num / den in the component of lattice
     degree L, or None when num / den lies outside: one exact division of
     num W_L by den V_L (polynomial_quotient, no gcd, so num / den need not
     be reduced) and the degree bound."""
-    W, V, dim = _component_polynomials(A, L)
+    W, V, dim = A.base.polynomials(L)
     q = polynomial_quotient(num * W, den * V)
     return q if q is not None and q.degree < dim else None
 
@@ -1251,7 +1258,7 @@ def _reported(A, L, idx, si, sj, L2, q2):
     shifted, its product with si and sj, of a not_separated verdict: built
     as functions and each read back exactly against its coordinate
     polynomial (z^idx, and q2 in L2)."""
-    W, V, _ = _component_polynomials(A, L)
+    W, V, _ = A.base.polynomials(L)
     zk = UniPoly((0,) * idx + (1,))
     witness = RationalFunction(V * zk, W)
     shifted = witness * si * sj

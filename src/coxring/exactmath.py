@@ -8,6 +8,7 @@ a prescribed multidegree.  No floating point anywhere.
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -849,7 +850,7 @@ def _hnf_coords(basis, vector):
 
 
 def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -955,8 +956,8 @@ _PLAN_CACHE_SIZE = 32
 
 
 class _EnumerationPlan(Immutable):
-    """The target-independent work of enumerate_monomials for one degree
-    map, relation list and boundedness.
+    """The target-independent work of enumerate_monomials and
+    count_monomials for one degree map, relation list and boundedness.
 
     The solutions of D e = target modulo the relations L are
     e = p_e + c . proj, both from the Hermite split of D modulo L
@@ -964,15 +965,19 @@ class _EnumerationPlan(Immutable):
     basis of the span of D and L, combine their lifts into p_e, and its
     kernel is proj.  The coefficients c range over the polytope
     p_e + c . proj >= 0 (and sum(e) <= bound when bounded), whose
-    Fourier-Motzkin levels are kept with the multiplier vector of every row
-    over the original rows; a target then supplies only the right-hand
-    sides (-p_e, sum(p_e) - bound).
+    Fourier-Motzkin levels are kept with the multiplier vector t of every
+    row over the original rows.  The right-hand side of a row is
+    t . (-p_e, sum(p_e) - bound), linear in the target's coordinates and
+    the bound, so each row keeps that linear map instead of t: a target
+    supplies only its coordinates (and the bound).
     """
 
     __slots__ = ("pointed", "nvars", "image", "lifts", "proj", "levels",
                  "constants")
 
     def __init__(self, degree_map, relations, bounded):
+        degree_map = tuple(tuple(map(int, d)) for d in degree_map)
+        relations = tuple(tuple(map(int, v)) for v in relations)
         pointed = bounded or positive_functional(degree_map,
                                                  relations) is not None
         object.__setattr__(self, "pointed", pointed)
@@ -989,57 +994,110 @@ class _EnumerationPlan(Immutable):
         if bounded:
             rows.append((tuple(-sum(p) for p in proj), (0,) * r + (1,)))
         levels, constants = _fm_project(rows, len(proj))
-        object.__setattr__(self, "image", tuple(h for h, _ in image))
-        object.__setattr__(self, "lifts", tuple(c for _, c in image))
+        lifts = tuple(c for _, c in image)
+
+        def rhs_map(t):
+            # t . (-p_e, sum(p_e) - bound) over (coordinates, bound)
+            m = tuple(-_dot(t, lift) + (t[r] * sum(lift) if bounded else 0)
+                      for lift in lifts)
+            return m + (-t[r],) if bounded else m
+
+        image_rows = tuple(h for h, _ in image)
+        # over the standard basis a target's coordinates are the target
+        n = len(image_rows)
+        if n and image_rows == tuple(tuple(int(i == j) for j in range(n))
+                                     for i in range(n)):
+            image_rows = None
+        object.__setattr__(self, "image", image_rows)
+        object.__setattr__(self, "lifts", lifts)
         object.__setattr__(self, "proj", proj)
-        object.__setattr__(self, "levels", tuple(levels))
-        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "levels", tuple(
+            tuple(tuple((a, head, rhs_map(t)) for a, head, t in side)
+                  for side in level) for level in levels))
+        object.__setattr__(self, "constants",
+                           tuple(rhs_map(t) for t in constants))
+
+    def _intervals(self, target, bound):
+        """The target's coordinates over the image rows, and the ranges
+        (prefix, lo, hi) of the last kernel coefficient, one for each
+        prefix of the others that the levels above admit (lo > hi when
+        none is left); coordinates None when no e solves the target."""
+        coords = (target if self.image is None
+                  else _hnf_coords(self.image, target))
+        if coords is None:
+            return None, ()
+        values = coords + (bound,) if bound is not None else coords
+        # with an empty kernel every row is a constant: p_e >= 0 and the bound
+        if any(_dot(m, values) > 0 for m in self.constants):
+            return None, ()
+        if not self.proj:
+            return coords, (((), 0, 0),)
+        levels = [tuple([(a, head, _dot(m, values)) for a, head, m in side]
+                        for side in level) for level in self.levels]
+        kdim = len(levels)
+
+        def descend(prefix, k):
+            lower, upper = levels[k - 1]
+            if not lower or not upper:
+                raise UnboundedEnumeration(
+                    "solution polytope is unbounded; supply a bound")
+            # a * y_k >= b - head . prefix, integer ceil and floor
+            lo = max(-((_dot(head, prefix) - b) // a) for a, head, b in lower)
+            hi = min((b - _dot(head, prefix)) // a for a, head, b in upper)
+            if k == kdim:
+                yield prefix, lo, hi
+            else:
+                for v in range(lo, hi + 1):
+                    yield from descend(prefix + (v,), k + 1)
+
+        return coords, descend((), 1)
 
     def monomials(self, target, bound):
-        coords = _hnf_coords(self.image, target)
+        coords, intervals = self._intervals(target, bound)
         if coords is None:
             return []
         p_e = (0,) * self.nvars
         for a, lift in zip(coords, self.lifts):
             if a:
                 p_e = tuple(x + a * y for x, y in zip(p_e, lift))
-        rhs = [-x for x in p_e]
-        if bound is not None:
-            rhs.append(sum(p_e) - bound)
-        # with an empty kernel every row is a constant: p_e >= 0 and the bound
-        if any(_dot(tail, rhs) > 0 for tail in self.constants):
-            return []
-        proj = self.proj
-        if not proj:
-            return [p_e]
-        levels = [tuple([(a, head, _dot(tail, rhs)) for a, head, tail in side]
-                        for side in level) for level in self.levels]
-        kdim = len(proj)
         results = []
-
-        def descend(prefix, e, k):
-            lower, upper = levels[k - 1]
-            if not lower or not upper:
-                raise UnboundedEnumeration(
-                    "solution polytope is unbounded; supply a bound")
-            # a * y_k >= rhs - head . prefix, integer ceil and floor
-            lo = max(-((_dot(head, prefix) - b) // a) for a, head, b in lower)
-            hi = min((b - _dot(head, prefix)) // a for a, head, b in upper)
-            step = proj[k - 1]
+        last = self.proj[-1] if self.proj else ()
+        for prefix, lo, hi in intervals:
+            e = p_e
+            for v, step in zip(prefix, self.proj):
+                if v:
+                    e = tuple(x + v * y for x, y in zip(e, step))
             for v in range(lo, hi + 1):
-                nxt = tuple(x + v * y for x, y in zip(e, step))
-                if k == kdim:
-                    results.append(nxt)
-                else:
-                    descend(prefix + (v,), nxt, k + 1)
-
-        descend((), p_e, 1)
+                results.append(tuple(x + v * y for x, y in zip(e, last))
+                               if v else e)
         results.sort()
         return results
+
+    def count(self, target, bound):
+        return sum(max(0, hi - lo + 1)
+                   for _, lo, hi in self._intervals(target, bound)[1])
 
 
 _enumeration_plan = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(
     _EnumerationPlan)
+
+
+def _plan_and_target(degree_map, target, bound, relations):
+    # the plan is cached by the vectors as given (equal vectors have equal
+    # integer parts) and converts them to integers once
+    degree_map = tuple(map(tuple, degree_map))
+    target = tuple(map(int, target))
+    relations = tuple(map(tuple, relations))
+    n = len(target)
+    if any(len(d) != n for d in degree_map):
+        raise ValueError("degree vector length mismatch")
+    if any(len(v) != n for v in relations):
+        raise ValueError("relation vector length mismatch")
+    plan = _enumeration_plan(degree_map, relations, bound is not None)
+    if not plan.pointed:
+        raise UnboundedEnumeration(
+            "degree map is not pointed and no bound was given")
+    return plan, target
 
 
 def enumerate_monomials(degree_map, target, bound=None, relations=()):
@@ -1060,18 +1118,14 @@ def enumerate_monomials(degree_map, target, bound=None, relations=()):
     of one box share it.  An empty degree map and a trivial grading group
     (zero-length degrees) take the same path.
     """
-    degree_map = tuple(tuple(int(x) for x in d) for d in degree_map)
-    target = tuple(int(x) for x in target)
-    relations = tuple(tuple(int(x) for x in v) for v in relations)
-    n = len(target)
-    if any(len(d) != n for d in degree_map):
-        raise ValueError("degree vector length mismatch")
-    if any(len(v) != n for v in relations):
-        raise ValueError("relation vector length mismatch")
-
-    plan = _enumeration_plan(degree_map, relations, bound is not None)
-    if not plan.pointed:
-        raise UnboundedEnumeration(
-            "degree map is not pointed and no bound was given")
-
+    plan, target = _plan_and_target(degree_map, target, bound, relations)
     return plan.monomials(target, bound)
+
+
+def count_monomials(degree_map, target, bound=None, relations=()):
+    """len(enumerate_monomials(degree_map, target, bound, relations)),
+    with the same plan, descent and errors, but no vector built: the last
+    kernel coefficient of each admitted prefix adds the size of its
+    range."""
+    plan, target = _plan_and_target(degree_map, target, bound, relations)
+    return plan.count(target, bound)

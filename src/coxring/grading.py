@@ -52,19 +52,43 @@ def box_vector_count(generators, radius):
         % (radius, generators), power=(2 * radius + 1, generators))
 
 
+def box_coefficients(generators, radius):
+    """The coefficient vectors c with every |c_k| at most radius, ordered
+    by sum_k |c_k| and then by sign-flipped lexicographic comparison of c,
+    so small positive combinations come first: an iterator over the layers
+    of equal sum_k |c_k|, each in decreasing lexicographic order, so no
+    product is materialised or sorted.  Raises BoxTooLarge, before any
+    vector is made, when there would be more than MAX_BOX_VECTORS."""
+    box_vector_count(generators, radius)
+
+    def layer(k, total):
+        # vectors of length k with sum |c_i| = total, lexicographically
+        # decreasing; the tail must be able to take what the head leaves
+        if k == 1:
+            yield (total,)
+            if total:
+                yield (-total,)
+            return
+        for x in range(min(radius, total), -min(radius, total) - 1, -1):
+            rest = total - abs(x)
+            if rest <= radius * (k - 1):
+                for tail in layer(k - 1, rest):
+                    yield (x,) + tail
+
+    if generators == 0:
+        return iter([()])
+    return itertools.chain.from_iterable(
+        layer(generators, total) for total in range(generators * radius + 1))
+
+
 def box_vectors(generators, radius, ambient_rank):
     """The combinations sum_k c_k * generators[k] with every |c_k| at most
-    radius, as ambient vectors, ordered by sum_k |c_k| and then by
-    sign-flipped lexicographic comparison of c, so small positive
-    combinations come first.  Raises BoxTooLarge before listing more than
-    MAX_BOX_VECTORS coefficient vectors."""
-    box_vector_count(len(generators), radius)
-    coefficients = sorted(
-        itertools.product(range(-radius, radius + 1), repeat=len(generators)),
-        key=lambda c: (sum(abs(x) for x in c), tuple(-x for x in c)))
-    return [tuple(sum(x * g[i] for x, g in zip(c, generators))
-                  for i in range(ambient_rank))
-            for c in coefficients]
+    radius, as ambient vectors, in the order of box_coefficients.  Raises
+    BoxTooLarge before listing more than MAX_BOX_VECTORS coefficient
+    vectors."""
+    coefficients = box_coefficients(len(generators), radius)
+    columns = list(zip(*generators)) or [()] * ambient_rank
+    return [tuple(em._dot(c, col) for col in columns) for c in coefficients]
 
 
 def _matmul(A, B):
@@ -148,14 +172,24 @@ class FGAbelianGroup(Immutable):
 
     def box(self, generators, radius):
         """The distinct classes of box_vectors(generators, radius), each at
-        its first combination."""
+        its first combination.  A class key is linear before the torsion
+        part is reduced, so the key of sum_k c_k g_k is sum_k c_k key(g_k)
+        with that part reduced mod its modulus."""
+        # the columns of the generators and of their keys
+        nfree = len(self._free_rows)
+        columns = list(zip(*generators)) or [()] * self.ambient_rank
+        key_columns = (list(zip(*(self.class_key(g) for g in generators)))
+                       or [()] * (nfree + len(self._torsion_moduli)))
         out = []
         seen = set()
-        for amb in box_vectors(generators, radius, self.ambient_rank):
-            key = self.class_key(amb)
+        for c in box_coefficients(len(generators), radius):
+            key = [em._dot(c, col) for col in key_columns]
+            for i, d in enumerate(self._torsion_moduli, nfree):
+                key[i] %= d
+            key = tuple(key)
             if key not in seen:
                 seen.add(key)
-                out.append(amb)
+                out.append(tuple(em._dot(c, col) for col in columns))
         return tuple(out)
 
     def contains_zero(self, vector):

@@ -5,7 +5,11 @@ never materialized because only the maximal cones enter the irrelevant
 monomials.  The class group is the cokernel of the character lattice pairing
 against the rays, each variable carries the class of its ray, and the
 resulting ring is a free polynomial ring: components have the monomials of
-the matching class as a basis, which makes Hilbert counts pure enumeration.
+the matching class as a basis, which makes Hilbert counts lattice-point
+counts (exactmath.count_monomials).  Fans are validated by the separation
+lemma, each cone and pair certified by an integer functional built from the
+dual bases of full-dimensional simplicial cones, with Fourier-Motzkin only
+where no such functional is found.
 """
 
 from itertools import combinations
@@ -16,7 +20,7 @@ from .exactmath import (
     Immutable,
     MultiPoly,
     UnboundedEnumeration,
-    enumerate_monomials,
+    count_monomials,
     positive_functional,
 )
 from .grading import FGAbelianGroup
@@ -56,6 +60,7 @@ class Fan(Immutable):
         if len(set(clean_rays)) != len(clean_rays):
             raise MalformedFan("rays must be pairwise distinct")
         clean_cones = []
+        duals = []
         covered = set()
         for k, cone in enumerate(max_cones):
             idx = [int(j) for j in cone]
@@ -66,12 +71,16 @@ class Fan(Immutable):
                     raise MalformedFan(
                         "cone %d uses ray index %d, out of range" % (k, j))
             cone_rays = [clean_rays[j] for j in idx]
-            if positive_functional(cone_rays) is None:
+            dual = _dual_basis(cone_rays, rank)
+            # the sum of a dual basis is positive on every ray
+            certified = dual is not None and _separates(
+                _vsum(dual, rank), (), cone_rays, ())
+            if not certified and positive_functional(cone_rays) is None:
                 raise MalformedFan("cone %d is not strongly convex" % k)
             # a strongly convex cone with independent rays has every ray
             # extremal; otherwise no functional positive on the other rays
             # and zero on u means that u lies in their cone
-            if len(_em._hnf_rows(cone_rays)) < len(idx):
+            if dual is None and len(_em._hnf_rows(cone_rays)) < len(idx):
                 for j, u in zip(idx, cone_rays):
                     others = [v for v in cone_rays if v != u]
                     if positive_functional(others, [u]) is None:
@@ -80,24 +89,38 @@ class Fan(Immutable):
                             "rays" % (k, j))
             covered.update(idx)
             clean_cones.append(tuple(sorted(idx)))
+            duals.append(None if dual is None else dict(zip(idx, dual)))
         # separation lemma: two cones meet in the cone of their common rays
         # exactly when a functional vanishes on those rays, is positive on
         # the other rays of one cone and negative on the other rays of the
         # other cone
+        cone_sets = [set(cone) for cone in clean_cones]
         for a, b in combinations(range(len(clean_cones)), 2):
-            common = set(clean_cones[a]) & set(clean_cones[b])
+            common = cone_sets[a] & cone_sets[b]
             # a cone whose rays all belong to another cone lies in it
             for small, big in ((b, a), (a, b)):
-                if common == set(clean_cones[small]):
+                if common == cone_sets[small]:
                     raise MalformedFan(
                         "cone %d lies in cone %d, so it is not maximal"
                         % (small, big))
-            apart = ([clean_rays[j] for j in clean_cones[a]
-                      if j not in common]
-                     + [tuple(-x for x in clean_rays[j])
-                        for j in clean_cones[b] if j not in common])
-            if positive_functional(
-                    apart, [clean_rays[j] for j in sorted(common)]) is None:
+            only_a = [j for j in clean_cones[a] if j not in common]
+            only_b = [j for j in clean_cones[b] if j not in common]
+            zero = [clean_rays[j] for j in sorted(common)]
+            positive = [clean_rays[j] for j in only_a]
+            negative = [clean_rays[j] for j in only_b]
+            # a's dual functionals summed over only_a vanish on the common
+            # rays and are positive on only_a; b's summed over only_b and
+            # negated vanish there and are negative on only_b.  Either
+            # separates when it has the right sign on the other cone too.
+            separated = any(
+                dual is not None and _separates(
+                    _vsum([dual[j] for j in rays_of], rank, sign),
+                    zero, positive, negative)
+                for dual, rays_of, sign in ((duals[a], only_a, 1),
+                                            (duals[b], only_b, -1)))
+            if not separated and positive_functional(
+                    positive + [tuple(-x for x in r) for r in negative],
+                    zero) is None:
                 raise MalformedFan(
                     "cones %d and %d overlap beyond their common rays"
                     % (a, b))
@@ -120,6 +143,50 @@ class Fan(Immutable):
     def __repr__(self):
         return "Fan(rank=%d, %d rays, %d maximal cones)" % (
             self.rank, len(self.rays), len(self.max_cones))
+
+
+def _dual_basis(rays, rank):
+    """Integer functionals u_1, ..., u_n with u_i . r_j = 0 for i != j and
+    u_i . r_i = d > 0, for n = rank rays r_j that span Q^rank: d R^-1 for
+    the matrix R with the rays as columns, by fraction-free Gauss-Jordan
+    elimination of (R | I), whose divisions are exact and whose last pivot
+    is +-det R.  None for any other cone (one that is not simplicial or
+    not full-dimensional)."""
+    if len(rays) != rank:
+        return None
+    n = rank
+    A = [[r[i] for r in rays] + [int(i == j) for j in range(n)]
+         for i in range(n)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if A[i][k]), None)
+        if p is None:
+            return None
+        A[k], A[p] = A[p], A[k]
+        pivot = A[k][k]
+        for i in range(n):
+            if i != k:
+                f = A[i][k]
+                A[i] = [(pivot * x - f * y) // prev
+                        for x, y in zip(A[i], A[k])]
+        prev = pivot
+    sign = 1 if prev > 0 else -1
+    return [tuple(sign * x for x in row[n:]) for row in A]
+
+
+def _vsum(vectors, rank, sign=1):
+    """sign times the sum of the vectors, all of length rank."""
+    return tuple(sign * sum(column) for column in zip(*vectors)) \
+        if vectors else (0,) * rank
+
+
+def _separates(y, zero, positive, negative):
+    """Whether y . r is 0 for every r in zero, positive for every r in
+    positive and negative for every r in negative, by integer dot
+    products."""
+    return (all(_em._dot(y, r) == 0 for r in zero)
+            and all(_em._dot(y, r) > 0 for r in positive)
+            and all(_em._dot(y, r) < 0 for r in negative))
 
 
 def fan_from_json(data):
@@ -223,8 +290,7 @@ def cox_presentation(fan, radius=2):
     cert = []
     for D in box:
         try:
-            m = len(enumerate_monomials(degrees, D,
-                                        relations=group.relations))
+            m = count_monomials(degrees, D, relations=group.relations)
         except UnboundedEnumeration:
             continue
         cert.append({"degree": list(D), "monomials": m, "dim": m,
@@ -239,8 +305,8 @@ def hilbert_toric(fan, class_vec, bound=None):
     if len(target) != group.ambient_rank:
         raise ValueError("class vector length differs from the number of "
                          "rays")
-    return len(enumerate_monomials(degrees, target, bound=bound,
-                                   relations=group.relations))
+    return count_monomials(degrees, target, bound=bound,
+                           relations=group.relations)
 
 
 def product_fan(fan1, fan2):

@@ -193,6 +193,30 @@ class TestSectionSpaceCount:
         assert [D for _, D in built] and len(built) == len(expected)
         assert {D for _, D in built} == expected
 
+    def test_component_polynomials_once_per_degree(self, capsys,
+                                                   monkeypatch):
+        # the three readers of verify share (W_L, V_L, dim) per degree L
+        read, built = [], []
+        honest_read = coxalg.GradedSectionAlgebra.polynomials
+        honest_orders = coxalg.order_polynomials
+
+        def recording_read(self, vec):
+            read.append(tuple(vec))
+            return honest_read(self, vec)
+
+        def counting_orders(orders):
+            built.append(orders)
+            return honest_orders(orders)
+
+        monkeypatch.setattr(coxalg.GradedSectionAlgebra, "polynomials",
+                            recording_read)
+        monkeypatch.setattr(coxalg, "order_polynomials", counting_orders)
+        code, _, _ = run_cli(capsys, "verify", fixture("tripled_line.json"),
+                             "--box", "1", "--power-bound", "8")
+        assert code == 0
+        assert len(read) > len(set(read))
+        assert len(built) == len(set(read))
+
 
 class TestToricCommand:
     def test_plane(self, capsys):

@@ -17,6 +17,7 @@ from coxring.exactmath import (
     RationalFunction,
     UnboundedEnumeration,
     UniPoly,
+    count_monomials,
     enumerate_monomials,
     parse_multipoly,
     parse_rational_function,
@@ -438,6 +439,67 @@ class TestEnumerationPlan:
                 enumerate_monomials(degree_map, ())
         else:
             assert enumerate_monomials(degree_map, ()) == [()]
+
+
+class TestCountMonomials:
+    """count_monomials against the length of the listing, on the same
+    plans: bounded and unbounded, with free and torsion relations."""
+
+    @staticmethod
+    def _agree(degree_map, target, bound, relations):
+        try:
+            listed = enumerate_monomials(degree_map, target, bound=bound,
+                                         relations=relations)
+        except UnboundedEnumeration:
+            with pytest.raises(UnboundedEnumeration):
+                count_monomials(degree_map, target, bound=bound,
+                                relations=relations)
+            return
+        assert count_monomials(degree_map, target, bound=bound,
+                               relations=relations) == len(listed)
+
+    @given(st.lists(st.tuples(small_ints, small_ints), min_size=0, max_size=5),
+           st.lists(st.tuples(small_ints, small_ints), min_size=0, max_size=2),
+           st.lists(st.tuples(small_ints, small_ints), min_size=1, max_size=4),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_listing(self, degree_map, relations, targets, bound):
+        for target in targets:
+            self._agree(degree_map, target, bound, relations)
+
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=3),
+                              small_ints, small_ints),
+                    min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=4),
+           st.tuples(small_ints, small_ints),
+           st.lists(st.tuples(st.integers(min_value=-1, max_value=6),
+                              small_ints, small_ints),
+                    min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_pointed_torsion_matches_the_listing(self, degree_map, k,
+                                                 relation, targets):
+        relations = [(0, k, 0), (0,) + relation]
+        for target in targets:
+            self._agree(degree_map, target, None, relations)
+
+    @given(st.tuples(small_ints, small_ints),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=6)))
+    @settings(max_examples=40, deadline=None)
+    def test_torsion_fan_grading(self, target, bound):
+        # the cone over (1,0), (1,2): rays graded by unit vectors modulo
+        # the character rows, a group Z/2 with no pointed degree monoid
+        self._agree([(1, 0), (0, 1)], target, bound, [(1, 1), (0, 2)])
+
+    def test_counts(self):
+        assert count_monomials([(1,), (1,)], (2,)) == 3
+        assert count_monomials(SECTION8_DEGREES, (0, 1, 1, 0)) == 3
+        assert count_monomials([(1,)], (0,), bound=5, relations=[(2,)]) == 3
+        assert count_monomials([(1,), (1,)], (-1,)) == 0
+        assert count_monomials([], (0,)) == 1
+        with pytest.raises(UnboundedEnumeration):
+            count_monomials([(1,), (-1,)], (0,))
+        with pytest.raises(ValueError, match="degree vector length"):
+            count_monomials([(1,), (1, 0)], (2,))
 
 
 class TestFeasiblePoint:

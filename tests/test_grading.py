@@ -4,6 +4,8 @@ sympy's matrix routines serve as the independent oracle for rank and
 invariant factors.
 """
 
+import itertools
+
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -14,7 +16,9 @@ from coxring.grading import (
     MAX_BOX_VECTORS,
     BoxTooLarge,
     FGAbelianGroup,
+    box_coefficients,
     box_vector_count,
+    box_vectors,
     smith_normal_form,
 )
 
@@ -152,6 +156,73 @@ class TestBoxLimit:
             box_vector_count(100001, 1)
         assert box_vector_count(100001, 0) == 1
         assert box_vector_count(12, 1) == 3 ** 12
+
+
+def sorted_product_box(generators, radius, ambient_rank):
+    """The box as a sorted materialised product: every coefficient vector,
+    sorted by sum |c_k| and then by -c, each mapped to its combination."""
+    coefficients = sorted(
+        itertools.product(range(-radius, radius + 1), repeat=len(generators)),
+        key=lambda c: (sum(abs(x) for x in c), tuple(-x for x in c)))
+    return [tuple(sum(x * g[i] for x, g in zip(c, generators))
+                  for i in range(ambient_rank))
+            for c in coefficients]
+
+
+def class_key_box(G, generators, radius):
+    """The distinct classes of the box by one class_key per vector."""
+    out, seen = [], set()
+    for amb in sorted_product_box(generators, radius, G.ambient_rank):
+        if G.class_key(amb) not in seen:
+            seen.add(G.class_key(amb))
+            out.append(amb)
+    return tuple(out)
+
+
+class TestBoxOrder:
+    """The layered box against the sorted product it replaces, and the
+    linear class keys of FGAbelianGroup.box against one class_key per
+    vector."""
+
+    @given(st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_coefficients_match_the_sorted_product(self, k, radius):
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        assert list(box_coefficients(k, radius)) == sorted_product_box(
+            units, radius, k)
+
+    @given(st.integers(min_value=0, max_value=4).flatmap(
+        lambda k: st.lists(st.lists(small_ints, min_size=2, max_size=2),
+                           min_size=k, max_size=k)),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_vectors_match_the_sorted_product(self, generators, radius):
+        assert box_vectors(generators, radius, 2) == sorted_product_box(
+            generators, radius, 2)
+
+    @given(st.lists(st.lists(small_ints, min_size=3, max_size=3),
+                    min_size=0, max_size=3),
+           st.integers(min_value=0, max_value=3).flatmap(
+               lambda k: st.lists(st.lists(small_ints, min_size=3,
+                                           max_size=3),
+                                  min_size=k, max_size=k)),
+           st.integers(min_value=0, max_value=2))
+    @settings(max_examples=60, deadline=None)
+    def test_linear_keys_match_class_key(self, rels, generators, radius):
+        # torsion parts come from relations such as (2, 0, 0)
+        G = FGAbelianGroup(3, rels)
+        assert G.box(generators, radius) == class_key_box(G, generators,
+                                                          radius)
+
+    def test_torsion_box(self):
+        # Z^2 / <(1,0),(1,2)> = Z/2: two classes, the second at (0, 1)
+        G = FGAbelianGroup(2, [(1, 0), (1, 2)])
+        assert G.box([(0, 1)], 3) == ((0, 0), (0, 1))
+
+    def test_refused_before_any_vector(self):
+        with pytest.raises(BoxTooLarge):
+            box_coefficients(11, 2)
 
 
 class TestFGAbelianGroup:

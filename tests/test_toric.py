@@ -11,16 +11,17 @@ import math
 import pathlib
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from coxring import cli
+from coxring import cli, toric
 from coxring.coxalg import (
     curve_algebra,
     default_box,
     freely_graded_check,
     tensor_presentation,
 )
-from coxring.exactmath import UnboundedEnumeration
+from coxring.exactmath import UnboundedEnumeration, positive_functional
 from coxring.ratcurve import curve_from_json
 from coxring.toric import (
     Fan,
@@ -414,3 +415,195 @@ class TestSkewedFan:
             assert code == 0
             reports.append(cli.render(report, "json"))
         assert reports[0] == reports[1]
+
+
+def fan_verdict(data, fm_only=False):
+    """"accepted", or the message of the MalformedFan that rejects data;
+    with fm_only, every cone and pair is decided by Fourier-Motzkin."""
+    with pytest.MonkeyPatch.context() as mp:
+        if fm_only:
+            mp.setattr(toric, "_dual_basis", lambda rays, rank: None)
+        try:
+            Fan(data["rank"], data["rays"], data["max_cones"])
+        except MalformedFan as exc:
+            return str(exc)
+    return "accepted"
+
+
+def assert_same_verdict(data):
+    verdict = fan_verdict(data)
+    assert verdict == fan_verdict(data, fm_only=True)
+    return verdict
+
+
+def primitive(v):
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g else None
+
+
+@st.composite
+def unimodular(draw, n):
+    """A signed permutation times a product of elementary shears."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.sampled_from([(i, j) for i in range(n)
+                                     for j in range(n) if i != j]))
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        g[i] = [a + c * b for a, b in zip(g[i], g[j])]
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    return [[signs[i] * x for x in g[perm[i]]] for i in range(n)]
+
+
+def transformed(fan, g):
+    data = fan_to_json(fan)
+    data["rays"] = [[sum(a * b for a, b in zip(row, r)) for row in g]
+                    for r in data["rays"]]
+    return data
+
+
+FACTORS = {"line": line_fan, "plane": plane_fan, "f1": hirzebruch_fan,
+           "cone": quadric_cone_fan, "affine": affine_line_fan}
+
+
+@st.composite
+def product_fans(draw):
+    names = draw(st.lists(st.sampled_from(sorted(FACTORS)), min_size=1,
+                          max_size=3))
+    fan = point_fan()
+    for name in names:
+        fan = product_fan(fan, FACTORS[name]())
+    return transformed(fan, draw(unimodular(fan.rank)))
+
+
+@st.composite
+def random_simplicial_fans(draw, n):
+    """Random primitive rays in rank n and random cones of at most n of
+    them.  Mostly the cones are tidied first (no cone inside another, no
+    unused ray), so that the cone and pair checks decide; the rest keep
+    their repeated, contained and uncovered cases."""
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                         min_size=1, max_size=7))
+    rays = list(dict.fromkeys(r for r in map(primitive, rays) if r))
+    if not rays:
+        rays = [tuple(int(i == 0) for i in range(n))]
+    cones = draw(st.lists(
+        st.lists(st.integers(0, len(rays) - 1), min_size=1, max_size=n,
+                 unique=True), min_size=1, max_size=6))
+    if draw(st.integers(0, 3)) < 3:
+        sets = list(dict.fromkeys(frozenset(c) for c in cones))
+        cones = [sorted(c) for c in sets if not any(c < d for d in sets)]
+        used = sorted({j for c in cones for j in c})
+        index = {j: k for k, j in enumerate(used)}
+        rays = [rays[j] for j in used]
+        cones = [[index[j] for j in c] for c in cones]
+    return {"rank": n, "rays": [list(r) for r in rays], "max_cones": cones}
+
+
+@st.composite
+def plane_fans(draw):
+    """Rays sorted by angle, each cone two neighbours less than a half-turn
+    apart: always a fan, complete when no gap is a half-turn or more."""
+    rays = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                         min_size=2, max_size=7))
+    rays = sorted(set(r for r in map(primitive, rays) if r),
+                  key=lambda r: math.atan2(r[1], r[0]))
+    pairs = [(i, (i + 1) % len(rays)) for i in range(len(rays))]
+    cones = [[i, j] for i, j in pairs
+             if rays[i][0] * rays[j][1] - rays[i][1] * rays[j][0] > 0]
+    if not cones:
+        return {"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}
+    used = sorted({j for c in cones for j in c})
+    index = {j: k for k, j in enumerate(used)}
+    return {"rank": 2, "rays": [list(rays[j]) for j in used],
+            "max_cones": [[index[j] for j in c] for c in cones]}
+
+
+class TestDualBasisOracle:
+    """Fan validation by dual bases against Fourier-Motzkin for every cone
+    and pair: the same verdict and the same message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(product_fans())
+    def test_unimodular_images_of_products(self, data):
+        assert assert_same_verdict(data) == "accepted"
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_simplicial_fans(2))
+    def test_random_plane_fans(self, data):
+        assert_same_verdict(data)
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_simplicial_fans(3))
+    def test_random_space_fans(self, data):
+        assert_same_verdict(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(plane_fans())
+    def test_plane_fans_by_angle(self, data):
+        assert assert_same_verdict(data) == "accepted"
+
+    @pytest.mark.parametrize("data", [
+        *TestFan.OVERLAPPING, TestFan.RAY_INSIDE,
+        *(data for data, _ in TestFan.NOT_MAXIMAL),
+        {"rank": 3, "rays": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]],
+         "max_cones": [[0, 1, 2, 3]]},
+        {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0, 1]]},
+        {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+         "max_cones": [[0, 1], [2, 3]]}],
+        ids=["overlapping-shared-ray", "overlapping-apart", "ray-inside",
+             "repeated", "face", "non-simplicial", "line", "opposite"])
+    def test_fan_cases(self, data):
+        assert_same_verdict(data)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_dual_basis_pairs_to_a_positive_diagonal(self, rays):
+        dual = toric._dual_basis(rays, len(rays))
+        det = sympy.Matrix(rays).det()
+        assert (dual is None) == (det == 0)
+        if dual is not None:
+            pairing = [[sum(a * b for a, b in zip(u, r)) for r in rays]
+                       for u in dual]
+            d = pairing[0][0]
+            assert d == abs(det)
+            assert pairing == [[d * (i == j) for j in range(len(rays))]
+                               for i in range(len(rays))]
+
+    def test_non_square_cones_have_no_dual_basis(self):
+        assert toric._dual_basis([(1, 0, 0), (0, 1, 0)], 3) is None
+        assert toric._dual_basis([], 1) is None
+        assert toric._dual_basis([], 0) == []
+
+
+class TestFanCallCount:
+    """Fans whose cones are all full-dimensional and simplicial are
+    validated without Fourier-Motzkin."""
+
+    @staticmethod
+    def _calls(data):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return positive_functional(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(toric, "positive_functional", counting)
+            Fan(data["rank"], data["rays"], data["max_cones"])
+        return len(calls)
+
+    def test_products_and_skewed_fan(self):
+        square = product_fan(line_fan(), line_fan())
+        p1_4 = fan_to_json(product_fan(square, square))
+        p2_2 = fan_to_json(product_fan(plane_fan(), plane_fan()))
+        for data in (p1_4, p2_2, dict(p1_4, rays=SKEWED_P1_4_RAYS)):
+            assert self._calls(data) == 0
+
+    def test_non_simplicial_cone_reaches_fourier_motzkin(self):
+        square = {"rank": 3,
+                  "rays": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]],
+                  "max_cones": [[0, 1, 2, 3]]}
+        assert self._calls(square) > 0
