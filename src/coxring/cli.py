@@ -265,9 +265,61 @@ def _text_lines(prefix, value):
         yield "%s: %s" % (prefix, value)
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _json_parts(value, indent, parts):
+    """Append the pieces of json.dumps(value, indent=2, sort_keys=True) to
+    parts, at the given indentation: the same bytes without the encoder's
+    pure-Python path, which indent selects.  Values are dicts with string
+    keys, lists and tuples, strings, ints, bools and None; anything else
+    raises TypeError.  A list of ints is written by one join."""
+    if isinstance(value, str):
+        parts.append(_encode_string(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = indent + "  "
+        if isinstance(value, dict):
+            sep = "{\n" + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError("keys must be str, not %s"
+                                    % type(key).__name__)
+                parts.append(sep + _encode_string(key) + ": ")
+                _json_parts(value[key], inner, parts)
+                sep = ",\n" + inner
+            parts.append("\n" + indent + "}")
+        elif all(type(x) is int for x in value):
+            parts.append("[\n" + inner
+                         + (",\n" + inner).join(map(int.__repr__, value))
+                         + "\n" + indent + "]")
+        else:
+            sep = "[\n" + inner
+            for item in value:
+                parts.append(sep)
+                _json_parts(item, inner, parts)
+                sep = ",\n" + inner
+            parts.append("\n" + indent + "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(value).__name__)
+
+
 def render(report, fmt):
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
+        parts = []
+        _json_parts(report, "", parts)
+        return "".join(parts)
     return "\n".join(_text_lines("", report))
 
 

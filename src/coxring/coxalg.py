@@ -14,6 +14,7 @@ classes and reports honestly when the box is too small to decide.
 
 import itertools
 import math
+import operator
 
 from fractions import Fraction
 from types import MappingProxyType
@@ -183,12 +184,7 @@ class LineBundleLattice(Immutable):
         """The copy vector of the divisor of vec cut into one tuple per
         special base, in input order."""
         coeffs = self.copy_vector(vec)
-        out = []
-        start = 0
-        for _, m in self.curve.special:
-            out.append(coeffs[start:start + m])
-            start += m
-        return out
+        return [coeffs[block] for block in self.picdata.blocks]
 
     def min_orders(self, vec):
         """Least coefficient of the divisor of vec over the copies of each
@@ -498,11 +494,29 @@ class PicGradedAlgebra(Immutable):
         return self.base.component(self.rep(class_vec))
 
     def component_dim(self, class_vec):
-        return self.base.component_dim(self.rep(class_vec))
+        """Dimension of the component at the class of an ambient vector c,
+        read off c: max(0, sum_b min_b(c) + 1), min_b the least entry of c
+        over the copies of the special base b.
+
+        The component is that of the lattice degree rep(c), whose copy
+        vector c' has the class of c, so its dimension is
+        max(0, sum_b min_b(c') + 1) (GradedSectionAlgebra.component_dim).
+        c' - c is an integer combination of the class relations, and the
+        relation of a special point p is -1 on every copy of the anchor and
+        +1 on every copy of p: it lowers the anchor's minimum by one and
+        raises p's by one.  So sum_b min_b is a class invariant and equals
+        sum_b min_b(c'), on every lattice, with no representative built.
+        """
+        if len(class_vec) != self.pic.ambient_rank:
+            raise ValueError("class vector length differs from ambient rank")
+        total = 1
+        for block in self.pic.blocks:
+            total += min(class_vec[block])
+        return max(0, total)
 
     def effective_nonzero(self, class_vec):
-        return (not self.pic.contains_zero(class_vec)
-                and self.component_dim(class_vec) > 0)
+        return (self.component_dim(class_vec) > 0
+                and not self.pic.contains_zero(class_vec))
 
     def verify_representative(self, class_vec, L):
         """Check that component L matches the chosen representative through
@@ -591,18 +605,18 @@ def _traversal(A, box):
 
     A nonzero effective difference raises the weighted degree of
     _degree_weights, so sorting by (weighted degree, position) visits every
-    class below a class before it.
+    class below a class before it.  The box vectors are int tuples, as
+    lattice_box lists them, and are passed on as they are.
     """
-    pic = A.pic
+    class_key = A.pic.class_key
     y = _degree_weights(A)
     classes = []
     seen = set()
-    for i, c in enumerate(box):
-        vec = tuple(int(x) for x in c)
-        key = pic.class_key(vec)
+    for i, vec in enumerate(box):
+        key = class_key(vec)
         if key not in seen:
             seen.add(key)
-            classes.append((sum(a * b for a, b in zip(y, vec)), i, vec))
+            classes.append((sum(map(operator.mul, y, vec)), i, vec))
     classes.sort()
     return [(i, vec) for _, i, vec in classes]
 
@@ -872,8 +886,7 @@ class Presentation(Immutable):
                            tuple((tuple(int(x) for x in d), s)
                                  for d, s in generators))
         object.__setattr__(self, "relations", tuple(relations))
-        object.__setattr__(self, "box",
-                           tuple(tuple(int(x) for x in c) for c in box))
+        object.__setattr__(self, "box", tuple(map(tuple, box)))
         object.__setattr__(self, "certificate", tuple(certificate))
 
     @property

@@ -48,7 +48,7 @@ class UniPoly(Immutable):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -583,7 +583,7 @@ class _Span:
             self.add(row)
 
     def _reduce(self, vec):
-        v = [Fraction(x) for x in vec]
+        v = [x if type(x) is Fraction else Fraction(x) for x in vec]
         for row, p in zip(self.rows, self.pivots):
             if v[p] != 0:
                 f = v[p]

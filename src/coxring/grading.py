@@ -7,7 +7,7 @@ These groups grade fans and the quotients of the verification checks; a
 curve's Picard group is free in closed form (ratcurve.PicardData).
 """
 
-import itertools
+import operator
 
 from . import exactmath as em
 from .exactmath import Immutable
@@ -29,11 +29,14 @@ class BoxTooLarge(Exception):
 
 def within_limit(count, limit, what, power=None):
     """count, or BoxTooLarge when it exceeds limit; what has one %s for the
-    count, which beyond 4300 digits (str() raises) is shown as power, a
-    (base, exponent) pair, or else by its bit length."""
-    if count <= limit:
+    count, which beyond 1000 bits (str() raises beyond 4300 digits) is shown
+    as power, a (base, exponent) pair, or else by its bit length.  A count
+    of None stands for a power known to exceed 1000 bits, never built."""
+    if count is None:
+        shown = "%d^%d" % power
+    elif count <= limit:
         return count
-    if count.bit_length() <= 1000:
+    elif count.bit_length() <= 1000:
         shown = str(count)
     elif power is not None:
         shown = "%d^%d" % power
@@ -45,50 +48,63 @@ def within_limit(count, limit, what, power=None):
 def box_vector_count(generators, radius):
     """The (2r+1)^k coefficient vectors a box of radius r over k generators
     lists before it drops repeated classes; raises BoxTooLarge beyond
-    MAX_BOX_VECTORS."""
+    MAX_BOX_VECTORS.  The power is multiplied out only until it passes the
+    limit; a refused one is built in full only when it has at most 2000
+    bits, and beyond (2r+1)^k >= 2^1000 it is shown as a power."""
+    base, count = 2 * radius + 1, 1
+    for _ in range(generators if base > 1 else 0):
+        count *= base
+        if count > MAX_BOX_VECTORS:
+            count = (None if generators * (base.bit_length() - 1) >= 1000
+                     else base ** generators)
+            break
     return within_limit(
-        (2 * radius + 1) ** generators, MAX_BOX_VECTORS,
+        count, MAX_BOX_VECTORS,
         "a box of radius %d over %d generators lists %%s coefficient vectors"
-        % (radius, generators), power=(2 * radius + 1, generators))
-
-
-def box_coefficients(generators, radius):
-    """The coefficient vectors c with every |c_k| at most radius, ordered
-    by sum_k |c_k| and then by sign-flipped lexicographic comparison of c,
-    so small positive combinations come first: an iterator over the layers
-    of equal sum_k |c_k|, each in decreasing lexicographic order, so no
-    product is materialised or sorted.  Raises BoxTooLarge, before any
-    vector is made, when there would be more than MAX_BOX_VECTORS."""
-    box_vector_count(generators, radius)
-
-    def layer(k, total):
-        # vectors of length k with sum |c_i| = total, lexicographically
-        # decreasing; the tail must be able to take what the head leaves
-        if k == 1:
-            yield (total,)
-            if total:
-                yield (-total,)
-            return
-        for x in range(min(radius, total), -min(radius, total) - 1, -1):
-            rest = total - abs(x)
-            if rest <= radius * (k - 1):
-                for tail in layer(k - 1, rest):
-                    yield (x,) + tail
-
-    if generators == 0:
-        return iter([()])
-    return itertools.chain.from_iterable(
-        layer(generators, total) for total in range(generators * radius + 1))
+        % (radius, generators), power=(base, generators))
 
 
 def box_vectors(generators, radius, ambient_rank):
     """The combinations sum_k c_k * generators[k] with every |c_k| at most
-    radius, as ambient vectors, in the order of box_coefficients.  Raises
-    BoxTooLarge before listing more than MAX_BOX_VECTORS coefficient
-    vectors."""
-    coefficients = box_coefficients(len(generators), radius)
-    columns = list(zip(*generators)) or [()] * ambient_rank
-    return [tuple(em._dot(c, col) for col in columns) for c in coefficients]
+    radius, as int tuples of length ambient_rank, ordered by sum_k |c_k|
+    and then by sign-flipped lexicographic comparison of c, so small
+    positive combinations come first.  Raises BoxTooLarge, before any
+    vector is made, when there would be more than MAX_BOX_VECTORS.
+
+    Each layer of equal sum_k |c_k| is walked depth first, one coefficient
+    per level in decreasing order, with an explicit stack: a node carries
+    the partial sum of the coefficients fixed so far, and a child adds one
+    multiple of one generator to it.  A node whose coefficients left sum
+    to zero is a vector at once; the last coefficient is forced to +-rest.
+    """
+    box_vector_count(len(generators), radius)
+    last = len(generators) - 1
+    multiples = [{x: tuple(x * int(g) for g in vec)
+                  for x in range(-radius, radius + 1) if x}
+                 for vec in generators]
+    out = []
+    zero = (0,) * ambient_rank
+    for total in range(len(generators) * radius + 1):
+        stack = [(0, total, zero)]
+        while stack:
+            depth, rest, partial = stack.pop()
+            if not rest:
+                out.append(partial)
+                continue
+            step = multiples[depth]
+            if depth == last:
+                out.append(tuple(map(operator.add, partial, step[rest])))
+                out.append(tuple(map(operator.add, partial, step[-rest])))
+                continue
+            # |x| must leave the tail no more than it can hold
+            low = max(0, rest - radius * (last - depth))
+            high = min(radius, rest)
+            for x in range(-high, high + 1):
+                if abs(x) >= low:
+                    stack.append((depth + 1, rest - abs(x),
+                                  tuple(map(operator.add, partial, step[x]))
+                                  if x else partial))
+    return out
 
 
 def _matmul(A, B):
@@ -175,21 +191,20 @@ class FGAbelianGroup(Immutable):
         its first combination.  A class key is linear before the torsion
         part is reduced, so the key of sum_k c_k g_k is sum_k c_k key(g_k)
         with that part reduced mod its modulus."""
-        # the columns of the generators and of their keys
-        nfree = len(self._free_rows)
-        columns = list(zip(*generators)) or [()] * self.ambient_rank
-        key_columns = (list(zip(*(self.class_key(g) for g in generators)))
-                       or [()] * (nfree + len(self._torsion_moduli)))
+        n, nfree = self.ambient_rank, len(self._free_rows)
+        rows = [tuple(int(x) for x in g) + self.class_key(g)
+                for g in generators]
+        width = n + nfree + len(self._torsion_moduli)
         out = []
         seen = set()
-        for c in box_coefficients(len(generators), radius):
-            key = [em._dot(c, col) for col in key_columns]
+        for row in box_vectors(rows, radius, width):
+            key = list(row[n:])
             for i, d in enumerate(self._torsion_moduli, nfree):
                 key[i] %= d
             key = tuple(key)
             if key not in seen:
                 seen.add(key)
-                out.append(tuple(em._dot(c, col) for col in columns))
+                out.append(row[:n])
         return tuple(out)
 
     def contains_zero(self, vector):

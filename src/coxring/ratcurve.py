@@ -560,7 +560,7 @@ class PicardData(Immutable):
     free of rank picard_rank and a class has closed-form coordinates.
     """
 
-    __slots__ = ("curve", "ambient_rank", "relations", "_sizes")
+    __slots__ = ("curve", "ambient_rank", "relations", "blocks")
 
     invariant_factors = ()
 
@@ -571,15 +571,18 @@ class PicardData(Immutable):
                 "ordinary point with multiplicity 1")
         sizes = tuple(m for _, m in X.special)
         n, m0 = sum(sizes), sizes[0]
-        relations, start = [], m0
+        relations, blocks, start = [], [slice(0, m0)], m0
         for m in sizes[1:]:
             relations.append(tuple([-1] * m0 + [0] * (start - m0) + [1] * m
                                    + [0] * (n - start - m)))
+            blocks.append(slice(start, start + m))
             start += m
         object.__setattr__(self, "curve", X)
         object.__setattr__(self, "ambient_rank", n)
         object.__setattr__(self, "relations", tuple(relations))
-        object.__setattr__(self, "_sizes", sizes)
+        # the ambient positions of the copies of each special point, in
+        # input order
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def rank(self):
@@ -591,17 +594,19 @@ class PicardData(Immutable):
         to the anchor's copies, subtract it from p's copies and drop the
         last copies.  Two ambient vectors get equal coordinates exactly when
         they represent the same class."""
-        v = [int(x) for x in vector]
+        v = list(map(int, vector))
         if len(v) != self.ambient_rank:
             raise ValueError("vector length differs from ambient rank")
-        m0, *rest = self._sizes
-        shift, out, start = 0, [], m0
-        for m in rest:
-            c = v[start + m - 1]
+        anchor, *rest = self.blocks
+        shift, out = 0, []
+        for block in rest:
+            last = block.stop - 1
+            c = v[last]
             shift += c
-            out += [x - c for x in v[start:start + m - 1]]
-            start += m
-        return tuple([x + shift for x in v[:m0]] + out)
+            out += ([x - c for x in v[block.start:last]] if c
+                    else v[block.start:last])
+        head = v[anchor]
+        return tuple(([x + shift for x in head] if shift else head) + out)
 
     class_key = coords
 
@@ -626,7 +631,7 @@ class PicardData(Immutable):
             else:
                 # an ordinary point is linearly equivalent to the copies of
                 # the anchor, the first ones in the ambient order
-                for i in range(self._sizes[0]):
+                for i in range(self.blocks[0].stop):
                     vec[i] += c
         return tuple(vec)
 

@@ -6,9 +6,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxring import cli, coxalg, grading, ratcurve
 from coxring import exactmath as em
@@ -571,6 +573,48 @@ class TestTextFormat:
         assert all(":" in line for line in lines)
 
 
+# JSON trees as reports hold them: str keys, tuples beside lists, bools
+# beside ints, None, and strings with non-ASCII, control, quote and
+# backslash characters
+json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9'
+                                              '\u2028\U0001f600'),
+                              st.characters(blacklist_categories=("Cs",))),
+                    max_size=6)
+json_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(),
+              st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+              json_text),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(min_value=-99, max_value=99), max_size=4),
+        st.dictionaries(json_text, children, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    """render's JSON writer against json.dumps(indent=2, sort_keys=True),
+    whose indented output the goldens hold."""
+
+    @given(json_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_indented_json_dumps(self, tree):
+        assert cli.render(tree, "json") == json.dumps(tree, indent=2,
+                                                      sort_keys=True)
+
+    def test_empty_and_nested_containers(self):
+        tree = {"a": [], "b": {}, "c": [[], {}, [[]], ()], "d": [True, 1, 0],
+                "e": [False], "f": (1, 2), "": None}
+        assert cli.render(tree, "json") == json.dumps(tree, indent=2,
+                                                      sort_keys=True)
+
+    @pytest.mark.parametrize("value", [1.5, {1, 2}, object(), Verdict("pass"),
+                                       {1: "int key"}])
+    def test_anything_else_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli.render({"x": [value]}, "json")
+
+
 class TestErrors:
     def test_closed_stdout_exits_one_without_traceback(self):
         # as under `| head`: the read end of stdout is closed before the
@@ -747,6 +791,49 @@ class TestStartUp:
         assert child.stderr.startswith("error:")
         assert "over 401 generators" in child.stderr
         assert child.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["curve", "crosscheck"])
+    def test_huge_multiplicity_box_count_is_not_built(self, tmp_path, mode):
+        # 5^(10^23) coefficient vectors: refused by multiplying only until
+        # the limit is passed, in a fraction of a second rather than never
+        k = 99999999999999999999999
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"special": [
+            {"point": "0", "multiplicity": k}]}), encoding="utf-8")
+        started = time.perf_counter()
+        child = run_child(["-m", "coxring.cli", mode, str(path)], timeout=20)
+        assert time.perf_counter() - started < 5
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert child.stderr == (
+            "error: a box of radius 2 over %d generators lists 5^%d "
+            "coefficient vectors, more than 1000000\n" % (k, k))
+
+    def test_many_generators_at_box_zero(self, tmp_path):
+        # 1000 box generators, past the recursion limit a walk with one
+        # level per generator hits; the report is that of multiplicity 900
+        # with the number of generators moved
+        reports = {}
+        for k in (900, 1000):
+            path = tmp_path / ("m%d.json" % k)
+            path.write_text(json.dumps({"special": [
+                {"point": "0", "multiplicity": k}]}), encoding="utf-8")
+            for mode in ("curve", "crosscheck"):
+                child = run_child(["-m", "coxring.cli", mode, str(path),
+                                   "--box", "0"], timeout=60)
+                assert child.returncode == 0, child.stderr
+                assert child.stderr == ""
+                reports[mode, k] = json.loads(child.stdout)
+        expected = reports["curve", 900]
+        expected["lattice_rank"] = expected["picard"]["rank"] = 1000
+        expected["presentation"]["grading"]["rank"] = 1000
+        [row] = expected["presentation"]["certificate"]
+        assert row == {"degree": [0] * 900, "dim": 1, "ideal_span": 0,
+                       "kernel": 0, "monomials": 1}
+        row["degree"] = [0] * 1000
+        assert reports["curve", 1000] == expected
+        assert reports["crosscheck", 1000] == reports["crosscheck", 900]
+        assert reports["crosscheck", 1000]["result"]["classes"] == 1
 
     def test_huge_multiplicity_loads_small_and_is_refused(self, tmp_path):
         # a point of multiplicity 10^6: the curve keeps one offset per

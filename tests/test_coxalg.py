@@ -683,6 +683,71 @@ class TestSmithOracle:
         self._assert_smith_agrees(X)
 
 
+def _triangular_basis(X):
+    """An explicit basis other than the default one: the sum of all the
+    default copies, then every default copy but the first."""
+    copies = [next(iter(D.support())) for D in canonical_lambda(X).basis]
+    first = Divisor({q: 1 for q in copies})
+    return [first] + [Divisor.of_point(q) for q in copies[1:]]
+
+
+def _dimension_algebras(X):
+    return [curve_algebra(X, "canonical"), curve_algebra(X, "full"),
+            curve_algebra(X, "canonical", basis=_triangular_basis(X))]
+
+
+@st.composite
+def wide_curves(draw):
+    """Curves with 1 to 5 special points of multiplicity 1 to 4."""
+    points = draw(st.lists(st.sampled_from([0, 1, "inf", -1, 2]),
+                           min_size=1, max_size=5, unique=True))
+    mults = draw(st.lists(st.integers(min_value=1, max_value=4),
+                          min_size=len(points), max_size=len(points)))
+    return GluedCurve([(pt(v), m) for v, m in zip(points, mults)])
+
+
+class TestClosedFormDimension:
+    """PicGradedAlgebra.component_dim, read off the class vector by its
+    block minima, against the dimension at the representative rep(c) of
+    the lattice (the path it replaced), under the default, the full and an
+    explicit lattice, at box classes and at arbitrary ambient vectors."""
+
+    @staticmethod
+    def _assert_agrees(A, vectors):
+        for c in vectors:
+            assert A.component_dim(c) == A.base.component_dim(A.rep(c))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixture_boxes(self, name):
+        X = FIXTURE_CURVES[name]
+        box = default_box(X, 2)
+        for A in _dimension_algebras(X):
+            self._assert_agrees(A, box)
+
+    def test_tripled_line_on_its_explicit_basis(self):
+        self._assert_agrees(tripled_algebra(), tripled_box())
+
+    @given(wide_curves(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_curves(self, X, data):
+        columns = canonical_lambda(X).columns
+        n = sum(m for _, m in X.special)
+        coefficients = st.lists(st.integers(min_value=-2, max_value=2),
+                                min_size=len(columns), max_size=len(columns))
+        ambient = st.lists(st.integers(min_value=-4, max_value=4),
+                           min_size=n, max_size=n)
+        # box classes of radius 2, as lattice_box lists them
+        vectors = [coxalg._combination(data.draw(coefficients), columns, n)
+                   for _ in range(8)]
+        vectors += [tuple(data.draw(ambient)) for _ in range(8)]
+        for A in _dimension_algebras(X):
+            self._assert_agrees(A, vectors)
+
+    def test_wrong_length_is_refused(self):
+        with pytest.raises(ValueError):
+            tripled_algebra().component_dim((0,) * 5)
+
+
 class TestMonomialCoordinates:
     """The memoised coordinate polynomials against the rational-function
     product of the generator sections, read back by coordinates_of."""

@@ -81,6 +81,33 @@ def test_quadrupled_line_matches_golden(tmp_path):
             == QUADRUPLED_GOLDEN.read_text(encoding="utf-8"))
 
 
+JSON_CASES = [case for case in CASES if case[2] == "json"]
+
+
+@pytest.mark.parametrize("path, args, fmt, golden", JSON_CASES,
+                         ids=[c[3].name for c in JSON_CASES])
+def test_writer_matches_indented_json_dumps(path, args, fmt, golden):
+    # the goldens were written by json.dumps(report, indent=2,
+    # sort_keys=True); render's own writer must give the same text on the
+    # live report, tuples and all
+    options = cli._build_parser().parse_args(
+        [args[0], str(path), "--box", "1", *args[1:]])
+    report, _ = cli.run(options.mode, options.file, box_radius=options.box,
+                        power_bound=options.power_bound,
+                        lambda_mode=options.lambda_mode)
+    text = cli.render(report, "json")
+    assert text == json.dumps(report, indent=2, sort_keys=True)
+    assert text + "\n" == golden.read_text(encoding="utf-8")
+
+
+def test_writer_matches_on_the_quadrupled_line(tmp_path):
+    path = tmp_path / "quadrupled_line.json"
+    path.write_text(json.dumps(QUADRUPLED_LINE), encoding="utf-8")
+    report, _ = cli.run("verify", str(path), box_radius=1, power_bound=8)
+    assert (cli.render(report, "json")
+            == json.dumps(report, indent=2, sort_keys=True))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for path, args, fmt, golden in CASES:

@@ -16,10 +16,10 @@ from coxring.grading import (
     MAX_BOX_VECTORS,
     BoxTooLarge,
     FGAbelianGroup,
-    box_coefficients,
     box_vector_count,
     box_vectors,
     smith_normal_form,
+    within_limit,
 )
 
 
@@ -144,11 +144,10 @@ class TestSmithInverses:
 class TestBoxLimit:
     def test_eleven_generators_at_radius_two_refused(self):
         G = FGAbelianGroup(11)
-        units = [tuple(int(i == j) for j in range(11)) for i in range(11)]
         assert 5 ** 11 > MAX_BOX_VECTORS
         with pytest.raises(BoxTooLarge, match="48828125"):
-            G.box(units, 2)
-        assert G.box(units, 0) == ((0,) * 11,)
+            G.box(units(11), 2)
+        assert G.box(units(11), 0) == ((0,) * 11,)
 
     def test_count_too_long_to_print_is_refused(self):
         # 3^100001 has more decimal digits than str() of an int allows
@@ -156,6 +155,35 @@ class TestBoxLimit:
             box_vector_count(100001, 1)
         assert box_vector_count(100001, 0) == 1
         assert box_vector_count(12, 1) == 3 ** 12
+
+    def test_huge_power_is_never_built(self):
+        k = 99999999999999999999999
+        with pytest.raises(BoxTooLarge, match=r"lists 5\^%d coefficient" % k):
+            box_vector_count(k, 2)
+        assert box_vector_count(k, 0) == 1
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 7])
+    def test_refusals_match_the_built_power(self, radius):
+        # the message of within_limit on the whole power, across the
+        # 1000-bit switch from digits to b^k
+        base = 2 * radius + 1
+        # past the last k that box_vector_count multiplies out in full
+        for k in range(1, 1000 // (base.bit_length() - 1) + 40):
+            try:
+                expected = within_limit(
+                    base ** k, MAX_BOX_VECTORS,
+                    "a box of radius %d over %d generators lists %%s "
+                    "coefficient vectors" % (radius, k), power=(base, k))
+            except BoxTooLarge as exc:
+                with pytest.raises(BoxTooLarge) as got:
+                    box_vector_count(k, radius)
+                assert str(got.value) == str(exc)
+            else:
+                assert box_vector_count(k, radius) == expected
+
+
+def units(k):
+    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
 
 
 def sorted_product_box(generators, radius, ambient_rank):
@@ -179,18 +207,62 @@ def class_key_box(G, generators, radius):
     return tuple(out)
 
 
+def layer_coefficients(k, radius):
+    """The coefficient vectors by the recursive layer walk the partial-sum
+    walk replaced: one recursion level per generator."""
+
+    def layer(k, total):
+        if k == 1:
+            yield (total,)
+            if total:
+                yield (-total,)
+            return
+        for x in range(min(radius, total), -min(radius, total) - 1, -1):
+            rest = total - abs(x)
+            if rest <= radius * (k - 1):
+                for tail in layer(k - 1, rest):
+                    yield (x,) + tail
+
+    if k == 0:
+        return [()]
+    return [c for total in range(k * radius + 1) for c in layer(k, total)]
+
+
+def dot_box_vectors(generators, radius, ambient_rank):
+    """The layer walk with one dot product per ambient coordinate."""
+    columns = list(zip(*generators)) or [()] * ambient_rank
+    return [tuple(em._dot(c, col) for col in columns)
+            for c in layer_coefficients(len(generators), radius)]
+
+
+def dot_group_box(G, generators, radius):
+    """FGAbelianGroup.box with linear keys by one dot product each."""
+    nfree = G.rank
+    columns = list(zip(*generators)) or [()] * G.ambient_rank
+    key_columns = (list(zip(*(G.class_key(g) for g in generators)))
+                   or [()] * (nfree + len(G.invariant_factors)))
+    out, seen = [], set()
+    for c in layer_coefficients(len(generators), radius):
+        key = [em._dot(c, col) for col in key_columns]
+        for i, d in enumerate(G.invariant_factors, nfree):
+            key[i] %= d
+        if tuple(key) not in seen:
+            seen.add(tuple(key))
+            out.append(tuple(em._dot(c, col) for col in columns))
+    return tuple(out)
+
+
 class TestBoxOrder:
-    """The layered box against the sorted product it replaces, and the
-    linear class keys of FGAbelianGroup.box against one class_key per
-    vector."""
+    """The partial-sum box walk against the sorted product, against the
+    layer walk with dot products that it replaced, and the linear class
+    keys of FGAbelianGroup.box against one class_key per vector."""
 
     @given(st.integers(min_value=0, max_value=4),
            st.integers(min_value=0, max_value=3))
     @settings(max_examples=40, deadline=None)
     def test_coefficients_match_the_sorted_product(self, k, radius):
-        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-        assert list(box_coefficients(k, radius)) == sorted_product_box(
-            units, radius, k)
+        assert box_vectors(units(k), radius, k) == sorted_product_box(
+            units(k), radius, k)
 
     @given(st.integers(min_value=0, max_value=4).flatmap(
         lambda k: st.lists(st.lists(small_ints, min_size=2, max_size=2),
@@ -200,6 +272,33 @@ class TestBoxOrder:
     def test_vectors_match_the_sorted_product(self, generators, radius):
         assert box_vectors(generators, radius, 2) == sorted_product_box(
             generators, radius, 2)
+
+    @given(st.integers(min_value=0, max_value=3).flatmap(
+        lambda n: st.integers(min_value=0, max_value=5).flatmap(
+            lambda k: st.lists(st.lists(small_ints, min_size=n, max_size=n),
+                               min_size=k, max_size=k)).map(
+                                   lambda g: (n, g))),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_vectors_match_the_dot_product_walk(self, shaped, radius):
+        n, generators = shaped
+        got = box_vectors(generators, radius, n)
+        assert got == dot_box_vectors(generators, radius, n)
+        assert all(type(x) is int for v in got for x in v)
+
+    @given(st.lists(st.lists(small_ints, min_size=3, max_size=3),
+                    min_size=0, max_size=3),
+           st.integers(min_value=0, max_value=5).flatmap(
+               lambda k: st.lists(st.lists(small_ints, min_size=3,
+                                           max_size=3),
+                                  min_size=k, max_size=k)),
+           st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_group_box_matches_the_dot_product_walk(self, rels, generators,
+                                                    radius):
+        G = FGAbelianGroup(3, rels)
+        assert G.box(generators, radius) == dot_group_box(G, generators,
+                                                          radius)
 
     @given(st.lists(st.lists(small_ints, min_size=3, max_size=3),
                     min_size=0, max_size=3),
@@ -222,7 +321,13 @@ class TestBoxOrder:
 
     def test_refused_before_any_vector(self):
         with pytest.raises(BoxTooLarge):
-            box_coefficients(11, 2)
+            box_vectors(units(11), 2, 11)
+
+    def test_many_generators_do_not_recurse(self):
+        # one level per generator would pass the recursion limit
+        assert box_vectors([(1,)] * 3000, 0, 1) == [(0,)]
+        G = FGAbelianGroup(2)
+        assert G.box([(1, 0)] * 3000, 0) == ((0, 0),)
 
 
 class TestFGAbelianGroup:
