@@ -38,8 +38,8 @@ from .coxalg import (
     uniqueness_crosscheck,
     weight_monoid_check,
 )
-from .grading import (MAX_IRRELEVANT_ELEMENTS, BoxTooLarge, box_vector_count,
-                      within_limit)
+from .grading import (MAX_CURVE_COPIES, MAX_IRRELEVANT_ELEMENTS, BoxTooLarge,
+                      box_vector_count, within_limit)
 from .ratcurve import InternalInconsistency, curve_from_json, picard_rank
 from .toric import (
     MalformedFan,
@@ -95,11 +95,15 @@ def _parse_fan(path, data):
         raise InputError("%s: %s" % (path, exc)) from exc
 
 
-def _refuse_large_curve_box(X, radius):
-    """Raise BoxTooLarge before any lattice is built: the box lists classes
-    over the basis of the canonical lattice, one divisor per class
-    coordinate (canonical_lambda), so over picard_rank generators."""
+def _refuse_large_curve(X, radius):
+    """Raise BoxTooLarge before any lattice is built: for a box that lists
+    too many classes over the basis of the canonical lattice, one divisor
+    per class coordinate (canonical_lambda), so over picard_rank
+    generators, or else for more than MAX_CURVE_COPIES copies of special
+    points, which even a box of radius 0 would build lattices over."""
     box_vector_count(picard_rank(X), radius)
+    within_limit(sum(m for _, m in X.special), MAX_CURVE_COPIES,
+                 "the curve has %s copies of special points")
 
 
 def _refuse_many_irrelevant(X):
@@ -116,7 +120,7 @@ def _refuse_many_irrelevant(X):
 
 
 def _curve_pipeline(X, box_radius, lambda_mode):
-    _refuse_large_curve_box(X, box_radius)
+    _refuse_large_curve(X, box_radius)
     A = curve_algebra(X, mode=lambda_mode)
     # the box is always that of the canonical lattice
     if lambda_mode == "canonical":
@@ -219,7 +223,7 @@ def _run_verify(path, options):
 
 def _run_crosscheck(path, options):
     X = _parse_curve(path, _load(path))
-    _refuse_large_curve_box(X, options["box_radius"])
+    _refuse_large_curve(X, options["box_radius"])
     verdict = uniqueness_crosscheck(X, radius=options["box_radius"])
     agreed = verdict.verdict == "pass"
     report = {

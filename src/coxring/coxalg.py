@@ -29,6 +29,8 @@ from .exactmath import (
     enumerate_monomials,
     grlex_key,
     rank_kernel,
+    rank_mod,
+    residue,
 )
 from . import exactmath as _em
 from .grading import FGAbelianGroup, box_vectors
@@ -633,7 +635,7 @@ def _monomials(A, degrees, target):
 
 
 def _correction(X, m, *factors):
-    """The correction of a product of sections, as (exponents, C).
+    """The correction of a product of sections, as (exponents, roots).
 
     A section of lattice degree L is V_L * q / W_L with deg q < dim L
     (SectionSpace), its coordinate polynomial q.  With m_L(b) the least
@@ -645,16 +647,49 @@ def _correction(X, m, *factors):
     factors m_k = m_{L_k}.  A minimum of sums is at least the sum of
     minima, so no exponent is negative, infinity included; one that is
     raises.  Its landing is then the degree bound (_coordinates).
+
+    roots lists the pairs (b, e_b) with e_b > 0 over the finite b: C is
+    multiplied out over Q by _linear_product and mod a prime from the
+    residues of the b (_MonomialCoordinates).
     """
     exps = tuple(a - sum(f) for a, *f in zip(m, *factors))
     if any(e < 0 for e in exps):
         raise InternalInconsistency(
             "product of sections has a negative correction exponent")
+    return exps, tuple((base.value, e) for (base, _), e in zip(X.special, exps)
+                       if e and not base.is_infinity())
+
+
+def _linear_product(roots):
+    """The product of (z - b)^e over the pairs (b, e) of roots."""
     C = UniPoly.one()
-    for (base, _), e in zip(X.special, exps):
-        if e and not base.is_infinity():
-            C = C * UniPoly([-base.value, 1]) ** e
-    return exps, C
+    for b, e in roots:
+        C = C * UniPoly([-b, 1]) ** e
+    return C
+
+
+def _linear_product_mod(roots, p):
+    """The product mod p of (z - b)^e over the pairs (b, e) of roots, as
+    its coefficient list, built from the residues of the b; None when p
+    divides the denominator of one."""
+    C = [1]
+    for b, e in roots:
+        r = residue(b, p)
+        if r is None:
+            return None
+        for _ in range(e):
+            C = _times_mod(C, [-r % p, 1], p)
+    return C
+
+
+def _times_mod(a, b, p):
+    """The product mod p of two polynomials given by their coefficient
+    lists, ascending; the length stays len(a) + len(b) - 1."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [x % p for x in out]
 
 
 def _coordinates(q, dim, escaped):
@@ -675,14 +710,34 @@ def _section_polynomial(A, L, num, den):
     return q if q is not None and q.degree < dim else None
 
 
+# the prime of the residue reading of _MonomialCoordinates, which _search
+# certifies its rows by (any prime gives the same rows)
+CERTIFICATE_PRIME = 2 ** 61 - 1
+
+_ESCAPED = "generator monomial escaped its component"
+
+
 class _MonomialCoordinates:
-    """Coordinate polynomials of generator monomials, one product each.
+    """Coordinate polynomials of generator monomials, one product each,
+    read over Q and mod a prime.
 
     A generator of class D lies in lattice degree L_i = rep(D), and a
     monomial with exponents e in L = sum e_i L_i.  Its coordinate
     polynomial is built once per exponent vector, from the vector with its
     last nonzero exponent lowered by one, by the product rule of
-    _correction.
+    _correction.  One chain walk (_entry) fills either of two memos:
+
+    - polynomials: exponents -> (L, q), q over Q.  The exact path of
+      _search and sections_as_polynomials read it (coordinates).
+    - residues: exponents -> (L, degree, r), r the coefficients of q mod
+      the prime p = CERTIFICATE_PRIME, read when the instance is made.  r
+      is the product mod p of the residues of the generators' q and of the
+      corrections, each built from the residues of the finite base points,
+      so no rational polynomial is multiplied; it is None when p divides a
+      denominator on the way.  degree is deg q, the sum of the degrees of
+      the factors, which is exact because Q[z] is a domain; it is never
+      read from r, whose leading residue may vanish.  _search certifies
+      its rows from this reading (residue_coordinates).
 
     Membership stays checked completely: each generator's q is read once
     with SectionSpace.coordinate_polynomial, and every monomial's q must
@@ -692,21 +747,28 @@ class _MonomialCoordinates:
 
     def __init__(self, A):
         self._A = A
+        self.prime = CERTIFICATE_PRIME
+        # (lattice degree, q, residues of q or None), one per generator
         self._gens = []
-        # exponent vectors without trailing zeros -> (lattice degree, q)
-        self._memo = {(): ((0,) * A.lattice.rank, UniPoly.one())}
+        zero = (0,) * A.lattice.rank
+        self.polynomials = {(): (zero, UniPoly.one())}
+        self.residues = {(): (zero, 0, [1])}
         self._mins = {}
-        # (lattice degree, generator index) -> (exponents of C, C)
+        # (lattice degree, generator index) -> (exponents, roots) of the
+        # correction (_correction)
         self.corrections = {}
+        # (roots, over Q) -> the correction over Q, or its residues mod p
+        # (None when p divides a base point)
+        self._products = {}
 
     def add(self, degree, section):
         """Append a generator of the given class."""
         L = self._A.rep(degree)
         q = self._A.base.component(L).coordinate_polynomial(section)
         if q is None:
-            raise InternalInconsistency(
-                "generator monomial escaped its component")
-        self._gens.append((L, q))
+            raise InternalInconsistency(_ESCAPED)
+        r = [residue(c, self.prime) for c in q.coeffs]
+        self._gens.append((L, q, None if None in r else r))
 
     def _min_orders(self, L):
         if L not in self._mins:
@@ -722,34 +784,115 @@ class _MonomialCoordinates:
                 self._min_orders(L0), self._min_orders(Li))
         return got[1]
 
-    def _entry(self, exps):
-        # lower the last exponent down to a known vector, then multiply back
+    def _product(self, roots, rational):
+        key = (roots, rational)
+        if key not in self._products:
+            self._products[key] = (_linear_product(roots) if rational else
+                                   _linear_product_mod(roots, self.prime))
+        return self._products[key]
+
+    def _step(self, entry, i):
+        L, q = entry
+        Li, qi, _ = self._gens[i]
+        C = self._product(self._correction(L, i), True)
+        return _vadd(L, Li), q * qi * C
+
+    def _step_mod(self, entry, i):
+        L, degree, r = entry
+        Li, qi, ri = self._gens[i]
+        roots = self._correction(L, i)
+        C = self._product(roots, False)
+        degree += qi.degree + sum(e for _, e in roots)
+        if None in (r, ri, C):
+            r = None
+        else:
+            r = _times_mod(_times_mod(r, ri, self.prime), C, self.prime)
+        return _vadd(L, Li), degree, r
+
+    def _entry(self, memo, step, exps):
+        # trim trailing zeros, lower the last exponent down to a known
+        # vector, then multiply back
+        k = len(exps)
+        while k and not exps[k - 1]:
+            k -= 1
+        exps = exps[:k]
         chain = []
-        while exps not in self._memo:
+        while exps not in memo:
             chain.append(exps)
             exps = exps[:-1] + (exps[-1] - 1,)
             while exps and not exps[-1]:
                 exps = exps[:-1]
-        L, q = self._memo[exps]
+        entry = memo[exps]
         for exps in reversed(chain):
-            i = len(exps) - 1
-            Li, qi = self._gens[i]
-            q = q * qi * self._correction(L, i)
-            L = _vadd(L, Li)
-            self._memo[exps] = (L, q)
-        return L, q
+            entry = memo[exps] = step(entry, len(exps) - 1)
+        return entry
 
     def coordinates(self, exps, L, dim):
         """Coordinates of the monomial with these exponents in the component
         of lattice degree L and dimension dim; raises when it lies outside."""
-        k = len(exps)
-        while k and not exps[k - 1]:
-            k -= 1
-        got_L, q = self._entry(exps[:k])
-        escaped = "generator monomial escaped its component"
+        got_L, q = self._entry(self.polynomials, self._step, exps)
         if got_L != L:
-            raise InternalInconsistency(escaped)
-        return _coordinates(q, dim, escaped)
+            raise InternalInconsistency(_ESCAPED)
+        return _coordinates(q, dim, _ESCAPED)
+
+    def residue_coordinates(self, exps, L, dim):
+        """The coordinates mod p, or None when p divides a denominator on
+        the way; raises, like coordinates, when the monomial lies outside
+        its component."""
+        got_L, degree, r = self._entry(self.residues, self._step_mod, exps)
+        if got_L != L or degree >= dim:
+            raise InternalInconsistency(_ESCAPED)
+        return None if r is None else r + [0] * (dim - len(r))
+
+
+def _relation_multiples(relations, exps_list):
+    """The multiples of relations, each given by its terms, in the class
+    of the monomials exps_list (all of them, as _monomials lists them),
+    each as a mapping from the index of a monomial to its coefficient.
+
+    A multiple R * m has the terms e + m for the terms e of R, all in the
+    class, so its cofactors m are the t - e_0 >= 0 for the monomials t of
+    the class and one term e_0 of R; the cofactor class is not enumerated.
+    """
+    index = {exps: k for k, exps in enumerate(exps_list)}
+    n = len(exps_list[0]) if exps_list else 0
+    for terms in relations:
+        padded = [(exps + (0,) * (n - len(exps)), x)
+                  for exps, x in terms.items()]
+        first = padded[0][0]
+        for t in exps_list:
+            cof = _vsub(t, first)
+            if min(cof) < 0:
+                continue
+            vec = {}
+            for exps, x in padded:
+                k = index.get(_vadd(exps, cof))
+                if k is None:
+                    raise InternalInconsistency(
+                        "relation multiple uses an unlisted monomial")
+                vec[k] = x
+            yield vec
+
+
+def _certified(coords, L, dim, exps_list, found):
+    """Whether the row of the class of lattice degree L is certified mod p
+    (_search): its monomials have rank dim mod p, and there are no more of
+    them or the multiples of the found relations have rank nm - dim mod p.
+    """
+    p = coords.prime
+    vectors = [coords.residue_coordinates(exps, L, dim)
+               for exps in exps_list]
+    if None in vectors or rank_mod(vectors, p) < dim:
+        return False
+    nm = len(exps_list)
+    if nm == dim:
+        return True
+    residues = [r for _, _, r in found]
+    if None in residues:
+        return False
+    multiples = ([vec.get(k, 0) for k in range(nm)]
+                 for vec in _relation_multiples(residues, exps_list))
+    return rank_mod(multiples, p) == nm - dim
 
 
 def _search(A, box, generators=None):
@@ -782,6 +925,28 @@ def _search(A, box, generators=None):
       the end the relation exponents are re-indexed into that order and
       padded with zeros.
 
+    Most classes gain nothing, and their row (nm, dim, nm - dim, nm - dim)
+    for nm monomials is certified by ranks mod the prime p of the residue
+    reading, with no rational elimination (_certified):
+
+    - When p divides no denominator, reduction from the rationals whose
+      denominators p does not divide to the integers mod p is a ring map,
+      so rank_p <= rank_Q <= dim for the monomial coordinates (rank_mod).
+      rank_p = dim thus gives rank_Q = dim: no generator is found at D,
+      and the kernel has dimension nm - dim.
+    - The relation multiples lie in that kernel, because each relation was
+      checked to vanish on the generator sections.  By the same ring map
+      their rank over Q lies between rank_p and nm - dim, so rank_p =
+      nm - dim (or nm = dim) makes them fill the kernel: no relation is
+      found at D, and the ideal span is nm - dim.
+
+    Every other class takes the exact path over Q: a rank below its bound,
+    a denominator that p divides, or an unlucky prime.  The kernel
+    dimension is nm less the rank of the monomial coordinates, and a
+    kernel basis (rank_kernel) is computed only when the relation
+    multiples fall short of it.  So generators, relations and rows do not
+    depend on p.
+
     Everything is listed by the box position of its degree, so the output
     does not depend on which linear extension was traversed.
     """
@@ -797,6 +962,7 @@ def _search(A, box, generators=None):
             return range(n)
         return sorted(range(n), key=lambda j: pos[gens[j][0]])
 
+    # (box position, terms over Q, their residues mod p or None)
     found = []
     certificate = []
     for at, D in _traversal(A, box):
@@ -812,9 +978,13 @@ def _search(A, box, generators=None):
         exps_list = _monomials(A, degrees, D)
         nm = len(exps_list)
         L = A.rep(D)
+        if _certified(coords, L, dim, exps_list, found):
+            row.update(monomials=nm, kernel=nm - dim, ideal_span=nm - dim)
+            continue
         vectors = [coords.coordinates(exps, L, dim) for exps in exps_list]
         span = _Span(dim, vectors)
-        if span.dim < dim and given:
+        rank = span.dim
+        if rank < dim and given:
             raise GeneratorsIncomplete(D)
         for idx in range(dim):
             if span.dim < dim and span.add([int(t == idx)
@@ -822,40 +992,37 @@ def _search(A, box, generators=None):
                 section = A.pic_component(D).basis[idx]
                 gens.append((D, section))
                 coords.add(D, section)
-        _, kernel = rank_kernel([[v[i] for v in vectors] for i in range(dim)])
         order = box_order(n)
         colorder = sorted(range(nm), key=lambda t: grlex_key(
             [exps_list[t][j] for j in order]))
-        index = {exps: t for t, exps in enumerate(exps_list)}
         old = _Span(nm)
-        for _, Dr, terms in found:
-            for cof in _monomials(A, degrees, _vsub(D, Dr)):
-                vec = [Fraction(0)] * nm
-                for exps, x in terms.items():
-                    t = index.get(_vadd(exps + (0,) * (n - len(exps)), cof))
-                    if t is None:
-                        raise InternalInconsistency(
-                            "relation multiple uses an unlisted monomial")
-                    vec[t] = x
-                old.add([vec[c] for c in colorder])
-        for rel in _Span(nm, ([vec[c] for c in colorder]
-                              for vec in kernel)).echelon():
-            if not old.add(rel):
-                continue
-            terms = {exps_list[c]: x for c, x in zip(colorder, rel) if x}
-            if not MultiPoly(n, terms).substitute(
-                    [s for _, s in gens[:n]]).is_zero():
-                raise InternalInconsistency(
-                    "relation does not evaluate to zero")
-            found.append((at, D, terms))
-        row.update(monomials=nm + len(gens) - n, kernel=len(kernel),
+        for vec in _relation_multiples([terms for _, terms, _ in found],
+                                       exps_list):
+            old.add([vec.get(c, 0) for c in colorder])
+        if old.dim < nm - rank:
+            _, kernel = rank_kernel([[v[i] for v in vectors]
+                                     for i in range(dim)])
+            for rel in _Span(nm, ([vec[c] for c in colorder]
+                                  for vec in kernel)).echelon():
+                if not old.add(rel):
+                    continue
+                terms = {exps_list[c]: x for c, x in zip(colorder, rel) if x}
+                if not MultiPoly(n, terms).substitute(
+                        [s for _, s in gens[:n]]).is_zero():
+                    raise InternalInconsistency(
+                        "relation does not evaluate to zero")
+                residues = {exps: residue(x, coords.prime)
+                            for exps, x in terms.items()}
+                found.append((at, terms, None if None in
+                              residues.values() else residues))
+        row.update(monomials=nm + len(gens) - n, kernel=nm - rank,
                    ideal_span=old.dim)
     nv = len(gens)
     order = box_order(nv)
     relations = [MultiPoly(nv, {
         tuple((exps + (0,) * (nv - len(exps)))[j] for j in order): x
         for exps, x in terms.items()})
-        for _, _, terms in sorted(found, key=lambda f: f[0])]
+        for _, terms, _ in sorted(found, key=lambda f: f[0])]
     certificate.sort(key=lambda row: row[0])
     return ([gens[j] for j in order], relations,
             [row for _, row in certificate])
@@ -1257,7 +1424,7 @@ def _image_span(A, L1, L2):
     each checked to land by its degree."""
     m1, m2, m12 = (A.lattice.min_orders(L) for L in (L1, L2, _vadd(L1, L2)))
     d1, d2, dim = (max(0, sum(m) + 1) for m in (m1, m2, m12))
-    C = _correction(A.curve, m12, m1, m2)[1]
+    C = _linear_product(_correction(A.curve, m12, m1, m2)[1])
     span = _Span(dim)
     for k in range(d1 + d2 - 1 if d1 and d2 else 0):
         span.add(_coordinates(UniPoly((0,) * k + C.coeffs), dim,
@@ -1318,8 +1485,8 @@ def separatedness_check(A, irrelevant, levels=2):
             L2 = _vadd(L, _vadd(Li, Lj))
             dim2, span2 = _image_span(A, _vscale(n + 1, Li),
                                       _vscale(n + 1, Lj))
-            lift = qs[i] * qs[j] * _correction(
-                A.curve, *map(A.lattice.min_orders, (L2, L, Li, Lj)))[1]
+            lift = qs[i] * qs[j] * _linear_product(_correction(
+                A.curve, *map(A.lattice.min_orders, (L2, L, Li, Lj)))[1])
             for idx in range(dim):
                 if span.contains([int(t == idx) for t in range(dim)]):
                     continue

@@ -1,9 +1,10 @@
 """Exact rational arithmetic substrate.
 
 Provides arbitrary-precision rationals, univariate polynomials and rational
-functions in one variable z, dense exact linear algebra over the rationals,
-multigraded multivariate polynomials, and exact enumeration of monomials with
-a prescribed multidegree.  No floating point anywhere.
+functions in one variable z, dense exact linear algebra over the rationals
+and ranks over the integers mod a prime, multigraded multivariate
+polynomials, and exact enumeration of monomials with a prescribed
+multidegree.  No floating point anywhere.
 """
 
 import functools
@@ -572,7 +573,8 @@ class _Span:
 
     The rows stay in reduced row echelon form up to their order: each row has
     a leading 1 in its pivot column and zeros in the other rows' pivot
-    columns.  This is the one rational row reduction of the package.
+    columns.  This is the one rational row reduction of the package; its
+    integer companion rank_mod only ranks residues mod a prime.
     """
 
     def __init__(self, ncols, rows=()):
@@ -618,6 +620,41 @@ class _Span:
         everything added, which is unique."""
         return [row for _, row in sorted(zip(self.pivots, self.rows),
                                          key=lambda pr: pr[0])]
+
+
+def residue(x, p):
+    """The residue mod p of a rational x, or None when p divides its
+    denominator."""
+    den = x.denominator % p
+    return x.numerator * pow(den, -1, p) % p if den else None
+
+
+def rank_mod(rows, p):
+    """Rank of integer rows over the integers mod the prime p, by one
+    elimination on ints.
+
+    Reduction mod p is a ring map from the rationals whose denominators p
+    does not divide, and a minor that is nonzero mod p is nonzero before
+    reduction, so the rank mod p of such rows is at most their rank over Q.
+    A rank mod p that meets an upper bound known in advance is therefore
+    their exact rank (von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 5); one below it decides nothing.
+    """
+    pivots = []
+    for row in rows:
+        v = [x % p for x in row]
+        for c, r in pivots:
+            f = v[c]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, r)]
+        for c, x in enumerate(v):
+            if x:
+                inv = pow(x, -1, p)
+                pivots.append((c, [a * inv % p for a in v]))
+                break
+        if len(pivots) == len(v):
+            break
+    return len(pivots)
 
 
 def rank_kernel(M):

@@ -17,6 +17,10 @@ from .exactmath import Immutable
 # radius r are built before any repeated class is dropped, so a box is
 # refused beyond this
 MAX_BOX_VECTORS = 10 ** 6
+# copies of special points a curve may have: a lattice holds one dense
+# column of that length per copy, so memory grows with its square (4000
+# copies at box 0 take about 26 s and 1.2 GiB)
+MAX_CURVE_COPIES = 4000
 # irrelevant elements verify may build on a curve: each solves a principal
 # divisor, and 1280 (five points of multiplicity 4) take seconds
 MAX_IRRELEVANT_ELEMENTS = 10 ** 3
@@ -24,7 +28,8 @@ MAX_IRRELEVANT_ELEMENTS = 10 ** 3
 
 class BoxTooLarge(Exception):
     """A class box would list more than MAX_BOX_VECTORS coefficient vectors,
-    or verify build more than MAX_IRRELEVANT_ELEMENTS irrelevant elements."""
+    a curve have more than MAX_CURVE_COPIES copies of special points, or
+    verify build more than MAX_IRRELEVANT_ELEMENTS irrelevant elements."""
 
 
 def within_limit(count, limit, what, power=None):

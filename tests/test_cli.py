@@ -110,6 +110,50 @@ class TestCurveCommand:
         assert counts == {"traversal": 1, "coordinates": 1}
 
 
+class TestResidueCertificates:
+    """The curve report does not depend on the prime the search certifies
+    its rows by (coxalg.CERTIFICATE_PRIME), nor on whether it divides a
+    denominator of the input."""
+
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in FIXTURES.glob("*_line.json")))
+    def test_report_does_not_depend_on_the_prime(self, capsys, monkeypatch,
+                                                 name, mode, prime):
+        args = ("curve", fixture(name), "--lambda", mode)
+        expected = run_cli(capsys, *args)
+        assert expected[0] == 0
+        monkeypatch.setattr(coxalg, "CERTIFICATE_PRIME", prime)
+        assert run_cli(capsys, *args) == expected
+
+    def test_point_with_the_prime_as_denominator(self, capsys, monkeypatch,
+                                                 tmp_path):
+        path = tmp_path / "denominator.json"
+        path.write_text(json.dumps({"special": [
+            {"point": "0", "multiplicity": 2},
+            {"point": "1/2305843009213693951", "multiplicity": 2},
+            {"point": "inf", "multiplicity": 2}]}), encoding="utf-8")
+        assert coxalg.CERTIFICATE_PRIME == 2305843009213693951
+        args = ("curve", str(path), "--box", "1")
+        blocked = []
+        honest = coxalg._MonomialCoordinates.residue_coordinates
+
+        def recording(self, *args):
+            got = honest(self, *args)
+            blocked.append(got is None)
+            return got
+
+        monkeypatch.setattr(coxalg._MonomialCoordinates,
+                            "residue_coordinates", recording)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, err) == (0, "")
+        assert any(blocked)
+        # the all-Fraction oracle: no row certified mod p
+        monkeypatch.setattr(coxalg, "_certified", lambda *args: False)
+        assert run_cli(capsys, *args) == (0, out, "")
+
+
 class TestSmithFormCount:
     """A curve's class group is free with closed-form coordinates, the
     monomial enumeration plans solve their systems by the Hermite split and
@@ -632,6 +676,51 @@ class TestErrors:
             os.close(write_end)
         assert child.returncode == 1
         assert "Traceback" not in child.stderr
+
+    @pytest.mark.parametrize("mode", ["curve", "verify", "crosscheck"])
+    def test_many_copies_are_refused_under_a_memory_limit(self, tmp_path,
+                                                          mode):
+        # one point of multiplicity 10^6 at box 0: a box of one class, but
+        # lattices of 10^6 dense columns; refused by its copy count (verify
+        # by its irrelevant elements) before any is built, within 2 GB of
+        # address space
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"special": [
+            {"point": "0", "multiplicity": 10 ** 6}]}), encoding="utf-8")
+        limit = 2000000 * 1024
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        started = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-m", "coxring.cli", mode, str(path), "--box",
+             "0"], env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=cap_address_space, capture_output=True, text=True,
+            timeout=60)
+        assert time.perf_counter() - started < 5
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert "Traceback" not in child.stderr
+        assert child.stderr.startswith("error:")
+        assert child.stderr.count("\n") == 1
+        if mode != "verify":
+            assert child.stderr == (
+                "error: the curve has 1000000 copies of special points, "
+                "more than 4000\n")
+
+    def test_copy_limit_is_inclusive(self):
+        def curve(copies):
+            return curve_from_json({"special": [
+                {"point": "0", "multiplicity": copies - 1},
+                {"point": "inf", "multiplicity": 1}]})
+
+        assert grading.MAX_CURVE_COPIES == 4000
+        cli._refuse_large_curve(curve(4000), 0)
+        with pytest.raises(BoxTooLarge, match="has 4001 copies"):
+            cli._refuse_large_curve(curve(4001), 0)
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "curve", "/no/such/file.json")

@@ -806,6 +806,102 @@ class TestMonomialCoordinates:
             find_relations(A, gens, box)
 
 
+def _residue_curves():
+    # the oracle curves, and one whose finite points have denominators 2
+    # and 3, which two of the small primes divide
+    return _oracle_curves() + [("thirds", GluedCurve([
+        (pt(0), 2), (pt(Fraction(1, 3)), 2), (pt(Fraction(-1, 2)), 2),
+        (pt("inf"), 1)]))]
+
+
+class TestResidueReading:
+    """The residue reading of _MonomialCoordinates against the reduction of
+    its rational reading, monomial by monomial, and its stored degrees
+    against the degrees of the rational coordinate polynomials."""
+
+    @staticmethod
+    def _assert_residues_reduce(A, box, gens):
+        """Reads every monomial of every nonzero box class both ways;
+        returns the coordinates and the number of readings that p
+        blocked."""
+        degrees = [d for d, _ in gens]
+        coords = coxalg._MonomialCoordinates(A)
+        for d, s in gens:
+            coords.add(d, s)
+        p = coords.prime
+        factors = [x for d, s in gens for x in A.base.component(
+            A.rep(d)).coordinate_polynomial(s).coeffs]
+        factors += [b.value for b, _ in A.curve.special
+                    if not b.is_infinity()]
+        integral = all(em.residue(x, p) is not None for x in factors)
+        read = blocked = 0
+        for _, D in _traversal(A, box):
+            dim = A.component_dim(D)
+            if dim == 0:
+                continue
+            L = A.rep(D)
+            for exps in coxalg._monomials(A, degrees, D):
+                exact = coords.coordinates(exps, L, dim)
+                got = coords.residue_coordinates(exps, L, dim)
+                if got is None:
+                    assert not integral
+                    blocked += 1
+                else:
+                    assert got == [em.residue(x, p) for x in exact]
+                read += 1
+        assert read > len(gens)
+        assert coords.residues.keys() == coords.polynomials.keys()
+        for exps, (L, degree, _) in coords.residues.items():
+            L_q, q = coords.polynomials[exps]
+            assert (L, degree) == (L_q, q.degree)
+        return coords, blocked
+
+    @pytest.mark.parametrize("prime", [None, 2, 3, 5])
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize("name, X", _residue_curves(),
+                             ids=[n for n, _ in _residue_curves()])
+    def test_curves(self, monkeypatch, name, X, mode, prime):
+        if prime is not None:
+            monkeypatch.setattr(coxalg, "CERTIFICATE_PRIME", prime)
+        A = curve_algebra(X, mode)
+        box = default_box(X, 2)
+        _, blocked = self._assert_residues_reduce(
+            A, box, build_presentation(A, box).generators)
+        assert (blocked > 0) == (name == "thirds" and prime in (2, 3))
+
+    def test_explicit_basis(self):
+        self._assert_residues_reduce(tripled_algebra(), tripled_box(),
+                                     tripled_presentation().generators)
+
+    @given(small_curves(max_mult=3), st.sampled_from(["canonical", "full"]),
+           st.sampled_from([None, 2, 3, 5]))
+    @settings(max_examples=15, deadline=None)
+    def test_small_curves(self, X, mode, prime):
+        with pytest.MonkeyPatch.context() as patch:
+            if prime is not None:
+                patch.setattr(coxalg, "CERTIFICATE_PRIME", prime)
+            A = curve_algebra(X, mode)
+            box = default_box(X, 1)
+            self._assert_residues_reduce(
+                A, box, build_presentation(A, box).generators)
+
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    def test_degree_is_not_read_from_the_residues(self, monkeypatch, prime):
+        # every other generator scaled by p: its coordinate polynomial, and
+        # every monomial it divides, has leading residue 0, yet keeps its
+        # degree; the rows do not move, since scaling changes no span
+        monkeypatch.setattr(coxalg, "CERTIFICATE_PRIME", prime)
+        A, box = tripled_algebra(), tripled_box()
+        gens = tripled_presentation().generators
+        scale = RationalFunction(em.UniPoly.const(prime))
+        scaled = [(d, s * scale if j % 2 else s)
+                  for j, (d, s) in enumerate(gens)]
+        coords, _ = self._assert_residues_reduce(A, box, scaled)
+        assert any(r[-1] == 0 for _, _, r in coords.residues.values())
+        assert (find_relations(A, scaled, box)[1]
+                == find_relations(A, gens, box)[1])
+
+
 def _two_pass_generators(A, box):
     """The generator search as its own traversal: a class contributes the
     basis elements outside the span of the monomials in the generators
@@ -889,6 +985,14 @@ def _two_pass_relations(A, generators, box):
     return [poly for _, _, poly in found], [row for _, row in certificate]
 
 
+def _poly_degree(poly, degrees):
+    """The ambient degree of a homogeneous polynomial in generators of the
+    given degrees, read off one of its terms."""
+    exps = next(iter(poly.terms))
+    return tuple(sum(e * d[i] for e, d in zip(exps, degrees))
+                 for i in range(len(degrees[0])))
+
+
 def _per_monomial_sections(A, P, elements):
     """sections_as_polynomials with every monomial built as a rational
     function and crossed by its own kernel witness into the component of
@@ -920,32 +1024,106 @@ class TestOnePassSearch:
     relation traversal over the finished generators."""
 
     @staticmethod
-    def _assert_two_passes_agree(A, box):
-        P = build_presentation(A, box)
+    def _assert_two_passes_agree(A, box, prime=None):
+        """The presentation against the two traversals, and each row the
+        search certified mod the prime (CERTIFICATE_PRIME unless given)
+        against the row of the relation traversal; returns the presentation
+        and the certified classes."""
+        certified = []
+        honest = coxalg._certified
+
+        def recording(coords, L, *rest):
+            got = honest(coords, L, *rest)
+            if got:
+                certified.append(L)
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coxalg, "_certified", recording)
+            if prime is not None:
+                patch.setattr(coxalg, "CERTIFICATE_PRIME", prime)
+            P = build_presentation(A, box)
         gens = _two_pass_generators(A, box)
         rels, cert = _two_pass_relations(A, gens, box)
         assert P.generators == tuple(gens)
         assert P.relations == tuple(rels)
         assert [str(r) for r in P.relations] == [str(r) for r in rels]
         assert list(P.certificate) == cert
-        return P
+        rows = {A.rep(tuple(row["degree"])): row for row in cert
+                if row["dim"]}
+        assert len(set(certified)) == len(certified)
+        for L in certified:
+            row = rows[L]
+            assert (row["monomials"] - row["dim"] == row["kernel"]
+                    == row["ideal_span"])
+        return P, certified
 
     @pytest.mark.parametrize("mode", ["canonical", "full"])
     @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
     def test_fixture_curves(self, name, mode):
         X = FIXTURE_CURVES[name]
+        _, certified = self._assert_two_passes_agree(curve_algebra(X, mode),
+                                                     default_box(X, 2))
+        assert certified
+
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixture_curves_under_small_primes(self, name, mode, prime):
+        # a small prime loses rank more often, and its classes take the
+        # exact path: the rows stay those of the two traversals
+        X = FIXTURE_CURVES[name]
         self._assert_two_passes_agree(curve_algebra(X, mode),
-                                      default_box(X, 2))
+                                      default_box(X, 2), prime)
 
     def test_explicit_basis(self):
-        P = self._assert_two_passes_agree(tripled_algebra(), tripled_box())
+        P, certified = self._assert_two_passes_agree(tripled_algebra(),
+                                                     tripled_box())
         assert len(P.relations) == 1
+        assert certified
 
-    @given(small_curves(max_mult=3), st.sampled_from(["canonical", "full"]))
+    @given(small_curves(max_mult=3), st.sampled_from(["canonical", "full"]),
+           st.sampled_from([None, 2, 3]))
     @settings(max_examples=15, deadline=None)
-    def test_small_curves(self, X, mode):
+    def test_small_curves(self, X, mode, prime):
         self._assert_two_passes_agree(curve_algebra(X, mode),
-                                      default_box(X, 1))
+                                      default_box(X, 1), prime)
+
+    @pytest.mark.parametrize("name, relations", [("tripled_line", 1),
+                                                 ("mixed_line", 0)])
+    def test_exact_path_only_where_something_is_found(self, monkeypatch,
+                                                      name, relations):
+        # the exact path opens one span on the monomial coordinates per
+        # class (_Span(dim, vectors)) and computes a kernel basis only
+        # where the relation multiples fall short of the kernel; under the
+        # default prime no other class reaches either
+        calls = {"spans": 0, "kernels": 0}
+
+        class CountingSpan(_Span):
+            def __init__(self, ncols, rows=()):
+                calls["spans"] += isinstance(rows, list)
+                super().__init__(ncols, rows)
+
+        def counting_kernel(M):
+            calls["kernels"] += 1
+            return em.rank_kernel(M)
+
+        monkeypatch.setattr(coxalg, "_Span", CountingSpan)
+        monkeypatch.setattr(coxalg, "rank_kernel", counting_kernel)
+        X = FIXTURE_CURVES[name]
+        A = curve_algebra(X)
+        P = build_presentation(A, default_box(X, 2))
+        key = A.pic.class_key
+        degrees = [d for d, _ in P.generators]
+        generator_classes = {key(d) for d in degrees}
+        relation_classes = {key(_poly_degree(r, degrees))
+                            for r in P.relations}
+        assert len(P.relations) == relations
+        assert calls == {
+            "spans": len(generator_classes | relation_classes),
+            "kernels": len(relation_classes)}
+        nonzero = sum(1 for row in P.certificate if row["dim"])
+        assert calls["spans"] < nonzero
 
     def test_incomplete_generators_at_the_same_class(self):
         A, box = tripled_algebra(), tripled_box()

@@ -569,6 +569,41 @@ class TestSpanEchelon:
         assert sorted(span.pivots) == list(pivots)
 
 
+class TestRankMod:
+    """rank_mod against the rational rank, and residue against Fraction."""
+
+    P = 2 ** 61 - 1
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.lists(st.lists(small_ints, min_size=m, max_size=m),
+                           min_size=0, max_size=6)))
+    def test_large_prime_gives_the_rational_rank(self, rows):
+        # entries of size at most 6 in at most 5 columns: every minor is
+        # below 2^61 - 1 in size (Hadamard), so none vanishes mod p alone
+        rank = em._Span(len(rows[0]), rows).dim if rows else 0
+        assert em.rank_mod(rows, self.P) == rank
+
+    @given(st.lists(st.lists(small_ints, min_size=3, max_size=3),
+                    min_size=1, max_size=4), st.sampled_from([2, 3, 5]))
+    def test_small_primes_never_exceed_the_rational_rank(self, rows, p):
+        assert em.rank_mod(rows, p) <= em._Span(3, rows).dim
+
+    def test_unlucky_prime(self):
+        # determinant 2: rank 2 over Q, rank 1 mod 2
+        rows = [[1, 1], [1, 3]]
+        assert em.rank_mod(rows, 2) == 1
+        assert em.rank_mod(rows, 3) == 2
+
+    @given(rationals, st.sampled_from([2, 3, 5, 2 ** 61 - 1]))
+    def test_residue_is_the_reduction(self, x, p):
+        r = em.residue(x, p)
+        if x.denominator % p:
+            assert 0 <= r < p
+            assert (r * x.denominator - x.numerator) % p == 0
+        else:
+            assert r is None
+
+
 class TestPositiveFunctional:
     def test_exists_for_pointed(self):
         y = positive_functional(SECTION8_DEGREES)
