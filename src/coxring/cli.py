@@ -10,19 +10,20 @@ Exit codes: 0 when nothing failed (nonseparatedness and inconclusive checks
 are findings, reported with a flag), 2 when a verification check failed,
 1 for unreadable or malformed input, for a box too small to answer or
 too large to list, for too many irrelevant elements to build and when
-stdout is closed before the report is written, 3 when an internal
+stdout is closed while the report is written, 3 when an internal
 consistency check failed.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .coxalg import (
     BoxTooSmall,
+    Certificate,
     GeneratorsIncomplete,
     NonPointedMonoid,
     build_presentation,
@@ -58,8 +59,6 @@ def _plain(value):
     """Recursively convert report values to JSON-serializable ones."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -250,81 +249,102 @@ def run(mode, path, box_radius=2, power_bound=4, lambda_mode="canonical"):
     return _RUNNERS[mode](path, options)
 
 
+def _certificate_rows(certificate, fmt, where):
+    """The text of each row of a nonempty certificate from one str.format
+    template for its rank, filled by (index, *row): a row of markers as the
+    writer gives it (in JSON at indentation where, in text under prefix
+    where), each marker made a field."""
+    rank = len(certificate.degrees[0])
+    mark = 10 ** 40  # markers mark + k: one length, none inside another
+    row = dict(zip(Certificate.FIELDS, [[mark + k + 1 for k in range(rank)]]
+                   + [mark + rank + k for k in range(1, 5)]))
+    text = "".join(_json_parts(row, where) if fmt == "json" else
+                   _text_lines("%s[%d]" % (where, mark), row))
+    text = text.replace("{", "{{").replace("}", "}}")
+    for k in range(rank + 5):
+        text = text.replace(str(mark + k), "{%d}" % k)
+    fill, rows, zero = text.format, certificate.rows, (None, 0, 0, 0, 0)
+    for i, degree in enumerate(certificate.degrees):
+        yield fill(i, *degree, *rows.get(i, zero)[1:])
+
+
 def _text_lines(prefix, value):
     if isinstance(value, dict):
         if not value:
-            yield "%s: (empty)" % prefix
+            yield "%s: (empty)\n" % prefix
         for k in sorted(value):
             sub = "%s.%s" % (prefix, k) if prefix else str(k)
             yield from _text_lines(sub, value[k])
-    elif isinstance(value, list):
+    elif isinstance(value, Certificate) and value:
+        yield from _certificate_rows(value, "text", prefix)
+    elif isinstance(value, (list, Certificate)):
         if not value:
-            yield "%s: (none)" % prefix
+            yield "%s: (none)\n" % prefix
         elif all(not isinstance(x, (dict, list)) for x in value):
-            yield "%s: %s" % (prefix, " ".join(str(x) for x in value))
+            yield "%s: %s\n" % (prefix, " ".join(str(x) for x in value))
         else:
             for i, x in enumerate(value):
                 yield from _text_lines("%s[%d]" % (prefix, i), x)
     else:
-        yield "%s: %s" % (prefix, value)
+        yield "%s: %s\n" % (prefix, value)
 
 
 _encode_string = json.encoder.encode_basestring_ascii
 
 
-def _json_parts(value, indent, parts):
-    """Append the pieces of json.dumps(value, indent=2, sort_keys=True) to
-    parts, at the given indentation: the same bytes without the encoder's
-    pure-Python path, which indent selects.  Values are dicts with string
-    keys, lists and tuples, strings, ints, bools and None; anything else
-    raises TypeError.  A list of ints is written by one join."""
+def _json_parts(value, indent):
+    """The pieces of json.dumps(value, indent=2, sort_keys=True), at the
+    given indentation: the same bytes without the encoder's pure-Python
+    path, which indent selects.  Values are dicts with string keys, lists
+    and tuples, Certificates (_certificate_rows), strings, ints, bools and
+    None; anything else raises TypeError."""
     if isinstance(value, str):
-        parts.append(_encode_string(value))
+        yield _encode_string(value)
     elif value is None:
-        parts.append("null")
+        yield "null"
     elif value is True:
-        parts.append("true")
+        yield "true"
     elif value is False:
-        parts.append("false")
+        yield "false"
     elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple, dict)):
+        yield int.__repr__(value)
+    elif isinstance(value, (list, tuple, dict, Certificate)):
         if not value:
-            parts.append("{}" if isinstance(value, dict) else "[]")
+            yield "{}" if isinstance(value, dict) else "[]"
             return
         inner = indent + "  "
         if isinstance(value, dict):
             sep = "{\n" + inner
             for key in sorted(value):
-                if not isinstance(key, str):
-                    raise TypeError("keys must be str, not %s"
-                                    % type(key).__name__)
-                parts.append(sep + _encode_string(key) + ": ")
-                _json_parts(value[key], inner, parts)
+                yield sep + _encode_string(key) + ": "
+                yield from _json_parts(value[key], inner)
                 sep = ",\n" + inner
-            parts.append("\n" + indent + "}")
-        elif all(type(x) is int for x in value):
-            parts.append("[\n" + inner
-                         + (",\n" + inner).join(map(int.__repr__, value))
-                         + "\n" + indent + "]")
+            yield "\n" + indent + "}"
+        elif isinstance(value, Certificate):
+            rows = _certificate_rows(value, "json", inner)
+            yield "[\n" + inner + next(rows)
+            yield from (",\n" + inner + row for row in rows)
+            yield "\n" + indent + "]"
         else:
             sep = "[\n" + inner
             for item in value:
-                parts.append(sep)
-                _json_parts(item, inner, parts)
+                yield sep
+                yield from _json_parts(item, inner)
                 sep = ",\n" + inner
-            parts.append("\n" + indent + "]")
+            yield "\n" + indent + "]"
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % type(value).__name__)
 
 
-def render(report, fmt):
-    if fmt == "json":
-        parts = []
-        _json_parts(report, "", parts)
-        return "".join(parts)
-    return "\n".join(_text_lines("", report))
+def render(report, fmt, out=None):
+    """The report in the given format, as one string without its last
+    newline; or, given a stream out, written to it piece by piece."""
+    parts = (itertools.chain(_json_parts(report, ""), "\n") if fmt == "json"
+             else _text_lines("", report))
+    if out is None:
+        return "".join(parts)[:-1]
+    out.writelines(parts)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -395,7 +415,8 @@ def main(argv=None):
         print("error: internal inconsistency: %s" % exc, file=sys.stderr)
         return 3
     try:
-        print(render(report, args.format), flush=True)
+        render(report, args.format, sys.stdout)
+        sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (say, `| head`); point it at devnull so
         # the flush at interpreter exit does not fail again

@@ -511,10 +511,7 @@ class PicGradedAlgebra(Immutable):
         """
         if len(class_vec) != self.pic.ambient_rank:
             raise ValueError("class vector length differs from ambient rank")
-        total = 1
-        for block in self.pic.blocks:
-            total += min(class_vec[block])
-        return max(0, total)
+        return self.hilbert((class_vec,))[0][1]
 
     def effective_nonzero(self, class_vec):
         return (self.component_dim(class_vec) > 0
@@ -541,8 +538,9 @@ class PicGradedAlgebra(Immutable):
         return True
 
     def hilbert(self, box):
-        """Dimension table over the given classes, in the given order."""
-        return [(tuple(int(x) for x in c), self.component_dim(c))
+        """(c, component_dim(c)) for each vector c of box, unchecked."""
+        blocks = self.pic.blocks
+        return [(c, max(0, sum(map(min, map(c.__getitem__, blocks))) + 1))
                 for c in box]
 
 
@@ -565,11 +563,16 @@ def lattice_box(lattice, radius):
     lexicographic comparison of the coefficients (grading.box_vectors).
 
     The ordering puts small positive degrees first, which keeps generator
-    discovery deterministic and stable across runs.  The lattice is meant
-    to have trivial kernel (canonical_lambda), so no class repeats.
+    discovery deterministic and stable across runs.  On a lattice with
+    trivial kernel (every canonical_lambda) no class repeats, and the box
+    is a _DistinctClasses tuple; on the full lattice classes repeat.
     """
-    return tuple(box_vectors(lattice.columns, radius,
-                             lattice.picdata.ambient_rank))
+    box = box_vectors(lattice.columns, radius, lattice.picdata.ambient_rank)
+    return (tuple if lattice.kernel_basis() else _DistinctClasses)(box)
+
+
+class _DistinctClasses(tuple):
+    """A box whose vectors lie in pairwise distinct classes (lattice_box)."""
 
 
 def default_box(X, radius=2, basis=None):
@@ -602,31 +605,30 @@ def _degree_weights(A):
 
 
 def _traversal(A, box):
-    """Distinct box classes, each with its first position in the box, in a
-    linear extension of the effectivity order.
+    """The distinct box classes in box order, and (index, class, dim) for
+    those of nonzero dimension in a linear extension of the effectivity
+    order.
 
-    A nonzero effective difference raises the weighted degree of
-    _degree_weights, so sorting by (weighted degree, position) visits every
-    class below a class before it.  The box vectors are int tuples, as
-    lattice_box lists them, and are passed on as they are.
+    A _DistinctClasses box is read as it is; any other (hand-made, or of
+    the full lattice) keeps the first vector of each class.  Dimensions are
+    read in box order (hilbert); a class of dimension zero holds no
+    monomial and needs no place in the order.  A nonzero effective
+    difference raises the weighted degree of _degree_weights, so sorting by
+    (weighted degree, index) visits every class below a class before it.
     """
-    class_key = A.pic.class_key
+    classes = box
+    if not isinstance(box, _DistinctClasses):
+        first = {}
+        for vec in box:
+            first.setdefault(A.pic.class_key(vec), vec)
+        classes = tuple(first.values())
     y = _degree_weights(A)
-    classes = []
-    seen = set()
-    for i, vec in enumerate(box):
-        key = class_key(vec)
-        if key not in seen:
-            seen.add(key)
-            classes.append((sum(map(operator.mul, y, vec)), i, vec))
-    classes.sort()
-    return [(i, vec) for _, i, vec in classes]
+    nonzero = sorted((sum(map(operator.mul, y, vec)), i, vec, dim)
+                     for i, (vec, dim) in enumerate(A.hilbert(classes)) if dim)
+    return classes, [(i, vec, dim) for _, i, vec, dim in nonzero]
 
 
 def _monomials(A, degrees, target):
-    if degrees and not A.effective_nonzero(target) \
-            and not A.pic.contains_zero(target):
-        return []
     try:
         return enumerate_monomials(degrees, target,
                                    relations=A.pic.relations)
@@ -896,8 +898,8 @@ def _certified(coords, L, dim, exps_list, found):
 
 
 def _search(A, box, generators=None):
-    """Generators, relations and certificate rows over the box, in one
-    traversal of its classes (_traversal).
+    """Generators, relations and a Certificate over the box, in one
+    traversal of its classes of nonzero dimension (_traversal).
 
     At each class D the monomials in the known generators are read as
     coordinates in the component of lattice degree rep(D)
@@ -906,10 +908,11 @@ def _search(A, box, generators=None):
     their order, and a component they fail to span raises
     GeneratorsIncomplete.  Kernel vectors outside the span of multiples of
     earlier relations become relations, each checked to vanish on the
-    generator sections.  A certificate row per class records the monomial
+    generator sections.  The row of each such class records the monomial
     count, the dimension, the kernel dimension and the dimension spanned by
-    relation multiples.  One pass gives what a generator search followed by
-    a relation search over the finished generators gives:
+    relation multiples; the other rows are zeros.  One pass gives what a
+    generator search followed by a relation search over the finished
+    generators gives:
 
     - A monomial of class D uses only generators of classes visited before
       D.  The one exception is a generator of class D, taken alone.  This
@@ -947,8 +950,8 @@ def _search(A, box, generators=None):
     multiples fall short of it.  So generators, relations and rows do not
     depend on p.
 
-    Everything is listed by the box position of its degree, so the output
-    does not depend on which linear extension was traversed.
+    Everything is listed by the box position of its degree class, so the
+    output does not depend on which linear extension was traversed.
     """
     given = generators is not None
     gens = [(tuple(int(x) for x in d), s) for d, s in generators or ()]
@@ -964,22 +967,17 @@ def _search(A, box, generators=None):
 
     # (box position, terms over Q, their residues mod p or None)
     found = []
-    certificate = []
-    for at, D in _traversal(A, box):
+    classes, visit = _traversal(A, box)
+    rows = {}
+    for at, D, dim in visit:
         pos[D] = at
-        dim = A.component_dim(D)
-        row = {"degree": list(D), "monomials": 0, "dim": dim, "kernel": 0,
-               "ideal_span": 0}
-        certificate.append((at, row))
-        if dim == 0:
-            continue
         n = len(gens)
         degrees = [d for d, _ in gens]
         exps_list = _monomials(A, degrees, D)
         nm = len(exps_list)
         L = A.rep(D)
         if _certified(coords, L, dim, exps_list, found):
-            row.update(monomials=nm, kernel=nm - dim, ideal_span=nm - dim)
+            rows[at] = (D, nm, dim, nm - dim, nm - dim)
             continue
         vectors = [coords.coordinates(exps, L, dim) for exps in exps_list]
         span = _Span(dim, vectors)
@@ -1015,17 +1013,14 @@ def _search(A, box, generators=None):
                             for exps, x in terms.items()}
                 found.append((at, terms, None if None in
                               residues.values() else residues))
-        row.update(monomials=nm + len(gens) - n, kernel=nm - rank,
-                   ideal_span=old.dim)
+        rows[at] = (D, nm + len(gens) - n, dim, nm - rank, old.dim)
     nv = len(gens)
     order = box_order(nv)
     relations = [MultiPoly(nv, {
         tuple((exps + (0,) * (nv - len(exps)))[j] for j in order): x
         for exps, x in terms.items()})
         for _, terms, _ in sorted(found, key=lambda f: f[0])]
-    certificate.sort(key=lambda row: row[0])
-    return ([gens[j] for j in order], relations,
-            [row for _, row in certificate])
+    return ([gens[j] for j in order], relations, Certificate(classes, rows))
 
 
 def find_generators(A, box):
@@ -1042,6 +1037,34 @@ def find_relations(A, generators, box):
 # presentations
 
 
+class Certificate(Immutable):
+    """Rows (degree, monomials, dim, kernel, ideal_span), one per class of
+    the tuple degrees, in order.  Rows of zeros, those of most box classes,
+    are not stored: rows maps the index of every other class to its row.
+    """
+
+    __slots__ = ("degrees", "rows")
+    FIELDS = ("degree", "monomials", "dim", "kernel", "ideal_span")
+
+    def __init__(self, degrees, rows):
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "rows", MappingProxyType(dict(rows)))
+
+    @classmethod
+    def of(cls, rows):
+        """The certificate of the rows, given in full."""
+        rows = tuple(rows)
+        return cls(tuple(row[0] for row in rows),
+                   {i: row for i, row in enumerate(rows) if any(row[1:])})
+
+    def __len__(self):
+        return len(self.degrees)
+
+    def __iter__(self):
+        for i, degree in enumerate(self.degrees):
+            yield self.rows.get(i) or (degree, 0, 0, 0, 0)
+
+
 class Presentation(Immutable):
     """Generators, relations and a completeness certificate over a box."""
 
@@ -1054,7 +1077,7 @@ class Presentation(Immutable):
                                  for d, s in generators))
         object.__setattr__(self, "relations", tuple(relations))
         object.__setattr__(self, "box", tuple(map(tuple, box)))
-        object.__setattr__(self, "certificate", tuple(certificate))
+        object.__setattr__(self, "certificate", certificate)
 
     @property
     def variables(self):
@@ -1067,7 +1090,7 @@ class Presentation(Immutable):
                             "section": None if s is None else str(s)}
                            for d, s in self.generators],
             "relations": [str(r) for r in self.relations],
-            "certificate": [dict(entry) for entry in self.certificate],
+            "certificate": self.certificate,
         }
 
     def __repr__(self):
@@ -1395,7 +1418,8 @@ def sections_as_polynomials(A, P, elements):
         q = _section_polynomial(A, rep, s.num, s.den)
         if q is None:
             raise NotASection("element lies outside its stated component")
-        exps_list = _monomials(A, gen_degrees, c)
+        exps_list = [] if gen_degrees and not A.effective_nonzero(c) \
+            and not A.pic.contains_zero(c) else _monomials(A, gen_degrees, c)
         L = _combination(exps_list[0], gen_lattice, A.lattice.rank) \
             if exps_list else rep
         if L != rep:
@@ -1696,20 +1720,16 @@ def tensor_presentation(P, Q):
     for r in Q.relations:
         terms = {(0,) * kp + exps: c for exps, c in r.terms.items()}
         polys.append(MultiPoly(kp + kq, terms))
-    certp = {tuple(entry["degree"]): entry for entry in P.certificate}
-    certq = {tuple(entry["degree"]): entry for entry in Q.certificate}
+    certp = {row[0]: row for row in P.certificate}
+    certq = {row[0]: row for row in Q.certificate}
     box = []
     cert = []
     for dp in P.box:
-        ep = certp.get(tuple(dp))
+        rp = certp.get(dp)
         for dq in Q.box:
-            eq = certq.get(tuple(dq))
-            degree = tuple(dp) + tuple(dq)
-            box.append(degree)
-            if ep is None or eq is None:
-                continue
-            m = ep["monomials"] * eq["monomials"]
-            d = ep["dim"] * eq["dim"]
-            cert.append({"degree": list(degree), "monomials": m, "dim": d,
-                         "kernel": m - d, "ideal_span": m - d})
-    return Presentation(grading, gens, polys, box, cert)
+            rq = certq.get(dq)
+            box.append(dp + dq)
+            if rp and rq:
+                m, d = rp[1] * rq[1], rp[2] * rq[2]
+                cert.append((dp + dq, m, d, m - d, m - d))
+    return Presentation(grading, gens, polys, box, Certificate.of(cert))

@@ -24,7 +24,7 @@ from .exactmath import (
     positive_functional,
 )
 from .grading import FGAbelianGroup
-from .coxalg import Presentation
+from .coxalg import Certificate, Presentation
 from .ratcurve import InternalInconsistency, is_json_int
 
 
@@ -293,9 +293,8 @@ def cox_presentation(fan, radius=2):
             m = count_monomials(degrees, D, relations=group.relations)
         except UnboundedEnumeration:
             continue
-        cert.append({"degree": list(D), "monomials": m, "dim": m,
-                     "kernel": 0, "ideal_span": 0})
-    return Presentation(group, gens, (), box, cert)
+        cert.append((D, m, m, 0, 0))
+    return Presentation(group, gens, (), box, Certificate.of(cert))
 
 
 def hilbert_toric(fan, class_vec, bound=None):

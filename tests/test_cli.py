@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface against the fixture
 files: report contents, exit codes, determinism, and error handling."""
 
+import io
 import json
 import os
 import pathlib
@@ -17,6 +18,8 @@ from coxring import exactmath as em
 from coxring.coxalg import Verdict
 from coxring.grading import BoxTooLarge
 from coxring.ratcurve import InternalInconsistency, curve_from_json
+from report_oracles import render as oracle_render
+from test_coxalg import _radius, small_curves
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -657,6 +660,171 @@ class TestJsonWriter:
     def test_anything_else_is_a_type_error(self, value):
         with pytest.raises(TypeError):
             cli.render({"x": [value]}, "json")
+
+
+def _curve_file(tmp_path, multiplicities):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"special": [
+        {"point": p, "multiplicity": m}
+        for p, m in zip(("0", "1", "inf", "-1"), multiplicities)]}),
+        encoding="utf-8")
+    return str(path)
+
+
+def _fixture_runs():
+    for path in sorted(FIXTURES.glob("*.json")):
+        curve = "special" in json.loads(path.read_text(encoding="utf-8"))
+        mode = "curve" if curve else "toric"
+        runs = [(mode, 1, "canonical"), (mode, 2, "canonical")]
+        if curve:
+            runs += [("curve", 1, "full"), ("curve", 2, "full")]
+        for run in runs:
+            yield (path.name,) + run
+
+
+FIXTURE_RUNS = list(_fixture_runs())
+
+
+class TestStreamedReport:
+    """Reports written from the row templates and streamed to stdout
+    against report_oracles.render: certificate rows as dicts and the
+    recursive writers, byte for byte in both formats."""
+
+    @staticmethod
+    def _assert_same(got, expected):
+        # the first difference only: a diff of two long reports is slow
+        if got != expected:
+            at = next((i for i, (a, b) in enumerate(zip(got, expected))
+                       if a != b), min(len(got), len(expected)))
+            pytest.fail("reports differ at character %d: %r != %r" % (
+                at, got[at - 60:at + 60], expected[at - 60:at + 60]))
+
+    def _assert_matches(self, report):
+        for fmt in ("json", "text"):
+            expected = oracle_render(report, fmt)
+            self._assert_same(cli.render(report, fmt), expected)
+            out = io.StringIO()
+            cli.render(report, fmt, out)
+            self._assert_same(out.getvalue(), expected + "\n")
+
+    @pytest.mark.parametrize("name, mode, radius, lam", FIXTURE_RUNS,
+                             ids=["%s-%s-%d-%s" % run for run in FIXTURE_RUNS])
+    def test_fixture_reports(self, name, mode, radius, lam):
+        report, code = cli.run(mode, fixture(name), box_radius=radius,
+                               lambda_mode=lam)
+        assert code == 0
+        self._assert_matches(report)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_stdout_matches_the_oracle(self, capsys, fmt):
+        report, _ = cli.run("curve", fixture("tripled_line.json"))
+        code, out, err = run_cli(capsys, "curve", fixture("tripled_line.json"),
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        self._assert_same(out, oracle_render(report, fmt) + "\n")
+
+    @given(small_curves(max_mult=3), st.sampled_from(["canonical", "full"]),
+           st.integers(min_value=0, max_value=2))
+    @settings(max_examples=20, deadline=None)
+    def test_small_curves(self, X, lam, radius):
+        # a box of at most 5^5 classes
+        radius = _radius(ratcurve.picard_rank(X), radius, 5 ** 5)
+        A, _, P = cli._curve_pipeline(X, radius, lam)
+        self._assert_matches({"presentation": P.to_json(),
+                              "lattice_rank": A.lattice.rank})
+
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_every_field_in_its_place(self, rank):
+        # no two fields of a row are equal, and zero rows lie between the
+        # others; prefixes and keys hold braces, which the templates escape
+        rows = []
+        for i in range(7):
+            degree = tuple(10 * i + k - 5 for k in range(rank))
+            rows.append((degree, 0, 0, 0, 0) if i % 3 else
+                        (degree, 100 + i, 200 + i, 300 + i, 400 + i))
+        cert = coxalg.Certificate.of(rows)
+        assert len(cert.rows) == 3
+        self._assert_matches({"presentation": {"certificate": cert},
+                              "{0}": [{"x{": cert}], "n": 1})
+        empty = coxalg.Certificate.of([])
+        self._assert_matches({"a": {"certificate": empty}, "b": cert})
+
+    @pytest.mark.parametrize("lam", ["canonical", "full"])
+    def test_curve_run_reads_no_class_one_by_one(self, capsys, monkeypatch,
+                                                 lam):
+        # dimensions are read in box order by hilbert: a curve run makes no
+        # component_dim or effective_nonzero call, and over the canonical
+        # box, which repeats no class, no class_key
+        counts = {"component_dim": 0, "effective_nonzero": 0, "class_key": 0}
+
+        def counting(owner, name):
+            honest = getattr(owner, name)
+
+            def wrapped(self, *args):
+                counts[name] += 1
+                return honest(self, *args)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        counting(coxalg.PicGradedAlgebra, "component_dim")
+        counting(coxalg.PicGradedAlgebra, "effective_nonzero")
+        counting(ratcurve.PicardData, "class_key")
+        code, _, _ = run_cli(capsys, "curve", fixture("tripled_line.json"),
+                             "--lambda", lam)
+        assert code == 0
+        assert counts == {"component_dim": 0, "effective_nonzero": 0,
+                          "class_key": 0}
+        code, _, _ = run_cli(capsys, "verify", fixture("tripled_line.json"),
+                             "--box", "1", "--lambda", lam)
+        assert code == 0
+        assert counts["component_dim"] > 0
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_pipe_closed_after_the_first_read(self, tmp_path, fmt):
+        # {3,3,2} at box 2 writes some MB; the reader takes one read and
+        # closes, and the writer, blocked on the full pipe, exits 1
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "coxring.cli", "curve", "--box", "2",
+             "--format", fmt, _curve_file(tmp_path, (3, 3, 2))],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        try:
+            first = child.stdout.read1(1 << 16)
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            code = child.wait(timeout=60)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        assert first.startswith(b"{" if fmt == "json" else b"lattice_rank")
+        assert code == 1
+        assert err == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_failure_after_the_search_started_writes_nothing(self, tmp_path,
+                                                             fmt):
+        # the 40th certified class raises: the search has run, the report
+        # is never begun
+        script = (
+            "import sys\n"
+            "from coxring import cli, coxalg\n"
+            "from coxring.ratcurve import InternalInconsistency\n"
+            "honest, calls = coxalg._certified, []\n"
+            "def failing(*args):\n"
+            "    calls.append(1)\n"
+            "    if len(calls) == 40:\n"
+            "        raise InternalInconsistency('row 40')\n"
+            "    return honest(*args)\n"
+            "coxalg._certified = failing\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        child = run_child(["-c", script, "curve", "--box", "2", "--format",
+                           fmt, _curve_file(tmp_path, (3, 3, 2))],
+                          timeout=60)
+        assert child.returncode == 3
+        assert child.stdout == ""
+        assert child.stderr == "error: internal inconsistency: row 40\n"
 
 
 class TestErrors:

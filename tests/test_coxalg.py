@@ -23,6 +23,7 @@ from coxring.coxalg import (
     GeneratorsIncomplete,
     NotASection,
     NotInKernel,
+    Certificate,
     Presentation,
     _cokernel,
     _degree_weights,
@@ -65,6 +66,7 @@ from coxring.exactmath import (
 )
 from coxring.grading import FGAbelianGroup
 from coxring.toric import class_group, fan_from_json
+from report_oracles import box_classes, dict_row, traversal
 from coxring.ratcurve import (
     CurvePoint,
     Divisor,
@@ -432,15 +434,15 @@ class TestPresentation:
 
     def test_certificate_row_at_the_relation_degree(self):
         P = tripled_presentation()
-        target = list(basis_to_ambient((0, 1, 1, 0)))
-        rows = [e for e in P.certificate if e["degree"] == target]
-        assert rows == [{"degree": target, "monomials": 3, "dim": 2,
-                         "kernel": 1, "ideal_span": 1}]
+        target = basis_to_ambient((0, 1, 1, 0))
+        rows = [row for row in P.certificate if row[0] == target]
+        assert rows == [(target, 3, 2, 1, 1)]
 
     def test_certificate_accounts_for_every_kernel(self):
-        for entry in tripled_presentation().certificate:
-            assert entry["monomials"] - entry["dim"] == entry["kernel"]
-            assert entry["ideal_span"] == entry["kernel"]
+        for _, monomials, dim, kernel, span in tripled_presentation(
+                ).certificate:
+            assert monomials - dim == kernel
+            assert span == kernel
 
     def test_plain_line(self):
         P = plain_presentation()
@@ -484,8 +486,8 @@ class TestPresentation:
         pic = tripled_algebra().pic
         distinct = {}
         for c in tripled_box():
-            distinct.setdefault(pic.class_key(c), list(c))
-        assert [e["degree"] for e in P.certificate] == list(distinct.values())
+            distinct.setdefault(pic.class_key(c), c)
+        assert [row[0] for row in P.certificate] == list(distinct.values())
 
 
 def _fixture_curves():
@@ -772,7 +774,7 @@ class TestMonomialCoordinates:
         for d, s in gens:
             coords.add(d, s)
         checked = 0
-        for _, D in _traversal(A, box):
+        for _, D in traversal(A, box):
             exps_list = coxalg._monomials(A, degrees, D)
             dim = A.component_dim(D)
             if dim == 0:
@@ -835,7 +837,7 @@ class TestResidueReading:
                     if not b.is_infinity()]
         integral = all(em.residue(x, p) is not None for x in factors)
         read = blocked = 0
-        for _, D in _traversal(A, box):
+        for _, D in traversal(A, box):
             dim = A.component_dim(D)
             if dim == 0:
                 continue
@@ -898,15 +900,15 @@ class TestResidueReading:
                   for j, (d, s) in enumerate(gens)]
         coords, _ = self._assert_residues_reduce(A, box, scaled)
         assert any(r[-1] == 0 for _, _, r in coords.residues.values())
-        assert (find_relations(A, scaled, box)[1]
-                == find_relations(A, gens, box)[1])
+        assert (list(find_relations(A, scaled, box)[1])
+                == list(find_relations(A, gens, box)[1]))
 
 
 def _two_pass_generators(A, box):
     """The generator search as its own traversal: a class contributes the
     basis elements outside the span of the monomials in the generators
     found before it."""
-    visit = _traversal(A, box)
+    visit = traversal(A, box)
     pos = {D: i for i, D in visit}
     gens = []
     coords = coxalg._MonomialCoordinates(A)
@@ -941,7 +943,7 @@ def _two_pass_relations(A, generators, box):
         monomial_coords.add(d, s)
     found = []
     certificate = []
-    for at, D in _traversal(A, box):
+    for at, D in traversal(A, box):
         exps_list = coxalg._monomials(A, gen_degrees, D)
         nm = len(exps_list)
         dim = A.component_dim(D)
@@ -1048,7 +1050,7 @@ class TestOnePassSearch:
         assert P.generators == tuple(gens)
         assert P.relations == tuple(rels)
         assert [str(r) for r in P.relations] == [str(r) for r in rels]
-        assert list(P.certificate) == cert
+        assert [dict_row(row) for row in P.certificate] == cert
         rows = {A.rep(tuple(row["degree"])): row for row in cert
                 if row["dim"]}
         assert len(set(certified)) == len(certified)
@@ -1122,7 +1124,7 @@ class TestOnePassSearch:
         assert calls == {
             "spans": len(generator_classes | relation_classes),
             "kernels": len(relation_classes)}
-        nonzero = sum(1 for row in P.certificate if row["dim"])
+        nonzero = sum(1 for row in P.certificate if row[2])
         assert calls["spans"] < nonzero
 
     def test_incomplete_generators_at_the_same_class(self):
@@ -1167,7 +1169,7 @@ class TestClassOrder:
     def test_traversal_extends_effectivity(self, X):
         A = curve_algebra(X)
         box = default_box(X, 1)
-        order = [c for _, c in _traversal(A, box)]
+        order = [c for _, c in traversal(A, box)]
         assert len({A.pic.class_key(c) for c in box}) == len(order)
         for a, b in itertools.combinations(range(len(order)), 2):
             assert not A.effective_nonzero(
@@ -1179,6 +1181,121 @@ class TestClassOrder:
             curve=X, pic=FGAbelianGroup(5, [(1, 1, 1, -1, 0)]))
         with pytest.raises(InternalInconsistency):
             _degree_weights(bad)
+
+
+def _radius(rank, most, vectors=3 ** 8):
+    """The largest radius up to most whose box over rank generators lists
+    at most the given number of vectors."""
+    return max(r for r in range(most + 1) if (2 * r + 1) ** rank <= vectors)
+
+
+class TestZeroClasses:
+    """_traversal, which reads dimensions in box order and orders only the
+    nonzero classes, against the traversal of every distinct class
+    (report_oracles.traversal); the class_key dedupe kept wherever a box
+    can repeat a class."""
+
+    @staticmethod
+    def _assert_agrees(A, box):
+        classes, visit = _traversal(A, box)
+        assert list(classes) == box_classes(A, box)
+        dims = {vec: A.component_dim(vec) for vec in classes}
+        assert [(vec, dim) for _, vec, dim in visit] == [
+            (vec, dims[vec]) for _, vec in traversal(A, box) if dims[vec]]
+        assert all(classes[i] is vec for i, vec, _ in visit)
+        assert len(visit) == sum(1 for d in dims.values() if d)
+
+    @staticmethod
+    def _repeating_box(A, box):
+        # each class twice: its own vector and, after it, the vector moved
+        # by a class relation, so the hand-made box repeats every class
+        shifts = A.pic.relations or ((0,) * A.pic.ambient_rank,)
+        return tuple(v for c in box for v in (c, _vadd(c, shifts[0])))
+
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixture_curves(self, name, mode):
+        X = FIXTURE_CURVES[name]
+        A = curve_algebra(X, mode)
+        for box in (default_box(X, 2), lattice_box(A.lattice, 1),
+                    self._repeating_box(A, default_box(X, 1))):
+            self._assert_agrees(A, box)
+
+    @given(small_curves(max_mult=3), st.sampled_from(["canonical", "full"]))
+    @settings(max_examples=25, deadline=None)
+    def test_small_curves(self, X, mode):
+        # the largest radius up to 2 whose box has at most 3^8 vectors
+        A = curve_algebra(X, mode)
+        canonical = curve_algebra(X).lattice.rank
+        self._assert_agrees(A, default_box(X, _radius(canonical, 2)))
+        self._assert_agrees(A, lattice_box(A.lattice,
+                                           _radius(A.lattice.rank, 1)))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_only_kernel_free_lattice_boxes_skip_the_dedupe(self, name):
+        X = FIXTURE_CURVES[name]
+        canonical = lattice_box(canonical_lambda(X), 2)
+        assert isinstance(canonical, coxalg._DistinctClasses)
+        key = curve_algebra(X).pic.class_key
+        assert len({key(c) for c in canonical}) == len(canonical)
+        full = full_lambda(X)
+        assert (isinstance(lattice_box(full, 1), coxalg._DistinctClasses)
+                == (not full.kernel_basis()))
+
+    def test_hand_made_box_on_a_kernel_free_lattice(self, monkeypatch):
+        # the explicit basis of the tripled line is canonical, with no
+        # kernel; a hand-made box over it still repeats classes, and the
+        # search keeps the first vector of each
+        A, box = tripled_algebra(), tripled_box()
+        assert not A.lattice.kernel_basis()
+        calls = [0]
+        key = PicardData.class_key
+
+        def counting(self, vec):
+            calls[0] += 1
+            return key(self, vec)
+
+        monkeypatch.setattr(PicardData, "class_key", counting)
+        P = build_presentation(A, box)
+        assert calls[0] == 0
+        hand = self._repeating_box(A, box)
+        Q = build_presentation(A, hand)
+        assert calls[0] == len(hand)
+        assert list(Q.certificate) == list(P.certificate)
+        assert (Q.generators, Q.relations) == (P.generators, P.relations)
+        moved = tuple(hand[1::2]) + tuple(hand[::2])
+        R = build_presentation(A, moved)
+        assert [row[0] for row in R.certificate] == list(hand[1::2])
+        assert [row[1:] for row in R.certificate] == [
+            row[1:] for row in P.certificate]
+
+    def test_hand_made_box_against_the_two_traversals(self):
+        X = FIXTURE_CURVES["mixed_line"]
+        A = curve_algebra(X)
+        TestOnePassSearch._assert_two_passes_agree(
+            A, self._repeating_box(A, default_box(X, 1)))
+
+
+class TestCertificate:
+    def test_zero_rows_are_not_stored(self):
+        rows = [((1, 0), 2, 1, 1, 1), ((0, 1), 0, 0, 0, 0), ((), 0, 0, 0, 0),
+                ((2,), 0, 1, 0, 0)]
+        cert = Certificate.of(rows)
+        assert list(cert) == rows
+        assert len(cert) == 4
+        assert cert.degrees == ((1, 0), (0, 1), (), (2,))
+        assert dict(cert.rows) == {0: rows[0], 3: rows[3]}
+        with pytest.raises(AttributeError):
+            cert.rows = {}
+        with pytest.raises(TypeError):
+            cert.rows[1] = rows[1]
+
+    def test_curve_rows_of_zero_classes(self):
+        P = tripled_presentation()
+        A = tripled_algebra()
+        stored = {P.certificate.degrees[i] for i in P.certificate.rows}
+        assert stored == {c for c in tripled_box() if A.component_dim(c)}
+        assert len(stored) < len(P.certificate) == len(tripled_box())
 
 
 class TestWeightMonoid:
@@ -1265,8 +1382,7 @@ def polynomial_ring_presentation(degrees):
     grading = FGAbelianGroup(n)
     gens = [(d, None) for d in degrees]
     box = [tuple(0 for _ in range(n))] + list(degrees)
-    cert = [{"degree": list(d), "monomials": 1, "dim": 1, "kernel": 0,
-             "ideal_span": 0} for d in box]
+    cert = Certificate.of((tuple(d), 1, 1, 0, 0) for d in box)
     return Presentation(grading, gens, (), box, cert)
 
 
@@ -2078,11 +2194,10 @@ class TestTensor:
         A = curve_algebra(plain_line())
         T = tensor_presentation(P, P)
         assert len(T.certificate) == len(P.certificate) ** 2
-        for entry in T.certificate:
-            d = entry["degree"]
+        for d, monomials, dim, kernel, _ in T.certificate:
             expect = A.component_dim(d[:1]) * A.component_dim(d[1:])
-            assert entry["dim"] == expect
-            assert entry["monomials"] - entry["dim"] == entry["kernel"]
+            assert dim == expect
+            assert monomials - dim == kernel
 
     def test_tripled_with_plain(self):
         P = tripled_presentation()
@@ -2092,5 +2207,5 @@ class TestTensor:
         assert [str(r) for r in T.relations] == ["T1*T6 - T2*T3 - T4*T5"]
         assert all(d[6:] == (0,) for d, _ in T.generators[:6])
         assert all(d[:6] == ZERO6 for d, _ in T.generators[6:])
-        for entry in T.certificate:
-            assert entry["monomials"] - entry["dim"] == entry["kernel"]
+        for _, monomials, dim, kernel, _ in T.certificate:
+            assert monomials - dim == kernel

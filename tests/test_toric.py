@@ -21,7 +21,8 @@ from coxring.coxalg import (
     freely_graded_check,
     tensor_presentation,
 )
-from coxring.exactmath import UnboundedEnumeration, positive_functional
+from coxring.exactmath import (UnboundedEnumeration, enumerate_monomials,
+                               positive_functional)
 from coxring.ratcurve import curve_from_json
 from coxring.toric import (
     Fan,
@@ -275,13 +276,37 @@ class TestCoxData:
             data.fan = None
 
 
+FAN_FIXTURES = sorted(path.name for path in FIXTURES.glob("*_fan.json"))
+
+
 class TestCoxPresentation:
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("name", FAN_FIXTURES)
+    def test_rows_against_the_listing(self, name, radius):
+        # one row (D, n, n, 0, 0) per box class with finitely many
+        # monomials, n of them listed; rows of zeros are not stored
+        fan = fan_from_json(json.loads((FIXTURES / name).read_text()))
+        P = cox_presentation(fan, radius)
+        data = toric_cox_data(fan)
+        expected = []
+        for D in P.box:
+            try:
+                n = len(enumerate_monomials(
+                    list(data.degree_of_ray), D,
+                    relations=data.class_group.relations))
+            except UnboundedEnumeration:
+                continue
+            expected.append((D, n, n, 0, 0))
+        assert list(P.certificate) == expected
+        assert sorted(P.certificate.rows) == [
+            i for i, row in enumerate(expected) if row[1]]
+
     def test_plane(self):
         P = cox_presentation(plane_fan())
         assert P.generators == (((1, 0, 0), None), ((0, 1, 0), None),
                                 ((0, 0, 1), None))
         assert P.relations == ()
-        rows = {tuple(e["degree"]): e["dim"] for e in P.certificate}
+        rows = {row[0]: row[2] for row in P.certificate}
         assert rows[(0, 0, 0)] == 1
         assert rows[(1, 0, 0)] == 3
         assert rows[(2, 0, 0)] == 6
@@ -290,7 +315,7 @@ class TestCoxPresentation:
     def test_affine_line_has_no_certified_rows(self):
         P = cox_presentation(affine_line_fan())
         assert P.generators == (((1,), None),)
-        assert P.certificate == ()
+        assert list(P.certificate) == []
 
     def test_cone_box_covers_both_classes(self):
         P = cox_presentation(quadric_cone_fan())
@@ -390,8 +415,8 @@ class TestStructuralEquality:
         assert T.generators == C.generators
         assert T.relations == C.relations
         assert set(T.box) == set(C.box)
-        tc = {tuple(e["degree"]): e for e in T.certificate}
-        cc = {tuple(e["degree"]): e for e in C.certificate}
+        tc = {row[0]: row for row in T.certificate}
+        cc = {row[0]: row for row in C.certificate}
         assert tc == cc
 
 
