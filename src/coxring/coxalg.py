@@ -968,6 +968,13 @@ def _search(A, box, generators=None):
     # (box position, terms over Q, their residues mod p or None)
     found = []
     classes, visit = _traversal(A, box)
+    if A.section_of_pic is None and A.lattice.kernel_basis():
+        # rep, the identity here, is linear on classes only on the vectors
+        # with no entry on a copy the class coordinates drop
+        for D in [d for d, _ in gens] + [D for _, D, _ in visit]:
+            if any(D[b.stop - 1] for b in A.pic.blocks[1:]):
+                raise ValueError("degree %r is nonzero on the last copy of "
+                                 "a special point after the first" % (D,))
     rows = {}
     for at, D, dim in visit:
         pos[D] = at
@@ -1078,10 +1085,6 @@ class Presentation(Immutable):
         object.__setattr__(self, "relations", tuple(relations))
         object.__setattr__(self, "box", tuple(map(tuple, box)))
         object.__setattr__(self, "certificate", certificate)
-
-    @property
-    def variables(self):
-        return tuple("T%d" % (i + 1) for i in range(len(self.generators)))
 
     def to_json(self):
         return {

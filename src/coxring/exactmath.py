@@ -231,10 +231,6 @@ class RationalFunction(Immutable):
     def one():
         return RationalFunction(UniPoly.one())
 
-    @staticmethod
-    def z():
-        return RationalFunction(UniPoly.z())
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -317,85 +313,6 @@ class RationalFunction(Immutable):
         return "RationalFunction(%r, %r)" % (self.num, self.den)
 
 
-def parse_rational_function(text):
-    """Parse strings like '1', 'z', '(z - 1)/(z + 2)', '1/(z - 1)', '3/2'."""
-    text = text.strip()
-    depth = 0
-    split_at = None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            if split_at is not None:
-                raise ValueError("ambiguous '/' in %r" % text)
-            split_at = i
-    if split_at is None:
-        return RationalFunction(_parse_poly(text))
-    num = _parse_poly(text[:split_at])
-    den = _parse_poly(text[split_at + 1:])
-    return RationalFunction(num, den)
-
-
-def _parse_poly(text):
-    """Parse a polynomial in z with integer or a/b coefficients."""
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        inner, depth = text[1:-1], 0
-        for ch in inner:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    break
-        if depth == 0:
-            text = inner.strip()
-    # split into signed terms at top level
-    terms, cur, sign = [], "", 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "+-" and cur.strip() == "" and not terms and ch == "-":
-            sign = -sign
-            i += 1
-            continue
-        if ch in "+-":
-            terms.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        else:
-            cur += ch
-        i += 1
-    terms.append((sign, cur))
-    coeffs = {}
-    for sg, raw in terms:
-        raw = raw.strip()
-        if not raw:
-            raise ValueError("empty term while parsing %r" % text)
-        if "z" in raw:
-            head, _, tail = raw.partition("z")
-            head = head.strip().rstrip("*").strip()
-            coeff = Fraction(head) if head else Fraction(1)
-            tail = tail.strip()
-            if tail.startswith("^"):
-                exp = int(tail[1:].strip())
-            elif tail == "":
-                exp = 1
-            else:
-                raise ValueError("cannot parse term %r" % raw)
-        else:
-            coeff = Fraction(raw)
-            exp = 0
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sg * coeff
-    size = max(coeffs) + 1 if coeffs else 0
-    out = [Fraction(0)] * size
-    for e, c in coeffs.items():
-        out[e] = c
-    return UniPoly(out)
-
-
 # ---------------------------------------------------------------------------
 # multigraded multivariate polynomials
 
@@ -423,11 +340,6 @@ class MultiPoly(Immutable):
                 clean[tuple(int(e) for e in exps)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-
-    @staticmethod
-    def variable(i, nvars):
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return MultiPoly(nvars, {exps: Fraction(1)})
 
     @staticmethod
     def monomial(exps, coeff=1):
@@ -522,46 +434,6 @@ class MultiPoly(Immutable):
 
     def __repr__(self):
         return "MultiPoly(%d, %r)" % (self.nvars, self.terms)
-
-
-def parse_multipoly(text, nvars):
-    """Parse strings like 'T1*T6 - T2*T3 - T4*T5' or '2*T1^2 + 1/2'."""
-    text = text.strip()
-    pieces, cur, sign = [], "", 1
-    first = True
-    for ch in text:
-        if ch in "+-" and cur.strip() == "" and first:
-            if ch == "-":
-                sign = -sign
-            continue
-        if ch in "+-":
-            pieces.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        else:
-            cur += ch
-            first = False
-    pieces.append((sign, cur))
-    terms = {}
-    for sg, raw in pieces:
-        raw = raw.strip()
-        if not raw:
-            raise ValueError("empty term in %r" % text)
-        coeff = Fraction(1)
-        exps = [0] * nvars
-        for factor in raw.split("*"):
-            factor = factor.strip()
-            if factor.startswith("T"):
-                name, _, exp = factor.partition("^")
-                idx = int(name[1:]) - 1
-                if not 0 <= idx < nvars:
-                    raise ValueError("variable index out of range in %r" % factor)
-                exps[idx] += int(exp) if exp else 1
-            else:
-                coeff *= Fraction(factor)
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + sg * coeff
-    return MultiPoly(nvars, terms)
 
 
 # ---------------------------------------------------------------------------

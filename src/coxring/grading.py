@@ -188,9 +188,6 @@ class FGAbelianGroup(Immutable):
     def invariant_factors(self):
         return self._torsion_moduli
 
-    def is_trivial(self):
-        return self.rank == 0 and not self._torsion_moduli
-
     def box(self, generators, radius):
         """The distinct classes of box_vectors(generators, radius), each at
         its first combination.  A class key is linear before the torsion

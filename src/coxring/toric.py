@@ -33,9 +33,12 @@ class MalformedFan(Exception):
 
 
 class Fan(Immutable):
-    """Rational fan: ambient lattice rank, primitive rays, maximal cones."""
+    """Rational fan: ambient lattice rank, primitive rays, maximal cones.
 
-    __slots__ = ("rank", "rays", "max_cones")
+    _group holds the class group once class_group has built it, the one
+    mutable state."""
+
+    __slots__ = ("rank", "rays", "max_cones", "_group")
 
     def __init__(self, rank, rays, max_cones):
         rank = int(rank)
@@ -131,6 +134,7 @@ class Fan(Immutable):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rays", tuple(clean_rays))
         object.__setattr__(self, "max_cones", tuple(clean_cones))
+        object.__setattr__(self, "_group", [])
 
     def __eq__(self, other):
         return (isinstance(other, Fan) and self.rank == other.rank
@@ -223,18 +227,23 @@ def class_group(fan):
 
     The group is the quotient of the free group on the rays by the image of
     the character lattice under pairing with the rays; the class of the ray
-    divisor x_rho is the image of the corresponding unit vector.
+    divisor x_rho is the image of the corresponding unit vector.  The group
+    is built once per fan and kept on it, so a toric run, which asks through
+    class_group, toric_cox_data and cox_presentation, takes one Smith form.
     """
     n = len(fan.rays)
-    relations = [tuple(ray[j] for ray in fan.rays) for j in range(fan.rank)]
-    group = FGAbelianGroup(n, relations)
-    for row in relations:
-        if not group.contains_zero(row):
-            raise InternalInconsistency(
-                "character image fails to die in the class group")
+    if not fan._group:
+        relations = [tuple(ray[j] for ray in fan.rays)
+                     for j in range(fan.rank)]
+        group = FGAbelianGroup(n, relations)
+        for row in relations:
+            if not group.contains_zero(row):
+                raise InternalInconsistency(
+                    "character image fails to die in the class group")
+        fan._group.append(group)
     degrees = [tuple(1 if t == i else 0 for t in range(n))
                for i in range(n)]
-    return group, degrees
+    return fan._group[0], degrees
 
 
 class ToricCoxData(Immutable):

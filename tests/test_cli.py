@@ -162,7 +162,7 @@ class TestSmithFormCount:
     monomial enumeration plans solve their systems by the Hermite split and
     the verification checks decide generation by a Hermite form: no curve
     run computes a Smith form, certified or not, even with every plan built
-    afresh."""
+    afresh.  A fan run builds its class group once."""
 
     @pytest.mark.parametrize("args", [
         ("curve", "--lambda", "canonical"), ("curve", "--lambda", "full"),
@@ -191,6 +191,26 @@ class TestSmithFormCount:
         assert (em._enumeration_plan.cache_info().misses > 0) == (
             args[0] != "crosscheck")
         assert counts == {"certified": 0, "smith": 0}
+
+    @pytest.mark.parametrize("mode", ["toric", "verify"])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in FIXTURES.glob("*_fan.json")))
+    def test_one_class_group_per_fan_run(self, capsys, monkeypatch, name,
+                                         mode):
+        calls = []
+        honest = grading.smith_normal_form
+
+        def counting(*args):
+            calls.append(args)
+            return honest(*args)
+
+        monkeypatch.setattr(grading, "smith_normal_form", counting)
+        code, _, _ = run_cli(capsys, mode, fixture(name), "--box", "1")
+        assert code == 0
+        # on the torsion fan the ray degrees and relations fail the Hermite
+        # test of free grading, and its cokernel takes one more Smith form
+        assert len(calls) == (2 if (name, mode) == ("torsion_fan.json",
+                                                     "verify") else 1)
 
 
 class TestSectionSpaceCount:

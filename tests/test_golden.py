@@ -3,9 +3,10 @@
 Every fixture is reported in both formats at box radii 1 and 2: curves
 with `coxring curve`, fans with `coxring toric`. At box radius 1 every
 fixture is also reported with `coxring verify`, and the curves with
-`coxring crosscheck`, with `coxring verify --power-bound 8` and with
-`coxring curve --lambda full`.  One more curve, {2,2,2,2}, is written
-inline and reported with `coxring verify --power-bound 8` in JSON only.
+`coxring crosscheck`, with `coxring verify --power-bound 8`, with
+`coxring curve --lambda full` and with `coxring verify --lambda full`.
+One more curve, {2,2,2,2}, is written inline and reported with
+`coxring verify --power-bound 8` in JSON only.
 After a deliberate change to the reports, regenerate the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -41,6 +42,7 @@ def _cases():
             runs.append(("crosscheck", "crosscheck.box1", ()))
             runs.append(("verify", "verify.box1.pb8", ("--power-bound", "8")))
             runs.append(("curve", "box1.full", ("--lambda", "full")))
+            runs.append(("verify", "verify.box1.full", ("--lambda", "full")))
         for mode, tag, extra in runs:
             for fmt, ext in FORMATS.items():
                 name = "%s.%s.%s" % (path.stem, tag, ext)
@@ -50,7 +52,7 @@ def _cases():
 CASES = list(_cases())
 
 # {2,2,2,2} at power bound 8, one report; the input is kept out of
-# tests/fixtures, whose every curve is reported eight times above
+# tests/fixtures, whose every curve is reported in seven runs above
 QUADRUPLED_LINE = {"special": [{"point": p, "multiplicity": 2}
                                for p in ("0", "1", "-1", "inf")]}
 QUADRUPLED_GOLDEN = GOLDEN / "quadrupled_line.verify.box1.pb8.json"

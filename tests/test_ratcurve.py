@@ -63,7 +63,7 @@ def plain_line():
     return GluedCurve([(pt("inf"), 1)])
 
 
-Z = RationalFunction.z()
+Z = RationalFunction(UniPoly.z())
 ONE = RationalFunction.one()
 
 
