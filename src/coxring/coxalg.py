@@ -77,10 +77,6 @@ class NonPointedMonoid(Exception):
     a class has infinitely many generator monomials to list."""
 
 
-class DegreeMismatch(Exception):
-    """Two generator-image lists disagree on the underlying degrees."""
-
-
 # ---------------------------------------------------------------------------
 # verdict values
 
@@ -108,11 +104,11 @@ class Verdict(Immutable):
 
 
 def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _vscale(n, a):
@@ -182,17 +178,12 @@ class LineBundleLattice(Immutable):
         return Divisor(zip(self.curve.special_copies(),
                            self.copy_vector(vec)))
 
-    def blocks(self, vec):
-        """The copy vector of the divisor of vec cut into one tuple per
-        special base, in input order."""
-        coeffs = self.copy_vector(vec)
-        return [coeffs[block] for block in self.picdata.blocks]
-
     def min_orders(self, vec):
         """Least coefficient of the divisor of vec over the copies of each
         special base, in input order: min_divisor read from the copy vector,
         with no Divisor built."""
-        return tuple(min(block) for block in self.blocks(vec))
+        coeffs = self.copy_vector(vec)
+        return tuple(min(coeffs[block]) for block in self.picdata.blocks)
 
     def kernel_basis(self):
         """HNF row basis of the lattice degrees of class zero."""
@@ -516,26 +507,6 @@ class PicGradedAlgebra(Immutable):
     def effective_nonzero(self, class_vec):
         return (self.component_dim(class_vec) > 0
                 and not self.pic.contains_zero(class_vec))
-
-    def verify_representative(self, class_vec, L):
-        """Check that component L matches the chosen representative through
-        multiplication by the kernel witness; raises on any mismatch."""
-        L = tuple(int(x) for x in L)
-        vec = tuple(int(x) for x in class_vec)
-        if not self.pic.same_class(self.lattice.copy_vector(L), vec):
-            raise ValueError("alternative representative has the wrong class")
-        rep = self.rep(vec)
-        E = _vsub(L, rep)
-        g = self.family.witness_for(E)
-        src = self.base.component(rep)
-        dst = self.base.component(L)
-        if src.dim != dst.dim:
-            raise InternalInconsistency("representatives disagree on rank")
-        for f in src.basis:
-            if dst.coordinates_of(f * g) is None:
-                raise InternalInconsistency(
-                    "witness multiplication fails to identify components")
-        return True
 
     def hilbert(self, box):
         """(c, component_dim(c)) for each vector c of box, unchecked."""
@@ -1531,46 +1502,7 @@ def separatedness_check(A, irrelevant, levels=2):
 
 
 # ---------------------------------------------------------------------------
-# equivalence of graded homomorphisms, uniqueness, tensor products
-
-
-def graded_homs_equivalent(mu, nu, grading=None):
-    """Whether two generator-image lists differ by a character.
-
-    Per generator the ratio of images must be a nonzero constant; the
-    constants must be compatible with every integer relation among the
-    degrees, which is exactly the existence of a character on the degree
-    subgroup producing them.
-    """
-    mu = [(tuple(int(x) for x in d), f) for d, f in mu]
-    nu = [(tuple(int(x) for x in d), f) for d, f in nu]
-    if len(mu) != len(nu):
-        raise DegreeMismatch("image lists have different lengths")
-    for (d1, _), (d2, _) in zip(mu, nu):
-        if d1 != d2:
-            raise DegreeMismatch("generator degrees differ")
-    relations = grading.relations if grading is not None else ()
-    ratios = []
-    for (d, f), (_, g) in zip(mu, nu):
-        if f.is_zero() or g.is_zero():
-            raise ValueError("generator images must be nonzero")
-        q = g / f
-        if not q.is_constant():
-            return Verdict("not_equivalent", reason="image ratio is not "
-                           "constant in degree %r" % (d,))
-        val = q.num.coeffs[0] / q.den.coeffs[0]
-        ratios.append(val)
-    degrees = [d for d, _ in mu]
-    # HNF basis of the integer relations among the degrees in the grading
-    for rel in _em._hnf_split(degrees, relations)[1]:
-        prod = Fraction(1)
-        for a, c in zip(rel, ratios):
-            if a:
-                prod *= c ** a
-        if prod != 1:
-            return Verdict("not_equivalent", reason="ratios violate the "
-                           "degree relation %r" % (list(rel),))
-    return Verdict("equivalent", character=dict(zip(degrees, ratios)))
+# uniqueness under lattice choice, tensor products
 
 
 def _representative_moves(A):
@@ -1587,34 +1519,91 @@ def _representative_moves(A):
                  for (p, _), rel in zip(X.special[1:], A.pic.relations))
 
 
+# classes uniqueness_crosscheck reads at once: enough that the fixed work
+# of a chunk (one pass over the rows of T1 and T2) is small per class, few
+# enough that a chunk's lists are small beside the box
+CROSSCHECK_CHUNK = 1024
+
+
+def _class_maps(A1, A2):
+    """(T1, T2), the integer matrices of the crosscheck's class maps, as
+    tuples of rows: T1 c is the copy vector of D1, the divisor of A1.rep(c),
+    and T2 c that of D2, the divisor of the moved representative of c on
+    the full lattice A2 (_representative_moves).  Column j is the ambient
+    unit vector e_j sent through A.rep, the moves and copy_vector; each step
+    is integer-linear, so the columns give the maps on every class
+    (uniqueness_crosscheck)."""
+    moves = _representative_moves(A2)
+    cols1, cols2 = [], []
+    for unit in _identity(A1.pic.ambient_rank):
+        L2 = A2.rep(unit)
+        for pos, rel in moves:
+            if unit[pos]:
+                L2 = _vadd(L2, rel)
+        cols1.append(A1.lattice.copy_vector(A1.rep(unit)))
+        cols2.append(A2.lattice.copy_vector(L2))
+    return tuple(zip(*cols1)), tuple(zip(*cols2))
+
+
+def _image_rows(T, coords, count):
+    """T applied to a batch of count classes given by coords, one list per
+    ambient coordinate holding that entry of every class: row i of the
+    result lists (T c)_i over the batch."""
+    rows = []
+    for t_row in T:
+        acc = None
+        for t, x in zip(t_row, coords):
+            if t:
+                term = x if t == 1 else list(
+                    map(operator.mul, itertools.repeat(t), x))
+                acc = term if acc is None else list(
+                    map(operator.add, acc, term))
+        rows.append([0] * count if acc is None else acc)
+    return rows
+
+
+def _least(rows):
+    """The entrywise minimum of one or more lists of equal length."""
+    return rows[0] if len(rows) == 1 else list(map(min, *rows))
+
+
 def _witness_orders(blocks1, blocks2):
-    """Per-base orders e of the witness of D1 - D2, read from the blocks of
-    their copy vectors (LineBundleLattice.blocks): e_b is the difference on
-    the copies of base b.  None when D1 - D2 is not principal: it differs
-    between two copies of a base, or the orders do not add up to zero."""
+    """Per-base orders e of the witness of D1 - D2 for each class of a
+    batch, read from the copy rows of D1 and D2 cut into one list of rows
+    per special base: e_b is the difference on the copies of base b.  None
+    for a class where D1 - D2 is not principal: it differs between two
+    copies of a base, or the orders do not add up to zero."""
+    constant = itertools.repeat(True)
     e = []
     for x, y in zip(blocks1, blocks2):
-        d = x[0] - y[0]
-        if any(a - b != d for a, b in zip(x, y)):
-            return None
+        d = list(map(operator.sub, x[0], y[0]))
+        for a, b in zip(x[1:], y[1:]):
+            constant = list(map(operator.and_, constant, map(
+                operator.eq, map(operator.sub, a, b), d)))
         e.append(d)
-    return None if sum(e) else tuple(e)
+    return [w if same and not sum(w) else None
+            for same, w in zip(constant, zip(*e))]
 
 
-def _class_orders(A1, A2, moves, c):
-    """(m1, m2, e) for class c: the least coefficients per special base of
-    D1, the divisor of A1.rep(c), and of D2, that of the moved
-    representative of c on the full lattice A2, and the witness orders of
-    D1 - D2 (None when it is not principal)."""
-    L2 = A2.rep(c)
-    for pos, rel in moves:
-        k = c[pos]
-        if k:
-            L2 = [a + k * r for a, r in zip(L2, rel)]
-    b1 = A1.lattice.blocks(A1.rep(c))
-    b2 = A2.lattice.blocks(L2)
-    return (tuple(min(x) for x in b1), tuple(min(y) for y in b2),
-            _witness_orders(b1, b2))
+def _class_orders(T1, T2, blocks, classes):
+    """(m1, m2, e) for each class of a list: the least coefficients per
+    special base (blocks, the ambient positions of its copies) of D1 = T1 c
+    and of D2 = T2 c (_class_maps), and the witness orders of D1 - D2 (None
+    when it is not principal).  The classes are read together, one ambient
+    row at a time."""
+    coords = list(zip(*classes))
+    rows1 = _image_rows(T1, coords, len(classes))
+    rows2 = _image_rows(T2, coords, len(classes))
+    b1 = [rows1[block] for block in blocks]
+    b2 = [rows2[block] for block in blocks]
+    return list(zip(zip(*map(_least, b1)), zip(*map(_least, b2)),
+                    _witness_orders(b1, b2)))
+
+
+def _chunks(items):
+    """Consecutive lists of at most CROSSCHECK_CHUNK items."""
+    it = iter(items)
+    return iter(lambda: list(itertools.islice(it, CROSSCHECK_CHUNK)), [])
 
 
 def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
@@ -1631,7 +1620,24 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     compatibility of the isomorphism.
 
     All of it is decided on per-base integer orders (_class_orders); no
-    section space, divisor or function is built per class.  The component
+    section space, divisor or function is built per class.
+
+    Class maps.  The copy vectors of D1 and D2 are integer-linear in c:
+    PicardData.coords adds and subtracts entries of c, A.rep multiplies the
+    coordinates by the fixed lifts of the lattice (and is the identity on
+    the full lattice), each move adds c[position] times a fixed relation,
+    and copy_vector multiplies by the lattice's columns M.  So they are
+    T1 c and T2 c for two integer matrices whose column j is the image of
+    the ambient unit vector e_j along that same path (_class_maps), built
+    once per run.  The box is read in chunks of CROSSCHECK_CHUNK classes:
+    T1 and T2 are applied one ambient row at a time to lists holding one
+    coordinate of every class of the chunk, and the minima, differences
+    and equalities per base run over such lists.  Beyond the box, memory
+    holds one chunk and, per class with a witness, one dict entry pointing
+    at a shared order vector.  The sums c1 + c2 of the product check are
+    read through the maps the same way, never as the sum of two witnesses.
+
+    Orders.  The component
     of a divisor D depends only on m_b, the least coefficient of D over the
     copies of each base b (min_orders): it is V q / W with W the product of
     (z - b)^m_b over the finite bases with m_b > 0, V that of (z - b)^-m_b
@@ -1669,35 +1675,43 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     A2 = curve_algebra(X, "full")
     if box is None:
         box = lattice_box(A1.lattice, radius)
-    box = [tuple(int(x) for x in c) for c in box]
-    moves = _representative_moves(A2)
+    else:
+        box = [tuple(map(int, c)) for c in box]
+        if any(map(A1.pic.ambient_rank.__ne__, map(len, box))):
+            raise ValueError("class vector length differs from ambient rank")
+    T1, T2 = _class_maps(A1, A2)
+    blocks = A1.pic.blocks
     hilbert_equal = True
     iso_verified = True
     witness = {}
-    for c in box:
-        m1, m2, e = _class_orders(A1, A2, moves, c)
-        dim = max(0, sum(m1) + 1)
-        if dim != max(0, sum(m2) + 1):
-            hilbert_equal = False
-            continue
-        if e is None:
-            iso_verified = False
-            continue
-        witness[c] = e
-        if dim and any(y < x - k for x, y, k in zip(m1, m2, e)):
-            iso_verified = False
+    orders = {}
+    for chunk in _chunks(box):
+        for c, (m1, m2, e) in zip(chunk,
+                                  _class_orders(T1, T2, blocks, chunk)):
+            dim = max(0, sum(m1) + 1)
+            if dim != max(0, sum(m2) + 1):
+                hilbert_equal = False
+                continue
+            if e is None:
+                iso_verified = False
+                continue
+            witness[c] = orders.setdefault(e, e)
+            if dim and any(y < x - k for x, y, k in zip(m1, m2, e)):
+                iso_verified = False
     bases = [p for p, _ in X.special]
-    for e in dict.fromkeys(witness.values()):
+    for e in orders:
         try:
             is_principal(X, _lift_orders(X, dict(zip(bases, e))))
         except NotPrincipal:
             iso_verified = False
     product_ok = True
-    items = list(witness.items())
-    for (c1, e1), (c2, e2) in zip(items, items[1:]):
-        e12 = _class_orders(A1, A2, moves, _vadd(c1, c2))[2]
-        if e12 is None or _vadd(e1, e2) != e12:
-            product_ok = False
+    items = witness.items()
+    for chunk in _chunks(zip(items, itertools.islice(items, 1, None))):
+        sums = [_vadd(c1, c2) for (c1, _), (c2, _) in chunk]
+        for ((_, e1), (_, e2)), (_, _, e12) in zip(
+                chunk, _class_orders(T1, T2, blocks, sums)):
+            if e12 is None or _vadd(e1, e2) != e12:
+                product_ok = False
     agreed = hilbert_equal and iso_verified and product_ok
     return Verdict("pass" if agreed else "fail", classes=len(box),
                    hilbert_equal=hilbert_equal, iso_verified=iso_verified,

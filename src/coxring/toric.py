@@ -306,40 +306,6 @@ def cox_presentation(fan, radius=2):
     return Presentation(group, gens, (), box, Certificate.of(cert))
 
 
-def hilbert_toric(fan, class_vec, bound=None):
-    """Number of monomials of the given class in the ring of the fan."""
-    group, degrees = class_group(fan)
-    target = tuple(int(x) for x in class_vec)
-    if len(target) != group.ambient_rank:
-        raise ValueError("class vector length differs from the number of "
-                         "rays")
-    return count_monomials(degrees, target, bound=bound,
-                           relations=group.relations)
-
-
-def product_fan(fan1, fan2):
-    """Fan of the product: rays side by side, cones pairwise unions."""
-    r1, r2 = fan1.rank, fan2.rank
-    rays = [ray + (0,) * r2 for ray in fan1.rays]
-    rays += [(0,) * r1 + ray for ray in fan2.rays]
-    shift = len(fan1.rays)
-    cones = []
-    for c1 in fan1.max_cones:
-        for c2 in fan2.max_cones:
-            cones.append(tuple(c1) + tuple(j + shift for j in c2))
-    fan = Fan(r1 + r2, rays, cones)
-    group, _ = class_group(fan)
-    g1, _ = class_group(fan1)
-    g2, _ = class_group(fan2)
-    a1, a2 = g1.ambient_rank, g2.ambient_rank
-    rels = [tuple(row) + (0,) * a2 for row in g1.relations]
-    rels += [(0,) * a1 + tuple(row) for row in g2.relations]
-    if not group.isomorphic(FGAbelianGroup(a1 + a2, rels)):
-        raise InternalInconsistency(
-            "product fan class group is not the direct sum")
-    return fan
-
-
 def line_fan():
     return Fan(1, [(1,), (-1,)], [[0], [1]])
 

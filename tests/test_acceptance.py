@@ -40,11 +40,11 @@ from coxring.toric import (
     hirzebruch_fan,
     line_fan,
     plane_fan,
-    product_fan,
     quadric_cone_fan,
     toric_cox_data,
 )
 
+from conveniences import product_fan, verify_representative
 from test_coxalg import (
     EXPECTED_DEGREES,
     EXPECTED_SECTIONS,
@@ -189,8 +189,8 @@ def test_criterion_3_shifting_family_laws():
         assert A.base.component_dim(vadd(L, E1)) == comp.dim
         if comp.dim == 0:
             continue
-        A.verify_representative(c, vadd(L, E1))
-        A2.verify_representative(c, vadd(L, E1))
+        verify_representative(A, c, vadd(L, E1))
+        verify_representative(A2, c, vadd(L, E1))
         f = random_section(comp)
         sections_used += 1
 

@@ -494,8 +494,8 @@ class TestCrosscheckMutations:
         honest = coxalg._witness_orders
 
         def off_by_one(blocks1, blocks2):
-            e = honest(blocks1, blocks2)
-            return None if e is None else (e[0] + 1,) + e[1:]
+            return [None if e is None else (e[0] + 1,) + e[1:]
+                    for e in honest(blocks1, blocks2)]
 
         monkeypatch.setattr(coxalg, "_witness_orders", off_by_one)
         self._assert_disagrees(capsys)
@@ -526,6 +526,18 @@ class TestCrosscheckMutations:
             return A
 
         monkeypatch.setattr(coxalg, "curve_algebra", swapped)
+        self._assert_disagrees(capsys)
+
+    def test_class_map_column_off_by_one(self, capsys, monkeypatch):
+        honest = coxalg._class_maps
+
+        def off_by_one(A1, A2):
+            # the image of the first ambient unit vector under T2 gains
+            # one more first copy of the anchor
+            T1, T2 = honest(A1, A2)
+            return T1, ((T2[0][0] + 1,) + T2[0][1:],) + T2[1:]
+
+        monkeypatch.setattr(coxalg, "_class_maps", off_by_one)
         self._assert_disagrees(capsys)
 
 

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from coxring.coxalg import (
     BoxTooSmall,
-    DegreeMismatch,
     GeneratorsIncomplete,
     NotASection,
     NotInKernel,
@@ -42,7 +41,6 @@ from coxring.coxalg import (
     find_relations,
     freely_graded_check,
     full_lambda,
-    graded_homs_equivalent,
     ideal_membership,
     irrelevant_sections,
     is_pointed,
@@ -66,6 +64,11 @@ from coxring.exactmath import (
 )
 from coxring.grading import FGAbelianGroup
 from coxring.toric import class_group, fan_from_json
+from conveniences import (
+    DegreeMismatch,
+    graded_homs_equivalent,
+    verify_representative,
+)
 from report_oracles import box_classes, dict_row, traversal
 from coxring.ratcurve import (
     CurvePoint,
@@ -390,11 +393,11 @@ class TestPicGradedAlgebra:
         A = tripled_full_algebra()
         c = basis_to_ambient((0, 1, 1, -1))
         rep = A.rep(c)
-        assert A.verify_representative(c, rep)
+        assert verify_representative(A, c, rep)
         shifted = vadd(rep, A.family.kernel[0])
-        assert A.verify_representative(c, shifted)
+        assert verify_representative(A, c, shifted)
         with pytest.raises(ValueError):
-            A.verify_representative(c, vadd(rep, (1, 0, 0, 0, 0, 0)))
+            verify_representative(A, c, vadd(rep, (1, 0, 0, 0, 0, 0)))
 
     def test_component_dims_match_section_spaces(self):
         X = tripled_line()
@@ -2049,14 +2052,56 @@ def _section_space_crosscheck(X, box=None, radius=2, basis=None,
     return report, witness
 
 
+def _copy_blocks(A, L):
+    """The copy vector of the divisor of lattice degree L, cut into one
+    tuple per special base."""
+    coeffs = A.lattice.copy_vector(L)
+    return [coeffs[block] for block in A.pic.blocks]
+
+
+def _witness_orders_of_class(blocks1, blocks2):
+    """Per-base witness orders of D1 - D2 for one class, from the copy
+    blocks of both divisors; None when D1 - D2 is not principal."""
+    e = []
+    for x, y in zip(blocks1, blocks2):
+        d = x[0] - y[0]
+        if any(a - b != d for a, b in zip(x, y)):
+            return None
+        e.append(d)
+    return None if sum(e) else tuple(e)
+
+
+def _orders_of_class(A1, A2, c):
+    """(m1, m2, e) for one class, read at A1.rep(c) and at the moved
+    representative of c on the full lattice, one class at a time: the
+    per-class oracle of the crosscheck's batched reader."""
+    b1 = _copy_blocks(A1, A1.rep(c))
+    b2 = _copy_blocks(A2, _moved(A2, c))
+    return (tuple(min(x) for x in b1), tuple(min(y) for y in b2),
+            _witness_orders_of_class(b1, b2))
+
+
+def _assert_batched_orders_match(X, box, basis=None):
+    """The batched reader gives the per-class oracle's (m1, m2, e) on every
+    class of the box and on every sum of two consecutive box classes."""
+    A1 = curve_algebra(X, "canonical", basis=basis)
+    A2 = curve_algebra(X, "full")
+    T1, T2 = coxalg._class_maps(A1, A2)
+    box = [tuple(c) for c in box]
+    sums = [_vadd(c1, c2) for c1, c2 in zip(box, box[1:])]
+    for classes in (box, sums):
+        assert (coxalg._class_orders(T1, T2, A1.pic.blocks, classes)
+                == [_orders_of_class(A1, A2, c) for c in classes])
+
+
 def _recorded_orders(monkeypatch):
     """Record the witness orders of every class the crosscheck reads."""
     seen = {}
     honest = coxalg._class_orders
 
-    def recording(A1, A2, moves, c):
-        out = honest(A1, A2, moves, c)
-        seen[c] = out[2]
+    def recording(T1, T2, blocks, classes):
+        out = honest(T1, T2, blocks, classes)
+        seen.update(zip(classes, (e for _, _, e in out)))
         return out
 
     monkeypatch.setattr(coxalg, "_class_orders", recording)
@@ -2071,12 +2116,14 @@ def _swap_first_columns(A):
 
 class TestCrosscheckOracle:
     """The order-vector crosscheck against the section-space one at the
-    same moved representatives."""
+    same moved representatives, and its batched reader against the one
+    that reads one class at a time."""
 
     @pytest.mark.parametrize("name", sorted(
         n for n in FIXTURE_CURVES if n.endswith("_line")))
     def test_fixtures(self, monkeypatch, name):
         X = FIXTURE_CURVES[name]
+        _assert_batched_orders_match(X, lattice_box(canonical_lambda(X), 1))
         seen = _recorded_orders(monkeypatch)
         report = uniqueness_crosscheck(X, radius=1)
         expected, witness = _section_space_crosscheck(X, radius=1)
@@ -2088,6 +2135,8 @@ class TestCrosscheckOracle:
 
     def test_explicit_basis(self):
         args = (tripled_line(), tripled_box(), 2, explicit_basis())
+        _assert_batched_orders_match(tripled_line(), tripled_box(),
+                                     explicit_basis())
         assert (uniqueness_crosscheck(*args).fields
                 == _section_space_crosscheck(*args)[0])
 
@@ -2097,8 +2146,38 @@ class TestCrosscheckOracle:
         box = lattice_box(canonical_lambda(X), 1)
         # at most about 150 classes of the box, spread over all of it
         box = box[::max(1, len(box) // 150)]
+        _assert_batched_orders_match(X, box)
         assert (uniqueness_crosscheck(X, box=box).fields
                 == _section_space_crosscheck(X, box=box)[0])
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_empty_and_one_class_boxes(self, size):
+        X = tripled_line()
+        box = lattice_box(canonical_lambda(X), 1)[1:1 + size]
+        _assert_batched_orders_match(X, box)
+        report = uniqueness_crosscheck(X, box=box)
+        assert report.verdict == "pass"
+        assert report.fields == _section_space_crosscheck(X, box=box)[0]
+        assert report.fields["classes"] == size
+
+    def test_chunk_boundaries_do_not_change_reads(self, monkeypatch):
+        # chunks of 7 split the box and the consecutive pairs of the
+        # product check at many places
+        X = FIXTURE_CURVES["mixed_line"]
+        box = lattice_box(canonical_lambda(X), 1)
+        whole = _recorded_orders(monkeypatch)
+        report = uniqueness_crosscheck(X, box=box)
+        monkeypatch.undo()
+        monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", 7)
+        chunked = _recorded_orders(monkeypatch)
+        assert uniqueness_crosscheck(X, box=box).fields == report.fields
+        assert chunked == whole
+
+    def test_wrong_length_class_is_refused(self):
+        box = [(0,) * 6, (0,) * 5]
+        with pytest.raises(ValueError, match="class vector length differs "
+                           "from ambient rank"):
+            uniqueness_crosscheck(tripled_line(), box=box)
 
     def test_swapped_columns_fail_in_both(self, monkeypatch):
         honest = coxalg.curve_algebra
@@ -2119,12 +2198,17 @@ class TestCrosscheckOracle:
                     and report.fields["iso_verified"])
 
     def test_witness_orders(self):
-        assert coxalg._witness_orders([(1, 1), (2, 2)],
-                                      [(0, 0), (3, 3)]) == (1, -1)
-        # differs between the copies of a base
-        assert coxalg._witness_orders([(1, 2)], [(0, 0)]) is None
+        # two classes read together, one row per copy of each base: the
+        # first differs by 1 on the first base and -1 on the second, the
+        # second differs between the copies of the first base
+        assert coxalg._witness_orders([[[1, 1], [1, 2]], [[2, 0], [2, 0]]],
+                                      [[[0, 0], [0, 0]], [[3, 0], [3, 0]]]
+                                      ) == [(1, -1), None]
         # constant on the copies, but the orders add up to 1
-        assert coxalg._witness_orders([(1, 1), (0,)], [(0, 0), (0,)]) is None
+        assert coxalg._witness_orders([[[1], [1]], [[0]]],
+                                      [[[0], [0]], [[0]]]) == [None]
+        assert coxalg._witness_orders([[[], []], [[]]],
+                                      [[[], []], [[]]]) == []
 
     def test_misread_orders_fail_to_land(self, monkeypatch):
         # the full pipeline's least coefficients moved by -1 at the first
@@ -2132,9 +2216,9 @@ class TestCrosscheckOracle:
         # witness, but the components no longer match
         honest = coxalg._class_orders
 
-        def misread(A1, A2, moves, c):
-            m1, m2, e = honest(A1, A2, moves, c)
-            return m1, (m2[0] - 1, m2[1] + 1) + m2[2:], e
+        def misread(T1, T2, blocks, classes):
+            return [(m1, (m2[0] - 1, m2[1] + 1) + m2[2:], e)
+                    for m1, m2, e in honest(T1, T2, blocks, classes)]
 
         monkeypatch.setattr(coxalg, "_class_orders", misread)
         report = uniqueness_crosscheck(tripled_line(), radius=1)
@@ -2152,8 +2236,9 @@ class TestCrosscheckOracle:
         nontrivial = sum(1 for c in box if any(seen[c]))
         assert 2 * nontrivial >= len(box)
 
-    def test_generator_box_counts_every_class(self):
+    def test_generator_box_counts_every_class(self, monkeypatch):
         box = tripled_box()
+        monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", 100)
         report = uniqueness_crosscheck(tripled_line(), box=iter(box),
                                        basis=explicit_basis())
         assert report.fields["classes"] == len(box) == 625

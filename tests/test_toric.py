@@ -32,15 +32,15 @@ from coxring.toric import (
     cox_presentation,
     fan_from_json,
     fan_to_json,
-    hilbert_toric,
     hirzebruch_fan,
     line_fan,
     plane_fan,
     point_fan,
-    product_fan,
     quadric_cone_fan,
     toric_cox_data,
 )
+
+from conveniences import hilbert_toric, product_fan
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
