@@ -670,7 +670,7 @@ def _coordinates(q, dim, escaped):
     InternalInconsistency(escaped) when deg q >= dim."""
     if q.degree >= dim:
         raise InternalInconsistency(escaped)
-    return q.coeffs + (Fraction(0),) * (dim - len(q.coeffs))
+    return q.padded(dim)
 
 
 def _section_polynomial(A, L, num, den):
@@ -1404,7 +1404,7 @@ def sections_as_polynomials(A, P, elements):
                     "witness crossing left the component")
         dim = A.base.component_dim(L)
         cols = [coords.coordinates(exps, L, dim) for exps in exps_list]
-        target = q.coeffs + (Fraction(0),) * (dim - len(q.coeffs))
+        target = q.padded(dim)
         try:
             coeffs = _em.solve_in_span(cols, target)
         except _em.NotInSpan:

@@ -4,7 +4,14 @@ Provides arbitrary-precision rationals, univariate polynomials and rational
 functions in one variable z, dense exact linear algebra over the rationals
 and ranks over the integers mod a prime, multigraded multivariate
 polynomials, and exact enumeration of monomials with a prescribed
-multidegree.  No floating point anywhere.
+multidegree.  No floating point anywhere: polynomial constructors refuse
+floats.
+
+A univariate polynomial is a tuple of integer numerators over one positive
+common denominator, in lowest terms (UniPoly), so Q[z] is computed on ints:
+one gcd per result instead of one per coefficient operation, and division
+by pseudo-division (Knuth, TAOCP Vol. 2, 4.6.1).  Rational functions are
+reduced through it.
 """
 
 import functools
@@ -38,100 +45,171 @@ class Immutable:
 # univariate polynomials over Q
 
 
+def _exact(c):
+    """c, when it is an int or a Fraction: a polynomial coefficient.  Any
+    other type raises TypeError, a float above all, whose binary value
+    would silently stand in for the decimal one."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("polynomial coefficient %r is neither an int nor a "
+                        "Fraction" % (c,))
+    return c
+
+
 class UniPoly(Immutable):
     """Dense univariate polynomial in z with rational coefficients.
 
-    Coefficients are stored ascending by exponent with no trailing zeros, so
-    the leading coefficient is nonzero unless the polynomial is zero.
-    Instances are immutable values.
+    Stored as integer numerators over one common denominator: the
+    coefficient of z^i is nums[i] / den.  nums is a tuple of ints, ascending
+    by exponent, with no trailing zeros, and den is an int > 0 with
+    gcd(den, *nums) == 1, so each polynomial has exactly one form and zero
+    is ((), 1).  Every operation is an integer loop with one gcd per result
+    (_of); division is pseudo-division.  coeffs builds the coefficients as
+    Fractions on demand.  Instances are immutable values.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(map(_exact, coeffs))
+        den = math.lcm(*(c.denominator for c in cs))
+        self._store([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _store(self, nums, den):
+        # the canonical form of nums / den, nums a list of ints, den != 0
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def _of(nums, den=1):
+        """The polynomial nums / den, for a list of ints and an int != 0."""
+        p = object.__new__(UniPoly)
+        p._store(nums, den)
+        return p
 
     @staticmethod
     def const(c):
-        return UniPoly([Fraction(c)])
+        return UniPoly([c])
 
     @staticmethod
     def zero():
-        return UniPoly([])
+        return UniPoly._of([])
 
     @staticmethod
     def one():
-        return UniPoly([1])
+        return UniPoly._of([1])
 
     @staticmethod
     def z():
-        return UniPoly([0, 1])
+        return UniPoly._of([0, 1])
+
+    @property
+    def coeffs(self):
+        """The coefficients as Fractions, ascending by exponent."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    def padded(self, dim):
+        """The coefficients padded with zeros to length dim."""
+        return self.coeffs + (Fraction(0),) * (dim - len(self.nums))
 
     @property
     def degree(self):
         # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def leading(self):
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, UniPoly) and self.nums == other.nums
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(("UniPoly", self.coeffs))
+        return hash(("UniPoly", self.nums, self.den))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return UniPoly([
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)
-        ])
+        a, b, da, db = self.nums, other.nums, self.den, other.den
+        if da != db:
+            g = math.gcd(da, db)
+            a = [c * (db // g) for c in a]
+            b = [c * (da // g) for c in b]
+            da = da // g * db
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return UniPoly._of(out, da)
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly._of([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
+            k = other.numerator
+            return UniPoly._of([c * k for c in self.nums],
+                               self.den * other.denominator)
+        a, b = self.nums, other.nums
         if not a or not b:
-            return UniPoly([])
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return UniPoly.zero()
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return UniPoly(out)
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return UniPoly._of(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        if other.is_zero():
+        """Pseudo-division on the numerators A of self and B of other.
+
+        A step whose leading remainder numerator r the leading numerator
+        lead of B does not divide first scales the remainder and the
+        quotient so far by |lead| / gcd(lead, r).  With s the product of
+        these scales, s A = Q B + R over the integers, so self is
+        (Q other.den / (s den)) other + R / (s den)."""
+        b = other.nums
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading()
+        d = len(b) - 1
+        lead = b[-1]
+        alead = abs(lead)
+        rem = list(self.nums)
+        quo = [0] * max(0, len(rem) - d)
+        s = 1
         for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i]:
-                c = rem[i] / lead
+            r = rem[i]
+            if r:
+                if alead != 1:
+                    f = alead // math.gcd(alead, r)
+                    if f != 1:
+                        s *= f
+                        r *= f
+                        rem = [c * f for c in rem[:i + 1]]
+                        quo = [c * f for c in quo]
+                c = r // lead
                 quo[i - d] = c
-                for j, bc in enumerate(other.coeffs):
-                    rem[i - d + j] -= c * bc
-        return UniPoly(quo), UniPoly(rem)
+                for j in range(d):
+                    rem[i - d + j] -= c * b[j]
+        den = s * self.den
+        return (UniPoly._of([c * other.den for c in quo], den),
+                UniPoly._of(rem[:d], den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -152,29 +230,33 @@ class UniPoly(Immutable):
         return result
 
     def monic(self):
-        if self.is_zero():
+        if not self.nums:
             return self
-        lead = self.leading()
-        return UniPoly([c / lead for c in self.coeffs])
+        return UniPoly._of(list(self.nums), self.nums[-1])
 
     def gcd(self, other):
         a, b = self, other
-        while not b.is_zero():
+        while b.nums:
             a, b = b, a % b
         return a.monic()
 
     def eval(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at x = p/q by Horner on the numerators: the sum of
+        nums[i] p^i q^(n-1-i) over den q^(n-1), n = len(nums)."""
+        if not self.nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc, qk = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc, self.den * (qk // q))
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
+        for e, c in reversed(tuple(enumerate(self.coeffs))):
             if c == 0:
                 continue
             if e == 0:
@@ -216,9 +298,10 @@ class RationalFunction(Immutable):
             g = num.gcd(den)
             if g.degree > 0:
                 num, den = num // g, den // g
-            lead = den.leading()
-            if lead != 1:
-                num = num * (Fraction(1) / lead)
+            # den is monic when its leading numerator is its denominator
+            lead, n = den.nums[-1], den.den
+            if lead != n:
+                num = UniPoly._of([c * n for c in num.nums], num.den * lead)
                 den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -239,7 +322,8 @@ class RationalFunction(Immutable):
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        return hash(("RationalFunction", self.num.nums, self.num.den,
+                     self.den.nums, self.den.den))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -335,7 +419,7 @@ class MultiPoly(Immutable):
         for exps, c in terms.items():
             if len(exps) != nvars:
                 raise ValueError("exponent tuple of wrong length")
-            c = Fraction(c)
+            c = Fraction(_exact(c))
             if c != 0:
                 clean[tuple(int(e) for e in exps)] = c
         object.__setattr__(self, "nvars", nvars)
@@ -344,7 +428,7 @@ class MultiPoly(Immutable):
     @staticmethod
     def monomial(exps, coeff=1):
         exps = tuple(exps)
-        return MultiPoly(len(exps), {exps: Fraction(coeff)})
+        return MultiPoly(len(exps), {exps: coeff})
 
     def is_zero(self):
         return not self.terms

@@ -337,25 +337,21 @@ def rational_roots(poly):
     if poly.is_zero():
         raise ZeroFunction("zero polynomial")
     roots = {}
-    coeffs = list(poly.coeffs)
-    # roots at zero first
+    # the integer numerators, a multiple of poly with the same roots, give
+    # the rational root bound; roots at zero first
+    nums = poly.nums
     k = 0
-    while coeffs[k] == 0:
+    while nums[k] == 0:
         k += 1
     if k:
         roots[Fraction(0)] = k
-        coeffs = coeffs[k:]
-    if len(coeffs) == 1:
+        nums = nums[k:]
+    if len(nums) == 1:
         return roots, 0
-    # clear denominators for the rational root bound
-    denlcm = 1
-    for c in coeffs:
-        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in coeffs]
-    p = UniPoly(coeffs)
+    p = UniPoly(nums)
     candidates = set()
-    for num in _divisors_of(ints[0]):
-        for den in _divisors_of(ints[-1]):
+    for num in _divisors_of(nums[0]):
+        for den in _divisors_of(nums[-1]):
             candidates.add(Fraction(num, den))
             candidates.add(Fraction(-num, den))
     for cand in sorted(candidates):
@@ -492,7 +488,7 @@ class SectionSpace(Immutable):
         q = self.coordinate_polynomial(f)
         if q is None or q.degree >= self._dim:
             return None
-        return q.coeffs + (Fraction(0),) * (self._dim - len(q.coeffs))
+        return q.padded(self._dim)
 
     def __repr__(self):
         return "SectionSpace(dim=%d, divisor=%s)" % (self._dim, self.divisor)

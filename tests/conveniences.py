@@ -1,6 +1,8 @@
 """Conveniences that only tests call: a toric class count, the product of
-two fans, equivalence of graded homomorphisms and a check of one class
-representative against another.  No CLI mode or library check uses them.
+two fans, equivalence of graded homomorphisms, a check of one class
+representative against another, and univariate polynomial arithmetic on
+Fraction coefficient tuples, the reference for exactmath.UniPoly.  No CLI
+mode or library check uses them.
 """
 
 from fractions import Fraction
@@ -110,3 +112,92 @@ def verify_representative(A, class_vec, L):
             raise InternalInconsistency(
                 "witness multiplication fails to identify components")
     return True
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomials as tuples of Fraction coefficients, ascending by
+# exponent with no trailing zeros: every coefficient a Fraction throughout
+
+
+def frac_poly(coeffs):
+    """The coefficient tuple of the polynomial with the given coefficients."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def frac_add(a, b):
+    n = max(len(a), len(b))
+    return frac_poly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                     for i in range(n))
+
+
+def frac_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return frac_poly(out)
+
+
+def frac_divmod(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    d = len(b) - 1
+    for i in range(len(rem) - 1, d - 1, -1):
+        if rem[i]:
+            c = rem[i] / b[-1]
+            quo[i - d] = c
+            for j, bc in enumerate(b):
+                rem[i - d + j] -= c * bc
+    return frac_poly(quo), frac_poly(rem)
+
+
+def frac_pow(a, n):
+    result = (Fraction(1),)
+    for _ in range(n):
+        result = frac_mul(result, a)
+    return result
+
+
+def frac_monic(a):
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def frac_gcd(a, b):
+    while b:
+        a, b = b, frac_divmod(a, b)[1]
+    return frac_monic(a)
+
+
+def frac_eval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def frac_str(a):
+    """The printed form of UniPoly: terms by descending exponent."""
+    if not a:
+        return "0"
+    parts = []
+    for e in range(len(a) - 1, -1, -1):
+        c = a[e]
+        if c == 0:
+            continue
+        if e == 0:
+            body = str(abs(c))
+        else:
+            v = "z" if e == 1 else "z^%d" % e
+            body = v if abs(c) == 1 else "%s*%s" % (abs(c), v)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)

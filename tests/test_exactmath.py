@@ -7,17 +7,19 @@ the text of every section and relation is checked against its value.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.parsing.sympy_parser import (
     convert_xor,
     parse_expr,
     standard_transformations,
 )
 
+import conveniences as oracle
 from coxring import exactmath as em
 from coxring.exactmath import (
     MultiPoly,
@@ -49,6 +51,34 @@ def nonzero_unipolys(draw, max_degree=4):
     if p.is_zero():
         return UniPoly([1])
     return p
+
+
+# coefficients for the Fraction oracle: zeros, small and negative values,
+# and denominators up to 10^20
+oracle_rationals = st.one_of(
+    st.just(Fraction(0)), small_ints.map(Fraction), rationals,
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                 max_denominator=10 ** 20))
+
+
+@st.composite
+def coefficient_tuples(draw, max_degree=4):
+    """A Fraction coefficient tuple, zero and constants included; a drawn
+    boolean negates the leading coefficient."""
+    cs = oracle.frac_poly(draw(st.lists(oracle_rationals,
+                                        max_size=max_degree + 1)))
+    if cs and draw(st.booleans()):
+        cs = cs[:-1] + (-cs[-1],)
+    return cs
+
+
+def assert_canonical(p):
+    """The invariants of UniPoly's integer form."""
+    assert p.den > 0
+    assert all(type(c) is int for c in p.nums) and type(p.den) is int
+    assert not p.nums or p.nums[-1] != 0
+    # with no numerators the gcd is den itself, so zero is ((), 1)
+    assert math.gcd(p.den, *p.nums) == 1
 
 
 @st.composite
@@ -139,6 +169,92 @@ class TestUniPoly:
         assert str(UniPoly([])) == "0"
         assert str(UniPoly([0, -1])) == "-z"
 
+    def test_integer_form(self):
+        assert (UniPoly([]).nums, UniPoly([]).den) == ((), 1)
+        assert (UniPoly([0, 0]).nums, UniPoly([0, 0]).den) == ((), 1)
+        assert UniPoly([Fraction(-3, 4)]).nums == (-3,)
+        assert UniPoly([Fraction(-3, 4)]).den == 4
+        p = UniPoly([Fraction(1, 6), Fraction(-2, 3), Fraction(-1, 2), 0])
+        assert (p.nums, p.den) == ((1, -4, -3), 6)
+        assert p.coeffs == (Fraction(1, 6), Fraction(-2, 3), Fraction(-1, 2))
+        assert UniPoly([2, 4]) * Fraction(1, 2) == UniPoly([1, 2])
+        assert UniPoly([Fraction(1, 3)]).padded(3) == (
+            Fraction(1, 3), Fraction(0), Fraction(0))
+
+    def test_floats_are_refused(self):
+        # 0.1 would silently become 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            UniPoly([0.1])
+        with pytest.raises(TypeError):
+            UniPoly([1, 0.5])
+        with pytest.raises(TypeError):
+            UniPoly.const(0.5)
+
+    @given(coefficient_tuples())
+    @example(())
+    @example((Fraction(-7, 10 ** 20),))
+    def test_construction_matches_oracle(self, a):
+        p = UniPoly(a)
+        assert_canonical(p)
+        assert p.coeffs == a
+        assert p.degree == len(a) - 1
+        assert str(p) == oracle.frac_str(a)
+
+    @given(coefficient_tuples(), coefficient_tuples())
+    @example((), (Fraction(-1, 3),))
+    def test_ring_operations_match_oracle(self, a, b):
+        p, q = UniPoly(a), UniPoly(b)
+        for got, want in ((p + q, oracle.frac_add(a, b)),
+                          (p - q, oracle.frac_add(a, tuple(-c for c in b))),
+                          (p * q, oracle.frac_mul(a, b)),
+                          (p ** 3, oracle.frac_pow(a, 3)),
+                          (p.monic(), oracle.frac_monic(a))):
+            assert_canonical(got)
+            assert got.coeffs == want
+
+    @given(coefficient_tuples(), coefficient_tuples(3))
+    @example((Fraction(1), Fraction(2)), (Fraction(5),))
+    @example((Fraction(1, 9), Fraction(0), Fraction(1)),
+             (Fraction(-1, 3), Fraction(-1, 2)))
+    def test_divmod_matches_oracle(self, a, b):
+        if not b:
+            with pytest.raises(ZeroDivisionError):
+                divmod(UniPoly(a), UniPoly(b))
+            return
+        q, r = divmod(UniPoly(a), UniPoly(b))
+        want_q, want_r = oracle.frac_divmod(a, b)
+        assert_canonical(q)
+        assert_canonical(r)
+        assert (q.coeffs, r.coeffs) == (want_q, want_r)
+
+    @given(coefficient_tuples(3), coefficient_tuples(3), coefficient_tuples(2))
+    def test_gcd_matches_oracle(self, a, b, c):
+        # a common factor c makes the gcd nontrivial more often than chance
+        a, b = oracle.frac_mul(a, c), oracle.frac_mul(b, c)
+        g = UniPoly(a).gcd(UniPoly(b))
+        assert_canonical(g)
+        assert g.coeffs == oracle.frac_gcd(a, b)
+
+    @given(coefficient_tuples(), oracle_rationals)
+    @example((Fraction(1), Fraction(1)), Fraction(1, 3))
+    @example((Fraction(0), Fraction(0), Fraction(-2, 5)), Fraction(7, 10 ** 20))
+    def test_eval_matches_oracle(self, a, x):
+        assert UniPoly(a).eval(x) == oracle.frac_eval(a, x)
+
+    @given(coefficient_tuples(), coefficient_tuples(3), oracle_rationals)
+    def test_equal_polynomials_have_one_form(self, a, b, k):
+        # the same polynomial reached along different paths
+        p, s = UniPoly(a), UniPoly(b) + UniPoly.one()
+        paths = [UniPoly(a + (0, 0)), p - UniPoly.zero()]
+        if not s.is_zero():
+            paths.append(p * s // s)
+        if k:
+            paths += [p * k * (1 / k), p * UniPoly([k]) * UniPoly([1 / k])]
+        for q in paths:
+            assert_canonical(q)
+            assert (q.nums, q.den) == (p.nums, p.den)
+            assert q == p and hash(q) == hash(p)
+
 
 class TestRationalFunction:
     def test_normalization(self):
@@ -159,6 +275,34 @@ class TestRationalFunction:
     def test_field_identities(self, f, g, h):
         assert (f + g) * h == f * h + g * h
         assert f - f == RationalFunction.zero()
+
+    @given(coefficient_tuples(3), coefficient_tuples(3), coefficient_tuples(2))
+    def test_normalization_matches_oracle(self, a, b, c):
+        # num / den with a common factor c: reduced by the oracle gcd, then
+        # scaled to a monic denominator
+        a, b = oracle.frac_mul(a, c), oracle.frac_mul(b, c)
+        if not b:
+            return
+        f = RationalFunction(UniPoly(a), UniPoly(b))
+        if not a:
+            want_num, want_den = (), (Fraction(1),)
+        else:
+            g = oracle.frac_gcd(a, b)
+            num, den = oracle.frac_divmod(a, g)[0], oracle.frac_divmod(b, g)[0]
+            want_num = tuple(x / den[-1] for x in num)
+            want_den = oracle.frac_monic(den)
+        assert (f.num.coeffs, f.den.coeffs) == (want_num, want_den)
+        assert_canonical(f.num)
+        assert_canonical(f.den)
+
+    @given(rational_functions(), rational_functions())
+    def test_equal_functions_hash_equal(self, f, g):
+        if g.is_zero():
+            return
+        h = (f * g) / g
+        assert h == f and hash(h) == hash(f)
+        assert (h.num.nums, h.num.den, h.den.nums, h.den.den) == (
+            f.num.nums, f.num.den, f.den.nums, f.den.den)
 
     def test_pow_negative(self):
         z = RationalFunction(UniPoly.z())
@@ -190,6 +334,14 @@ class TestMultiPoly:
     @given(multipolys())
     def test_str_roundtrip(self, p):
         assert_reads_back(p)
+
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError):
+            MultiPoly(2, {(1, 0): 0.1})
+        with pytest.raises(TypeError):
+            MultiPoly.monomial((1, 2), 0.5)
+        assert MultiPoly.monomial((1, 2), Fraction(1, 2)).terms == {
+            (1, 2): Fraction(1, 2)}
 
     def test_substitute(self):
         z = RationalFunction(UniPoly.z())
