@@ -414,16 +414,44 @@ def main(argv=None):
     except InternalInconsistency as exc:
         print("error: internal inconsistency: %s" % exc, file=sys.stderr)
         return 3
+    if sys.stdout is None:
+        # fd 1 was closed before start-up: as a reader that has gone
+        return 1
     try:
         render(report, args.format, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (say, `| head`); point it at devnull so
-        # the flush at interpreter exit does not fail again
+        # the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code
 
 
+def entry():
+    """The program: main() on the command line, then stdout and stderr are
+    flushed and the process ends at once with main's code.
+
+    Both entry points call this: `python3 -m coxring.cli` and the
+    `coxring` console script.  os._exit skips interpreter teardown, which
+    takes 11-14 ms of a child that computes for 5-30 ms on the benchmark
+    inputs, more than the computation in most of them; the exit then takes
+    1.2-1.4 ms, and 3.3-4.2 ms after gc.freeze() and a normal exit (medians
+    of 15 runs per input, one CPU of a 2-vCPU host, Python 3.11.7).
+    Nothing is lost by skipping it: coxring registers no atexit handler,
+    holds no file open for writing but stdio, and stdio is flushed here
+    first.  An exception or an argparse SystemExit out of main() takes the
+    normal exit path, so tracebacks and usage exits are unchanged.
+
+    main(argv) itself returns its code and never ends the process: tests
+    and the layer tracer call it in process.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -45,13 +45,12 @@ class Immutable:
 # univariate polynomials over Q
 
 
-def _exact(c):
-    """c, when it is an int or a Fraction: a polynomial coefficient.  Any
-    other type raises TypeError, a float above all, whose binary value
-    would silently stand in for the decimal one."""
+def _exact(c, what="polynomial coefficient"):
+    """c, when it is an int or a Fraction: a polynomial coefficient (or
+    what else it names).  Any other type raises TypeError, a float above
+    all, whose binary value would silently stand in for the decimal one."""
     if not isinstance(c, (int, Fraction)):
-        raise TypeError("polynomial coefficient %r is neither an int nor a "
-                        "Fraction" % (c,))
+        raise TypeError("%s %r is neither an int nor a Fraction" % (what, c))
     return c
 
 
@@ -1027,23 +1026,7 @@ class _EnumerationPlan(Immutable):
             return coords, (((), 0, 0),)
         levels = [tuple([(a, head, _dot(m, values)) for a, head, m in side]
                         for side in level) for level in self.levels]
-        kdim = len(levels)
-
-        def descend(prefix, k):
-            lower, upper = levels[k - 1]
-            if not lower or not upper:
-                raise UnboundedEnumeration(
-                    "solution polytope is unbounded; supply a bound")
-            # a * y_k >= b - head . prefix, integer ceil and floor
-            lo = max(-((_dot(head, prefix) - b) // a) for a, head, b in lower)
-            hi = min((b - _dot(head, prefix)) // a for a, head, b in upper)
-            if k == kdim:
-                yield prefix, lo, hi
-            else:
-                for v in range(lo, hi + 1):
-                    yield from descend(prefix + (v,), k + 1)
-
-        return coords, descend((), 1)
+        return coords, _descend(levels, ())
 
     def monomials(self, target, bound):
         coords, intervals = self._intervals(target, bound)
@@ -1069,6 +1052,26 @@ class _EnumerationPlan(Immutable):
     def count(self, target, bound):
         return sum(max(0, hi - lo + 1)
                    for _, lo, hi in self._intervals(target, bound)[1])
+
+
+def _descend(levels, prefix):
+    """The ranges (prefix, lo, hi) below prefix, whose length k says which
+    level bounds the next coefficient.  A module-level generator: a nested
+    one that calls itself through its closure makes a function/cell cycle
+    per call, which holds the levels until the garbage collector runs."""
+    k = len(prefix)
+    lower, upper = levels[k]
+    if not lower or not upper:
+        raise UnboundedEnumeration(
+            "solution polytope is unbounded; supply a bound")
+    # a * y_k >= b - head . prefix, integer ceil and floor
+    lo = max(-((_dot(head, prefix) - b) // a) for a, head, b in lower)
+    hi = min((b - _dot(head, prefix)) // a for a, head, b in upper)
+    if k + 1 == len(levels):
+        yield prefix, lo, hi
+    else:
+        for v in range(lo, hi + 1):
+            yield from _descend(levels, prefix + (v,))
 
 
 _enumeration_plan = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(

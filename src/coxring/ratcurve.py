@@ -11,7 +11,7 @@ copies, modulo principal divisors.
 import math
 from fractions import Fraction
 
-from .exactmath import Immutable, RationalFunction, UniPoly
+from .exactmath import Immutable, RationalFunction, UniPoly, _exact
 
 
 class ZeroFunction(Exception):
@@ -36,14 +36,15 @@ class P1Point(Immutable):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        # value None encodes infinity
+        # value None encodes infinity; a float is refused, as by the
+        # polynomials
         if value is not None:
-            value = Fraction(value)
+            value = Fraction(_exact(value, "point"))
         object.__setattr__(self, "value", value)
 
     @staticmethod
     def finite(v):
-        return P1Point(Fraction(v))
+        return P1Point(v)
 
     @staticmethod
     def infinity():

@@ -859,6 +859,107 @@ class TestStreamedReport:
         assert child.stderr == "error: internal inconsistency: row 40\n"
 
 
+def buffered_child(args, **kwargs):
+    """Run python with args in a fresh process that imports this coxring,
+    with PYTHONUNBUFFERED dropped from its environment: it writes every
+    byte through and would hide a missing flush."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    return subprocess.run([sys.executable, *args], env=env, timeout=60,
+                          **kwargs)
+
+
+# the CLI through the program entry, as `python3 -m coxring.cli` runs it
+RUN_AS_MAIN = (
+    "import atexit, runpy, sys\n"
+    "from coxring import coxalg, grading, ratcurve\n"
+    "atexit.register(lambda: sys.stderr.write('teardown\\n'))\n"
+    "failure = {'1': grading.BoxTooLarge,\n"
+    "           '3': ratcurve.InternalInconsistency}.get(sys.argv.pop(1))\n"
+    "honest, calls = coxalg._certified, []\n"
+    "def failing(*args):\n"
+    "    calls.append(1)\n"
+    "    if failure and len(calls) == 40:\n"
+    "        raise failure('row 40')\n"
+    "    return honest(*args)\n"
+    "coxalg._certified = failing\n"
+    "runpy.run_module('coxring.cli', run_name='__main__')\n")
+
+
+class TestProgramEntry:
+    """The process ends as soon as the report is flushed (cli.entry):
+    goldens byte for byte from buffered children, exit codes and messages
+    through the entry, and the normal exit path for usage errors."""
+
+    RUNS = [("curve", "tripled_line"), ("toric", "plane_fan"),
+            ("verify", "doubled_line"), ("crosscheck", "mixed_line")]
+
+    @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt")])
+    @pytest.mark.parametrize("mode, name", RUNS)
+    def test_stdout_is_the_golden(self, mode, name, fmt, ext):
+        child = buffered_child(
+            ["-m", "coxring.cli", mode, fixture(name + ".json"), "--box",
+             "1", "--format", fmt], capture_output=True)
+        tag = "box1" if mode in ("curve", "toric") else mode + ".box1"
+        golden = FIXTURES.parent / "golden" / ("%s.%s.%s" % (name, tag, ext))
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout == golden.read_bytes()
+
+    @pytest.mark.parametrize("code, err", [
+        ("0", ""),
+        ("1", "error: row 40\n"),
+        ("3", "error: internal inconsistency: row 40\n")])
+    def test_exit_codes_skip_teardown(self, code, err):
+        # the 40th certified class raises, or nothing does; the process
+        # ends without running the atexit handler
+        path = fixture("tripled_line.json")
+        child = buffered_child(["-c", RUN_AS_MAIN, code, "curve", path],
+                               capture_output=True, text=True)
+        assert (child.returncode, child.stderr) == (int(code), err)
+        expected = (FIXTURES.parent / "golden" / "tripled_line.box2.json"
+                    ).read_text(encoding="utf-8") if code == "0" else ""
+        assert child.stdout == expected
+
+    def test_usage_error_takes_the_normal_exit(self):
+        child = buffered_child(["-c", RUN_AS_MAIN, "0", "curve", "--box",
+                                "-1", fixture("tripled_line.json")],
+                               capture_output=True, text=True)
+        assert child.returncode == 1
+        assert child.stdout == ""
+        assert child.stderr.startswith("usage: ")
+        assert child.stderr.endswith(
+            "error: argument --box: must be nonnegative\nteardown\n")
+
+    def test_entry_flushes_both_streams(self):
+        # neither line ends in a newline: both stay buffered until the flush
+        script = ("import sys\n"
+                  "from coxring import cli\n"
+                  "def main():\n"
+                  "    sys.stdout.write('report')\n"
+                  "    sys.stderr.write('warning')\n"
+                  "    return 5\n"
+                  "cli.main = main\n"
+                  "cli.entry()\n")
+        child = buffered_child(["-c", script], capture_output=True, text=True)
+        assert (child.returncode, child.stdout, child.stderr) == (
+            5, "report", "warning")
+
+    def test_closed_stdout_exits_one(self):
+        # fd 1 closed before start-up, as under `coxring ... >&-`: Python
+        # sets sys.stdout to None
+        child = buffered_child(
+            ["-m", "coxring.cli", "curve", "--box", "1",
+             fixture("tripled_line.json")],
+            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert (child.returncode, child.stderr) == (1, b"")
+
+    def test_none_stdout_in_process(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert cli.main(["curve", "--box", "1",
+                         fixture("tripled_line.json")]) == 1
+
+
 class TestErrors:
     def test_closed_stdout_exits_one_without_traceback(self):
         # as under `| head`: the read end of stdout is closed before the

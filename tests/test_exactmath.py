@@ -6,6 +6,7 @@ also reads the printed forms of rational functions and polynomials back, so
 the text of every section and relation is checked against its value.
 """
 
+import gc
 import itertools
 import math
 from fractions import Fraction
@@ -701,6 +702,40 @@ class TestCountMonomials:
             count_monomials([(1,), (-1,)], (0,))
         with pytest.raises(ValueError, match="degree vector length"):
             count_monomials([(1,), (1, 0)], (2,))
+
+
+class TestNoReferenceCycles:
+    """A listing or a count leaves no reference cycle behind: with the
+    collector off, a collection after many calls finds no garbage."""
+
+    CASES = [  # (degree map, targets, bound); every kernel is nonempty
+        (SECTION8_DEGREES, [(0, 1, 1, 0), (1, 1, 1, 1), (0, 0, 0, 0)], 2),
+        ([(1,), (1,), (2,)], [(0,), (3,), (5,)], 5),
+        ([(1,), (-1,)], [(0,), (1,)], 4),
+    ]
+
+    def test_calls_leave_no_garbage(self):
+        expected = [[naive_monomials(d, t, b) for t in targets]
+                    for d, targets, b in self.CASES]
+        # build and cache the plans before the collector is turned off
+        for d, targets, b in self.CASES:
+            count_monomials(d, targets[0], bound=b)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                listed = [[enumerate_monomials(d, t, bound=b) for t in targets]
+                          for d, targets, b in self.CASES]
+                counted = [[count_monomials(d, t, bound=b) for t in targets]
+                           for d, targets, b in self.CASES]
+            found = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert found == 0
+        assert listed == expected
+        assert counted == [[len(e) for e in case] for case in expected]
 
 
 class TestFeasiblePoint:

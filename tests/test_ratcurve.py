@@ -136,6 +136,15 @@ class TestPoints:
         assert str(pt("inf")) == "inf"
         assert str(pt(Fraction(1, 2))) == "1/2"
 
+    def test_float_is_refused(self):
+        # 0.1 would stand for 3602879701896397/36028797018963968
+        for value in (0.1, 2.0, "1/2"):
+            with pytest.raises(TypeError, match="point"):
+                P1Point.finite(value)
+            with pytest.raises(TypeError, match="point"):
+                P1Point(value)
+        assert P1Point.finite(2) == P1Point.finite(Fraction(4, 2))
+
     def test_curve_validation(self):
         with pytest.raises(ValueError):
             GluedCurve([(pt(0), 2), (pt(0), 1)])
