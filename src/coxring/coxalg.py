@@ -6,7 +6,7 @@ shifting witnesses identifies components along the kernel, and the algebra
 descends to a class-graded quotient.  This module computes that quotient
 degree by degree: generators, relations with exact certificates, and the
 verification checks (weight monoid, free grading, pointedness, separatedness,
-uniqueness under lattice choice, tensor products).
+uniqueness under lattice choice).
 
 All certificates are finite: every search is restricted to an explicit box of
 classes and reports honestly when the box is too small to decide.
@@ -335,14 +335,6 @@ class ShiftingFamily(Immutable):
                 g = g * w ** c
         return g
 
-    def rescaled(self, scalars):
-        """Same kernel with each witness multiplied by a nonzero constant."""
-        scalars = [Fraction(s) for s in scalars]
-        if any(s == 0 for s in scalars):
-            raise ValueError("witness scalars must be nonzero")
-        new = [w * s for w, s in zip(self.witnesses, scalars)]
-        return ShiftingFamily(self.lattice, self.kernel, new, self.algebra)
-
     def __repr__(self):
         return "ShiftingFamily(kernel_rank=%d)" % len(self.kernel)
 
@@ -365,63 +357,6 @@ def build_shifting_family(lattice, algebra=None):
                 "kernel element has no principal witness") from exc
         witnesses.append(g)
     return ShiftingFamily(lattice, kernel, witnesses, algebra)
-
-
-def shift(family, E, f, L):
-    """Image of f, a section in component L, under the shift along E.
-
-    The result is f times the assembled witness for E and lands in component
-    L + E; membership on both ends is verified exactly.
-    """
-    E = tuple(int(x) for x in E)
-    L = tuple(int(x) for x in L)
-    g = family.witness_for(E)
-    comp = family.algebra.component(L)
-    if comp.coordinates_of(f) is None:
-        raise NotASection("input lies outside its stated component")
-    h = f * g
-    target = family.algebra.component(_vadd(L, E))
-    if target.coordinates_of(h) is None:
-        raise InternalInconsistency("shifted section escaped its component")
-    return h
-
-
-def ideal_membership(family, candidate, box):
-    """Decide membership in the shifting ideal for a homogeneous sum.
-
-    candidate: iterable of (lattice degree, section) pairs.  All terms are
-    shifted to one reference degree per class; the sum belongs to the ideal
-    exactly when every shifted total vanishes, and the nonzero totals are
-    the residuals of a not_in_ideal verdict.  Degrees outside the box of
-    certified classes raise BoxTooSmall.
-    """
-    lattice = family.lattice
-    pic = lattice.picdata
-    boxkeys = {pic.class_key(tuple(int(x) for x in c)) for c in box}
-    groups = {}
-    order = []
-    for L, f in candidate:
-        L = tuple(int(x) for x in L)
-        key = pic.class_key(lattice.copy_vector(L))
-        if key not in boxkeys:
-            raise BoxTooSmall(
-                "candidate degree leaves the certified box")
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((L, f))
-    residuals = []
-    for key in order:
-        terms = groups[key]
-        L0 = terms[0][0]
-        total = RationalFunction.zero()
-        for L, f in terms:
-            total = total + shift(family, _vsub(L0, L), f, L)
-        if not total.is_zero():
-            residuals.append((L0, total))
-    if residuals:
-        return Verdict("not_in_ideal", residuals=tuple(residuals))
-    return Verdict("in_ideal")
 
 
 # ---------------------------------------------------------------------------
@@ -1502,7 +1437,7 @@ def separatedness_check(A, irrelevant, levels=2):
 
 
 # ---------------------------------------------------------------------------
-# uniqueness under lattice choice, tensor products
+# uniqueness under lattice choice
 
 
 def _representative_moves(A):
@@ -1716,37 +1651,3 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     return Verdict("pass" if agreed else "fail", classes=len(box),
                    hilbert_equal=hilbert_equal, iso_verified=iso_verified,
                    witness_multiplicative=product_ok)
-
-
-def tensor_presentation(P, Q):
-    """Presentation of the product grading: disjoint generators, both
-    relation sets, multiplicative certificate."""
-    ap = P.grading.ambient_rank
-    aq = Q.grading.ambient_rank
-    rels = [tuple(col) + (0,) * aq for col in P.grading.relations]
-    rels += [(0,) * ap + tuple(col) for col in Q.grading.relations]
-    grading = FGAbelianGroup(ap + aq, rels)
-    gens = [(tuple(d) + (0,) * aq, s) for d, s in P.generators]
-    gens += [((0,) * ap + tuple(d), s) for d, s in Q.generators]
-    kp = len(P.generators)
-    kq = len(Q.generators)
-    polys = []
-    for r in P.relations:
-        terms = {exps + (0,) * kq: c for exps, c in r.terms.items()}
-        polys.append(MultiPoly(kp + kq, terms))
-    for r in Q.relations:
-        terms = {(0,) * kp + exps: c for exps, c in r.terms.items()}
-        polys.append(MultiPoly(kp + kq, terms))
-    certp = {row[0]: row for row in P.certificate}
-    certq = {row[0]: row for row in Q.certificate}
-    box = []
-    cert = []
-    for dp in P.box:
-        rp = certp.get(dp)
-        for dq in Q.box:
-            rq = certq.get(dq)
-            box.append(dp + dq)
-            if rp and rq:
-                m, d = rp[1] * rq[1], rp[2] * rq[2]
-                cert.append((dp + dq, m, d, m - d, m - d))
-    return Presentation(grading, gens, polys, box, Certificate.of(cert))

@@ -234,10 +234,6 @@ class FGAbelianGroup(Immutable):
         return {"rank": self.rank,
                 "invariant_factors": list(self.invariant_factors)}
 
-    def isomorphic(self, other):
-        return (self.rank == other.rank
-                and self.invariant_factors == other.invariant_factors)
-
     def __repr__(self):
         return "FGAbelianGroup(rank=%d, torsion=%r)" % (
             self.rank, list(self.invariant_factors))

@@ -188,6 +188,13 @@ def curve_from_json(data):
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError("special entry %d must be an object" % i)
+        if isinstance(entry.get("point"), float):
+            # json reads a number with a fraction or an exponent as a float,
+            # not as the rational written; a point of any other type but
+            # str or int fails to parse below
+            raise ValueError("special entry %d has a point written as a JSON "
+                             "number that is not an integer; write a rational "
+                             "as a string, e.g. \"1/10\"" % i)
         try:
             point = parse_point(entry["point"])
         except KeyError:
@@ -204,11 +211,6 @@ def curve_from_json(data):
         return GluedCurve(special)
     except ValueError as exc:
         raise ValueError("invalid curve: %s" % exc)
-
-
-def curve_to_json(X):
-    return {"special": [{"point": str(p), "multiplicity": m}
-                        for p, m in X.special]}
 
 
 class Divisor(Immutable):
@@ -631,17 +633,6 @@ class PicardData(Immutable):
                 for i in range(self.blocks[0].stop):
                     vec[i] += c
         return tuple(vec)
-
-
-def picard_group(X):
-    """The Picard group with its class map.
-
-    Returns (Pic, class_of) where Pic is the PicardData and class_of sends a
-    divisor to its ambient class vector; class_of of any principal divisor
-    is zero.
-    """
-    data = PicardData(X)
-    return data, data.class_of
 
 
 def is_principal(X, D):

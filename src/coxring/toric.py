@@ -216,12 +216,6 @@ def fan_from_json(data):
     return Fan(data["rank"], data["rays"], data["max_cones"])
 
 
-def fan_to_json(fan):
-    return {"rank": fan.rank,
-            "rays": [list(r) for r in fan.rays],
-            "max_cones": [list(c) for c in fan.max_cones]}
-
-
 def class_group(fan):
     """Class group of the fan and the class of each ray's divisor.
 
@@ -304,28 +298,3 @@ def cox_presentation(fan, radius=2):
             continue
         cert.append((D, m, m, 0, 0))
     return Presentation(group, gens, (), box, Certificate.of(cert))
-
-
-def line_fan():
-    return Fan(1, [(1,), (-1,)], [[0], [1]])
-
-
-def plane_fan():
-    return Fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
-
-
-def hirzebruch_fan(k=1):
-    return Fan(2, [(1, 0), (0, 1), (-1, k), (0, -1)],
-               [[0, 1], [1, 2], [2, 3], [3, 0]])
-
-
-def affine_line_fan():
-    return Fan(1, [(1,)], [[0]])
-
-
-def quadric_cone_fan():
-    return Fan(2, [(1, 0), (1, 2)], [[0, 1]])
-
-
-def point_fan():
-    return Fan(0, [], [[]])

@@ -1,22 +1,201 @@
-"""Conveniences that only tests call: a toric class count, the product of
-two fans, equivalence of graded homomorphisms, a check of one class
-representative against another, and univariate polynomial arithmetic on
-Fraction coefficient tuples, the reference for exactmath.UniPoly.  No CLI
-mode or library check uses them.
+"""Conveniences that only tests call.  No CLI mode or library check uses
+them; the tests use them as fixtures and as oracles:
+
+- the paper's quotient of the section algebra by the shifting ideal
+  (shift, ideal_membership), an independent check of the per-base orders
+  by which `crosscheck` identifies components, and rescaled shifting
+  families;
+- the product of two presentations (tensor_presentation) and of two fans
+  (product_fan), a toric class count (hilbert_toric) and the isomorphism
+  of two presented groups (isomorphic);
+- the Picard group with its class map (picard_group), the JSON of a curve
+  and of a fan (curve_to_json, fan_to_json) and the example fans
+  (line_fan, plane_fan, hirzebruch_fan, affine_line_fan, quadric_cone_fan,
+  point_fan);
+- equivalence of graded homomorphisms and a check of one class
+  representative against another;
+- univariate polynomial arithmetic on Fraction coefficient tuples, the
+  reference for exactmath.UniPoly.
 """
 
 from fractions import Fraction
 
 from coxring import exactmath as em
-from coxring.coxalg import Verdict, _vsub
-from coxring.exactmath import count_monomials
+from coxring.coxalg import (
+    BoxTooSmall,
+    Certificate,
+    NotASection,
+    Presentation,
+    ShiftingFamily,
+    Verdict,
+    _vadd,
+    _vsub,
+)
+from coxring.exactmath import MultiPoly, RationalFunction, count_monomials
 from coxring.grading import FGAbelianGroup
-from coxring.ratcurve import InternalInconsistency
+from coxring.ratcurve import InternalInconsistency, PicardData
 from coxring.toric import Fan, class_group
 
 
-class DegreeMismatch(Exception):
-    """Two generator-image lists disagree on the underlying degrees."""
+# ---------------------------------------------------------------------------
+# the quotient of the section algebra by the shifting ideal
+
+
+def rescaled(family, scalars):
+    """Same kernel with each witness multiplied by a nonzero constant."""
+    scalars = [Fraction(s) for s in scalars]
+    if any(s == 0 for s in scalars):
+        raise ValueError("witness scalars must be nonzero")
+    new = [w * s for w, s in zip(family.witnesses, scalars)]
+    return ShiftingFamily(family.lattice, family.kernel, new, family.algebra)
+
+
+def shift(family, E, f, L):
+    """Image of f, a section in component L, under the shift along E.
+
+    The result is f times the assembled witness for E and lands in component
+    L + E; membership on both ends is verified exactly.
+    """
+    E = tuple(int(x) for x in E)
+    L = tuple(int(x) for x in L)
+    g = family.witness_for(E)
+    comp = family.algebra.component(L)
+    if comp.coordinates_of(f) is None:
+        raise NotASection("input lies outside its stated component")
+    h = f * g
+    target = family.algebra.component(_vadd(L, E))
+    if target.coordinates_of(h) is None:
+        raise InternalInconsistency("shifted section escaped its component")
+    return h
+
+
+def ideal_membership(family, candidate, box):
+    """Decide membership in the shifting ideal for a homogeneous sum.
+
+    candidate: iterable of (lattice degree, section) pairs.  All terms are
+    shifted to one reference degree per class; the sum belongs to the ideal
+    exactly when every shifted total vanishes, and the nonzero totals are
+    the residuals of a not_in_ideal verdict.  Degrees outside the box of
+    certified classes raise BoxTooSmall.
+    """
+    lattice = family.lattice
+    pic = lattice.picdata
+    boxkeys = {pic.class_key(tuple(int(x) for x in c)) for c in box}
+    groups = {}
+    order = []
+    for L, f in candidate:
+        L = tuple(int(x) for x in L)
+        key = pic.class_key(lattice.copy_vector(L))
+        if key not in boxkeys:
+            raise BoxTooSmall(
+                "candidate degree leaves the certified box")
+        if key not in groups:
+            groups[key] = []
+            order.append(key)
+        groups[key].append((L, f))
+    residuals = []
+    for key in order:
+        terms = groups[key]
+        L0 = terms[0][0]
+        total = RationalFunction.zero()
+        for L, f in terms:
+            total = total + shift(family, _vsub(L0, L), f, L)
+        if not total.is_zero():
+            residuals.append((L0, total))
+    if residuals:
+        return Verdict("not_in_ideal", residuals=tuple(residuals))
+    return Verdict("in_ideal")
+
+
+# ---------------------------------------------------------------------------
+# groups, presentations, curves and fans
+
+
+def isomorphic(group, other):
+    """Whether two presented groups have equal rank and invariant factors."""
+    return (group.rank == other.rank
+            and group.invariant_factors == other.invariant_factors)
+
+
+def picard_group(X):
+    """The Picard group with its class map.
+
+    Returns (Pic, class_of) where Pic is the PicardData and class_of sends a
+    divisor to its ambient class vector; class_of of any principal divisor
+    is zero.
+    """
+    data = PicardData(X)
+    return data, data.class_of
+
+
+def curve_to_json(X):
+    return {"special": [{"point": str(p), "multiplicity": m}
+                        for p, m in X.special]}
+
+
+def fan_to_json(fan):
+    return {"rank": fan.rank,
+            "rays": [list(r) for r in fan.rays],
+            "max_cones": [list(c) for c in fan.max_cones]}
+
+
+def line_fan():
+    return Fan(1, [(1,), (-1,)], [[0], [1]])
+
+
+def plane_fan():
+    return Fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
+
+
+def hirzebruch_fan(k=1):
+    return Fan(2, [(1, 0), (0, 1), (-1, k), (0, -1)],
+               [[0, 1], [1, 2], [2, 3], [3, 0]])
+
+
+def affine_line_fan():
+    return Fan(1, [(1,)], [[0]])
+
+
+def quadric_cone_fan():
+    return Fan(2, [(1, 0), (1, 2)], [[0, 1]])
+
+
+def point_fan():
+    return Fan(0, [], [[]])
+
+
+def tensor_presentation(P, Q):
+    """Presentation of the product grading: disjoint generators, both
+    relation sets, multiplicative certificate."""
+    ap = P.grading.ambient_rank
+    aq = Q.grading.ambient_rank
+    rels = [tuple(col) + (0,) * aq for col in P.grading.relations]
+    rels += [(0,) * ap + tuple(col) for col in Q.grading.relations]
+    grading = FGAbelianGroup(ap + aq, rels)
+    gens = [(tuple(d) + (0,) * aq, s) for d, s in P.generators]
+    gens += [((0,) * ap + tuple(d), s) for d, s in Q.generators]
+    kp = len(P.generators)
+    kq = len(Q.generators)
+    polys = []
+    for r in P.relations:
+        terms = {exps + (0,) * kq: c for exps, c in r.terms.items()}
+        polys.append(MultiPoly(kp + kq, terms))
+    for r in Q.relations:
+        terms = {(0,) * kp + exps: c for exps, c in r.terms.items()}
+        polys.append(MultiPoly(kp + kq, terms))
+    certp = {row[0]: row for row in P.certificate}
+    certq = {row[0]: row for row in Q.certificate}
+    box = []
+    cert = []
+    for dp in P.box:
+        rp = certp.get(dp)
+        for dq in Q.box:
+            rq = certq.get(dq)
+            box.append(dp + dq)
+            if rp and rq:
+                m, d = rp[1] * rq[1], rp[2] * rq[2]
+                cert.append((dp + dq, m, d, m - d, m - d))
+    return Presentation(grading, gens, polys, box, Certificate.of(cert))
 
 
 def hilbert_toric(fan, class_vec, bound=None):
@@ -35,11 +214,11 @@ def product_fan(fan1, fan2):
     r1, r2 = fan1.rank, fan2.rank
     rays = [ray + (0,) * r2 for ray in fan1.rays]
     rays += [(0,) * r1 + ray for ray in fan2.rays]
-    shift = len(fan1.rays)
+    offset = len(fan1.rays)
     cones = []
     for c1 in fan1.max_cones:
         for c2 in fan2.max_cones:
-            cones.append(tuple(c1) + tuple(j + shift for j in c2))
+            cones.append(tuple(c1) + tuple(j + offset for j in c2))
     fan = Fan(r1 + r2, rays, cones)
     group, _ = class_group(fan)
     g1, _ = class_group(fan1)
@@ -47,10 +226,18 @@ def product_fan(fan1, fan2):
     a1, a2 = g1.ambient_rank, g2.ambient_rank
     rels = [tuple(row) + (0,) * a2 for row in g1.relations]
     rels += [(0,) * a1 + tuple(row) for row in g2.relations]
-    if not group.isomorphic(FGAbelianGroup(a1 + a2, rels)):
+    if not isomorphic(group, FGAbelianGroup(a1 + a2, rels)):
         raise InternalInconsistency(
             "product fan class group is not the direct sum")
     return fan
+
+
+# ---------------------------------------------------------------------------
+# graded homomorphisms and class representatives
+
+
+class DegreeMismatch(Exception):
+    """Two generator-image lists disagree on the underlying degrees."""
 
 
 def graded_homs_equivalent(mu, nu, grading=None):

@@ -17,11 +17,8 @@ from coxring.coxalg import (
     curve_algebra,
     default_box,
     freely_graded_check,
-    ideal_membership,
     irrelevant_sections,
     separatedness_check,
-    shift,
-    tensor_presentation,
     uniqueness_crosscheck,
 )
 from coxring.exactmath import enumerate_monomials
@@ -31,20 +28,23 @@ from coxring.ratcurve import (
     Divisor,
     GluedCurve,
     min_degree,
-    picard_group,
     section_space,
 )
-from coxring.toric import (
-    class_group,
-    cox_presentation,
-    hirzebruch_fan,
-    line_fan,
-    plane_fan,
-    quadric_cone_fan,
-    toric_cox_data,
-)
+from coxring.toric import class_group, cox_presentation, toric_cox_data
 
-from conveniences import product_fan, verify_representative
+from conveniences import (
+    hirzebruch_fan,
+    ideal_membership,
+    line_fan,
+    picard_group,
+    plane_fan,
+    product_fan,
+    quadric_cone_fan,
+    rescaled,
+    shift,
+    tensor_presentation,
+    verify_representative,
+)
 from test_coxalg import (
     EXPECTED_DEGREES,
     EXPECTED_SECTIONS,
@@ -156,7 +156,7 @@ def test_criterion_3_shifting_family_laws():
     K1, K2 = (tuple(v) for v in fam.kernel)
 
     scalars = [Fraction(3), Fraction(-5, 2)]
-    fam2 = fam.rescaled(scalars)
+    fam2 = rescaled(fam, scalars)
     A2 = PicGradedAlgebra(A.base, fam2)
 
     rng = random.Random(8253)

@@ -1049,6 +1049,43 @@ class TestErrors:
         assert err.startswith("error:") and "at least one" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("number", [
+        "1e400", "0.5", "1e2", "0.1000000000000000055511151231257827"])
+    def test_point_as_json_number_is_refused(self, capsys, tmp_path, number):
+        # json reads each through a float: 1e400 became the point at
+        # infinity, the last one 1/10
+        path = tmp_path / "number.json"
+        path.write_text('{"special": [{"point": "0", "multiplicity": 2}, '
+                        '{"point": %s, "multiplicity": 2}]}' % number)
+        code, out, err = run_cli(capsys, "curve", str(path), "--box", "1")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: %s: special entry 1 has a point written as a "
+                       "JSON number that is not an integer; write a rational "
+                       "as a string, e.g. \"1/10\"\n" % path)
+
+    def test_points_as_strings_and_integers_parse(self, capsys, tmp_path):
+        reports = []
+        for points in (('"0"', '"1/10"', '"inf"'), ('0', '"1/10"', '"inf"'),
+                       ('"0"', '"-3"', '"inf"'), ('0', '-3', '"inf"')):
+            path = tmp_path / "points.json"
+            path.write_text('{"special": [%s]}' % ", ".join(
+                '{"point": %s, "multiplicity": 2}' % p for p in points))
+            code, out, err = run_cli(capsys, "curve", str(path), "--box", "1")
+            assert (code, err) == (0, "")
+            reports.append(out)
+        assert reports[0] == reports[1] != reports[2] == reports[3]
+
+    @pytest.mark.parametrize("point", ["true", "null", "[0]"])
+    def test_other_points_are_unparseable(self, capsys, tmp_path, point):
+        path = tmp_path / "other.json"
+        path.write_text('{"special": [{"point": %s}]}' % point)
+        code, out, err = run_cli(capsys, "curve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: %s: special entry 0 has unparseable point %r\n" % (
+            path, json.loads(point))
+
     def test_malformed_fan(self, capsys, tmp_path):
         path = tmp_path / "fan.json"
         path.write_text(json.dumps({"rank": 2, "rays": [[2, 4]],

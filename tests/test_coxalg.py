@@ -41,14 +41,11 @@ from coxring.coxalg import (
     find_relations,
     freely_graded_check,
     full_lambda,
-    ideal_membership,
     irrelevant_sections,
     is_pointed,
     lattice_box,
     sections_as_polynomials,
     separatedness_check,
-    shift,
-    tensor_presentation,
     uniqueness_crosscheck,
     weight_monoid_check,
 )
@@ -67,6 +64,11 @@ from coxring.toric import class_group, fan_from_json
 from conveniences import (
     DegreeMismatch,
     graded_homs_equivalent,
+    ideal_membership,
+    isomorphic,
+    rescaled,
+    shift,
+    tensor_presentation,
     verify_representative,
 )
 from report_oracles import box_classes, dict_row, traversal
@@ -312,11 +314,11 @@ class TestShiftingFamily:
 
     def test_rescaled(self):
         fam = tripled_full_algebra().family
-        fam2 = fam.rescaled([3, 5])
+        fam2 = rescaled(fam, [3, 5])
         assert shift(fam2, fam2.kernel[0], ONE, ZERO6) == (ONE * 3) / Z
         assert fam2.witness_for(fam2.kernel[1]) == (ONE * 5) / (Z - 1)
         with pytest.raises(ValueError):
-            fam.rescaled([0, 1])
+            rescaled(fam, [0, 1])
 
     def test_trivial_kernel_family(self):
         fam = build_shifting_family(canonical_lambda(tripled_line(),
@@ -2138,6 +2140,37 @@ class TestCrosscheckOracle:
         for c, w in witness.items():
             assert tuple(order_at(w, p) for p, _ in X.special) == seen[c]
 
+    @pytest.mark.parametrize("name", sorted(
+        n for n in FIXTURE_CURVES if n.endswith("_line")))
+    def test_shifting_ideal_identifies_repeated_classes(self, name):
+        # the paper's quotient by the shifting ideal, which crosscheck
+        # decides by per-base orders instead: on the full lattice, every
+        # section of a class minus its shift to another degree of the class
+        # lies in the ideal (read at the first two degrees of each class)
+        X = FIXTURE_CURVES[name]
+        A = curve_algebra(X, "full")
+        fam = A.family
+        box = lattice_box(A.lattice, 1)
+        degrees = {}
+        for L in box:
+            degrees.setdefault(A.pic.class_key(A.lattice.copy_vector(L)),
+                               []).append(L)
+        checked = 0
+        for L, *others in degrees.values():
+            dim = A.base.component_dim(L)
+            assert [A.base.component_dim(L2) for L2 in others] == (
+                [dim] * len(others))
+            if not (others and dim):
+                continue
+            L2 = others[0]
+            for f in A.base.component(L).basis:
+                g = shift(fam, vsub(L2, L), f, L)
+                verdict = ideal_membership(fam, [(L, f), (L2, -1 * g)], box)
+                assert verdict.verdict == "in_ideal"
+                checked += 1
+        assert bool(checked) == bool(fam.kernel)
+        assert uniqueness_crosscheck(X, radius=1).verdict == "pass"
+
     def test_explicit_basis(self):
         args = (tripled_line(), tripled_box(), 2, explicit_basis())
         _assert_batched_orders_match(tripled_line(), tripled_box(),
@@ -2294,7 +2327,7 @@ class TestTensor:
     def test_two_plain_lines(self):
         P = plain_presentation()
         T = tensor_presentation(P, P)
-        assert T.grading.isomorphic(FGAbelianGroup(2))
+        assert isomorphic(T.grading, FGAbelianGroup(2))
         assert [(d, str(s)) for d, s in T.generators] == [
             ((1, 0), "1"), ((1, 0), "z"), ((0, 1), "1"), ((0, 1), "z")]
         assert T.relations == ()

@@ -22,6 +22,8 @@ from coxring.grading import (
     within_limit,
 )
 
+from conveniences import isomorphic
+
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -382,7 +384,7 @@ class TestFGAbelianGroup:
         G2 = FGAbelianGroup(3, cols + [extra])
         assert G1.rank == G2.rank
         assert G1.invariant_factors == G2.invariant_factors
-        assert G1.isomorphic(G2)
+        assert isomorphic(G1, G2)
 
     def test_describe(self):
         G = FGAbelianGroup(2, [(1, 0), (1, 2)])

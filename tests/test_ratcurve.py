@@ -28,7 +28,6 @@ from coxring.ratcurve import (
     ZeroFunction,
     _divisors_of,
     curve_from_json,
-    curve_to_json,
     divisor_on,
     is_principal,
     leading_term,
@@ -36,11 +35,12 @@ from coxring.ratcurve import (
     min_degree,
     order_at,
     parse_point,
-    picard_group,
     principal_divisor,
     rational_roots,
     section_space,
 )
+
+from conveniences import curve_to_json, picard_group
 
 
 def pt(v):

@@ -1,0 +1,88 @@
+"""Every function in `src/coxring` is reached from `src/coxring`.
+
+A module-level function or a method that nothing in the package names is
+surface that no CLI mode or check can run; it belongs in `tests/`, as the
+oracles of `conveniences.py` do.  The test reads the source with `ast` and
+counts a definition as used when its name occurs in a `Name` or
+`Attribute` node of some module outside the definition's own body.  Dunder
+methods are called by the interpreter and are exempt, and so are the names
+the traced benchmark wraps (`TARGETS` of `perfbench/tracer.py`), which must
+resolve for the tracer to run.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+from test_perfbench import _targets
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "coxring"
+
+
+def _definitions(tree):
+    """(qualname, node) of every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
+def _names(node):
+    """Counter of the identifiers of the Name and Attribute nodes under
+    node."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
+
+
+def unreached(src=SRC, allowed=()):
+    """Sorted "module.qualname" of the definitions under src that no Name
+    or Attribute node outside their own body refers to."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere += _names(tree)
+    found = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if "%s.%s" % (module, qualname) in allowed:
+                continue
+            if everywhere[name] - _names(node)[name] == 0:
+                found.append("%s.%s" % (module, qualname))
+    return sorted(found)
+
+
+def test_every_function_is_reached_from_the_package():
+    traced = {"%s.%s" % (layer, qualname)
+              for layer, names in _targets().items() for qualname in names}
+    assert unreached(allowed=traced) == []
+
+
+def test_an_uncalled_function_is_flagged(tmp_path):
+    (tmp_path / "one.py").write_text(
+        "def used():\n    return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n\n"
+        "class Box:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def size(self):\n        return self.size\n\n"
+        "    def unused(self):\n        return 0\n",
+        encoding="utf-8")
+    (tmp_path / "two.py").write_text("from one import used\nused()\n",
+                                     encoding="utf-8")
+    # a name used only inside its own body does not count
+    assert unreached(tmp_path) == ["one.Box.size", "one.Box.unused",
+                                   "one.recursive"]
+    assert unreached(tmp_path, allowed={"one.recursive"}) == [
+        "one.Box.size", "one.Box.unused"]

@@ -15,32 +15,31 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from coxring import cli, toric
-from coxring.coxalg import (
-    curve_algebra,
-    default_box,
-    freely_graded_check,
-    tensor_presentation,
-)
+from coxring.coxalg import curve_algebra, default_box, freely_graded_check
 from coxring.exactmath import (UnboundedEnumeration, enumerate_monomials,
                                positive_functional)
 from coxring.ratcurve import curve_from_json
 from coxring.toric import (
     Fan,
     MalformedFan,
-    affine_line_fan,
     class_group,
     cox_presentation,
     fan_from_json,
+    toric_cox_data,
+)
+
+from conveniences import (
+    affine_line_fan,
     fan_to_json,
+    hilbert_toric,
     hirzebruch_fan,
     line_fan,
     plane_fan,
     point_fan,
+    product_fan,
     quadric_cone_fan,
-    toric_cox_data,
+    tensor_presentation,
 )
-
-from conveniences import hilbert_toric, product_fan
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
