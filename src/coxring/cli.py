@@ -14,7 +14,6 @@ stdout is closed while the report is written, 3 when an internal
 consistency check failed.
 """
 
-import argparse
 import itertools
 import json
 import math
@@ -240,9 +239,20 @@ _RUNNERS = {
     "verify": _run_verify,
     "crosscheck": _run_crosscheck,
 }
+MODES = tuple(_RUNNERS)
+# the options of every mode: flag -> (namespace name, default, choices);
+# choices None means a count, an int >= 0
+OPTIONS = {
+    "--box": ("box", 2, None),
+    "--power-bound": ("power_bound", 4, None),
+    "--lambda": ("lambda_mode", "canonical", ("canonical", "full")),
+    "--format": ("format", "json", ("json", "text")),
+}
 
 
-def run(mode, path, box_radius=2, power_bound=4, lambda_mode="canonical"):
+def run(mode, path, box_radius=OPTIONS["--box"][1],
+        power_bound=OPTIONS["--power-bound"][1],
+        lambda_mode=OPTIONS["--lambda"][1]):
     """Produce the report dict and exit code for one invocation."""
     options = {"box_radius": box_radius, "power_bound": power_bound,
                "lambda": lambda_mode}
@@ -347,66 +357,137 @@ def render(report, fmt, out=None):
     out.writelines(parts)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with the input-error code."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, "%s: error: %s\n" % (self.prog, message))
-
-
-def _nonnegative(text):
+def _count(text):
+    """int(text) when that is >= 0, else None."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+        return None
+    return value if value >= 0 else None
+
+
+def _read_argv(argv):
+    """The namespace of a well-formed command line as a dict, or None to
+    leave argv to argparse (_build_parser), which prints help, usage and
+    every error.
+
+    Accepted: MODE followed by one FILE and options in any order, each
+    option one of OPTIONS, exactly, as `--opt value` or `--opt=value`, its
+    value a count (_count) or one of its choices; the last of a repeated
+    option wins.  No value and no FILE starts with "-".
+
+    Every argv accepted here argparse accepts with equal values.  The main
+    parser has one subcommand per MODES, and its only option is -h/--help,
+    of which no option of OPTIONS is a prefix; so it reads MODE as the
+    subcommand and hands every later token to that subparser.  There no
+    value or FILE starts with "-", so each is a positional token (not an
+    option, nor "--"); each option token is an exact option string of the
+    subparser, or one joined to its value by "=", split at the first "="
+    as here.  A bare option takes the next token as its value, FILE takes
+    the one remaining positional token, and nothing is left over.  argparse
+    applies the same int() and >= 0 test (_nonnegative) or the same
+    membership in choices to each value, and the later of two values of
+    one option overwrites the earlier.  Its namespace holds mode, file and
+    the names of OPTIONS with their defaults, as here: both paths read
+    them from OPTIONS.
+    """
+    if not argv or argv[0] not in MODES:
+        return None
+    values = {dest: default for dest, default, _ in OPTIONS.values()}
+    values["mode"] = argv[0]
+    files = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            files.append(token)
+            continue
+        flag, joined, text = token.partition("=")
+        if flag not in OPTIONS:
+            return None
+        if not joined:
+            text = next(tokens, "-")  # a missing value is declined below
+        dest, _, choices = OPTIONS[flag]
+        if text.startswith("-"):
+            return None
+        value = (_count(text) if choices is None
+                 else text if text in choices else None)
+        if value is None:
+            return None
+        values[dest] = value
+    if len(files) != 1:
+        return None
+    values["file"] = files[0]
+    return values
 
 
 def _build_parser():
+    """The argparse parser of the command line: the reference for
+    _read_argv, and what reads every argv it leaves."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Argument parser whose usage errors exit with the input-error
+        code."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+    def _nonnegative(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%r is not an integer" % text)
+        if value < 0:
+            raise argparse.ArgumentTypeError("must be nonnegative")
+        return value
+
     shared = _Parser(add_help=False)
-    shared.add_argument("--box", type=_nonnegative, default=2,
-                        metavar="RADIUS",
-                        help="degree box radius (default 2)")
-    shared.add_argument("--power-bound", type=_nonnegative, default=4,
-                        dest="power_bound", metavar="N",
-                        help="power search bound for the freely graded "
-                             "check (default 4); a pair certified by a "
-                             "rational point is decided exactly at once, "
-                             "the bound truncates only the others")
-    shared.add_argument("--lambda", choices=("canonical", "full"),
-                        default="canonical", dest="lambda_mode",
-                        help="lattice pipeline (default canonical)")
-    shared.add_argument("--format", choices=("json", "text"),
-                        default="json",
-                        help="report format (default json)")
+
+    def option(flag, **kwargs):
+        dest, default, choices = OPTIONS[flag]
+        shared.add_argument(flag, dest=dest, default=default,
+                            choices=choices, **kwargs,
+                            type=_nonnegative if choices is None else None)
+
+    option("--box", metavar="RADIUS",
+           help="degree box radius (default %(default)s)")
+    option("--power-bound", metavar="N",
+           help="power search bound for the freely graded check (default "
+                "%(default)s); a pair certified by a rational point is "
+                "decided exactly at once, the bound truncates only the "
+                "others")
+    option("--lambda", help="lattice pipeline (default %(default)s)")
+    option("--format", help="report format (default %(default)s)")
     parser = _Parser(prog="coxring",
                      description="Homogeneous coordinate rings of glued "
                                  "curves and toric varieties, exactly.")
     sub = parser.add_subparsers(dest="mode", required=True)
-    sub.add_parser("curve", parents=[shared],
-                   help="presentation of a glued curve")\
-       .add_argument("file", help="curve JSON file")
-    sub.add_parser("toric", parents=[shared],
-                   help="polynomial ring of a fan")\
-       .add_argument("file", help="fan JSON file")
-    sub.add_parser("verify", parents=[shared],
-                   help="verification checks on a curve or fan")\
-       .add_argument("file", help="curve or fan JSON file")
-    sub.add_parser("crosscheck", parents=[shared],
-                   help="agreement of the two lattice pipelines")\
-       .add_argument("file", help="curve JSON file")
+    helps = {
+        "curve": ("presentation of a glued curve", "curve JSON file"),
+        "toric": ("polynomial ring of a fan", "fan JSON file"),
+        "verify": ("verification checks on a curve or fan",
+                   "curve or fan JSON file"),
+        "crosscheck": ("agreement of the two lattice pipelines",
+                       "curve JSON file"),
+    }
+    for mode in MODES:
+        mode_help, file_help = helps[mode]
+        sub.add_parser(mode, parents=[shared], help=mode_help)\
+           .add_argument("file", help=file_help)
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = vars(_build_parser().parse_args(argv))
     try:
-        report, code = run(args.mode, args.file, box_radius=args.box,
-                           power_bound=args.power_bound,
-                           lambda_mode=args.lambda_mode)
+        report, code = run(args["mode"], args["file"], box_radius=args["box"],
+                           power_bound=args["power_bound"],
+                           lambda_mode=args["lambda_mode"])
     except (InputError, BoxTooSmall, BoxTooLarge, GeneratorsIncomplete,
             NonPointedMonoid) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -418,7 +499,7 @@ def main(argv=None):
         # fd 1 was closed before start-up: as a reader that has gone
         return 1
     try:
-        render(report, args.format, sys.stdout)
+        render(report, args["format"], sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (say, `| head`); point it at devnull so
@@ -433,15 +514,18 @@ def entry():
     flushed and the process ends at once with main's code.
 
     Both entry points call this: `python3 -m coxring.cli` and the
-    `coxring` console script.  os._exit skips interpreter teardown, which
-    takes 11-14 ms of a child that computes for 5-30 ms on the benchmark
-    inputs, more than the computation in most of them; the exit then takes
-    1.2-1.4 ms, and 3.3-4.2 ms after gc.freeze() and a normal exit (medians
-    of 15 runs per input, one CPU of a 2-vCPU host, Python 3.11.7).
-    Nothing is lost by skipping it: coxring registers no atexit handler,
-    holds no file open for writing but stdio, and stdio is flushed here
-    first.  An exception or an argparse SystemExit out of main() takes the
-    normal exit path, so tracebacks and usage exits are unchanged.
+    `coxring` console script.  os._exit skips interpreter teardown.  A
+    child on the benchmark inputs spends 42-44 ms in interpreter start-up,
+    8.0-8.6 ms importing coxring.cli, 0.04 ms reading its command line
+    (_read_argv; through argparse, 2.8-3.0 ms and 2.2 ms more of imports),
+    4-21 ms in run, 0.1-2.7 ms in render and 0.9 ms in the exit, where
+    teardown would take 10.0-10.5 ms, more than run in most of them
+    (medians of 15 runs per input, one CPU of a 2-vCPU host, Python
+    3.11.7).  Nothing is lost by skipping teardown: coxring registers no
+    atexit handler, holds no file open for writing but stdio, and stdio is
+    flushed here first.  An exception or an argparse SystemExit out of
+    main() takes the normal exit path, so tracebacks and usage exits are
+    unchanged.
 
     main(argv) itself returns its code and never ends the process: tests
     and the layer tracer call it in process.

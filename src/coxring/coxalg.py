@@ -1171,6 +1171,11 @@ def freely_graded_check(P, irrelevant, power_bound=4, points=()):
     every variable is hit or certified; a zero bound decides nothing.  A
     certified pair adds no unit degree, so the certificates change neither
     the witnesses nor the verdict, only the work.
+
+    Without relations (a fan's Cox ring) the search stops after the first
+    power, whatever the bound: the ring is the polynomial ring in the T_j,
+    where each T_j is prime, so T_j divides f^n exactly when it divides f,
+    and a variable not hit by f is hit by no power of it.
     """
     if power_bound <= 0:
         return Verdict("inconclusive", reason="power bound exhausted before "
@@ -1196,7 +1201,7 @@ def freely_graded_check(P, irrelevant, power_bound=4, points=()):
             if open_js and P.relations:
                 for j in _variable_ideal_members(P, fn, open_js):
                     hit[j] = n
-            if len(hit.keys() | never) == k:
+            if len(hit.keys() | never) == k or not P.relations:
                 break
         wits = sorted(hit.items())
         collected = [_poly_class(P, f)] + [gen_degrees[j] for j, _ in wits]

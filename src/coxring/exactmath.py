@@ -468,16 +468,31 @@ class MultiPoly(Immutable):
         return all(e[i] > 0 for e in self.terms)
 
     def eval(self, point):
-        """Value at a point, a sequence of rationals, one per variable."""
+        """Value at a point, a sequence of ints and Fractions, one per
+        variable, on integers: each term is an integer numerator over an
+        integer denominator, the terms are added over the least common
+        multiple of their denominators, and one Fraction is made at the
+        end.  A term with a positive power of a zero coordinate is
+        skipped; each coordinate a term reads must be exact (_exact)."""
         if len(point) != self.nvars:
             raise ValueError("need one value per variable")
-        acc = Fraction(0)
+        num, den = 0, 1
         for exps, c in self.terms.items():
-            for v, e in zip(point, exps):
+            n, d = c.as_integer_ratio()
+            for i, e in enumerate(exps):
                 if e:
-                    c *= v ** e
-            acc += c
-        return acc
+                    p, q = _exact(point[i], "point coordinate"
+                                  ).as_integer_ratio()
+                    if not p:
+                        break
+                    n *= p ** e
+                    d *= q ** e
+            else:
+                if d != den:
+                    g = math.gcd(den, d)
+                    num, den, n = num * (d // g), den // g * d, n * (den // g)
+                num += n
+        return Fraction(num, den)
 
     def substitute(self, values):
         """Evaluate at values, a list of RationalFunction, one per variable."""

@@ -15,7 +15,8 @@ them; the tests use them as fixtures and as oracles:
 - equivalence of graded homomorphisms and a check of one class
   representative against another;
 - univariate polynomial arithmetic on Fraction coefficient tuples, the
-  reference for exactmath.UniPoly.
+  reference for exactmath.UniPoly, and the value of a MultiPoly by Fraction
+  powers term by term, the reference for MultiPoly.eval.
 """
 
 from fractions import Fraction
@@ -388,3 +389,16 @@ def frac_str(a):
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
     return " ".join(parts)
+
+
+def frac_multi_eval(poly, point):
+    """The value of the MultiPoly poly at point, term by term in Fractions."""
+    if len(point) != poly.nvars:
+        raise ValueError("need one value per variable")
+    acc = Fraction(0)
+    for exps, c in poly.terms.items():
+        for v, e in zip(point, exps):
+            if e:
+                c *= v ** e
+        acc += c
+    return acc

@@ -431,6 +431,22 @@ class TestVerifyCommand:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in FIXTURES.glob("*_fan.json")))
+    def test_fan_power_search_ends_at_the_first_power(self, capsys, name):
+        # a fan's Cox ring has no relations: a variable not dividing f
+        # divides no power of f, so a huge bound costs nothing
+        checks = []
+        for bound in ("8", str(10 ** 9)):
+            start = time.perf_counter()
+            code, out, _ = run_cli(capsys, "verify", fixture(name),
+                                   "--power-bound", bound)
+            assert time.perf_counter() - start < 2
+            report = json.loads(out)
+            del report["checks"]["freely_graded"]["power_bound"]
+            checks.append((code, report["checks"]))
+        assert checks[0] == checks[1]
+
     def test_unrecognized_schema(self, capsys, tmp_path):
         path = tmp_path / "neither.json"
         path.write_text(json.dumps({"something": 1}))
@@ -1165,7 +1181,8 @@ class TestErrors:
 
 class TestStartUp:
     def test_no_mode_imports_sympy(self):
-        # a fresh process: other test modules import sympy in this one
+        # a fresh process: other test modules import sympy in this one;
+        # argparse is loaded only for an argv the direct reader leaves
         runs = [["curve", fixture("tripled_line.json")],
                 ["toric", fixture("plane_fan.json")],
                 ["verify", fixture("doubled_line.json")],
@@ -1173,13 +1190,15 @@ class TestStartUp:
         code = (
             "import contextlib, io, json, sys\n"
             "from coxring import cli\n"
+            "loaded = ['argparse' in sys.modules]\n"
             "for args in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(args + ['--box', '1']) == 0, args\n"
-            "print('sympy' in sys.modules)\n")
+            "    loaded.append('argparse' in sys.modules)\n"
+            "print('sympy' in sys.modules, loaded)\n")
         child = run_child(["-c", code, json.dumps(runs)], timeout=120)
         assert child.returncode == 0, child.stderr
-        assert child.stdout == "False\n"
+        assert child.stdout == "False [False, False, False, False, False]\n"
 
     def test_no_runtime_dependencies(self):
         tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later

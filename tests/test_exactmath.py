@@ -344,6 +344,28 @@ class TestMultiPoly:
         assert MultiPoly.monomial((1, 2), Fraction(1, 2)).terms == {
             (1, 2): Fraction(1, 2)}
 
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * n),
+                        oracle_rationals, max_size=6).map(
+            lambda terms: MultiPoly(n, terms)),
+        st.lists(oracle_rationals | small_ints, min_size=n, max_size=n))))
+    @example((MultiPoly(2, {(2, 0): Fraction(1, 6), (0, 3): Fraction(-3, 4)}),
+              [Fraction(5, 7), Fraction(-2, 10 ** 20)]))
+    @example((MultiPoly(2, {(1, 1): 1, (0, 0): Fraction(1, 2)}), [0, 3]))
+    def test_eval_matches_oracle(self, case):
+        poly, point = case
+        value = poly.eval(point)
+        assert type(value) is Fraction
+        assert value == oracle.frac_multi_eval(poly, point)
+
+    def test_eval_needs_exact_coordinates(self):
+        p = MultiPoly(2, {(1, 0): 1, (0, 2): Fraction(1, 3)})
+        assert p.eval([2, Fraction(3, 2)]) == Fraction(11, 4)
+        with pytest.raises(ValueError):
+            p.eval([1])
+        with pytest.raises(TypeError):
+            p.eval([0.5, 1])
+
     def test_substitute(self):
         z = RationalFunction(UniPoly.z())
         one = RationalFunction.one()
