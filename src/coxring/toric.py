@@ -6,10 +6,17 @@ monomials.  The class group is the cokernel of the character lattice pairing
 against the rays, each variable carries the class of its ray, and the
 resulting ring is a free polynomial ring: components have the monomials of
 the matching class as a basis, which makes Hilbert counts lattice-point
-counts (exactmath.count_monomials).  Fans are validated by the separation
-lemma, each cone and pair certified by an integer functional built from the
+counts.  When the class group is free and the ray classes have nonnegative
+coordinates over a basis of ray classes, every count of the box comes from
+one coin-change pass over the box (_counts_in_one_pass); any other fan
+counts each class by Fourier-Motzkin (exactmath.count_monomials).
+
+Fans are validated cone by cone with integer functionals built from the
 dual bases of full-dimensional simplicial cones, with Fourier-Motzkin only
-where no such functional is found.
+where no such functional is found.  A complete simplicial fan is then
+certified by its walls, each shared by exactly two cones on opposite
+sides, and one point covered once (_certified_by_walls); any other fan is
+checked pair by pair by the separation lemma (_check_pairs).
 """
 
 from itertools import combinations
@@ -93,44 +100,16 @@ class Fan(Immutable):
             covered.update(idx)
             clean_cones.append(tuple(sorted(idx)))
             duals.append(None if dual is None else dict(zip(idx, dual)))
-        # separation lemma: two cones meet in the cone of their common rays
-        # exactly when a functional vanishes on those rays, is positive on
-        # the other rays of one cone and negative on the other rays of the
-        # other cone
-        cone_sets = [set(cone) for cone in clean_cones]
-        for a, b in combinations(range(len(clean_cones)), 2):
-            common = cone_sets[a] & cone_sets[b]
-            # a cone whose rays all belong to another cone lies in it
-            for small, big in ((b, a), (a, b)):
-                if common == cone_sets[small]:
-                    raise MalformedFan(
-                        "cone %d lies in cone %d, so it is not maximal"
-                        % (small, big))
-            only_a = [j for j in clean_cones[a] if j not in common]
-            only_b = [j for j in clean_cones[b] if j not in common]
-            zero = [clean_rays[j] for j in sorted(common)]
-            positive = [clean_rays[j] for j in only_a]
-            negative = [clean_rays[j] for j in only_b]
-            # a's dual functionals summed over only_a vanish on the common
-            # rays and are positive on only_a; b's summed over only_b and
-            # negated vanish there and are negative on only_b.  Either
-            # separates when it has the right sign on the other cone too.
-            separated = any(
-                dual is not None and _separates(
-                    _vsum([dual[j] for j in rays_of], rank, sign),
-                    zero, positive, negative)
-                for dual, rays_of, sign in ((duals[a], only_a, 1),
-                                            (duals[b], only_b, -1)))
-            if not separated and positive_functional(
-                    positive + [tuple(-x for x in r) for r in negative],
-                    zero) is None:
-                raise MalformedFan(
-                    "cones %d and %d overlap beyond their common rays"
-                    % (a, b))
+        if not _certified_by_walls(clean_rays, clean_cones, duals, rank):
+            _check_pairs(clean_rays, clean_cones, duals, rank)
         if covered != set(range(len(clean_rays))):
             missing = sorted(set(range(len(clean_rays))) - covered)
             raise MalformedFan(
                 "rays %r belong to no maximal cone" % (missing,))
+        if not clean_cones:
+            raise MalformedFan(
+                "the fan has no maximal cone; a fan holds at least the zero "
+                "cone, so the torus is max_cones [[]]")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rays", tuple(clean_rays))
         object.__setattr__(self, "max_cones", tuple(clean_cones))
@@ -147,6 +126,100 @@ class Fan(Immutable):
     def __repr__(self):
         return "Fan(rank=%d, %d rays, %d maximal cones)" % (
             self.rank, len(self.rays), len(self.max_cones))
+
+
+def _certified_by_walls(rays, cones, duals, rank):
+    """Whether the cones, all full-dimensional and simplicial with the dual
+    bases duals (ray index -> u_i, u_i . r_j = 0 for j != i and
+    u_i . r_i > 0), form a complete fan: every wall (a facet, keyed by its
+    ray set) is a facet of exactly two cones, u_i . r_j < 0 for the rays
+    r_i and r_j of the two cones off the wall, and the sum p of cone 0's
+    rays has, for every other cone, a dual vector negative on it.  False
+    when a cone has no dual basis or any condition fails; the cones may
+    still form a fan, which _check_pairs then decides.
+
+    Why this suffices (the fan form of the characterisation of
+    triangulations by the pseudo-manifold property and one point covered
+    once: De Loera, Rambau and Santos, Triangulations, 2010, section 4.5).
+    u_i vanishes on the wall, so u_i . r_j < 0 puts the two cones on
+    opposite sides of its hyperplane.  Let c(x) count the cones that
+    contain x, for x on no facet.  Along a path that meets no face of
+    codimension 2 and no point where facets of two hyperplanes meet, each
+    cone with a crossing point on its boundary has it inside one facet,
+    and the cones with that facet come in pairs, one on each side; so c
+    does not change.  Such paths join any two points off the facets, so c
+    is constant.  p is interior to cone 0 and outside every other closed
+    cone, so c = 1: interiors are disjoint (no cone lies in another, none
+    is listed twice) and the cones cover R^rank.  Now let y lie in the
+    relative interior of a face G of a cone, and S be the cones holding
+    every ray of G.  Modulo the span of G they are again full-dimensional
+    simplicial cones with matched walls on opposite sides, so by the same
+    count they cover R^rank / span G, and with it a neighbourhood of y; a
+    cone that contains y meets the interior of a cone of S, so it is in
+    S.  For two cones s and t, take y in the relative interior of their
+    intersection and G the face of s with y in its relative interior: the
+    intersection lies in G, being convex and in the boundary of s, and t
+    holds the rays of G, so the intersection is the cone of their common
+    rays, which is what _check_pairs certifies pair by pair.
+    """
+    if not cones or any(dual is None for dual in duals):
+        return False
+    walls = {}
+    for k, cone in enumerate(cones):
+        rays_of = frozenset(cone)
+        for i in cone:
+            walls.setdefault(rays_of - {i}, []).append((k, i))
+    for sides in walls.values():
+        if len(sides) != 2:
+            return False
+        # the other cone's u_j is a negative multiple of u_i when this
+        # holds, so one side test decides the wall
+        (a, i), (_, j) = sides
+        if _em._dot(duals[a][i], rays[j]) >= 0:
+            return False
+    point = _vsum([rays[j] for j in cones[0]], rank)
+    return all(any(_em._dot(u, point) < 0 for u in duals[k].values())
+               for k in range(1, len(cones)))
+
+
+def _check_pairs(rays, cones, duals, rank):
+    """Raise MalformedFan unless every two cones meet in the cone of their
+    common rays and neither lies in the other, one pair at a time.
+
+    Separation lemma: two cones meet in the cone of their common rays
+    exactly when a functional vanishes on those rays, is positive on the
+    other rays of one cone and negative on the other rays of the other
+    cone."""
+    cone_sets = [set(cone) for cone in cones]
+    for a, b in combinations(range(len(cones)), 2):
+        common = cone_sets[a] & cone_sets[b]
+        # a cone whose rays all belong to another cone lies in it
+        for small, big in ((b, a), (a, b)):
+            if common == cone_sets[small]:
+                raise MalformedFan(
+                    "cone %d lies in cone %d, so it is not maximal"
+                    % (small, big))
+        only_a = [j for j in cones[a] if j not in common]
+        only_b = [j for j in cones[b] if j not in common]
+        zero = [rays[j] for j in sorted(common)]
+        positive = [rays[j] for j in only_a]
+        negative = [rays[j] for j in only_b]
+        # a's dual functionals summed over only_a vanish on the common
+        # rays and are positive on only_a; b's summed over only_b and
+        # negated vanish there and are negative on only_b.  Either
+        # separates when it has the right sign on the other cone too.
+        separated = any(
+            dual is not None and _separates(
+                _vsum([dual[j] for j in rays_of], rank, sign),
+                zero, positive, negative)
+            for dual, rays_of, sign in ((duals[a], only_a, 1),
+                                        (duals[b], only_b, -1)))
+        if not separated and positive_functional(
+                positive + [tuple(-x for x in r) for r in negative],
+                zero) is None:
+            raise MalformedFan(
+                "cones %d and %d overlap beyond their common rays"
+                % (a, b))
 
 
 def _dual_basis(rays, rank):
@@ -275,26 +348,99 @@ def cox_presentation(fan, radius=2):
     """Polynomial presentation: one variable per ray, graded by its class.
 
     There are never relations; the certificate counts the monomials of each
-    box class, which is also the component dimension.  Classes whose
-    monomial count is infinite (a non-pointed degree monoid) are left out of
-    the certificate rather than guessed at.
+    box class, which is also the component dimension.  The box lists the
+    combinations of a greedy subset of the ray degrees that generates
+    their span, each class once (FGAbelianGroup.box, which refuses a box
+    past the limit before anything is counted).  Its counts come from one
+    coin-change pass when _counts_in_one_pass applies, and otherwise by one
+    Fourier-Motzkin count per class.  Classes whose monomial count is infinite (a
+    non-pointed degree monoid) are left out of the certificate rather than
+    guessed at.
     """
     data = ToricCoxData(fan)
     group = data.class_group
     degrees = list(data.degree_of_ray)
     gens = [(d, None) for d in degrees]
-    # box over a greedy subset of the ray degrees that generates their span
+    # the Hermite basis of the kept degrees and the relations changes only
+    # when a degree is kept
     kept = []
-    for d in degrees:
-        rows = _em._hnf_rows([list(v) for v in kept + list(group.relations)])
+    rows = _em._hnf_rows(group.relations)
+    for i, d in enumerate(degrees):
         if _em._hnf_coords(rows, d) is None:
-            kept.append(d)
-    box = group.box(kept, radius)
+            kept.append(i)
+            rows = _em._hnf_rows([degrees[k] for k in kept]
+                                 + list(group.relations))
+    box = group.box([degrees[k] for k in kept], radius)
+    count = _counts_in_one_pass(group, degrees, kept, radius)
     cert = []
     for D in box:
-        try:
-            m = count_monomials(degrees, D, relations=group.relations)
-        except UnboundedEnumeration:
-            continue
+        if count is not None:
+            m = count(D)
+        else:
+            try:
+                m = count_monomials(degrees, D, relations=group.relations)
+            except UnboundedEnumeration:
+                continue
         cert.append((D, m, m, 0, 0))
     return Presentation(group, gens, (), box, Certificate.of(cert))
+
+
+def _counts_in_one_pass(group, degrees, kept, radius):
+    """The monomial count of each class of the box of cox_presentation, as
+    a function of the class's vector in the box, or None unless the class
+    group is free and nonzero and the kept classes (indices into degrees,
+    the unit vectors) are a basis of it in which every ray class has
+    nonnegative coordinates, not all zero.  The box has been listed, so
+    its radius R passed the box limit and the grid below, of (R+1)^r
+    cells, is no larger than the box.
+
+    The coordinates a_rho of the ray classes over the kept classes come
+    from the class keys alone: with no torsion a key is the class's
+    coordinate vector in Z^r.  The kept classes generate the group, so
+    they are a basis when no integer relation joins them; then the
+    Hermite split of their keys has the unit rows with lifts L, and
+    a_rho = key(rho) L.  Over that basis a class is a vector c in Z^r; a
+    box vector D = sum_k c_k kept_k, a sum of unit vectors, has
+    c_k = D[kept_k] with every |c_k| at most R.  Its count is
+    N(c) = #{e in N^n : sum e_rho a_rho = c}.  All a_rho are >= 0, so
+    N(c) = 0 unless c >= 0, and each partial sum of a solution lies in
+    [0, c], inside the grid [0, R]^r; a_rho nonzero makes N finite.  So
+    one coin-change pass over the grid gives every count: with N_j
+    counting the solutions that use only the first j rays,
+    N_j(c) = N_{j-1}(c) + N_j(c - a_j), where c - a_j >= 0, and in place
+    over the cells in increasing order.  A coin with a coordinate beyond
+    R fits in no cell and is skipped.
+    """
+    r = group.rank
+    if group.invariant_factors or not r:
+        return None
+    keys = [group.class_key(d) for d in degrees]
+    image, kernel = _em._hnf_split([keys[k] for k in kept])
+    if kernel:
+        return None
+    # the kept classes generate the group, so with no relation among them
+    # their keys are a basis of Z^r, whose Hermite rows are the unit rows
+    columns = list(zip(*(lift for _, lift in image)))
+    coins = [tuple(_em._dot(key, col) for col in columns) for key in keys]
+    if any(not any(a) or min(a) < 0 for a in coins):
+        return None
+    side = radius + 1
+    strides = [side ** k for k in range(r)]
+    counts = [0] * side ** r
+    counts[0] = 1
+    for a in coins:
+        if max(a) > radius:
+            continue
+        shift = _em._dot(a, strides)
+        # the cells c >= a, in increasing order
+        cells = [0]
+        for k in reversed(range(r)):
+            cells = [c + x * strides[k] for c in cells
+                     for x in range(a[k], side)]
+        for c in cells:
+            counts[c] += counts[c - shift]
+
+    def count(D):
+        c = [D[k] for k in kept]
+        return counts[_em._dot(c, strides)] if min(c) >= 0 else 0
+    return count

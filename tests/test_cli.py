@@ -18,6 +18,7 @@ from coxring import exactmath as em
 from coxring.coxalg import Verdict
 from coxring.grading import BoxTooLarge
 from coxring.ratcurve import InternalInconsistency, curve_from_json
+from conveniences import fan_to_json, line_fan, plane_fan, product_fan
 from report_oracles import render as oracle_render
 from test_coxalg import _radius, small_curves
 
@@ -34,14 +35,20 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
-def run_child(args, timeout):
-    """Run python with args in a fresh process that imports this coxring."""
+def run_child(args, timeout, address_space=None):
+    """Run python with args in a fresh process that imports this coxring,
+    its address space capped at address_space bytes when given."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     return subprocess.run([sys.executable, *args], env=env, timeout=timeout,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          preexec_fn=cap if address_space else None)
 
 
 class TestCurveCommand:
@@ -1237,6 +1244,27 @@ class TestStartUp:
         assert child.stderr.startswith("error:")
         assert "over 401 generators" in child.stderr
         assert child.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", ["toric", "verify"])
+    @pytest.mark.parametrize("name,generators", [("line", 1), ("p2xp2", 2)])
+    def test_huge_fan_box_is_refused_up_front(self, tmp_path, mode, name,
+                                              generators):
+        # refused before any count is made: a grid of counts over a radius
+        # of 10^9 would hold 10^9 cells on the line and 10^18 on P2 x P2,
+        # so the child's address space is capped to fail fast if it tried
+        fan = line_fan() if name == "line" else product_fan(plane_fan(),
+                                                            plane_fan())
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(fan_to_json(fan)), encoding="utf-8")
+        child = run_child(["-m", "coxring.cli", mode, str(path),
+                           "--box", str(10 ** 9)], timeout=20,
+                          address_space=2 ** 30)
+        assert child.returncode == 1, child.stderr
+        assert child.stdout == ""
+        assert child.stderr == (
+            "error: a box of radius 1000000000 over %d generators lists %d "
+            "coefficient vectors, more than 1000000\n"
+            % (generators, (2 * 10 ** 9 + 1) ** generators))
 
     @pytest.mark.parametrize("mode", ["curve", "crosscheck"])
     def test_huge_multiplicity_box_count_is_not_built(self, tmp_path, mode):

@@ -3,18 +3,23 @@
 Expected class groups and Hilbert counts come from closed forms: the
 projective line and plane are graded by the total degree, products are
 graded componentwise, and the two-ray cone over (1,0),(1,2) has the order
-two quotient read off from the diagonal form of its ray matrix.
+two quotient read off from the diagonal form of its ray matrix.  The
+one-pass Hilbert count and the wall certificate of a fan are fast paths;
+each is checked against the path it skips, the count by class and the
+pairwise loop, switched on by patching the fast path off.
 """
 
 import json
 import math
 import pathlib
+import random
+from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from coxring import cli, toric
+from coxring import cli, exactmath, toric
 from coxring.coxalg import curve_algebra, default_box, freely_graded_check
 from coxring.exactmath import (UnboundedEnumeration, enumerate_monomials,
                                positive_functional)
@@ -27,6 +32,8 @@ from coxring.toric import (
     fan_from_json,
     toric_cox_data,
 )
+
+from test_cli import run_child
 
 from conveniences import (
     affine_line_fan,
@@ -78,6 +85,30 @@ class TestFan:
     def test_uncovered_ray_rejected(self):
         with pytest.raises(MalformedFan, match="no maximal cone"):
             Fan(1, [(1,), (-1,)], [[0]])
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_no_maximal_cone_rejected(self, rank):
+        # a fan holds at least the zero cone; the torus is [[]]
+        with pytest.raises(MalformedFan,
+                           match=r"no maximal cone; .*max_cones \[\[\]\]$"):
+            fan_from_json({"rank": rank, "rays": [], "max_cones": []})
+        assert fan_from_json(
+            {"rank": rank, "rays": [], "max_cones": [[]]}).max_cones == ((),)
+
+    def test_rays_without_cones_keep_their_message(self):
+        with pytest.raises(MalformedFan,
+                           match=r"^rays \[0\] belong to no maximal cone$"):
+            Fan(1, [(1,)], [])
+
+    @pytest.mark.parametrize("mode", ["toric", "verify"])
+    def test_no_maximal_cone_exits_one(self, tmp_path, capsys, mode):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({"rank": 1, "rays": [], "max_cones": []}))
+        assert cli.main([mode, str(path), "--box", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no maximal cone" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_negative_rank_rejected(self):
         with pytest.raises(MalformedFan, match="rank"):
@@ -277,28 +308,99 @@ class TestCoxData:
 
 FAN_FIXTURES = sorted(path.name for path in FIXTURES.glob("*_fan.json"))
 
+# fans beyond the fixtures: P(1,1,2), F2, F3 and P1 x P2 take the one-pass
+# count; P2/Z3 and a fake projective plane (torsion in the class group),
+# F1 with its rays reordered (a ray class with a negative coordinate over
+# the kept basis) and the torus (a zero class group) take the count by
+# class.  The fake plane's class group is Z + Z/2, and read as Z^2 its
+# kept keys are a basis in which every ray has nonnegative coordinates.
+EXTRA_FANS = {
+    "p112": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -2]],
+             "max_cones": [[0, 1], [1, 2], [0, 2]]},
+    "f2": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+           "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+    "f3": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 3], [0, -1]],
+           "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3]]},
+    "p1xp2": {"rank": 3,
+              "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1],
+                       [0, -1, -1]],
+              "max_cones": [[0, 2, 3], [0, 3, 4], [0, 2, 4], [1, 2, 3],
+                            [1, 3, 4], [1, 2, 4]]},
+    "p2_mod_3": {"rank": 2, "rays": [[-1, -1], [2, -1], [-1, 2]],
+                 "max_cones": [[0, 1], [1, 2], [0, 2]]},
+    "fake_plane": {"rank": 2, "rays": [[-3, -2], [1, 2], [1, 0]],
+                   "max_cones": [[0, 2], [1, 2], [0, 1]]},
+    "f1_reordered": {"rank": 2, "rays": [[0, -1], [0, 1], [1, 0], [-1, 1]],
+                     "max_cones": [[0, 2], [1, 2], [1, 3], [0, 3]]},
+    "torus": {"rank": 0, "rays": [], "max_cones": [[]]},
+}
+# the fans of EXTRA_FANS and the fixtures that count class by class
+COUNT_FALLBACK = ["p2_mod_3", "fake_plane", "f1_reordered", "torus",
+                  "torsion_fan.json", "affine_fan.json"]
+
+
+def load_fan(name):
+    data = (EXTRA_FANS[name] if name in EXTRA_FANS
+            else json.loads((FIXTURES / name).read_text()))
+    return fan_from_json(data)
+
+
+def by_class(fan, radius):
+    """cox_presentation with the one-pass count switched off: the box and
+    one Fourier-Motzkin count per class, as before the one-pass count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toric, "_counts_in_one_pass", lambda *args: None)
+        return cox_presentation(fan, radius)
+
+
+def presented(data, radius, name):
+    """cox_presentation of the fan data (validated inside) and how often
+    toric.<name> ran for it."""
+    calls = []
+    original = getattr(toric, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toric, name, counting)
+        return cox_presentation(fan_from_json(data), radius), len(calls)
+
 
 class TestCoxPresentation:
-    @pytest.mark.parametrize("radius", [1, 2])
-    @pytest.mark.parametrize("name", FAN_FIXTURES)
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", FAN_FIXTURES + sorted(EXTRA_FANS))
     def test_rows_against_the_listing(self, name, radius):
         # one row (D, n, n, 0, 0) per box class with finitely many
-        # monomials, n of them listed; rows of zeros are not stored
-        fan = fan_from_json(json.loads((FIXTURES / name).read_text()))
+        # monomials, n of them listed; rows of zeros are not stored.  The
+        # box holds each class of the kept degrees' combinations once.
+        fan = load_fan(name)
         P = cox_presentation(fan, radius)
         data = toric_cox_data(fan)
+        group = data.class_group
         expected = []
         for D in P.box:
             try:
                 n = len(enumerate_monomials(
-                    list(data.degree_of_ray), D,
-                    relations=data.class_group.relations))
+                    list(data.degree_of_ray), D, relations=group.relations))
             except UnboundedEnumeration:
                 continue
             expected.append((D, n, n, 0, 0))
         assert list(P.certificate) == expected
         assert sorted(P.certificate.rows) == [
             i for i, row in enumerate(expected) if row[1]]
+        keys = [group.class_key(D) for D in P.box]
+        assert len(set(keys)) == len(keys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.deferred(lambda: one_pass_products()), st.integers(0, 2))
+    def test_one_pass_against_the_count_by_class(self, data, radius):
+        P, calls = presented(data, radius, "count_monomials")
+        assert calls == 0
+        Q = by_class(fan_from_json(data), radius)
+        assert P.box == Q.box
+        assert list(P.certificate) == list(Q.certificate)
 
     def test_plane(self):
         P = cox_presentation(plane_fan())
@@ -631,3 +733,246 @@ class TestFanCallCount:
                   "rays": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]],
                   "max_cones": [[0, 1, 2, 3]]}
         assert self._calls(square) > 0
+
+
+def projective_space_fan(a):
+    """P^a: the unit vectors and minus their sum, every a of them a cone."""
+    rays = [tuple(int(i == j) for j in range(a)) for i in range(a)]
+    return Fan(a, rays + [(-1,) * a], combinations(range(a + 1), a))
+
+
+def weighted_plane_fan():
+    """P(1,1,2): (1,0) + 2 (0,1) + (-1,-2) = 0 gives the weights 1, 2, 1."""
+    return Fan(2, [(1, 0), (0, 1), (-1, -2)], [[0, 1], [1, 2], [0, 2]])
+
+
+ONE_PASS_FACTORS = st.one_of(
+    st.integers(1, 3).map(projective_space_fan),
+    st.integers(0, 4).map(hirzebruch_fan),
+    st.just(weighted_plane_fan()))
+
+
+@st.composite
+def one_pass_products(draw):
+    """Products of one to three of P^a (a <= 3), F_a (a <= 4) and
+    P(1,1,2) under a drawn unimodular change of lattice coordinates."""
+    fan = point_fan()
+    for factor in draw(st.lists(ONE_PASS_FACTORS, min_size=1, max_size=3)):
+        fan = product_fan(fan, factor)
+    return transformed(fan, draw(unimodular(fan.rank)))
+
+
+def benchmark_transform(seed, n):
+    """A seeded signed permutation times the unitriangular shear with one
+    +1 above the diagonal, the lattice changes of the benchmark's fans."""
+    rng = random.Random(seed)
+    shear = [[int(i == j) + int((i, j) == (0, 1)) for j in range(n)]
+             for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return [[signs[i] * x for x in shear[perm[i]]] for i in range(n)]
+
+
+def line_power(n):
+    fan = point_fan()
+    for _ in range(n):
+        fan = product_fan(fan, line_fan())
+    return fan
+
+
+BENCHMARK_SHAPED = {"p1x4": lambda: line_power(4),
+                    "p1x3": lambda: line_power(3),
+                    "p2x2": lambda: product_fan(plane_fan(), plane_fan())}
+
+
+def one_pass_fans():
+    """(id, data) of product, Hirzebruch and benchmark-shaped fans."""
+    cases = [("f%d" % a, fan_to_json(hirzebruch_fan(a))) for a in range(5)]
+    cases += [("p1xp2xp3", fan_to_json(product_fan(
+        line_fan(), product_fan(plane_fan(), projective_space_fan(3)))))]
+    cases += [("p112xf2", fan_to_json(product_fan(weighted_plane_fan(),
+                                                  hirzebruch_fan(2))))]
+    for name, build in sorted(BENCHMARK_SHAPED.items()):
+        fan = build()
+        cases.append((name, fan_to_json(fan)))
+        for seed in (2901, 2902, 2903):
+            cases.append(("%s-%d" % (name, seed), transformed(
+                fan, benchmark_transform(seed, fan.rank))))
+    return cases
+
+
+def forbidding(mp, *names):
+    """Patch the named functions of toric to fail the test when called."""
+    for name in names:
+        def fail(*args, _name=name, **kwargs):
+            raise AssertionError("toric.%s was called" % _name)
+        mp.setattr(toric, name, fail)
+
+
+class TestPaths:
+    """Which fans take the one-pass count and the wall certificate, and
+    which fall back to the count by class and the pairwise loop."""
+
+    CASES = one_pass_fans()
+
+    @pytest.mark.parametrize("data", [data for _, data in CASES],
+                             ids=[name for name, _ in CASES])
+    def test_no_fallback_runs(self, data):
+        with pytest.MonkeyPatch.context() as mp:
+            forbidding(mp, "count_monomials", "_check_pairs")
+            for radius in (0, 2):
+                cox_presentation(fan_from_json(data), radius)
+
+    @pytest.mark.parametrize("name", COUNT_FALLBACK)
+    def test_count_fallback_fans_count_by_class(self, name):
+        data = fan_to_json(load_fan(name))
+        for radius in range(4):
+            assert presented(data, radius, "count_monomials")[1] > 0
+
+    # one cone, a cone dropped from P2 (both incomplete), a non-simplicial
+    # cone and the zero cone of rank 1 (neither has a dual basis)
+    WALL_FALLBACK = {
+        "quadric": {"rank": 2, "rays": [[1, 0], [1, 2]],
+                    "max_cones": [[0, 1]]},
+        "plane-less-a-cone": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                              "max_cones": [[0, 1], [1, 2]]},
+        "square-cone": {"rank": 3, "rays": [[1, 0, 1], [0, 1, 1],
+                                            [-1, 0, 1], [0, -1, 1]],
+                        "max_cones": [[0, 1, 2, 3]]},
+        "torus-of-rank-1": {"rank": 1, "rays": [], "max_cones": [[]]},
+    }
+
+    @pytest.mark.parametrize("name", sorted(WALL_FALLBACK))
+    def test_wall_fallback_fans_check_pairs(self, name):
+        assert presented(self.WALL_FALLBACK[name], 1, "_check_pairs")[1] == 1
+
+    def test_large_box_in_a_subprocess(self, tmp_path):
+        # P2 x P2 at radius 40: 6561 classes, each counted by the closed
+        # form C(a+2,2) C(b+2,2) for a, b >= 0 and 0 otherwise, where a and
+        # b are the total degrees on the two planes
+        path = tmp_path / "p2x2.json"
+        path.write_text(json.dumps(fan_to_json(
+            product_fan(plane_fan(), plane_fan()))))
+        # it took 26-32 s by one Fourier-Motzkin count per class
+        child = run_child(["-m", "coxring.cli", "toric", str(path),
+                           "--box", "40"], timeout=10)
+        assert child.returncode == 0, child.stderr
+        rows = json.loads(child.stdout)["presentation"]["certificate"]
+        assert len(rows) == 81 * 81
+        for row in rows:
+            a, b = sum(row["degree"][:3]), sum(row["degree"][3:])
+            n = (math.comb(a + 2, 2) * math.comb(b + 2, 2)
+                 if a >= 0 and b >= 0 else 0)
+            assert (row["monomials"], row["dim"]) == (n, n)
+
+
+def pairwise_verdict(data):
+    """fan_verdict with the wall certificate switched off: every fan is
+    checked pair by pair, as before the certificate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(toric, "_certified_by_walls", lambda *args: False)
+        return fan_verdict(data)
+
+
+def assert_walls_agree(data):
+    verdict = fan_verdict(data)
+    assert verdict == pairwise_verdict(data)
+    return verdict
+
+
+@st.composite
+def corrupted_fans(draw):
+    """(kind, data): a drawn complete product fan with one ray moved across
+    a wall, one cone duplicated, two adjacent cones merged or one cone
+    dropped."""
+    data = draw(one_pass_products())
+    rank, rays = data["rank"], [list(r) for r in data["rays"]]
+    cones = [sorted(c) for c in data["max_cones"]]
+    kind = draw(st.sampled_from(("move", "duplicate", "merge", "drop")))
+    k = draw(st.integers(0, len(cones) - 1))
+    if kind == "duplicate":
+        cones.insert(draw(st.integers(0, len(cones))), list(cones[k]))
+    elif kind == "drop":
+        del cones[k]
+    else:
+        i = draw(st.sampled_from(cones[k]))
+        wall = set(cones[k]) - {i}
+        # the cone across the wall opposite ray i, and its ray off the wall
+        other = next(m for m, c in enumerate(cones)
+                     if m != k and wall <= set(c))
+        (j,) = set(cones[other]) - wall
+        if kind == "merge":
+            cones[k] = sorted(set(cones[k]) | {j})
+            del cones[other]
+        else:
+            dual = dict(zip(cones[k], toric._dual_basis(
+                [rays[m] for m in cones[k]], rank)))[i]
+            dot = exactmath._dot
+            t = dot(dual, rays[i]) // -dot(dual, rays[j]) + 1
+            rays[i] = list(primitive(
+                [x + t * y for x, y in zip(rays[i], rays[j])]))
+    return kind, {"rank": rank, "rays": rays, "max_cones": cones}
+
+
+class TestWallOracle:
+    """The wall certificate against the pairwise loop: the same verdict
+    and the same message on every fan."""
+
+    # P1 x P1 with the cones over (0,1), (-1,1) and (-1,1), (-1,0) added:
+    # the walls (0,1) and (-1,0) each bound three cones
+    WALL_THRICE = {"rank": 2,
+                   "rays": [[1, 0], [0, 1], [-1, 0], [0, -1], [-1, 1]],
+                   "max_cones": [[0, 1], [1, 2], [2, 3], [0, 3], [1, 4],
+                                 [2, 4]]}
+    # five cones winding twice round the origin, each wall matched once on
+    # opposite sides; the sum (0,1) of cone 0's rays lies inside cone 3
+    TWICE_ROUND = {"rank": 2,
+                   "rays": [[1, 0], [-1, 1], [0, -1], [1, 1], [-2, -1]],
+                   "max_cones": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}
+    # the same cones listed from (0,-1), (1,1), whose sum (1,0) is a ray:
+    # it lies on the boundary of the two cones around that ray
+    TWICE_ROUND_ON_A_RAY = dict(
+        TWICE_ROUND, max_cones=[[2, 3], [0, 1], [1, 2], [3, 4], [0, 4]])
+
+    @pytest.mark.parametrize("data", [
+        WALL_THRICE, TWICE_ROUND, TWICE_ROUND_ON_A_RAY],
+        ids=["wall-thrice", "twice-round", "twice-round-on-a-ray"])
+    def test_certificate_mutations_are_refused(self, data):
+        # each passes a weakened certificate: a wall matched by two other
+        # cones, the point taken inside two cones, a side test that is not
+        # strict
+        assert assert_walls_agree(data).startswith("cones ")
+
+    @pytest.mark.parametrize("data", [
+        *(fan_to_json(load_fan(name))
+          for name in FAN_FIXTURES + sorted(EXTRA_FANS)),
+        *TestFan.OVERLAPPING, TestFan.RAY_INSIDE,
+        *(data for data, _ in TestFan.NOT_MAXIMAL),
+        *TestPaths.WALL_FALLBACK.values(),
+        {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1], [0]]},
+        {"rank": 1, "rays": [[1]], "max_cones": [[0], [0]]},
+        {"rank": 1, "rays": [], "max_cones": []}])
+    def test_fan_cases(self, data):
+        assert_walls_agree(data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(one_pass_products())
+    def test_products(self, data):
+        assert assert_walls_agree(data) == "accepted"
+
+    @settings(max_examples=40, deadline=None)
+    @given(product_fans())
+    def test_products_with_incomplete_factors(self, data):
+        assert assert_walls_agree(data) == "accepted"
+
+    @settings(max_examples=120, deadline=None)
+    @given(corrupted_fans())
+    def test_corruptions(self, case):
+        kind, data = case
+        verdict = assert_walls_agree(data)
+        if kind == "drop":
+            # what is left of a fan is a fan, unless a ray lost its cones
+            assert verdict == "accepted" or "no maximal cone" in verdict
+        elif kind == "duplicate":
+            assert "lies in cone" in verdict
