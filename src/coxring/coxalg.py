@@ -753,9 +753,130 @@ class _MonomialCoordinates:
         return None if r is None else r + [0] * (dim - len(r))
 
 
+class _MonomialLists:
+    """The generator monomials of each class, listed from the lists of
+    lower classes, one memo per search (_search).
+
+    With generators g_1, ..., g_n of degrees d_j and u_j the unit vectors,
+    the monomials of the class of D are
+
+        M(D) = [()] when D is the zero class, and otherwise the union over
+        j of { e + u_j : e in M(D - d_j), last nonzero index of e <= j },
+
+    the recursion on the last variable by which graded bases are listed
+    (Kreuzer and Robbiano, Computational Commutative Algebra 2, 5.1).  A
+    monomial f != () comes from its parent f - u_j alone, j its last
+    nonzero index, so each is listed exactly once; _MonomialCoordinates
+    walks the same chain.
+
+    - Termination: with y the weights of _degree_weights, which vanish on
+      the class relations, every generator has y . d_j > 0 (add checks
+      it), so D - d_j weighs less than D.  A monomial weighs at least 0:
+      a class of negative weight has none, and at weight 0 only () is
+      left, in the zero class alone (PicardData.contains_zero).
+    - Pruning: a monomial is a product of nonzero sections and Q(z) is a
+      domain, so it is a nonzero section of its class.  A class of
+      dimension max(0, sum_b min_b + 1) = 0 (hilbert) has none.
+    - Keys: the lists are kept by ambient vector, with no class key.  Two
+      vectors of one class may both be listed, each exactly: every test
+      above reads only the class.
+    - Freshness: _search visits classes in weight order and adds a
+      generator found at D0 after listing D0, so every kept list weighs at
+      most D0.  A monomial that uses the new generator weighs more than D0
+      unless it is that generator alone: only the list at D0 changes, and
+      add puts the unit monomial at its front.
+    - Order: each list holds its tuples with trailing zeros trimmed and
+      sorted.  Tuples of entries >= 0 sort trimmed as they do padded with
+      zeros, so monomials pads them to the current generator count in the
+      order of enumerate_monomials, which the columns of _search follow.
+      The new unit monomial has zeros where every earlier monomial of D0
+      has an entry, so it comes first.
+
+    The recursion runs on an explicit stack: a chain of lower classes that
+    are not yet listed can be as long as the weight of D allows, longer
+    than Python's recursion limit.
+    """
+
+    def __init__(self, A):
+        self._A = A
+        self._weights = _degree_weights(A)
+        # (degree, weight) per generator
+        self._gens = []
+        # ambient vector -> its monomials, trimmed, sorted
+        self._memo = {}
+
+    def _weight(self, vec):
+        return sum(map(operator.mul, self._weights, vec))
+
+    def add(self, degree):
+        """Append a generator of the given class, which must weigh more
+        than zero and at least as much as every list kept so far."""
+        w = self._weight(degree)
+        if w <= 0:
+            raise InternalInconsistency("generator degree %r does not "
+                                        "weigh more than zero" % (degree,))
+        j = len(self._gens)
+        self._gens.append((degree, w))
+        known = self._memo.get(degree)
+        if known is not None:
+            known.insert(0, (0,) * j + (1,))
+
+    def _settled(self, vec, w):
+        """Whether the vector, of weight w >= 0, needs no recursion (weight
+        0 or dimension 0); if so its list is stored."""
+        if w and self._A.hilbert((vec,))[0][1]:
+            return False
+        self._memo[vec] = ([()] if not w and self._A.pic.contains_zero(vec)
+                           else [])
+        return True
+
+    def monomials(self, D):
+        """The monomials of the class of the ambient vector D, padded to
+        the current generator count and sorted."""
+        memo, gens = self._memo, self._gens
+        w = self._weight(D)
+        if w < 0:
+            return []
+        # a vector is listed once all its lower vectors are; one that had
+        # to push some is read again after them
+        stack = [] if D in memo or self._settled(D, w) else [(D, w)]
+        while stack:
+            top, w = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            out, pushed = [], False
+            for j, (d, wd) in enumerate(gens):
+                if wd > w:
+                    # a class of negative weight has no monomial
+                    continue
+                vec = tuple(map(operator.sub, top, d))
+                got = memo.get(vec)
+                if got is None:
+                    if not self._settled(vec, w - wd):
+                        stack.append((vec, w - wd))
+                        pushed = True
+                        continue
+                    got = memo[vec]
+                if pushed:
+                    continue
+                for e in got:
+                    k = len(e)
+                    if k == j + 1:
+                        out.append(e[:j] + (e[j] + 1,))
+                    elif k <= j:
+                        out.append(e + (0,) * (j - k) + (1,))
+            if not pushed:
+                stack.pop()
+                out.sort()
+                memo[top] = out
+        n = len(gens)
+        return [e + (0,) * (n - len(e)) for e in memo[D]]
+
+
 def _relation_multiples(relations, exps_list):
     """The multiples of relations, each given by its terms, in the class
-    of the monomials exps_list (all of them, as _monomials lists them),
+    of the monomials exps_list (all of them, as _MonomialLists lists them),
     each as a mapping from the index of a monomial to its coefficient.
 
     A multiple R * m has the terms e + m for the terms e of R, all in the
@@ -807,18 +928,18 @@ def _search(A, box, generators=None):
     """Generators, relations and a Certificate over the box, in one
     traversal of its classes of nonzero dimension (_traversal).
 
-    At each class D the monomials in the known generators are read as
-    coordinates in the component of lattice degree rep(D)
-    (_MonomialCoordinates).  Basis elements outside their span become
-    generators of class D, in basis order; given generators instead keep
-    their order, and a component they fail to span raises
-    GeneratorsIncomplete.  Kernel vectors outside the span of multiples of
-    earlier relations become relations, each checked to vanish on the
-    generator sections.  The row of each such class records the monomial
-    count, the dimension, the kernel dimension and the dimension spanned by
-    relation multiples; the other rows are zeros.  One pass gives what a
-    generator search followed by a relation search over the finished
-    generators gives:
+    At each class D the monomials in the known generators, listed from the
+    lists of lower classes (_MonomialLists), are read as coordinates in
+    the component of lattice degree rep(D) (_MonomialCoordinates).  Basis
+    elements outside their span become generators of class D, in basis
+    order; given generators instead keep their order, and a component they
+    fail to span raises GeneratorsIncomplete.  Kernel vectors outside the
+    span of multiples of earlier relations become relations, each checked
+    to vanish on the generator sections.  The row of each such class
+    records the monomial count, the dimension, the kernel dimension and the
+    dimension spanned by relation multiples; the other rows are zeros.  One
+    pass gives what a generator search followed by a relation search over
+    the finished generators gives:
 
     - A monomial of class D uses only generators of classes visited before
       D.  The one exception is a generator of class D, taken alone.  This
@@ -862,7 +983,9 @@ def _search(A, box, generators=None):
     given = generators is not None
     gens = [(tuple(int(x) for x in d), s) for d, s in generators or ()]
     coords = _MonomialCoordinates(A)
+    lists = _MonomialLists(A)
     for d, s in gens:
+        lists.add(d)
         coords.add(d, s)
     pos = {}
 
@@ -885,8 +1008,7 @@ def _search(A, box, generators=None):
     for at, D, dim in visit:
         pos[D] = at
         n = len(gens)
-        degrees = [d for d, _ in gens]
-        exps_list = _monomials(A, degrees, D)
+        exps_list = lists.monomials(D)
         nm = len(exps_list)
         L = A.rep(D)
         if _certified(coords, L, dim, exps_list, found):
@@ -902,6 +1024,7 @@ def _search(A, box, generators=None):
                                              for t in range(dim)]):
                 section = A.pic_component(D).basis[idx]
                 gens.append((D, section))
+                lists.add(D)
                 coords.add(D, section)
         order = box_order(n)
         colorder = sorted(range(nm), key=lambda t: grlex_key(

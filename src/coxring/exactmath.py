@@ -957,8 +957,9 @@ def positive_functional(degrees, orthogonal_to=()):
 # monomial enumeration
 
 
-# enumeration plans kept at once; a curve presentation uses one degree map
-# per generator count (at most eight in the benchmark runs), a fan one
+# enumeration plans kept at once; a curve verification uses at most two,
+# the generator degrees unbounded (rewriting) and bounded (free grading),
+# a fan one
 _PLAN_CACHE_SIZE = 32
 
 

@@ -194,9 +194,10 @@ class TestSmithFormCount:
         code, _, _ = run_cli(capsys, args[0], fixture(name), *args[1:],
                              "--box", "1")
         assert code == 0
-        # a crosscheck enumerates no monomials; a presentation builds plans
+        # a crosscheck enumerates no monomials and a presentation lists
+        # them from lower classes; only verify builds plans
         assert (em._enumeration_plan.cache_info().misses > 0) == (
-            args[0] != "crosscheck")
+            args[0] == "verify")
         assert counts == {"certified": 0, "smith": 0}
 
     @pytest.mark.parametrize("mode", ["toric", "verify"])
@@ -218,6 +219,42 @@ class TestSmithFormCount:
         # test of free grading, and its cokernel takes one more Smith form
         assert len(calls) == (2 if (name, mode) == ("torsion_fan.json",
                                                      "verify") else 1)
+
+
+class TestCurveMonomialListing:
+    """A curve run lists its generator monomials from those of lower
+    classes (coxalg._MonomialLists): it builds no enumeration plan and
+    makes no enumerate_monomials call.  Every golden would still pass on a
+    silent fallback to one Fourier-Motzkin descent per class."""
+
+    @pytest.mark.parametrize("lam", ["canonical", "full"])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in FIXTURES.glob("*_line.json")))
+    def test_curve_run_enumerates_nothing(self, capsys, monkeypatch, name,
+                                          lam):
+        counts = {"plan": 0, "enumerate": 0}
+
+        def counting(owner, attr, key):
+            honest = getattr(owner, attr)
+
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return honest(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapped)
+
+        counting(em, "_enumeration_plan", "plan")
+        counting(em, "enumerate_monomials", "enumerate")
+        counting(coxalg, "enumerate_monomials", "enumerate")
+        code, _, _ = run_cli(capsys, "curve", fixture(name), "--lambda", lam,
+                             "--box", "2")
+        assert code == 0
+        assert counts == {"plan": 0, "enumerate": 0}
+        # the counters see the enumeration of a verify run
+        code, _, _ = run_cli(capsys, "verify", fixture(name), "--lambda",
+                             lam, "--box", "1")
+        assert code == 0
+        assert counts["plan"] > 0 and counts["enumerate"] > 0
 
 
 class TestSectionSpaceCount:

@@ -557,10 +557,11 @@ def _greedy_basis(X):
 
 
 @st.composite
-def small_curves(draw, max_mult=4, min_points=1, max_points=4):
-    """Curves with min_points to max_points special points (1-4), in any
-    order, of multiplicity 1 to max_mult."""
-    points = draw(st.lists(st.sampled_from([0, 1, "inf", -1]),
+def small_curves(draw, max_mult=4, min_points=1, max_points=4,
+                 bases=(0, 1, "inf", -1)):
+    """Curves with min_points to max_points special points among bases, in
+    any order, of multiplicity 1 to max_mult."""
+    points = draw(st.lists(st.sampled_from(list(bases)),
                            min_size=min_points, max_size=max_points,
                            unique=True))
     mults = draw(st.lists(st.integers(min_value=1, max_value=max_mult),
@@ -1168,6 +1169,117 @@ class TestOnePassSearch:
             with pytest.raises(GeneratorsIncomplete) as two:
                 _two_pass_relations(A, given, box)
             assert one.value.degree == two.value.degree
+
+
+class TestMonomialLists:
+    """The monomial lists of _MonomialLists, read from lower classes,
+    against one Fourier-Motzkin enumeration (_monomials) per class, at
+    every class a search visits."""
+
+    @staticmethod
+    def _checked(patch, prune=True):
+        """Compares every list the search reads with _monomials; returns the
+        list of the classes read.  With prune False a class of dimension
+        zero is expanded like any other."""
+        read = []
+        honest = coxalg._MonomialLists.monomials
+
+        def checking(self, D):
+            got = honest(self, D)
+            degrees = [d for d, _ in self._gens]
+            assert got == coxalg._monomials(self._A, degrees, D), D
+            read.append(D)
+            return got
+
+        def unpruned(self, vec, w):
+            if w:
+                return False
+            self._memo[vec] = [()] if self._A.pic.contains_zero(vec) else []
+            return True
+
+        patch.setattr(coxalg._MonomialLists, "monomials", checking)
+        if not prune:
+            patch.setattr(coxalg._MonomialLists, "_settled", unpruned)
+        return read
+
+    def _assert_lists_agree(self, A, box, prune=True):
+        with pytest.MonkeyPatch.context() as patch:
+            read = self._checked(patch, prune)
+            P = build_presentation(A, box)
+            assert read == [D for _, D, _ in _traversal(A, box)[1]]
+            del read[:]
+            gens = list(P.generators)
+            for given in (gens, gens[::-1]):
+                find_relations(A, given, box)
+                assert read == [D for _, D, _ in _traversal(A, box)[1]]
+                del read[:]
+        return P
+
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixture_curves(self, name, mode):
+        X = FIXTURE_CURVES[name]
+        A = curve_algebra(X, mode)
+        self._assert_lists_agree(A, default_box(X, 2))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_repeating_box(self, name):
+        X = FIXTURE_CURVES[name]
+        for mode in ("canonical", "full"):
+            A = curve_algebra(X, mode)
+            self._assert_lists_agree(
+                A, TestZeroClasses._repeating_box(A, default_box(X, 1)))
+        A = tripled_algebra()
+        self._assert_lists_agree(
+            A, TestZeroClasses._repeating_box(A, tripled_box()))
+
+    @given(small_curves(max_points=5, bases=(0, 1, "inf", -1, 2)),
+           st.sampled_from(["canonical", "full"]))
+    @settings(max_examples=20, deadline=None)
+    def test_small_curves(self, X, mode):
+        # box 2 where its box lists at most 3^8 vectors, else the largest
+        # radius below that does
+        A = curve_algebra(X, mode)
+        canonical = curve_algebra(X).lattice.rank
+        self._assert_lists_agree(A, default_box(X, _radius(canonical, 2)))
+
+    @pytest.mark.parametrize("name", ["tripled_line", "mixed_line"])
+    def test_the_dimension_prune_changes_no_list(self, name):
+        X = FIXTURE_CURVES[name]
+        A = curve_algebra(X)
+        box = default_box(X, 2)
+        P, Q = (self._assert_lists_agree(A, box, prune) for prune in (1, 0))
+        assert (Q.generators, Q.relations) == (P.generators, P.relations)
+        assert list(Q.certificate) == list(P.certificate)
+
+    def test_a_generator_found_at_a_listed_class_joins_its_list(self):
+        # both generators of the plain line, 1 and z, have the class D of
+        # a point; the list of D is kept before either is added, and 2D
+        # reads it after both
+        A = curve_algebra(plain_line())
+        gens = plain_presentation().generators
+        D = gens[0][0]
+        assert [d for d, _ in gens] == [D, D]
+        lists = coxalg._MonomialLists(A)
+        assert lists.monomials(D) == []
+        lists.add(D)
+        assert lists.monomials(D) == [(1,)]
+        lists.add(D)
+        assert lists.monomials(D) == [(0, 1), (1, 0)]
+        double = _vadd(D, D)
+        assert lists.monomials(double) == [(0, 2), (1, 1), (2, 0)]
+        assert lists.monomials(double) == coxalg._monomials(A, [D, D], double)
+
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_generator_of_weight_at_most_zero(self, scale):
+        A, box = tripled_algebra(), tripled_box()
+        gens = list(tripled_presentation().generators)
+        d, s = gens[0]
+        forged = tuple(scale * x for x in d)
+        with pytest.raises(InternalInconsistency, match="weigh more"):
+            coxalg._MonomialLists(A).add(forged)
+        with pytest.raises(InternalInconsistency, match="weigh more"):
+            find_relations(A, [(forged, ONE)] + gens, box)
 
 
 class TestSectionsAsPolynomials:
