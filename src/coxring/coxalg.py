@@ -470,15 +470,11 @@ def lattice_box(lattice, radius):
 
     The ordering puts small positive degrees first, which keeps generator
     discovery deterministic and stable across runs.  On a lattice with
-    trivial kernel (every canonical_lambda) no class repeats, and the box
-    is a _DistinctClasses tuple; on the full lattice classes repeat.
+    trivial kernel (every canonical_lambda, whose box is the only one the
+    CLI builds) no class repeats; on the full lattice classes repeat.
     """
-    box = box_vectors(lattice.columns, radius, lattice.picdata.ambient_rank)
-    return (tuple if lattice.kernel_basis() else _DistinctClasses)(box)
-
-
-class _DistinctClasses(tuple):
-    """A box whose vectors lie in pairwise distinct classes (lattice_box)."""
+    return tuple(box_vectors(lattice.columns, radius,
+                             lattice.picdata.ambient_rank))
 
 
 def default_box(X, radius=2, basis=None):
@@ -511,27 +507,20 @@ def _degree_weights(A):
 
 
 def _traversal(A, box):
-    """The distinct box classes in box order, and (index, class, dim) for
-    those of nonzero dimension in a linear extension of the effectivity
-    order.
+    """(index, class, dim) for the box classes of nonzero dimension, in a
+    linear extension of the effectivity order.
 
-    A _DistinctClasses box is read as it is; any other (hand-made, or of
-    the full lattice) keeps the first vector of each class.  Dimensions are
-    read in box order (hilbert); a class of dimension zero holds no
-    monomial and needs no place in the order.  A nonzero effective
-    difference raises the weighted degree of _degree_weights, so sorting by
-    (weighted degree, index) visits every class below a class before it.
+    The box must hold each class once, as the box of a lattice with trivial
+    kernel does (lattice_box).  Dimensions are read in box order (hilbert);
+    a class of dimension zero holds no monomial and needs no place in the
+    order.  A nonzero effective difference raises the weighted degree of
+    _degree_weights, so sorting by (weighted degree, index) visits every
+    class below a class before it.
     """
-    classes = box
-    if not isinstance(box, _DistinctClasses):
-        first = {}
-        for vec in box:
-            first.setdefault(A.pic.class_key(vec), vec)
-        classes = tuple(first.values())
     y = _degree_weights(A)
     nonzero = sorted((sum(map(operator.mul, y, vec)), i, vec, dim)
-                     for i, (vec, dim) in enumerate(A.hilbert(classes)) if dim)
-    return classes, [(i, vec, dim) for _, i, vec, dim in nonzero]
+                     for i, (vec, dim) in enumerate(A.hilbert(box)) if dim)
+    return [(i, vec, dim) for _, i, vec, dim in nonzero]
 
 
 def _monomials(A, degrees, target):
@@ -996,7 +985,7 @@ def _search(A, box, generators=None):
 
     # (box position, terms over Q, their residues mod p or None)
     found = []
-    classes, visit = _traversal(A, box)
+    visit = _traversal(A, box)
     if A.section_of_pic is None and A.lattice.kernel_basis():
         # rep, the identity here, is linear on classes only on the vectors
         # with no entry on a copy the class coordinates drop
@@ -1056,7 +1045,8 @@ def _search(A, box, generators=None):
         tuple((exps + (0,) * (nv - len(exps)))[j] for j in order): x
         for exps, x in terms.items()})
         for _, terms, _ in sorted(found, key=lambda f: f[0])]
-    return ([gens[j] for j in order], relations, Certificate(classes, rows))
+    return ([gens[j] for j in order], relations,
+            Certificate(tuple(box), rows))
 
 
 def find_generators(A, box):
@@ -1340,47 +1330,43 @@ def freely_graded_check(P, irrelevant, power_bound=4, points=()):
 
 def is_pointed(A, box):
     """Pointedness: is the degree-zero part the ground field, and are all
-    units constant within the box.  The verdict fails when either is
-    refuted, and is inconclusive when the units are not decided.
+    units constant within the box.  The verdict fails when the first is
+    refuted, and is inconclusive when the box holds no nonzero class.
 
-    A unit of nonzero degree requires both the degree and its negative to
-    carry sections whose product is a nonzero constant; when the degree-zero
-    component is one dimensional, products of basis pairs decide this
-    exactly.  Dimensions are read first, so a component is built only when
-    both it and its negative are nonzero.
+    Both are read from the block minima, one test per box vector c:
+    sum_b min_b(c) >= 0 >= sum_b max_b(c), with min_b and max_b the least
+    and greatest entry of c over the copies of the special base b.  The
+    component of c has dimension max(0, sum_b min_b(c) + 1) (component_dim),
+    and min_b(-c) = -max_b(c), so the test holds exactly when both c and -c
+    carry sections, as the degree of a unit and of its inverse must.
+
+    Proof that such a c lies in the zero class: sum_b (max_b - min_b) =
+    sum_b max_b - sum_b min_b <= 0 with every term >= 0, so c is constant,
+    k_b, on the copies of each base b, and sum_b k_b = 0.  Then c is the sum
+    over the bases p after the anchor of k_p times the relation of p (the
+    copies of p minus those of the anchor), a class relation.  So no unit
+    has a nonzero degree, and the degree-zero part, of dimension
+    sum_b min_b(0) + 1 = 1, holds the constants alone.  contains_zero runs
+    only on the vectors that pass the test and ties the proof to the class
+    group: one outside the zero class raises InternalInconsistency.
     """
     pic = A.pic
+    blocks = pic.blocks
     a0 = A.component_dim((0,) * pic.ambient_rank) == 1
-    nonzero = [tuple(int(x) for x in c) for c in box
-               if not pic.contains_zero(c)]
-    witness = None
-    for c in nonzero:
-        minus = tuple(-x for x in c)
-        if not (A.component_dim(c) and A.component_dim(minus)):
-            continue
-        for a, b in itertools.product(A.pic_component(c).basis,
-                                      A.pic_component(minus).basis):
-            p = a * b
-            if not p.is_zero() and p.is_constant():
-                witness = (c, a)
-                break
-        if witness:
-            break
-    if witness is not None:
-        units = "fail"
-        note = "nonconstant unit found"
-    elif not nonzero:
-        units = "inconclusive"
-        note = "no nonzero degrees inside the box"
-    elif not a0:
-        units = "inconclusive"
-        note = "degree zero part exceeds the ground field; pair products " \
-               "no longer decide invertibility"
-    else:
-        units = "pass"
-        note = ""
+    nonzero = False
+    for c in box:
+        parts = [c[block] for block in blocks]
+        if sum(map(min, parts)) >= 0 >= sum(map(max, parts)):
+            if not pic.contains_zero(c):
+                raise InternalInconsistency(
+                    "degree %r and its negative carry sections outside "
+                    "the zero class" % (tuple(c),))
+        else:
+            nonzero = True
+    units = "pass" if nonzero else "inconclusive"
+    note = "" if nonzero else "no nonzero degrees inside the box"
     return Verdict(units if a0 else "fail", a0_is_field=a0,
-                   units_are_constants=units, witness=witness, note=note)
+                   units_are_constants=units, witness=None, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -1696,9 +1682,9 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     T1 and T2 are applied one ambient row at a time to lists holding one
     coordinate of every class of the chunk, and the minima, differences
     and equalities per base run over such lists.  Beyond the box, memory
-    holds one chunk and, per class with a witness, one dict entry pointing
-    at a shared order vector.  The sums c1 + c2 of the product check are
-    read through the maps the same way, never as the sum of two witnesses.
+    holds one chunk and the distinct order vectors.  The sums c1 + c2 of
+    the product check are read through the maps the same way, never as the
+    sum of two witnesses.
 
     Orders.  The component
     of a divisor D depends only on m_b, the least coefficient of D over the
@@ -1728,7 +1714,8 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
 
     Product.  The witnesses are monic, so w(c1) w(c2) = w(c1 + c2) exactly
     when e(c1) + e(c2) = e(c1 + c2).  This is checked for each pair of
-    consecutive classes.
+    consecutive classes with a witness, as each chunk is read; the last
+    such class of a chunk is carried into the next one.
 
     One exact is_principal check per distinct witness order vector builds
     the witness and verifies its divisor, which ties the integers back to
@@ -1744,11 +1731,12 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
             raise ValueError("class vector length differs from ambient rank")
     T1, T2 = _class_maps(A1, A2)
     blocks = A1.pic.blocks
-    hilbert_equal = True
-    iso_verified = True
-    witness = {}
-    orders = {}
+    hilbert_equal = iso_verified = product_ok = True
+    orders = set()
+    # the last witnessed class of the chunks read so far, as [(c, e)]
+    last = []
     for chunk in _chunks(box):
+        witnessed = last
         for c, (m1, m2, e) in zip(chunk,
                                   _class_orders(T1, T2, blocks, chunk)):
             dim = max(0, sum(m1) + 1)
@@ -1758,23 +1746,23 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
             if e is None:
                 iso_verified = False
                 continue
-            witness[c] = orders.setdefault(e, e)
+            orders.add(e)
+            witnessed.append((c, e))
             if dim and any(y < x - k for x, y, k in zip(m1, m2, e)):
                 iso_verified = False
+        pairs = list(zip(witnessed, witnessed[1:]))
+        sums = [_vadd(c1, c2) for (c1, _), (c2, _) in pairs]
+        for ((_, e1), (_, e2)), (_, _, e12) in zip(
+                pairs, _class_orders(T1, T2, blocks, sums)):
+            if e12 is None or _vadd(e1, e2) != e12:
+                product_ok = False
+        last = witnessed[-1:]
     bases = [p for p, _ in X.special]
     for e in orders:
         try:
             is_principal(X, _lift_orders(X, dict(zip(bases, e))))
         except NotPrincipal:
             iso_verified = False
-    product_ok = True
-    items = witness.items()
-    for chunk in _chunks(zip(items, itertools.islice(items, 1, None))):
-        sums = [_vadd(c1, c2) for (c1, _), (c2, _) in chunk]
-        for ((_, e1), (_, e2)), (_, _, e12) in zip(
-                chunk, _class_orders(T1, T2, blocks, sums)):
-            if e12 is None or _vadd(e1, e2) != e12:
-                product_ok = False
     agreed = hilbert_equal and iso_verified and product_ok
     return Verdict("pass" if agreed else "fail", classes=len(box),
                    hilbert_equal=hilbert_equal, iso_verified=iso_verified,

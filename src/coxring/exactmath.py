@@ -370,15 +370,6 @@ class RationalFunction(Immutable):
             n >>= 1
         return result
 
-    def is_constant(self):
-        return self.den.degree == 0 and self.num.degree <= 0
-
-    def eval(self, x):
-        d = self.den.eval(x)
-        if d == 0:
-            raise ZeroDivisionError("pole at evaluation point")
-        return self.num.eval(x) / d
-
     def __str__(self):
         if self.den == UniPoly.one():
             s = str(self.num)
@@ -428,9 +419,6 @@ class MultiPoly(Immutable):
     def monomial(exps, coeff=1):
         exps = tuple(exps)
         return MultiPoly(len(exps), {exps: coeff})
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.nvars == other.nvars

@@ -248,9 +248,6 @@ class Divisor(Immutable):
     def sorted_items(self):
         return [(p, self.coefficients[p]) for p in self.support()]
 
-    def is_zero(self):
-        return not self.coefficients
-
     def __add__(self, other):
         out = dict(self.coefficients)
         for p, c in other.coefficients.items():

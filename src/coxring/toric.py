@@ -357,9 +357,7 @@ def cox_presentation(fan, radius=2):
     non-pointed degree monoid) are left out of the certificate rather than
     guessed at.
     """
-    data = ToricCoxData(fan)
-    group = data.class_group
-    degrees = list(data.degree_of_ray)
+    group, degrees = class_group(fan)
     gens = [(d, None) for d in degrees]
     # the Hermite basis of the kept degrees and the relations changes only
     # when a degree is kept

@@ -14,11 +14,15 @@ them; the tests use them as fixtures and as oracles:
   point_fan);
 - equivalence of graded homomorphisms and a check of one class
   representative against another;
+- whether a rational function is constant (is_constant), and pointedness
+  by a search of basis products for a unit (pointed_by_search), the oracle
+  of coxalg.is_pointed;
 - univariate polynomial arithmetic on Fraction coefficient tuples, the
   reference for exactmath.UniPoly, and the value of a MultiPoly by Fraction
   powers term by term, the reference for MultiPoly.eval.
 """
 
+import itertools
 from fractions import Fraction
 
 from coxring import exactmath as em
@@ -262,7 +266,7 @@ def graded_homs_equivalent(mu, nu, grading=None):
         if f.is_zero() or g.is_zero():
             raise ValueError("generator images must be nonzero")
         q = g / f
-        if not q.is_constant():
+        if not is_constant(q):
             return Verdict("not_equivalent", reason="image ratio is not "
                            "constant in degree %r" % (d,))
         val = q.num.coeffs[0] / q.den.coeffs[0]
@@ -300,6 +304,56 @@ def verify_representative(A, class_vec, L):
             raise InternalInconsistency(
                 "witness multiplication fails to identify components")
     return True
+
+
+def is_constant(f):
+    """Whether the rational function f is a constant, zero included."""
+    return f.den.degree == 0 and f.num.degree <= 0
+
+
+def pointed_by_search(A, box):
+    """coxalg.is_pointed as a search, its oracle: the same verdict and
+    fields, decided by products of section bases instead of block minima.
+
+    A unit of nonzero degree requires both the degree and its negative to
+    carry sections whose product is a nonzero constant; when the degree-zero
+    component is one dimensional, products of basis pairs decide this
+    exactly.  Dimensions are read first, so a component is built only when
+    both it and its negative are nonzero.  Works on any algebra with pic,
+    component_dim and pic_component, not only on curves.
+    """
+    pic = A.pic
+    a0 = A.component_dim((0,) * pic.ambient_rank) == 1
+    nonzero = [tuple(int(x) for x in c) for c in box
+               if not pic.contains_zero(c)]
+    witness = None
+    for c in nonzero:
+        minus = tuple(-x for x in c)
+        if not (A.component_dim(c) and A.component_dim(minus)):
+            continue
+        for a, b in itertools.product(A.pic_component(c).basis,
+                                      A.pic_component(minus).basis):
+            p = a * b
+            if not p.is_zero() and is_constant(p):
+                witness = (c, a)
+                break
+        if witness:
+            break
+    if witness is not None:
+        units = "fail"
+        note = "nonconstant unit found"
+    elif not nonzero:
+        units = "inconclusive"
+        note = "no nonzero degrees inside the box"
+    elif not a0:
+        units = "inconclusive"
+        note = "degree zero part exceeds the ground field; pair products " \
+               "no longer decide invertibility"
+    else:
+        units = "pass"
+        note = ""
+    return Verdict(units if a0 else "fail", a0_is_field=a0,
+                   units_are_constants=units, witness=witness, note=note)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,7 @@ from conveniences import (
     graded_homs_equivalent,
     ideal_membership,
     isomorphic,
+    pointed_by_search,
     rescaled,
     shift,
     tensor_presentation,
@@ -80,6 +81,7 @@ from coxring.ratcurve import (
     NotPrincipal,
     P1Point,
     PicardData,
+    _lift_orders,
     curve_from_json,
     is_principal,
     order_at,
@@ -470,13 +472,15 @@ class TestPresentation:
         assert len(err.value.degree) == 6
 
     @pytest.mark.parametrize("name, vector", [
-        ("tripled_line", "(0, 0, 0, 1, 0, 0)"),
-        ("mixed_line", "(0, 0, 0, 0, 1)")])
+        ("tripled_line", "(1, 1, 0, 0, -1, -1)"),
+        ("mixed_line", "(1, 1, -1, -1, -1)")])
     def test_full_lattice_box_is_refused(self, name, vector):
         # rep is the identity on the full lattice, so a box vector on the
         # last copy of a point after the anchor would give its monomials
         # another lattice degree: the caller's box is at fault, not the
-        # search
+        # search.  The full lattice's box repeats classes, and the first
+        # vector the search visits past the zero vector is a class
+        # relation of weight 0
         X = FIXTURE_CURVES[name]
         A = curve_algebra(X, "full")
         with pytest.raises(ValueError) as err:
@@ -1206,12 +1210,12 @@ class TestMonomialLists:
         with pytest.MonkeyPatch.context() as patch:
             read = self._checked(patch, prune)
             P = build_presentation(A, box)
-            assert read == [D for _, D, _ in _traversal(A, box)[1]]
+            assert read == [D for _, D, _ in _traversal(A, box)]
             del read[:]
             gens = list(P.generators)
             for given in (gens, gens[::-1]):
                 find_relations(A, given, box)
-                assert read == [D for _, D, _ in _traversal(A, box)[1]]
+                assert read == [D for _, D, _ in _traversal(A, box)]
                 del read[:]
         return P
 
@@ -1223,15 +1227,16 @@ class TestMonomialLists:
         self._assert_lists_agree(A, default_box(X, 2))
 
     @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
-    def test_repeating_box(self, name):
+    def test_moved_box(self, name):
+        # every class at a vector off the canonical box, so the lower
+        # vectors the lists recurse to are not box vectors either
         X = FIXTURE_CURVES[name]
-        for mode in ("canonical", "full"):
-            A = curve_algebra(X, mode)
-            self._assert_lists_agree(
-                A, TestZeroClasses._repeating_box(A, default_box(X, 1)))
+        A = curve_algebra(X)
+        self._assert_lists_agree(
+            A, TestZeroClasses._moved_box(A, default_box(X, 1)))
         A = tripled_algebra()
         self._assert_lists_agree(
-            A, TestZeroClasses._repeating_box(A, tripled_box()))
+            A, TestZeroClasses._moved_box(A, tripled_box()))
 
     @given(small_curves(max_points=5, bases=(0, 1, "inf", -1, 2)),
            st.sampled_from(["canonical", "full"]))
@@ -1335,33 +1340,36 @@ def _radius(rank, most, vectors=3 ** 8):
 class TestZeroClasses:
     """_traversal, which reads dimensions in box order and orders only the
     nonzero classes, against the traversal of every distinct class
-    (report_oracles.traversal); the class_key dedupe kept wherever a box
-    can repeat a class."""
+    (report_oracles.traversal), on boxes that hold each class once: the
+    boxes of kernel-free lattices, the only ones the CLI builds, and
+    hand-made boxes of vectors moved off them by a class relation."""
 
     @staticmethod
     def _assert_agrees(A, box):
-        classes, visit = _traversal(A, box)
-        assert list(classes) == box_classes(A, box)
-        dims = {vec: A.component_dim(vec) for vec in classes}
+        assert list(box) == box_classes(A, box)
+        visit = _traversal(A, box)
+        dims = {vec: A.component_dim(vec) for vec in box}
         assert [(vec, dim) for _, vec, dim in visit] == [
             (vec, dims[vec]) for _, vec in traversal(A, box) if dims[vec]]
-        assert all(classes[i] is vec for i, vec, _ in visit)
+        assert all(box[i] is vec for i, vec, _ in visit)
         assert len(visit) == sum(1 for d in dims.values() if d)
 
     @staticmethod
-    def _repeating_box(A, box):
-        # each class twice: its own vector and, after it, the vector moved
-        # by a class relation, so the hand-made box repeats every class
+    def _moved_box(A, box):
+        # each class at its own vector moved by a class relation: a
+        # hand-made box that still holds each class once
         shifts = A.pic.relations or ((0,) * A.pic.ambient_rank,)
-        return tuple(v for c in box for v in (c, _vadd(c, shifts[0])))
+        return tuple(_vadd(c, shifts[0]) for c in box)
 
     @pytest.mark.parametrize("mode", ["canonical", "full"])
     @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
     def test_fixture_curves(self, name, mode):
         X = FIXTURE_CURVES[name]
         A = curve_algebra(X, mode)
-        for box in (default_box(X, 2), lattice_box(A.lattice, 1),
-                    self._repeating_box(A, default_box(X, 1))):
+        boxes = [default_box(X, 2), self._moved_box(A, default_box(X, 1))]
+        if not A.lattice.kernel_basis():
+            boxes.append(lattice_box(A.lattice, 1))
+        for box in boxes:
             self._assert_agrees(A, box)
 
     @given(small_curves(max_mult=3), st.sampled_from(["canonical", "full"]))
@@ -1371,24 +1379,32 @@ class TestZeroClasses:
         A = curve_algebra(X, mode)
         canonical = curve_algebra(X).lattice.rank
         self._assert_agrees(A, default_box(X, _radius(canonical, 2)))
-        self._assert_agrees(A, lattice_box(A.lattice,
-                                           _radius(A.lattice.rank, 1)))
+        if not A.lattice.kernel_basis():
+            self._assert_agrees(A, lattice_box(A.lattice,
+                                               _radius(A.lattice.rank, 1)))
 
     @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
     def test_only_kernel_free_lattice_boxes_skip_the_dedupe(self, name):
+        # no box is deduplicated: the box of a kernel-free lattice holds
+        # each class once, and the full lattice's box, which repeats
+        # classes when the lattice has a kernel, is refused by the search
         X = FIXTURE_CURVES[name]
         canonical = lattice_box(canonical_lambda(X), 2)
-        assert isinstance(canonical, coxalg._DistinctClasses)
         key = curve_algebra(X).pic.class_key
         assert len({key(c) for c in canonical}) == len(canonical)
         full = full_lambda(X)
-        assert (isinstance(lattice_box(full, 1), coxalg._DistinctClasses)
-                == (not full.kernel_basis()))
+        box = lattice_box(full, 1)
+        repeats = len({key(c) for c in box}) < len(box)
+        assert repeats == bool(full.kernel_basis())
+        if repeats:
+            with pytest.raises(ValueError, match="last copy"):
+                build_presentation(curve_algebra(X, "full"), box)
 
     def test_hand_made_box_on_a_kernel_free_lattice(self, monkeypatch):
         # the explicit basis of the tripled line is canonical, with no
-        # kernel; a hand-made box over it still repeats classes, and the
-        # search keeps the first vector of each
+        # kernel; a hand-made box of its classes moved by a relation reads
+        # the same rows at the moved degrees, and neither box asks for a
+        # class key
         A, box = tripled_algebra(), tripled_box()
         assert not A.lattice.kernel_basis()
         calls = [0]
@@ -1400,15 +1416,10 @@ class TestZeroClasses:
 
         monkeypatch.setattr(PicardData, "class_key", counting)
         P = build_presentation(A, box)
-        assert calls[0] == 0
-        hand = self._repeating_box(A, box)
-        Q = build_presentation(A, hand)
-        assert calls[0] == len(hand)
-        assert list(Q.certificate) == list(P.certificate)
-        assert (Q.generators, Q.relations) == (P.generators, P.relations)
-        moved = tuple(hand[1::2]) + tuple(hand[::2])
+        moved = self._moved_box(A, box)
         R = build_presentation(A, moved)
-        assert [row[0] for row in R.certificate] == list(hand[1::2])
+        assert calls[0] == 0
+        assert [row[0] for row in R.certificate] == list(moved)
         assert [row[1:] for row in R.certificate] == [
             row[1:] for row in P.certificate]
 
@@ -1416,7 +1427,7 @@ class TestZeroClasses:
         X = FIXTURE_CURVES["mixed_line"]
         A = curve_algebra(X)
         TestOnePassSearch._assert_two_passes_agree(
-            A, self._repeating_box(A, default_box(X, 1)))
+            A, self._moved_box(A, default_box(X, 1)))
 
 
 class TestCertificate:
@@ -1831,7 +1842,29 @@ class _FatZeroStub:
         return self.pic_component(c).dim
 
 
+def _zero_class_vectors(A):
+    """The zero vector, the class relations, their negatives and the sum
+    of the first two: vectors of the zero class, most of them nonzero."""
+    rels = list(A.pic.relations)
+    out = [(0,) * A.pic.ambient_rank]
+    out += rels + [tuple(-x for x in r) for r in rels]
+    if len(rels) > 1:
+        out.append(_vadd(rels[0], rels[1]))
+    return out
+
+
 class TestIsPointed:
+    """is_pointed, read from block minima, against the search of basis
+    products it replaced (conveniences.pointed_by_search), which also
+    decides rings that are not curves: the stubs."""
+
+    @staticmethod
+    def _assert_agrees(A, box):
+        got, expected = is_pointed(A, box), pointed_by_search(A, box)
+        assert got.verdict == expected.verdict
+        assert dict(got.fields) == dict(expected.fields)
+        return got
+
     def test_tripled(self):
         report = is_pointed(tripled_algebra(), tripled_box())
         assert report.verdict == "pass"
@@ -1845,20 +1878,20 @@ class TestIsPointed:
         assert report.fields["units_are_constants"] == "inconclusive"
 
     def test_invertible_variable_fails(self):
-        report = is_pointed(_LaurentStub(), [(0,), (1,), (-1,)])
+        report = pointed_by_search(_LaurentStub(), [(0,), (1,), (-1,)])
         assert report.verdict == "fail"
         assert report.fields["units_are_constants"] == "fail"
         assert report.fields["witness"] == ((1,), Z)
 
     def test_fat_degree_zero_is_inconclusive(self):
-        report = is_pointed(_FatZeroStub(), [(0,), (1,), (-1,)])
+        report = pointed_by_search(_FatZeroStub(), [(0,), (1,), (-1,)])
         assert not report.fields["a0_is_field"]
         assert report.fields["units_are_constants"] == "inconclusive"
 
     def test_fat_degree_zero_fails(self):
         # units undecided, but a degree zero part beyond the ground field
         # already refutes pointedness
-        report = is_pointed(_FatZeroStub(), [(0,), (1,), (-1,)])
+        report = pointed_by_search(_FatZeroStub(), [(0,), (1,), (-1,)])
         assert report.verdict == "fail"
 
     def test_reads_dimensions_before_building(self, monkeypatch):
@@ -1875,6 +1908,44 @@ class TestIsPointed:
         assert is_pointed(A, box).verdict == "pass"
         assert sum(not A.pic.contains_zero(c) for c in box) == 80
         assert built == []
+
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixture_curves(self, name, mode):
+        X = FIXTURE_CURVES[name]
+        A = curve_algebra(X, mode)
+        zero = _zero_class_vectors(A)
+        for box in (default_box(X, 1), default_box(X, 2), zero,
+                    zero + list(default_box(X, 1))):
+            self._assert_agrees(A, box)
+        assert self._assert_agrees(A, zero).verdict == "inconclusive"
+
+    @given(small_curves(max_points=5, bases=(0, 1, "inf", -1, 2)),
+           st.sampled_from(["canonical", "full"]), st.integers(1, 2),
+           st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_small_curves(self, X, mode, radius, data):
+        # up to 40 coefficient vectors of the canonical box of the radius,
+        # with the vectors of the zero class
+        A = curve_algebra(X, mode)
+        lattice = canonical_lambda(X)
+        coeffs = data.draw(st.lists(
+            st.lists(st.integers(-radius, radius), min_size=lattice.rank,
+                     max_size=lattice.rank).map(tuple),
+            max_size=40, unique=True))
+        box = [lattice.copy_vector(c) for c in coeffs]
+        self._assert_agrees(A, box + _zero_class_vectors(A))
+
+    def test_a_unit_degree_outside_the_zero_class_raises(self, monkeypatch):
+        # a class group that denies the relations their class: the block
+        # minima still find a degree whose negative carries sections too
+        A = tripled_algebra()
+        box = _zero_class_vectors(A)
+        monkeypatch.setattr(PicardData, "contains_zero",
+                            lambda self, vec: not any(vec))
+        with pytest.raises(InternalInconsistency,
+                           match="outside the zero class"):
+            is_pointed(A, box)
 
 
 class TestSeparatedness:
@@ -2171,6 +2242,51 @@ def _section_space_crosscheck(X, box=None, radius=2, basis=None,
     return report, witness
 
 
+def _dict_paired_crosscheck(X, box, basis=None):
+    """The order-vector crosscheck as it paired classes before they were
+    paired as they stream: one dict entry per class with a witness, and a
+    second pass over consecutive entries.  Kept as the oracle of the
+    streamed pairing; it reads the class maps and chunks of coxalg."""
+    A1 = curve_algebra(X, "canonical", basis=basis)
+    A2 = curve_algebra(X, "full")
+    box = [tuple(map(int, c)) for c in box]
+    T1, T2 = coxalg._class_maps(A1, A2)
+    blocks = A1.pic.blocks
+    hilbert_equal = iso_verified = True
+    witness = {}
+    orders = {}
+    for chunk in coxalg._chunks(box):
+        for c, (m1, m2, e) in zip(
+                chunk, coxalg._class_orders(T1, T2, blocks, chunk)):
+            dim = max(0, sum(m1) + 1)
+            if dim != max(0, sum(m2) + 1):
+                hilbert_equal = False
+                continue
+            if e is None:
+                iso_verified = False
+                continue
+            witness[c] = orders.setdefault(e, e)
+            if dim and any(y < x - k for x, y, k in zip(m1, m2, e)):
+                iso_verified = False
+    bases = [p for p, _ in X.special]
+    for e in orders:
+        try:
+            is_principal(X, _lift_orders(X, dict(zip(bases, e))))
+        except NotPrincipal:
+            iso_verified = False
+    product_ok = True
+    items = witness.items()
+    for chunk in coxalg._chunks(zip(items, itertools.islice(items, 1, None))):
+        sums = [_vadd(c1, c2) for (c1, _), (c2, _) in chunk]
+        for ((_, e1), (_, e2)), (_, _, e12) in zip(
+                chunk, coxalg._class_orders(T1, T2, blocks, sums)):
+            if e12 is None or _vadd(e1, e2) != e12:
+                product_ok = False
+    return {"classes": len(box), "hilbert_equal": hilbert_equal,
+            "iso_verified": iso_verified,
+            "witness_multiplicative": product_ok}
+
+
 def _copy_blocks(A, L):
     """The copy vector of the divisor of lattice degree L, cut into one
     tuple per special base."""
@@ -2322,6 +2438,58 @@ class TestCrosscheckOracle:
         chunked = _recorded_orders(monkeypatch)
         assert uniqueness_crosscheck(X, box=box).fields == report.fields
         assert chunked == whole
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("name", sorted(
+        n for n in FIXTURE_CURVES if n.endswith("_line")))
+    def test_streamed_pairs_against_the_dict(self, monkeypatch, name, swap,
+                                             chunk):
+        # with the full lattice's first two columns swapped, classes drop
+        # out of the witnessed ones, and pairs skip them
+        X = FIXTURE_CURVES[name]
+        box = lattice_box(canonical_lambda(X), 1)
+        if swap:
+            honest = coxalg.curve_algebra
+
+            def swapped(X, mode="canonical", basis=None):
+                A = honest(X, mode, basis)
+                if mode == "full" and A.lattice.rank > 1:
+                    _swap_first_columns(A)
+                return A
+
+            monkeypatch.setattr(coxalg, "curve_algebra", swapped)
+            monkeypatch.setitem(globals(), "curve_algebra", swapped)
+        monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", chunk)
+        assert (dict(uniqueness_crosscheck(X, box=box).fields)
+                == _dict_paired_crosscheck(X, box))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_a_fault_at_a_chunk_boundary(self, monkeypatch, chunk):
+        # the sum of the two classes on either side of a chunk boundary is
+        # misread as not principal: only the pair carried across the
+        # boundary reads it
+        X = tripled_line()
+        box = lattice_box(canonical_lambda(X), 1)
+        sums = [_vadd(a, b) for a, b in zip(box, box[1:])]
+        at = next(k for k in range(chunk, len(box), chunk)
+                  if sums[k - 1] not in box
+                  and sums.count(sums[k - 1]) == 1)
+        fault = sums[at - 1]
+        honest = coxalg._class_orders
+
+        def faulty(T1, T2, blocks, classes):
+            return [(m1, m2, None if c == fault else e)
+                    for c, (m1, m2, e) in zip(
+                        classes, honest(T1, T2, blocks, classes))]
+
+        monkeypatch.setattr(coxalg, "_class_orders", faulty)
+        monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", chunk)
+        report = uniqueness_crosscheck(X, box=box)
+        assert dict(report.fields) == _dict_paired_crosscheck(X, box)
+        assert report.fields == {"classes": 81, "hilbert_equal": True,
+                                 "iso_verified": True,
+                                 "witness_multiplicative": False}
 
     def test_wrong_length_class_is_refused(self):
         box = [(0,) * 6, (0,) * 5]

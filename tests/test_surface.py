@@ -1,13 +1,19 @@
-"""Every function in `src/coxring` is reached from `src/coxring`.
+"""Every function and class in `src/coxring` is reached from `src/coxring`.
 
-A module-level function or a method that nothing in the package names is
-surface that no CLI mode or check can run; it belongs in `tests/`, as the
-oracles of `conveniences.py` do.  The test reads the source with `ast` and
-counts a definition as used when its name occurs in a `Name` or
-`Attribute` node of some module outside the definition's own body.  Dunder
+A module-level function, class or method that nothing in the package names
+is surface that no CLI mode or check can run; it belongs in `tests/`, as
+the oracles of `conveniences.py` do.  The test reads the source with `ast`
+and counts a definition as used when its name occurs in a `Name` or
+`Attribute` node of some module outside the definition's own body.  So an
+exception class counts as named when it is raised or caught.  Dunder
 methods are called by the interpreter and are exempt, and so are the names
 the traced benchmark wraps (`TARGETS` of `perfbench/tracer.py`), which must
 resolve for the tracer to run.
+
+Names are matched without their class, so a method is not flagged while a
+method of the same name on another class is used: `is_zero` on
+`UniPoly` keeps an unused `is_zero` of another class out of sight.  Such
+a method has to be found by making it raise and running the tests.
 """
 
 import ast
@@ -20,11 +26,13 @@ SRC = pathlib.Path(__file__).parent.parent / "src" / "coxring"
 
 
 def _definitions(tree):
-    """(qualname, node) of every module-level function and method."""
+    """(qualname, node) of every module-level function, class and
+    method."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
+            yield node.name, node
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     yield "%s.%s" % (node.name, item.name), item
@@ -77,12 +85,21 @@ def test_an_uncalled_function_is_flagged(tmp_path):
         "class Box:\n"
         "    def __len__(self):\n        return 0\n\n"
         "    def size(self):\n        return self.size\n\n"
-        "    def unused(self):\n        return 0\n",
+        "    def unused(self):\n        return 0\n\n\n"
+        "class Marker(tuple):\n"
+        "    def __repr__(self):\n        return repr(Marker)\n\n\n"
+        "class Raised(Exception):\n    pass\n\n\n"
+        "class Caught(Exception):\n    pass\n\n\n"
+        "def fail():\n    raise Raised\n\n\n"
+        "def guard():\n    try:\n        fail()\n"
+        "    except Caught:\n        pass\n",
         encoding="utf-8")
-    (tmp_path / "two.py").write_text("from one import used\nused()\n",
-                                     encoding="utf-8")
-    # a name used only inside its own body does not count
+    (tmp_path / "two.py").write_text(
+        "from one import used, Box, guard\nused()\nguard()\nBox()\n",
+        encoding="utf-8")
+    # a name used only inside its own body does not count; an exception
+    # class is named where it is raised or caught
     assert unreached(tmp_path) == ["one.Box.size", "one.Box.unused",
-                                   "one.recursive"]
+                                   "one.Marker", "one.recursive"]
     assert unreached(tmp_path, allowed={"one.recursive"}) == [
-        "one.Box.size", "one.Box.unused"]
+        "one.Box.size", "one.Box.unused", "one.Marker"]
