@@ -1,12 +1,13 @@
 """Graded section algebras of glued curves and their presentations.
 
 A lattice of divisors grades the section spaces of a curve into an algebra.
-When the lattice maps onto the divisor class group with a kernel, a family of
-shifting witnesses identifies components along the kernel, and the algebra
-descends to a class-graded quotient.  This module computes that quotient
-degree by degree: generators, relations with exact certificates, and the
-verification checks (weight monoid, free grading, pointedness, separatedness,
-uniqueness under lattice choice).
+When the lattice maps onto the divisor class group with a kernel, two
+components of one class are identified by multiplication by the witness of
+a principal divisor (ratcurve.is_principal), and the algebra descends to a
+class-graded quotient.  This module computes that quotient degree by degree,
+each class read at one linear representative: generators, relations with
+exact certificates, and the verification checks (weight monoid, free
+grading, pointedness, separatedness, uniqueness under lattice choice).
 
 All certificates are finite: every search is restricted to an explicit box of
 classes and reports honestly when the box is too small to decide.
@@ -33,7 +34,8 @@ from .exactmath import (
     residue,
 )
 from . import exactmath as _em
-from .grading import FGAbelianGroup, box_vectors
+from .grading import (MAX_CERTIFICATE_WORK, FGAbelianGroup, box_vectors,
+                      within_limit)
 from .ratcurve import (
     CurvePoint,
     Divisor,
@@ -42,17 +44,12 @@ from .ratcurve import (
     P1Point,
     PicardData,
     _lift_orders,
-    divisor_on,
     is_principal,
     leading_term,
     order_polynomials,
     polynomial_quotient,
     section_space,
 )
-
-
-class NotInKernel(Exception):
-    """The requested shift degree is not in the kernel of the class map."""
 
 
 class NotASection(Exception):
@@ -286,80 +283,6 @@ class GradedSectionAlgebra(Immutable):
 
 
 # ---------------------------------------------------------------------------
-# shifting families
-
-
-class ShiftingFamily(Immutable):
-    """Witness functions identifying components along the lattice kernel.
-
-    Each kernel basis element E comes with a function g whose principal
-    divisor is the negative of the divisor of E, so multiplication by g maps
-    sections of L to sections of L + E for every L.  Witnesses for arbitrary
-    kernel elements are assembled multiplicatively.
-    """
-
-    __slots__ = ("lattice", "kernel", "witnesses", "algebra")
-
-    def __init__(self, lattice, kernel, witnesses, algebra=None):
-        kernel = tuple(tuple(int(x) for x in row) for row in kernel)
-        witnesses = tuple(witnesses)
-        if len(kernel) != len(witnesses):
-            raise ValueError("one witness per kernel basis element")
-        for E, g in zip(kernel, witnesses):
-            D = lattice.divisor_of(E)
-            bases = [point.base for point in D.coefficients]
-            if divisor_on(g, lattice.curve, bases) != -1 * D:
-                raise InternalInconsistency(
-                    "witness divisor does not match its kernel element")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "algebra",
-                           algebra or GradedSectionAlgebra(lattice))
-
-    def kernel_coords(self, E):
-        """Coordinates of E over the kernel basis, an HNF (_hnf_coords)."""
-        if len(E) != self.lattice.rank:
-            raise NotInKernel("degree length differs from lattice rank")
-        coords = _em._hnf_coords(self.kernel, E)
-        if coords is None:
-            raise NotInKernel("degree is not an integer combination of the "
-                              "kernel basis")
-        return coords
-
-    def witness_for(self, E):
-        coords = self.kernel_coords(E)
-        g = RationalFunction.one()
-        for c, w in zip(coords, self.witnesses):
-            if c:
-                g = g * w ** c
-        return g
-
-    def __repr__(self):
-        return "ShiftingFamily(kernel_rank=%d)" % len(self.kernel)
-
-
-def build_shifting_family(lattice, algebra=None):
-    """Shifting family on the kernel of the lattice's class map.
-
-    The kernel basis is computed from the class map; every basis element is
-    principal by definition of the kernel, and is_principal gives its
-    witness in closed form.
-    """
-    kernel = lattice.kernel_basis()
-    witnesses = []
-    for E in kernel:
-        D = lattice.divisor_of(E)
-        try:
-            g = is_principal(lattice.curve, -1 * D)
-        except NotPrincipal as exc:
-            raise InternalInconsistency(
-                "kernel element has no principal witness") from exc
-        witnesses.append(g)
-    return ShiftingFamily(lattice, kernel, witnesses, algebra)
-
-
-# ---------------------------------------------------------------------------
 # the class-graded algebra
 
 
@@ -379,9 +302,9 @@ class PicGradedAlgebra(Immutable):
     keyed by class.
     """
 
-    __slots__ = ("base", "family", "section_of_pic")
+    __slots__ = ("base", "section_of_pic")
 
-    def __init__(self, base, family):
+    def __init__(self, base):
         lattice = base.lattice
         section = None
         if lattice.columns != _identity(lattice.picdata.ambient_rank):
@@ -394,7 +317,6 @@ class PicGradedAlgebra(Immutable):
                 raise InternalInconsistency(
                     "representative map fails to split the class map")
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "family", family)
         object.__setattr__(self, "section_of_pic", section)
 
     @property
@@ -458,9 +380,7 @@ def curve_algebra(X, mode="canonical", basis=None):
         lat = full_lambda(X)
     else:
         raise ValueError("mode must be 'canonical' or 'full'")
-    base = GradedSectionAlgebra(lat)
-    family = build_shifting_family(lat, base)
-    return PicGradedAlgebra(base, family)
+    return PicGradedAlgebra(GradedSectionAlgebra(lat))
 
 
 def lattice_box(lattice, radius):
@@ -968,6 +888,18 @@ def _search(A, box, generators=None):
 
     Everything is listed by the box position of its degree class, so the
     output does not depend on which linear extension was traversed.
+
+    Before anything is built, W = sum_D dim(D)^2 over the visited classes
+    is held to MAX_CERTIFICATE_WORK (BoxTooLarge beyond, naming the radius
+    of the box over the lattice basis).  W is a lower bound on the
+    coordinates the search reads, whatever generators it finds: the
+    dimensions are exact (hilbert reads them in closed form), and at the
+    end of its step a class D is spanned by its monomials, in the
+    generators of earlier classes and those found at D, or the search
+    raises.  So D has at least dim(D) monomials, and each is read as a
+    vector of dim(D) coordinates: those in earlier generators by the
+    residue reading or over Q, and a generator found at D as the unit
+    vector by which it enters the span.
     """
     given = generators is not None
     gens = [(tuple(int(x) for x in d), s) for d, s in generators or ()]
@@ -986,6 +918,14 @@ def _search(A, box, generators=None):
     # (box position, terms over Q, their residues mod p or None)
     found = []
     visit = _traversal(A, box)
+    work = sum(dim * dim for _, _, dim in visit)
+    if work > MAX_CERTIFICATE_WORK:
+        # the radius of the box over the lattice basis, the largest
+        # coefficient of a representative (rep is linear)
+        radius = max(max(map(abs, A.rep(c))) for c in box)
+        within_limit(work, MAX_CERTIFICATE_WORK, "a box of radius %d has "
+                     "components whose squared dimensions sum to %%s"
+                     % radius)
     if A.section_of_pic is None and A.lattice.kernel_basis():
         # rep, the identity here, is linear on classes only on the vectors
         # with no entry on a copy the class coordinates drop
@@ -1421,10 +1361,12 @@ def sections_as_polynomials(A, P, elements):
 
     Every element is a pair (class vector, section).  The generator
     monomials of the class all lie in one lattice degree L, since rep is
-    linear, and are read there by _MonomialCoordinates.  The section is
-    crossed from rep(class) into L by the witness of L - rep(class) when
-    that is nonzero, an isomorphism of components, and read there by its
-    coordinate polynomial (_section_polynomial).  The monomials span L
+    linear, and are read there by _MonomialCoordinates.  When L differs
+    from rep(class), the section is crossed into L by multiplication by w,
+    an isomorphism of components: L - rep(class) has class zero, so minus
+    its divisor is principal, and is_principal builds w in closed form and
+    verifies its divisor.  The section is read in L by its coordinate
+    polynomial (_section_polynomial).  The monomials span L
     whenever the presentation is complete there, so the section has an
     exact linear expression in them; the combination with free
     coefficients zeroed is taken, which keeps the rewriting deterministic.
@@ -1446,7 +1388,12 @@ def sections_as_polynomials(A, P, elements):
         L = _combination(exps_list[0], gen_lattice, A.lattice.rank) \
             if exps_list else rep
         if L != rep:
-            w = A.family.witness_for(_vsub(L, rep))
+            try:
+                w = is_principal(A.curve,
+                                 -A.lattice.divisor_of(_vsub(L, rep)))
+            except NotPrincipal as exc:
+                raise InternalInconsistency(
+                    "kernel element has no principal witness") from exc
             q = _section_polynomial(A, L, s.num * w.num, s.den * w.den)
             if q is None:
                 raise InternalInconsistency(
@@ -1659,10 +1606,10 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     """Agreement of the two lattice pipelines on one curve.
 
     Builds the class-graded algebra A1 from a kernel-free lattice and A2
-    from the full lattice with its shifting family.  A class c is read in
-    A1 at D1, the divisor of A1.rep(c), and in A2 at D2, the divisor of a
-    representative moved along the class relations (_representative_moves),
-    so that D1 - D2 is a nonzero principal divisor on most classes.  The
+    from the full lattice.  A class c is read in A1 at D1, the divisor of
+    A1.rep(c), and in A2 at D2, the divisor of a representative moved along
+    the class relations (_representative_moves), so that D1 - D2 is a
+    nonzero principal divisor on most classes.  The
     check verifies equal dimension tables over the box and exhibits the
     degreewise isomorphism, multiplication by the witness w of D1 - D2;
     the witnesses multiply along sums of classes, which is the product

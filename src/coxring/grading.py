@@ -17,6 +17,10 @@ from .exactmath import Immutable
 # radius r are built before any repeated class is dropped, so a box is
 # refused beyond this
 MAX_BOX_VECTORS = 10 ** 6
+# squared component dimensions a curve search may read, summed over the
+# classes of its box (coxalg._search): the plain line passes it after box
+# 529 (box 500 takes 15 s and 241 MiB; box 1500 held 3 GiB after 4 minutes)
+MAX_CERTIFICATE_WORK = 5 * 10 ** 7
 # copies of special points a curve may have: a lattice holds one dense
 # column of that length per copy, so memory grows with its square (4000
 # copies at box 0 take about 26 s and 1.2 GiB)
@@ -28,8 +32,10 @@ MAX_IRRELEVANT_ELEMENTS = 10 ** 3
 
 class BoxTooLarge(Exception):
     """A class box would list more than MAX_BOX_VECTORS coefficient vectors,
-    a curve have more than MAX_CURVE_COPIES copies of special points, or
-    verify build more than MAX_IRRELEVANT_ELEMENTS irrelevant elements."""
+    a curve search read more than MAX_CERTIFICATE_WORK squared component
+    dimensions, a curve have more than MAX_CURVE_COPIES copies of special
+    points, or verify build more than MAX_IRRELEVANT_ELEMENTS irrelevant
+    elements."""
 
 
 def within_limit(count, limit, what, power=None):

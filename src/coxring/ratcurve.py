@@ -232,10 +232,6 @@ class Divisor(Immutable):
         object.__setattr__(self, "coefficients", clean)
 
     @staticmethod
-    def zero():
-        return Divisor({})
-
-    @staticmethod
     def of_point(point, coeff=1):
         return Divisor({point: coeff})
 

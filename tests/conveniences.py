@@ -1,10 +1,12 @@
 """Conveniences that only tests call.  No CLI mode or library check uses
 them; the tests use them as fixtures and as oracles:
 
-- the paper's quotient of the section algebra by the shifting ideal
+- the paper's shifting family of kernel witnesses (ShiftingFamily,
+  build_shifting_family, shifting_family), the oracle of the closed-form
+  witness by which sections_as_polynomials crosses between lattice degrees
+  of one class, and the quotient of the section algebra by its ideal
   (shift, ideal_membership), an independent check of the per-base orders
-  by which `crosscheck` identifies components, and rescaled shifting
-  families;
+  by which `crosscheck` identifies components, and rescaled families;
 - the product of two presentations (tensor_presentation) and of two fans
   (product_fan), a toric class count (hilbert_toric) and the isomorphism
   of two presented groups (isomorphic);
@@ -29,21 +31,103 @@ from coxring import exactmath as em
 from coxring.coxalg import (
     BoxTooSmall,
     Certificate,
+    GradedSectionAlgebra,
     NotASection,
     Presentation,
-    ShiftingFamily,
     Verdict,
     _vadd,
     _vsub,
 )
-from coxring.exactmath import MultiPoly, RationalFunction, count_monomials
+from coxring.exactmath import (Immutable, MultiPoly, RationalFunction,
+                               count_monomials)
 from coxring.grading import FGAbelianGroup
-from coxring.ratcurve import InternalInconsistency, PicardData
+from coxring.ratcurve import (InternalInconsistency, NotPrincipal,
+                              PicardData, divisor_on, is_principal)
 from coxring.toric import Fan, class_group
 
 
 # ---------------------------------------------------------------------------
-# the quotient of the section algebra by the shifting ideal
+# shifting families and the quotient by their ideal
+
+
+class NotInKernel(Exception):
+    """The requested shift degree is not in the kernel of the class map."""
+
+
+class ShiftingFamily(Immutable):
+    """Witness functions identifying components along the lattice kernel.
+
+    Each kernel basis element E comes with a function g whose principal
+    divisor is the negative of the divisor of E, so multiplication by g maps
+    sections of L to sections of L + E for every L.  Witnesses for arbitrary
+    kernel elements are assembled multiplicatively.
+    """
+
+    __slots__ = ("lattice", "kernel", "witnesses", "algebra")
+
+    def __init__(self, lattice, kernel, witnesses, algebra=None):
+        kernel = tuple(tuple(int(x) for x in row) for row in kernel)
+        witnesses = tuple(witnesses)
+        if len(kernel) != len(witnesses):
+            raise ValueError("one witness per kernel basis element")
+        for E, g in zip(kernel, witnesses):
+            D = lattice.divisor_of(E)
+            bases = [point.base for point in D.coefficients]
+            if divisor_on(g, lattice.curve, bases) != -1 * D:
+                raise InternalInconsistency(
+                    "witness divisor does not match its kernel element")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "algebra",
+                           algebra or GradedSectionAlgebra(lattice))
+
+    def kernel_coords(self, E):
+        """Coordinates of E over the kernel basis, an HNF (_hnf_coords)."""
+        if len(E) != self.lattice.rank:
+            raise NotInKernel("degree length differs from lattice rank")
+        coords = em._hnf_coords(self.kernel, E)
+        if coords is None:
+            raise NotInKernel("degree is not an integer combination of the "
+                              "kernel basis")
+        return coords
+
+    def witness_for(self, E):
+        coords = self.kernel_coords(E)
+        g = RationalFunction.one()
+        for c, w in zip(coords, self.witnesses):
+            if c:
+                g = g * w ** c
+        return g
+
+    def __repr__(self):
+        return "ShiftingFamily(kernel_rank=%d)" % len(self.kernel)
+
+
+def build_shifting_family(lattice, algebra=None):
+    """Shifting family on the kernel of the lattice's class map.
+
+    The kernel basis is computed from the class map; every basis element is
+    principal by definition of the kernel, and is_principal gives its
+    witness in closed form.
+    """
+    kernel = lattice.kernel_basis()
+    witnesses = []
+    for E in kernel:
+        D = lattice.divisor_of(E)
+        try:
+            g = is_principal(lattice.curve, -1 * D)
+        except NotPrincipal as exc:
+            raise InternalInconsistency(
+                "kernel element has no principal witness") from exc
+        witnesses.append(g)
+    return ShiftingFamily(lattice, kernel, witnesses, algebra)
+
+
+def shifting_family(A):
+    """The shifting family of the class-graded algebra A, over its lattice
+    and its section algebra."""
+    return build_shifting_family(A.lattice, A.base)
 
 
 def rescaled(family, scalars):
@@ -284,17 +368,18 @@ def graded_homs_equivalent(mu, nu, grading=None):
     return Verdict("equivalent", character=dict(zip(degrees, ratios)))
 
 
-def verify_representative(A, class_vec, L):
+def verify_representative(A, class_vec, L, family):
     """Check that the component of the class-graded algebra A at lattice
     degree L matches the one at the chosen representative through
-    multiplication by the kernel witness; raises on any mismatch."""
+    multiplication by the kernel witness of the shifting family; raises on
+    any mismatch."""
     L = tuple(int(x) for x in L)
     vec = tuple(int(x) for x in class_vec)
     if not A.pic.same_class(A.lattice.copy_vector(L), vec):
         raise ValueError("alternative representative has the wrong class")
     rep = A.rep(vec)
     E = _vsub(L, rep)
-    g = A.family.witness_for(E)
+    g = family.witness_for(E)
     src = A.base.component(rep)
     dst = A.base.component(L)
     if src.dim != dst.dim:

@@ -1212,7 +1212,7 @@ class TestErrors:
                        "disagree on rank\n")
 
     def test_wrong_principal_witness_exits_three(self, capsys, monkeypatch):
-        # the full lattice's shifting family asks for kernel witnesses
+        # the crosscheck verifies one witness per distinct order vector
         honest = ratcurve.order_polynomials
         monkeypatch.setattr(ratcurve, "order_polynomials",
                             lambda orders: honest(orders)[::-1])
@@ -1303,6 +1303,24 @@ class TestStartUp:
             "error: a box of radius 1000000000 over %d generators lists %d "
             "coefficient vectors, more than 1000000\n"
             % (generators, (2 * 10 ** 9 + 1) ** generators))
+
+    @pytest.mark.parametrize("mode", ["curve", "verify"])
+    def test_large_components_are_refused_before_the_search(self, mode):
+        # the plain line at box 1500 lists only 3001 classes, but the class
+        # d has dimension d + 1, so the certificate reads at least
+        # sum (d + 1)^2 coordinates; without the limit the search held
+        # 3 GiB after four minutes
+        started = time.perf_counter()
+        child = run_child(["-m", "coxring.cli", mode,
+                           fixture("plain_line.json"), "--box", "1500"],
+                          timeout=20, address_space=2 ** 30)
+        assert time.perf_counter() - started < 1
+        assert child.returncode == 1, child.stderr
+        assert child.stdout == ""
+        assert child.stderr == (
+            "error: a box of radius 1500 has components whose squared "
+            "dimensions sum to %d, more than 50000000\n"
+            % sum((d + 1) ** 2 for d in range(1501)))
 
     @pytest.mark.parametrize("mode", ["curve", "crosscheck"])
     def test_huge_multiplicity_box_count_is_not_built(self, tmp_path, mode):

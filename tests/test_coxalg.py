@@ -15,13 +15,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coxring.coxalg import (
     BoxTooSmall,
     GeneratorsIncomplete,
     NotASection,
-    NotInKernel,
     Certificate,
     Presentation,
     _cokernel,
@@ -33,7 +32,6 @@ from coxring.coxalg import (
     _variable_ideal_members,
     _vsub,
     build_presentation,
-    build_shifting_family,
     canonical_lambda,
     candidate_points,
     curve_algebra,
@@ -59,16 +57,19 @@ from coxring.exactmath import (
     _Span,
     enumerate_monomials,
 )
-from coxring.grading import FGAbelianGroup
+from coxring.grading import BoxTooLarge, FGAbelianGroup
 from coxring.toric import class_group, fan_from_json
 from conveniences import (
     DegreeMismatch,
+    NotInKernel,
+    build_shifting_family,
     graded_homs_equivalent,
     ideal_membership,
     isomorphic,
     pointed_by_search,
     rescaled,
     shift,
+    shifting_family,
     tensor_presentation,
     verify_representative,
 )
@@ -85,6 +86,7 @@ from coxring.ratcurve import (
     curve_from_json,
     is_principal,
     order_at,
+    picard_rank,
     principal_divisor,
     section_space,
 )
@@ -138,6 +140,11 @@ def tripled_presentation():
 @functools.lru_cache(maxsize=None)
 def tripled_full_algebra():
     return curve_algebra(tripled_line(), "full")
+
+
+@functools.lru_cache(maxsize=None)
+def tripled_family():
+    return shifting_family(tripled_full_algebra())
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,7 +242,7 @@ def vsub(a, b):
 
 @st.composite
 def kernel_elements(draw, bound=2):
-    fam = tripled_full_algebra().family
+    fam = tripled_family()
     c = draw(st.tuples(st.integers(-bound, bound), st.integers(-bound,
                                                                bound)))
     out = ZERO6
@@ -259,36 +266,36 @@ def full_sections(draw, degrees=tuple(FULL_DEGREES)):
 
 class TestShiftingFamily:
     def test_witnesses(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         assert [str(w) for w in fam.witnesses] == ["1/z", "1/(z - 1)"]
 
     def test_witness_divisor_opposes_kernel_divisor(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         X = tripled_line()
         for E, g in zip(fam.kernel, fam.witnesses):
             assert principal_divisor(g, X) == -1 * fam.lattice.divisor_of(E)
 
     def test_shift_of_constant(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         assert shift(fam, fam.kernel[0], ONE, ZERO6) == ONE / Z
         assert shift(fam, fam.kernel[1], ONE, ZERO6) == ONE / (Z - 1)
 
     def test_shift_zero_is_identity(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         L = (1, 1, 1, 1, 0, 0)
         comp = fam.algebra.component(L)
         f = comp.basis[0] + comp.basis[-1]
         assert shift(fam, ZERO6, f, L) == f
 
     def test_assembled_witness(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         E = vadd(fam.kernel[0], tuple(-x for x in fam.kernel[1]))
         assert fam.witness_for(E) == (Z - 1) / Z
 
     @settings(max_examples=30, deadline=None)
     @given(full_sections(), kernel_elements(), kernel_elements())
     def test_composition_law(self, lf, E1, E2):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         L, f = lf
         once = shift(fam, vadd(E1, E2), f, L)
         twice = shift(fam, E2, shift(fam, E1, f, L), vadd(L, E1))
@@ -297,25 +304,25 @@ class TestShiftingFamily:
     @settings(max_examples=30, deadline=None)
     @given(full_sections(), full_sections(), kernel_elements())
     def test_module_law(self, lf, lh, E):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         (L1, f), (L2, h) = lf, lh
         left = shift(fam, E, f * h, vadd(L1, L2))
         assert left == f * shift(fam, E, h, L2)
 
     def test_not_in_kernel(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         with pytest.raises(NotInKernel):
             shift(fam, (1, 0, 0, 0, 0, 0), ONE, ZERO6)
         with pytest.raises(NotInKernel):
             fam.kernel_coords((1, 1, 0, 0, -1, 0))
 
     def test_not_a_section(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         with pytest.raises(NotASection):
             shift(fam, fam.kernel[0], Z ** 5, ZERO6)
 
     def test_rescaled(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         fam2 = rescaled(fam, [3, 5])
         assert shift(fam2, fam2.kernel[0], ONE, ZERO6) == (ONE * 3) / Z
         assert fam2.witness_for(fam2.kernel[1]) == (ONE * 5) / (Z - 1)
@@ -339,7 +346,7 @@ class TestIdealMembership:
     @given(full_sections(degrees=tuple(FULL_DEGREES[:6])),
            kernel_elements())
     def test_shifted_difference_is_in_ideal(self, lf, E):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         L, f = lf
         g = shift(fam, E, f, L)
         verdict = ideal_membership(fam, [(L, f), (vadd(L, E), -1 * g)],
@@ -347,7 +354,7 @@ class TestIdealMembership:
         assert verdict.verdict == "in_ideal"
 
     def test_single_term_is_not_in_ideal(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         L = (1, 1, 0, 0, 0, 0)
         f = ONE / Z
         verdict = ideal_membership(fam, [(L, f)], self.box())
@@ -355,7 +362,7 @@ class TestIdealMembership:
         assert list(verdict.fields["residuals"]) == [(L, f)]
 
     def test_square_of_difference_is_in_ideal(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         L = (1, 1, 0, 0, 0, 0)
         E = fam.kernel[0]
         f = ONE + ONE / Z
@@ -367,12 +374,12 @@ class TestIdealMembership:
         assert verdict.verdict == "in_ideal"
 
     def test_box_too_small(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         with pytest.raises(BoxTooSmall):
             ideal_membership(fam, [((9, 9, 0, 0, 0, 0), ONE)], self.box())
 
     def test_empty_candidate(self):
-        fam = tripled_full_algebra().family
+        fam = tripled_family()
         assert ideal_membership(fam, [], self.box()).verdict == "in_ideal"
 
 
@@ -397,11 +404,12 @@ class TestPicGradedAlgebra:
         A = tripled_full_algebra()
         c = basis_to_ambient((0, 1, 1, -1))
         rep = A.rep(c)
-        assert verify_representative(A, c, rep)
-        shifted = vadd(rep, A.family.kernel[0])
-        assert verify_representative(A, c, shifted)
+        fam = tripled_family()
+        assert verify_representative(A, c, rep, fam)
+        shifted = vadd(rep, fam.kernel[0])
+        assert verify_representative(A, c, shifted, fam)
         with pytest.raises(ValueError):
-            verify_representative(A, c, vadd(rep, (1, 0, 0, 0, 0, 0)))
+            verify_representative(A, c, vadd(rep, (1, 0, 0, 0, 0, 0)), fam)
 
     def test_component_dims_match_section_spaces(self):
         X = tripled_line()
@@ -622,7 +630,7 @@ class TestCopyCoordinates:
         degrees = [A.rep(c) for c in default_box(X, 2)]
         degrees += [tuple(E) for E in lat.kernel_basis()]
         for L in degrees:
-            expected = Divisor.zero()
+            expected = Divisor({})
             for c, B in zip(L, lat.basis):
                 expected = expected + c * B
             assert lat.divisor_of(L) == expected
@@ -1037,6 +1045,7 @@ def _per_monomial_sections(A, P, elements):
     the element's representative."""
     gens = list(P.generators)
     gen_degrees = [d for d, _ in gens]
+    family = shifting_family(A)
     out = []
     for c, s in elements:
         rep = A.rep(c)
@@ -1049,7 +1058,7 @@ def _per_monomial_sections(A, P, elements):
                    for i in range(len(c))]
             E = vsub(rep, A.rep(amb))
             if any(E):
-                sec = sec * A.family.witness_for(E)
+                sec = sec * family.witness_for(E)
             cols.append(space.coordinates_of(sec))
         coeffs = em.solve_in_span(cols, space.coordinates_of(s))
         out.append(MultiPoly(len(gens), {
@@ -1287,6 +1296,87 @@ class TestMonomialLists:
             find_relations(A, [(forged, ONE)] + gens, box)
 
 
+class _Stopped(Exception):
+    pass
+
+
+class TestCertificateWork:
+    """W, the squared component dimensions summed over the box classes,
+    against the bases of their section spaces, and its limit, which stops
+    a search before any class is read."""
+
+    @staticmethod
+    def _work(A, box):
+        """The count _search holds to its limit, read from its refusal
+        under a limit of -1, with the search stopped there."""
+        seen = []
+
+        def recording(count, limit, what):
+            seen.append((count, limit))
+            raise _Stopped
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coxalg, "MAX_CERTIFICATE_WORK", -1)
+            patch.setattr(coxalg, "within_limit", recording)
+            with pytest.raises(_Stopped):
+                build_presentation(A, box)
+        [(count, limit)] = seen
+        assert limit == -1
+        return count
+
+    def _assert_oracle(self, X, mode, radius):
+        A = curve_algebra(X, mode)
+        box = default_box(X, radius)
+        assert self._work(A, box) == sum(
+            len(A.pic_component(c).basis) ** 2 for c in box)
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixture_curves(self, name, mode, radius):
+        self._assert_oracle(FIXTURE_CURVES[name], mode, radius)
+
+    @given(small_curves(max_points=5, bases=(0, 1, "inf", -1, 2)),
+           st.sampled_from(["canonical", "full"]))
+    @settings(max_examples=25, deadline=None)
+    def test_small_curves(self, X, mode):
+        # box 1 lists 3^rank classes, each read by its section space
+        assume(picard_rank(X) <= 6)
+        self._assert_oracle(X, mode, 1)
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    def test_refusal_names_the_radius(self, monkeypatch, mode, radius):
+        # the box of the canonical lattice, read on either lattice, and the
+        # box of an explicit basis
+        monkeypatch.setattr(coxalg, "MAX_CERTIFICATE_WORK", 0)
+        X = tripled_line()
+        for A, box in ((curve_algebra(X, mode), default_box(X, radius)),
+                       (tripled_algebra(), default_box(
+                           X, radius, basis=explicit_basis()))):
+            with pytest.raises(BoxTooLarge,
+                               match="^a box of radius %d has" % radius):
+                build_presentation(A, box)
+
+    def test_refused_before_any_class_is_read(self, monkeypatch):
+        # the plain line at box 3: classes 0..3 of dimensions 1..4
+        X = plain_line()
+        box = default_box(X, 3)
+        read = []
+        honest = coxalg._MonomialLists.monomials
+        monkeypatch.setattr(coxalg._MonomialLists, "monomials",
+                            lambda self, D: read.append(D) or honest(self, D))
+        monkeypatch.setattr(coxalg, "MAX_CERTIFICATE_WORK", 29)
+        with pytest.raises(BoxTooLarge, match="^a box of radius 3 has "
+                           "components whose squared dimensions sum to 30, "
+                           "more than 29$"):
+            build_presentation(curve_algebra(X), box)
+        assert read == []
+        monkeypatch.setattr(coxalg, "MAX_CERTIFICATE_WORK", 30)
+        build_presentation(curve_algebra(X), box)
+        assert len(read) == 4
+
+
 class TestSectionsAsPolynomials:
     """One witness crossing of the element against one per monomial."""
 
@@ -1308,6 +1398,46 @@ class TestSectionsAsPolynomials:
         elements = irrelevant_sections(A)
         assert (sections_as_polynomials(A, P, elements)
                 == _per_monomial_sections(A, P, elements))
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_fixture_crossings_match_the_family(self, name):
+        A, crossed = self._assert_family_witnesses(FIXTURE_CURVES[name])
+        # a lattice with a kernel has degrees of one class to cross between
+        assert bool(crossed) == bool(A.lattice.kernel_basis())
+
+    @given(small_curves(max_points=5, bases=(0, 1, "inf", -1, 2)))
+    @settings(max_examples=25, deadline=None)
+    def test_small_curve_crossings_match_the_family(self, X):
+        # box 1 lists 3^rank classes
+        assume(picard_rank(X) <= 8)
+        self._assert_family_witnesses(X)
+
+    @staticmethod
+    def _assert_family_witnesses(X):
+        """Each witness sections_as_polynomials crosses by, on the irrelevant
+        elements of verify --lambda full at box 1, against the shifting
+        family's witness_for(L - rep); returns the algebra and the number
+        of crossings."""
+        A = curve_algebra(X, "full")
+        P = build_presentation(A, default_box(X, 1))
+        elements = irrelevant_sections(A)
+        crossed = []
+
+        def recording(curve, D):
+            w = is_principal(curve, D)
+            crossed.append((D, w))
+            return w
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coxalg, "is_principal", recording)
+            sections_as_polynomials(A, P, elements)
+        family = shifting_family(A)
+        for D, w in crossed:
+            # the basis divisors of the full lattice are the single copies
+            E = tuple(-D.coefficient(q) for q in X.special_copies())
+            assert A.lattice.divisor_of(E) == -D
+            assert w == family.witness_for(E)
+        return A, len(crossed)
 
 
 class TestClassOrder:
@@ -2377,7 +2507,7 @@ class TestCrosscheckOracle:
         # lies in the ideal (read at the first two degrees of each class)
         X = FIXTURE_CURVES[name]
         A = curve_algebra(X, "full")
-        fam = A.family
+        fam = shifting_family(A)
         box = lattice_box(A.lattice, 1)
         degrees = {}
         for L in box:
@@ -2578,9 +2708,9 @@ class TestCrosscheckOracle:
         box = lattice_box(canonical_lambda(tripled_line()), 1)
         uniqueness_crosscheck(tripled_line(), box=box)
         distinct = {seen[c] for c in box}
-        # the full lattice's two kernel witnesses, then one per vector
+        # one per distinct order vector: no kernel witness is built
         assert counts == {"section_space": 0,
-                          "is_principal": 2 + len(distinct)}
+                          "is_principal": len(distinct)}
 
 
 class TestPicardDataReuse:

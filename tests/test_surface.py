@@ -10,10 +10,13 @@ methods are called by the interpreter and are exempt, and so are the names
 the traced benchmark wraps (`TARGETS` of `perfbench/tracer.py`), which must
 resolve for the tracer to run.
 
-Names are matched without their class, so a method is not flagged while a
-method of the same name on another class is used: `is_zero` on
-`UniPoly` keeps an unused `is_zero` of another class out of sight.  Such
-a method has to be found by making it raise and running the tests.
+A method counts only `Attribute` nodes of its name.  One whose receiver is
+the name of a class of `src` counts for that class alone, so `UniPoly.zero()`
+keeps no `zero` of another class in use.  Other receivers are matched
+without their class: `f.is_zero()` keeps every `is_zero` in use, so a
+method called only through instances while a method of the same name on
+another class is used has to be found by making it raise and running the
+tests.
 """
 
 import ast
@@ -38,26 +41,44 @@ def _definitions(tree):
                     yield "%s.%s" % (node.name, item.name), item
 
 
-def _names(node):
-    """Counter of the identifiers of the Name and Attribute nodes under
-    node."""
-    out = Counter()
+def _names(node, classes):
+    """Counters of the uses under node: of each identifier in a Name or
+    Attribute node, and of each (receiver, attribute) pair of an Attribute
+    node, the receiver the name of one of classes or else None."""
+    names, attributes = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out[sub.id] += 1
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out[sub.attr] += 1
-    return out
+            names[sub.attr] += 1
+            owner = sub.value
+            owner = (owner.id if isinstance(owner, ast.Name)
+                     and owner.id in classes else None)
+            attributes[owner, sub.attr] += 1
+    return names, attributes
+
+
+def _uses(names, attributes, qualname):
+    """The uses of a definition: of its name for a function or class, of
+    a method's name through its class or a receiver that is no class."""
+    owner, _, method = qualname.rpartition(".")
+    if not owner:
+        return names[method]
+    return attributes[owner, method] + attributes[None, method]
 
 
 def unreached(src=SRC, allowed=()):
-    """Sorted "module.qualname" of the definitions under src that no Name
-    or Attribute node outside their own body refers to."""
+    """Sorted "module.qualname" of the definitions under src that no use
+    outside their own body refers to (_uses)."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
-    everywhere = Counter()
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    names, attributes = Counter(), Counter()
     for tree in trees.values():
-        everywhere += _names(tree)
+        n, a = _names(tree, classes)
+        names += n
+        attributes += a
     found = []
     for module, tree in trees.items():
         for qualname, node in _definitions(tree):
@@ -66,7 +87,8 @@ def unreached(src=SRC, allowed=()):
                 continue
             if "%s.%s" % (module, qualname) in allowed:
                 continue
-            if everywhere[name] - _names(node)[name] == 0:
+            if (_uses(names, attributes, qualname)
+                    == _uses(*_names(node, classes), qualname)):
                 found.append("%s.%s" % (module, qualname))
     return sorted(found)
 
@@ -92,14 +114,20 @@ def test_an_uncalled_function_is_flagged(tmp_path):
         "class Caught(Exception):\n    pass\n\n\n"
         "def fail():\n    raise Raised\n\n\n"
         "def guard():\n    try:\n        fail()\n"
-        "    except Caught:\n        pass\n",
+        "    except Caught:\n        pass\n\n\n"
+        "class Left:\n    @staticmethod\n    def make():\n        return 0\n"
+        "\n\n"
+        "class Right:\n    @staticmethod\n    def make():\n        return 1\n",
         encoding="utf-8")
     (tmp_path / "two.py").write_text(
-        "from one import used, Box, guard\nused()\nguard()\nBox()\n",
+        "from one import used, Box, guard, Left, Right\nused()\nguard()\n"
+        "Box()\nRight()\nLeft.make()\n",
         encoding="utf-8")
     # a name used only inside its own body does not count; an exception
-    # class is named where it is raised or caught
+    # class is named where it is raised or caught; a method called through
+    # one class's name is not used on another class
     assert unreached(tmp_path) == ["one.Box.size", "one.Box.unused",
-                                   "one.Marker", "one.recursive"]
+                                   "one.Marker", "one.Right.make",
+                                   "one.recursive"]
     assert unreached(tmp_path, allowed={"one.recursive"}) == [
-        "one.Box.size", "one.Box.unused", "one.Marker"]
+        "one.Box.size", "one.Box.unused", "one.Marker", "one.Right.make"]
