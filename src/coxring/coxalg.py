@@ -1541,34 +1541,24 @@ def _class_maps(A1, A2):
     return tuple(zip(*cols1)), tuple(zip(*cols2))
 
 
-def _image_rows(T, coords, count):
-    """T applied to a batch of count classes given by coords, one list per
-    ambient coordinate holding that entry of every class: row i of the
-    result lists (T c)_i over the batch."""
-    rows = []
-    for t_row in T:
-        acc = None
-        for t, x in zip(t_row, coords):
-            if t:
-                term = x if t == 1 else list(
-                    map(operator.mul, itertools.repeat(t), x))
-                acc = term if acc is None else list(
-                    map(operator.add, acc, term))
-        rows.append([0] * count if acc is None else acc)
-    return rows
-
-
 def _least(rows):
     """The entrywise minimum of one or more lists of equal length."""
     return rows[0] if len(rows) == 1 else list(map(min, *rows))
 
 
+def _total(rows):
+    """The entrywise sum of one or more lists of equal length."""
+    total = rows[0]
+    for row in rows[1:]:
+        total = list(map(operator.add, total, row))
+    return total
+
+
 def _witness_orders(blocks1, blocks2):
-    """Per-base orders e of the witness of D1 - D2 for each class of a
-    batch, read from the copy rows of D1 and D2 cut into one list of rows
-    per special base: e_b is the difference on the copies of base b.  None
-    for a class where D1 - D2 is not principal: it differs between two
-    copies of a base, or the orders do not add up to zero."""
+    """(e, principal) over a batch, from the copy rows of D1 and D2 cut per
+    special base (_copy_blocks): e[b] lists D1 - D2 on the first copy of
+    base b, and principal whether D1 - D2 is principal, that is constant
+    on the copies of every base with orders adding up to zero."""
     constant = itertools.repeat(True)
     e = []
     for x, y in zip(blocks1, blocks2):
@@ -1577,23 +1567,44 @@ def _witness_orders(blocks1, blocks2):
             constant = list(map(operator.and_, constant, map(
                 operator.eq, map(operator.sub, a, b), d)))
         e.append(d)
-    return [w if same and not sum(w) else None
-            for same, w in zip(constant, zip(*e))]
+    return e, list(map(operator.and_, constant,
+                       map(operator.not_, _total(e))))
 
 
-def _class_orders(T1, T2, blocks, classes):
-    """(m1, m2, e) for each class of a list: the least coefficients per
-    special base (blocks, the ambient positions of its copies) of D1 = T1 c
-    and of D2 = T2 c (_class_maps), and the witness orders of D1 - D2 (None
-    when it is not principal).  The classes are read together, one ambient
-    row at a time."""
-    coords = list(zip(*classes))
-    rows1 = _image_rows(T1, coords, len(classes))
-    rows2 = _image_rows(T2, coords, len(classes))
-    b1 = [rows1[block] for block in blocks]
-    b2 = [rows2[block] for block in blocks]
-    return list(zip(zip(*map(_least, b1)), zip(*map(_least, b2)),
-                    _witness_orders(b1, b2)))
+def _copy_blocks(T1, T2, blocks, coords):
+    """The rows (T1 c)_i and (T2 c)_i (_class_maps) over a batch of classes
+    given by coords, one list per ambient coordinate, cut into the copies
+    of each special base (blocks): each T row is applied to all lists."""
+    count = len(coords[0])
+    out = []
+    for T in (T1, T2):
+        rows = []
+        for t_row in T:
+            acc = None
+            for t, x in zip(t_row, coords):
+                if t:
+                    term = x if t == 1 else map(
+                        operator.mul, itertools.repeat(t), x)
+                    acc = list(term) if acc is None else list(
+                        map(operator.add, acc, term))
+            rows.append([0] * count if acc is None else acc)
+        out.append([rows[block] for block in blocks])
+    return out
+
+
+def _class_orders(T1, T2, blocks, coords):
+    """(m1, m2, e, principal) over a batch: m1[b] and m2[b] list the least
+    coefficients of D1 and D2 on the copies of base b (_copy_blocks), e
+    and principal are the witness orders of D1 - D2 (_witness_orders)."""
+    b1, b2 = _copy_blocks(T1, T2, blocks, coords)
+    return ([_least(x) for x in b1], [_least(y) for y in b2],
+            *_witness_orders(b1, b2))
+
+
+def _dims(m):
+    """The component dimensions max(0, Σ_b m_b + 1) over a batch."""
+    return list(map(max, itertools.repeat(0),
+                    map(operator.add, _total(m), itertools.repeat(1))))
 
 
 def _chunks(items):
@@ -1615,8 +1626,8 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     the witnesses multiply along sums of classes, which is the product
     compatibility of the isomorphism.
 
-    All of it is decided on per-base integer orders (_class_orders); no
-    section space, divisor or function is built per class.
+    All of it is decided on per-base integer orders (_class_orders), with
+    no section space, divisor, function or Python step per class.
 
     Class maps.  The copy vectors of D1 and D2 are integer-linear in c:
     PicardData.coords adds and subtracts entries of c, A.rep multiplies the
@@ -1625,13 +1636,13 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     and copy_vector multiplies by the lattice's columns M.  So they are
     T1 c and T2 c for two integer matrices whose column j is the image of
     the ambient unit vector e_j along that same path (_class_maps), built
-    once per run.  The box is read in chunks of CROSSCHECK_CHUNK classes:
-    T1 and T2 are applied one ambient row at a time to lists holding one
-    coordinate of every class of the chunk, and the minima, differences
-    and equalities per base run over such lists.  Beyond the box, memory
-    holds one chunk and the distinct order vectors.  The sums c1 + c2 of
-    the product check are read through the maps the same way, never as the
-    sum of two witnesses.
+    once per run.  The box is read in chunks of CROSSCHECK_CHUNK classes
+    in column form: one list per ambient coordinate holds that entry of
+    every class of the chunk, T1 and T2 are applied to these lists one
+    ambient row at a time, and _class_orders returns the lists m1_b, m2_b
+    and e_b per base b and one list of whether D1 - D2 is principal.  All
+    checks below are map, compress and all over such lists; the order
+    vectors of the witnessed classes are the only tuples built per class.
 
     Orders.  The component
     of a divisor D depends only on m_b, the least coefficient of D over the
@@ -1662,7 +1673,8 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     Product.  The witnesses are monic, so w(c1) w(c2) = w(c1 + c2) exactly
     when e(c1) + e(c2) = e(c1 + c2).  This is checked for each pair of
     consecutive classes with a witness, as each chunk is read; the last
-    such class of a chunk is carried into the next one.
+    such class of a chunk is carried into the next one.  c1 + c2 is added
+    column by column and read like a chunk, never as a sum of witnesses.
 
     One exact is_principal check per distinct witness order vector builds
     the witness and verifies its divisor, which ties the integers back to
@@ -1680,30 +1692,34 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     blocks = A1.pic.blocks
     hilbert_equal = iso_verified = product_ok = True
     orders = set()
-    # the last witnessed class of the chunks read so far, as [(c, e)]
-    last = []
+    # the coordinates, then the orders, of the last witnessed class so far
+    rank = A1.pic.ambient_rank
+    last = [[] for _ in range(rank + len(blocks))]
     for chunk in _chunks(box):
-        witnessed = last
-        for c, (m1, m2, e) in zip(chunk,
-                                  _class_orders(T1, T2, blocks, chunk)):
-            dim = max(0, sum(m1) + 1)
-            if dim != max(0, sum(m2) + 1):
-                hilbert_equal = False
-                continue
-            if e is None:
-                iso_verified = False
-                continue
-            orders.add(e)
-            witnessed.append((c, e))
-            if dim and any(y < x - k for x, y, k in zip(m1, m2, e)):
-                iso_verified = False
-        pairs = list(zip(witnessed, witnessed[1:]))
-        sums = [_vadd(c1, c2) for (c1, _), (c2, _) in pairs]
-        for ((_, e1), (_, e2)), (_, _, e12) in zip(
-                pairs, _class_orders(T1, T2, blocks, sums)):
-            if e12 is None or _vadd(e1, e2) != e12:
-                product_ok = False
-        last = witnessed[-1:]
+        coords = list(zip(*chunk))
+        m1, m2, e, principal = _class_orders(T1, T2, blocks, coords)
+        dims = _dims(m1)
+        same = list(map(operator.eq, dims, _dims(m2)))
+        witnessed = list(map(operator.and_, same, principal))
+        # the landing test runs on the witnessed classes with sections
+        tested = list(map(operator.and_, witnessed, map(bool, dims)))
+        lands = all(all(itertools.compress(map(operator.ge, y, map(
+            operator.sub, x, k)), tested)) for x, y, k in zip(m1, m2, e))
+        hilbert_equal = hilbert_equal and all(same)
+        iso_verified = (iso_verified and lands
+                        and all(itertools.compress(principal, same)))
+        cols = [w + list(itertools.compress(col, witnessed))
+                for w, col in zip(last, coords + e)]
+        wc, we = cols[:rank], cols[rank:]
+        orders.update(zip(*we))
+        if len(wc[0]) > 1:
+            sums = [list(map(operator.add, col, col[1:])) for col in wc]
+            e12, principal12 = _witness_orders(
+                *_copy_blocks(T1, T2, blocks, sums))
+            product_ok = product_ok and all(principal12) and all(
+                all(map(operator.eq, map(operator.add, col, col[1:]), col12))
+                for col, col12 in zip(we, e12))
+        last = [col[-1:] for col in cols]
     bases = [p for p, _ in X.special]
     for e in orders:
         try:

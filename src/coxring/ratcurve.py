@@ -33,7 +33,7 @@ class InternalInconsistency(Exception):
 class P1Point(Immutable):
     """A point of the projective line: a rational value or infinity."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value):
         # value None encodes infinity; a float is refused, as by the
@@ -41,6 +41,8 @@ class P1Point(Immutable):
         if value is not None:
             value = Fraction(_exact(value, "point"))
         object.__setattr__(self, "value", value)
+        # points key every divisor dict: hash the Fraction once
+        object.__setattr__(self, "_hash", hash(("P1Point", value)))
 
     @staticmethod
     def finite(v):
@@ -57,7 +59,7 @@ class P1Point(Immutable):
         return isinstance(other, P1Point) and self.value == other.value
 
     def __hash__(self):
-        return hash(("P1Point", self.value))
+        return self._hash
 
     def sort_key(self):
         if self.value is None:
@@ -81,7 +83,7 @@ def parse_point(text):
 class CurvePoint(Immutable):
     """A copy of a base point: ordinary points have the single copy 0."""
 
-    __slots__ = ("base", "copy_index")
+    __slots__ = ("base", "copy_index", "_hash")
 
     def __init__(self, base, copy_index=0):
         copy_index = int(copy_index)
@@ -89,13 +91,15 @@ class CurvePoint(Immutable):
             raise ValueError("copy index must be nonnegative")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "copy_index", copy_index)
+        object.__setattr__(self, "_hash",
+                           hash(("CurvePoint", base, copy_index)))
 
     def __eq__(self, other):
         return (isinstance(other, CurvePoint) and self.base == other.base
                 and self.copy_index == other.copy_index)
 
     def __hash__(self):
-        return hash(("CurvePoint", self.base, self.copy_index))
+        return self._hash
 
     def sort_key(self):
         return self.base.sort_key() + (self.copy_index,)
@@ -289,25 +293,48 @@ class Divisor(Immutable):
 # orders and divisors of rational functions
 
 
+def _deflate(nums, p, q):
+    """(k, h, B) with A = (q z - p)^k B for the integer coefficients nums of
+    A, B(p/q) != 0, h = q^deg B B(p/q) and B in coefficients (leading_term)."""
+    k = 0
+    while True:
+        h, qi = 0, 1
+        for c in reversed(nums):
+            h = h * p + c * qi
+            qi *= q
+        if h:
+            return k, h, nums
+        # z^i of (q z - p) B is q b_(i-1) - p b_i: b runs down from b_n = 0
+        b, quotient = 0, []
+        for c in nums[:0:-1]:
+            b = (c + p * b) // q
+            quotient.append(b)
+        nums = quotient[::-1]
+        k += 1
+
+
 def leading_term(f, base):
     """(k, c) with f = c * pi^k + terms of higher order at the base point,
-    c nonzero, where pi = z - base, or 1/z at infinity."""
+    c nonzero, where pi = z - base, or 1/z at infinity.
+
+    At a finite base p/q, the integer numerators A of f.num and f.den
+    vanish there exactly when h = Σ a_i p^i q^(n-i) = q^n A(p/q), n = deg A,
+    is zero, and are then divided by q z - p, primitive as gcd(p, q) = 1.
+    By Gauss's lemma the quotient B is in Z[z]: for B = (r/d) B0 with B0
+    primitive and gcd(r, d) = 1, d A = r (q z - p) B0 has content |r|, a
+    product of primitives being primitive, so d = 1.  As A = (q z - p)^k B
+    = q^k pi^k B, a side over den leads with h q^(k - deg B) / den.
+    """
     if f.is_zero():
         raise ZeroFunction("the zero function has no order")
     if base.is_infinity():
         return f.den.degree - f.num.degree, f.num.leading() / f.den.leading()
-    linear = UniPoly([-base.value, Fraction(1)])
-    parts = []
-    for p in (f.num, f.den):
-        k = 0
-        q, r = divmod(p, linear)
-        while r.is_zero():
-            p, k = q, k + 1
-            q, r = divmod(p, linear)
-        # the remainder modulo z - a is the value at a
-        parts.append((k, r.coeffs[0]))
-    (a, u), (b, v) = parts
-    return a - b, u / v
+    p, q = base.value.numerator, base.value.denominator
+    a, u, A = _deflate(f.num.nums, p, q)
+    b, v, B = _deflate(f.den.nums, p, q)
+    e = a - len(A) - b + len(B)
+    return a - b, Fraction(u * f.den.den * q ** max(e, 0),
+                           v * f.num.den * q ** max(-e, 0))
 
 
 def order_at(f, p):
@@ -344,26 +371,18 @@ def rational_roots(poly):
         nums = nums[k:]
     if len(nums) == 1:
         return roots, 0
-    p = UniPoly(nums)
     candidates = set()
     for num in _divisors_of(nums[0]):
         for den in _divisors_of(nums[-1]):
             candidates.add(Fraction(num, den))
             candidates.add(Fraction(-num, den))
     for cand in sorted(candidates):
-        if p.degree == 0:
+        if len(nums) == 1:
             break
-        if p.eval(cand) == 0:
-            m = 0
-            linear = UniPoly([-cand, Fraction(1)])
-            while True:
-                q, r = divmod(p, linear)
-                if not r.is_zero():
-                    break
-                p = q
-                m += 1
+        m, _, nums = _deflate(nums, cand.numerator, cand.denominator)
+        if m:
             roots[cand] = m
-    return roots, p.degree
+    return roots, len(nums) - 1
 
 
 def _lift_orders(X, orders):
@@ -500,13 +519,18 @@ def polynomial_quotient(num, den):
 def order_polynomials(orders):
     """(W, V) for a map base point -> order: W is the product of (z - b)^c
     over the finite bases b of order c > 0, V that of (z - b)^-c over those
-    of order c < 0."""
-    polys = [UniPoly.one(), UniPoly.one()]
+    of order c < 0.  Each is multiplied out on integers, as the product of
+    (q z - p)^|c| over that of q^|c| for b = p/q."""
+    nums, dens = [[1], [1]], [1, 1]
     for base, c in orders.items():
         if c and not base.is_infinity():
-            linear = UniPoly([-base.value, Fraction(1)])
-            polys[c < 0] = polys[c < 0] * linear ** abs(c)
-    return tuple(polys)
+            p, q = base.value.numerator, base.value.denominator
+            for _ in range(abs(c)):
+                poly = nums[c < 0]
+                nums[c < 0] = [q * x - p * y
+                               for x, y in zip([0] + poly, poly + [0])]
+            dens[c < 0] *= q ** abs(c)
+    return UniPoly._of(nums[0], dens[0]), UniPoly._of(nums[1], dens[1])
 
 
 def section_space(X, D):

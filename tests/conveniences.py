@@ -21,7 +21,10 @@ them; the tests use them as fixtures and as oracles:
   of coxalg.is_pointed;
 - univariate polynomial arithmetic on Fraction coefficient tuples, the
   reference for exactmath.UniPoly, and the value of a MultiPoly by Fraction
-  powers term by term, the reference for MultiPoly.eval.
+  powers term by term, the reference for MultiPoly.eval;
+- the products of linear polynomials (z - b)^c over Q
+  (fraction_order_polynomials), the oracle of ratcurve.order_polynomials,
+  which multiplies them out on integers.
 """
 
 import itertools
@@ -39,7 +42,7 @@ from coxring.coxalg import (
     _vsub,
 )
 from coxring.exactmath import (Immutable, MultiPoly, RationalFunction,
-                               count_monomials)
+                               UniPoly, count_monomials)
 from coxring.grading import FGAbelianGroup
 from coxring.ratcurve import (InternalInconsistency, NotPrincipal,
                               PicardData, divisor_on, is_principal)
@@ -541,3 +544,20 @@ def frac_multi_eval(poly, point):
                 c *= v ** e
         acc += c
     return acc
+
+
+# ---------------------------------------------------------------------------
+# products of linear polynomials over Q
+
+
+def fraction_order_polynomials(orders):
+    """(W, V) for a map base point -> order: W is the product of (z - b)^c
+    over the finite bases b of order c > 0, V that of (z - b)^-c over those
+    of order c < 0, each a power of the linear polynomial with Fraction
+    coefficients."""
+    polys = [UniPoly.one(), UniPoly.one()]
+    for base, c in orders.items():
+        if c and not base.is_infinity():
+            linear = UniPoly([-base.value, Fraction(1)])
+            polys[c < 0] = polys[c < 0] * linear ** abs(c)
+    return tuple(polys)

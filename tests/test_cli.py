@@ -555,8 +555,8 @@ class TestCrosscheckMutations:
         honest = coxalg._witness_orders
 
         def off_by_one(blocks1, blocks2):
-            return [None if e is None else (e[0] + 1,) + e[1:]
-                    for e in honest(blocks1, blocks2)]
+            e, principal = honest(blocks1, blocks2)
+            return [[k + 1 for k in e[0]], *e[1:]], principal
 
         monkeypatch.setattr(coxalg, "_witness_orders", off_by_one)
         self._assert_disagrees(capsys)

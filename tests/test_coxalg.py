@@ -10,6 +10,7 @@ have independently computed expected values.
 import functools
 import itertools
 import json
+import operator
 import pathlib
 from fractions import Fraction
 from types import SimpleNamespace
@@ -2372,6 +2373,82 @@ def _section_space_crosscheck(X, box=None, radius=2, basis=None,
     return report, witness
 
 
+def _per_class_witness_orders(blocks1, blocks2):
+    """Per-base orders e of the witness of D1 - D2 for each class of a
+    batch, read from the copy rows of D1 and D2 cut into one list of rows
+    per special base: e_b is the difference on the copies of base b.  None
+    for a class where D1 - D2 is not principal: it differs between two
+    copies of a base, or the orders do not add up to zero."""
+    constant = itertools.repeat(True)
+    e = []
+    for x, y in zip(blocks1, blocks2):
+        d = list(map(operator.sub, x[0], y[0]))
+        for a, b in zip(x[1:], y[1:]):
+            constant = list(map(operator.and_, constant, map(
+                operator.eq, map(operator.sub, a, b), d)))
+        e.append(d)
+    return [w if same and not sum(w) else None
+            for same, w in zip(constant, zip(*e))]
+
+
+def _per_class_orders(T1, T2, blocks, classes):
+    """(m1, m2, e) for each class of a list: the least coefficients per
+    special base of D1 = T1 c and of D2 = T2 c, and the witness orders of
+    D1 - D2 (None when it is not principal).  The crosscheck's reader as
+    it returned one triple per class, kept as the oracle of the column
+    form."""
+    coords = list(zip(*classes)) or [()] * len(T1[0])
+    b1, b2 = coxalg._copy_blocks(T1, T2, blocks, coords)
+    return list(zip(zip(*map(coxalg._least, b1)),
+                    zip(*map(coxalg._least, b2)),
+                    _per_class_witness_orders(b1, b2)))
+
+
+def _per_class_crosscheck(X, box, basis=None):
+    """The order-vector crosscheck as it decided a chunk one class at a
+    time, on (m1, m2, e) triples (_per_class_orders): kept as the oracle of
+    the column form.  It reads the class maps and chunks of coxalg."""
+    A1 = curve_algebra(X, "canonical", basis=basis)
+    A2 = curve_algebra(X, "full")
+    box = [tuple(map(int, c)) for c in box]
+    T1, T2 = coxalg._class_maps(A1, A2)
+    blocks = A1.pic.blocks
+    hilbert_equal = iso_verified = product_ok = True
+    orders = set()
+    last = []
+    for chunk in coxalg._chunks(box):
+        witnessed = last
+        for c, (m1, m2, e) in zip(chunk,
+                                  _per_class_orders(T1, T2, blocks, chunk)):
+            dim = max(0, sum(m1) + 1)
+            if dim != max(0, sum(m2) + 1):
+                hilbert_equal = False
+                continue
+            if e is None:
+                iso_verified = False
+                continue
+            orders.add(e)
+            witnessed.append((c, e))
+            if dim and any(y < x - k for x, y, k in zip(m1, m2, e)):
+                iso_verified = False
+        pairs = list(zip(witnessed, witnessed[1:]))
+        sums = [_vadd(c1, c2) for (c1, _), (c2, _) in pairs]
+        for ((_, e1), (_, e2)), (_, _, e12) in zip(
+                pairs, _per_class_orders(T1, T2, blocks, sums)):
+            if e12 is None or _vadd(e1, e2) != e12:
+                product_ok = False
+        last = witnessed[-1:]
+    bases = [p for p, _ in X.special]
+    for e in orders:
+        try:
+            is_principal(X, _lift_orders(X, dict(zip(bases, e))))
+        except NotPrincipal:
+            iso_verified = False
+    return {"classes": len(box), "hilbert_equal": hilbert_equal,
+            "iso_verified": iso_verified,
+            "witness_multiplicative": product_ok}
+
+
 def _dict_paired_crosscheck(X, box, basis=None):
     """The order-vector crosscheck as it paired classes before they were
     paired as they stream: one dict entry per class with a witness, and a
@@ -2387,7 +2464,7 @@ def _dict_paired_crosscheck(X, box, basis=None):
     orders = {}
     for chunk in coxalg._chunks(box):
         for c, (m1, m2, e) in zip(
-                chunk, coxalg._class_orders(T1, T2, blocks, chunk)):
+                chunk, _per_class_orders(T1, T2, blocks, chunk)):
             dim = max(0, sum(m1) + 1)
             if dim != max(0, sum(m2) + 1):
                 hilbert_equal = False
@@ -2409,7 +2486,7 @@ def _dict_paired_crosscheck(X, box, basis=None):
     for chunk in coxalg._chunks(zip(items, itertools.islice(items, 1, None))):
         sums = [_vadd(c1, c2) for (c1, _), (c2, _) in chunk]
         for ((_, e1), (_, e2)), (_, _, e12) in zip(
-                chunk, coxalg._class_orders(T1, T2, blocks, sums)):
+                chunk, _per_class_orders(T1, T2, blocks, sums)):
             if e12 is None or _vadd(e1, e2) != e12:
                 product_ok = False
     return {"classes": len(box), "hilbert_equal": hilbert_equal,
@@ -2446,30 +2523,52 @@ def _orders_of_class(A1, A2, c):
             _witness_orders_of_class(b1, b2))
 
 
+def _columns(classes, rank):
+    """A batch of classes as the column reader takes it: one list per
+    ambient coordinate."""
+    return [list(col) for col in zip(*classes)] or [[] for _ in range(rank)]
+
+
+def _triples(columns):
+    """The column reader's (m1, m2, e, principal) as one (m1, m2, e)
+    triple per class, e None where D1 - D2 is not principal."""
+    m1, m2, e, principal = columns
+    return [(x, y, w if p else None)
+            for x, y, w, p in zip(zip(*m1), zip(*m2), zip(*e), principal)]
+
+
 def _assert_batched_orders_match(X, box, basis=None):
-    """The batched reader gives the per-class oracle's (m1, m2, e) on every
-    class of the box and on every sum of two consecutive box classes."""
+    """The column reader gives the per-class oracles' (m1, m2, e) on every
+    class of the box and on every sum of two consecutive box classes: the
+    one that reads one class at a time and the batched one that returned
+    triples."""
     A1 = curve_algebra(X, "canonical", basis=basis)
     A2 = curve_algebra(X, "full")
     T1, T2 = coxalg._class_maps(A1, A2)
     box = [tuple(c) for c in box]
     sums = [_vadd(c1, c2) for c1, c2 in zip(box, box[1:])]
     for classes in (box, sums):
-        assert (coxalg._class_orders(T1, T2, A1.pic.blocks, classes)
-                == [_orders_of_class(A1, A2, c) for c in classes])
+        columns = coxalg._class_orders(
+            T1, T2, A1.pic.blocks, _columns(classes, A1.pic.ambient_rank))
+        expected = [_orders_of_class(A1, A2, c) for c in classes]
+        assert _triples(columns) == expected
+        assert _per_class_orders(T1, T2, A1.pic.blocks, classes) == expected
 
 
 def _recorded_orders(monkeypatch):
-    """Record the witness orders of every class the crosscheck reads."""
+    """Record the witness orders of every class the crosscheck reads: the
+    box classes and the sums of the product check."""
     seen = {}
-    honest = coxalg._class_orders
+    honest = coxalg._copy_blocks
 
-    def recording(T1, T2, blocks, classes):
-        out = honest(T1, T2, blocks, classes)
-        seen.update(zip(classes, (e for _, _, e in out)))
-        return out
+    def recording(T1, T2, blocks, coords):
+        b1, b2 = honest(T1, T2, blocks, coords)
+        e, principal = coxalg._witness_orders(b1, b2)
+        seen.update(zip(zip(*coords), (w if p else None for w, p in zip(
+            zip(*e), principal))))
+        return b1, b2
 
-    monkeypatch.setattr(coxalg, "_class_orders", recording)
+    monkeypatch.setattr(coxalg, "_copy_blocks", recording)
     return seen
 
 
@@ -2477,6 +2576,21 @@ def _swap_first_columns(A):
     cols = list(A.lattice.columns)
     cols[0], cols[1] = cols[1], cols[0]
     object.__setattr__(A.lattice, "columns", tuple(cols))
+
+
+def _swap_full_lattice(monkeypatch):
+    """Swap the full lattice's first two columns in every crosscheck, the
+    oracles' included, so that classes drop out of the witnessed ones."""
+    honest = coxalg.curve_algebra
+
+    def swapped(X, mode="canonical", basis=None):
+        A = honest(X, mode, basis)
+        if mode == "full" and A.lattice.rank > 1:
+            _swap_first_columns(A)
+        return A
+
+    monkeypatch.setattr(coxalg, "curve_algebra", swapped)
+    monkeypatch.setitem(globals(), "curve_algebra", swapped)
 
 
 class TestCrosscheckOracle:
@@ -2580,19 +2694,59 @@ class TestCrosscheckOracle:
         X = FIXTURE_CURVES[name]
         box = lattice_box(canonical_lambda(X), 1)
         if swap:
-            honest = coxalg.curve_algebra
-
-            def swapped(X, mode="canonical", basis=None):
-                A = honest(X, mode, basis)
-                if mode == "full" and A.lattice.rank > 1:
-                    _swap_first_columns(A)
-                return A
-
-            monkeypatch.setattr(coxalg, "curve_algebra", swapped)
-            monkeypatch.setitem(globals(), "curve_algebra", swapped)
+            _swap_full_lattice(monkeypatch)
         monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", chunk)
         assert (dict(uniqueness_crosscheck(X, box=box).fields)
                 == _dict_paired_crosscheck(X, box))
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_columns_against_the_per_class_loop(self, monkeypatch, name,
+                                                radius, swap):
+        X = FIXTURE_CURVES[name]
+        box = lattice_box(canonical_lambda(X), radius)
+        if swap:
+            _swap_full_lattice(monkeypatch)
+        report = uniqueness_crosscheck(X, box=box)
+        assert dict(report.fields) == _per_class_crosscheck(X, box)
+        assert swap or report.verdict == "pass"
+
+    @given(small_curves(max_points=5, bases=(0, 1, "inf", -1, "2/3")),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_boxes_against_the_per_class_loop(self, X, data):
+        # ambient class vectors drawn at random, in chunks of 1 to 3 (or
+        # one chunk), on the honest and on the swapped full lattice
+        n = sum(m for _, m in X.special)
+        box = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                                 max_size=30))
+        chunk = data.draw(st.sampled_from([1, 2, 3, 1024]))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if data.draw(st.booleans()):
+                _swap_full_lattice(monkeypatch)
+            monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", chunk)
+            assert (dict(uniqueness_crosscheck(X, box=box).fields)
+                    == _per_class_crosscheck(X, box))
+
+    def test_empty_components_compare_equal(self, monkeypatch):
+        # the full pipeline's least coefficient one lower at the first
+        # base wherever its component is zero: the sums of least
+        # coefficients differ, the dimensions max(0, sum + 1) do not
+        honest = coxalg._class_orders
+        lowered = []
+
+        def lower(T1, T2, blocks, coords):
+            m1, m2, e, principal = honest(T1, T2, blocks, coords)
+            empty = [s < 0 for s in map(sum, zip(*m2))]
+            lowered.append(sum(empty))
+            return m1, [[y - k for y, k in zip(m2[0], empty)], *m2[1:]], \
+                e, principal
+
+        monkeypatch.setattr(coxalg, "_class_orders", lower)
+        report = uniqueness_crosscheck(tripled_line(), radius=1)
+        assert sum(lowered) > 0
+        assert report.verdict == "pass"
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_a_fault_at_a_chunk_boundary(self, monkeypatch, chunk):
@@ -2606,14 +2760,17 @@ class TestCrosscheckOracle:
                   if sums[k - 1] not in box
                   and sums.count(sums[k - 1]) == 1)
         fault = sums[at - 1]
-        honest = coxalg._class_orders
+        honest = coxalg._copy_blocks
 
-        def faulty(T1, T2, blocks, classes):
-            return [(m1, m2, None if c == fault else e)
-                    for c, (m1, m2, e) in zip(
-                        classes, honest(T1, T2, blocks, classes))]
+        def faulty(T1, T2, blocks, coords):
+            # one more on the first copy of D2 at the first base: D1 - D2
+            # is no longer constant on that base's copies
+            b1, b2 = honest(T1, T2, blocks, coords)
+            hit = [c == fault for c in zip(*coords)]
+            b2[0] = [list(map(operator.add, b2[0][0], hit)), *b2[0][1:]]
+            return b1, b2
 
-        monkeypatch.setattr(coxalg, "_class_orders", faulty)
+        monkeypatch.setattr(coxalg, "_copy_blocks", faulty)
         monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", chunk)
         report = uniqueness_crosscheck(X, box=box)
         assert dict(report.fields) == _dict_paired_crosscheck(X, box)
@@ -2648,15 +2805,17 @@ class TestCrosscheckOracle:
     def test_witness_orders(self):
         # two classes read together, one row per copy of each base: the
         # first differs by 1 on the first base and -1 on the second, the
-        # second differs between the copies of the first base
+        # second differs between the copies of the first base (its orders
+        # are read on the first copies)
         assert coxalg._witness_orders([[[1, 1], [1, 2]], [[2, 0], [2, 0]]],
                                       [[[0, 0], [0, 0]], [[3, 0], [3, 0]]]
-                                      ) == [(1, -1), None]
+                                      ) == ([[1, 1], [-1, 0]], [True, False])
         # constant on the copies, but the orders add up to 1
         assert coxalg._witness_orders([[[1], [1]], [[0]]],
-                                      [[[0], [0]], [[0]]]) == [None]
+                                      [[[0], [0]], [[0]]]
+                                      ) == ([[1], [0]], [False])
         assert coxalg._witness_orders([[[], []], [[]]],
-                                      [[[], []], [[]]]) == []
+                                      [[[], []], [[]]]) == ([[], []], [])
 
     def test_misread_orders_fail_to_land(self, monkeypatch):
         # the full pipeline's least coefficients moved by -1 at the first
@@ -2664,9 +2823,10 @@ class TestCrosscheckOracle:
         # witness, but the components no longer match
         honest = coxalg._class_orders
 
-        def misread(T1, T2, blocks, classes):
-            return [(m1, (m2[0] - 1, m2[1] + 1) + m2[2:], e)
-                    for m1, m2, e in honest(T1, T2, blocks, classes)]
+        def misread(T1, T2, blocks, coords):
+            m1, m2, e, principal = honest(T1, T2, blocks, coords)
+            m2 = [[y - 1 for y in m2[0]], [y + 1 for y in m2[1]], *m2[2:]]
+            return m1, m2, e, principal
 
         monkeypatch.setattr(coxalg, "_class_orders", misread)
         report = uniqueness_crosscheck(tripled_line(), radius=1)

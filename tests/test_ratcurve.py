@@ -40,7 +40,8 @@ from coxring.ratcurve import (
     section_space,
 )
 
-from conveniences import curve_to_json, is_constant, picard_group
+from conveniences import (curve_to_json, fraction_order_polynomials,
+                          is_constant, picard_group)
 
 
 def pt(v):
@@ -68,6 +69,11 @@ ONE = RationalFunction.one()
 
 
 POINT_POOL = [0, 1, "inf", -1, 2, Fraction(1, 2), -3]
+
+
+# the roots p/q of the order-reading oracles: q in {1, 2, 3}, p = 0 among
+# them
+ROOT_POOL = sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)})
 
 
 @st.composite
@@ -115,13 +121,16 @@ def principal_divisors_on(draw, X, max_bases=3, max_coeff=3):
 
 @st.composite
 def factored_functions(draw):
-    """Nonzero rational functions with all zeros and poles rational."""
+    """Nonzero rational functions with all zeros and poles rational: of
+    order up to 6 at roots of ROOT_POOL, times a constant, so that the
+    integer numerators of either side often have a common denominator
+    other than 1."""
     roots = draw(st.lists(
-        st.tuples(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
-                                   Fraction(2), Fraction(1, 2)]),
-                  st.integers(min_value=-3, max_value=3)),
+        st.tuples(st.sampled_from(ROOT_POOL),
+                  st.integers(min_value=-6, max_value=6)),
         min_size=0, max_size=3, unique_by=lambda t: t[0]))
-    scalar = draw(st.sampled_from([1, -1, 2, Fraction(3, 5)]))
+    scalar = draw(st.sampled_from([1, -1, 2, Fraction(3, 5),
+                                   Fraction(-7, 6)]))
     f = RationalFunction(UniPoly.const(scalar))
     for a, e in roots:
         if e:
@@ -159,6 +168,34 @@ class TestPoints:
         assert X.copy_position(cp(1, 1)) == 3
         with pytest.raises(ValueError):
             X.validate_point(cp(0, 2))
+
+
+class TestCachedHashes:
+    """P1Point and CurvePoint hash once, into a slot."""
+
+    def test_stored_hash(self):
+        for v in POINT_POOL:
+            p = pt(v)
+            assert p._hash == hash(p) == hash(("P1Point", p.value))
+            q = CurvePoint(p, 2)
+            assert q._hash == hash(q) == hash(("CurvePoint", p, 2))
+
+    def test_equal_points_hash_equal(self):
+        points = [parse_point("1/2"), P1Point(Fraction(1, 2)),
+                  P1Point(Fraction(2, 4))]
+        assert len(set(points)) == 1
+        assert len({hash(p) for p in points}) == 1
+        copies = [CurvePoint(p, 1) for p in points]
+        assert len(set(copies)) == 1
+        assert len({hash(q) for q in copies}) == 1
+
+    def test_hash_slot_cannot_be_rebound(self):
+        for point in (pt("1/2"), cp("1/2", 1)):
+            with pytest.raises(AttributeError, match="immutable"):
+                point._hash = 0
+            with pytest.raises(AttributeError, match="immutable"):
+                del point._hash
+            assert hash(point) == point._hash
 
 
 class TestJson:
@@ -659,15 +696,38 @@ class TestClosedFormAgainstSearch:
 
     @given(factored_functions())
     def test_orders_match_root_multiplicities(self, f):
-        for v in POINT_POOL + [5]:
+        for v in POINT_POOL + ROOT_POOL + [5]:
             assert order_at(f, pt(v)) == _oracle_order_at(f, pt(v))
 
     @given(curves(), factored_functions())
+    @settings(max_examples=150, deadline=None)
     def test_leading_terms_match(self, X, f):
+        # every root the functions are drawn from, so each order up to 6
+        # is read at some q = 1, 2 or 3
         bases = [b for b, _ in X.special]
-        bases += [pt(v) for v in POINT_POOL if not X.is_special(pt(v))]
+        bases += [pt(v) for v in POINT_POOL + ROOT_POOL
+                  if not X.is_special(pt(v))]
         for base in bases:
             assert leading_term(f, base) == _oracle_leading_term(f, base)
+
+    def test_leading_value_carries_the_power_of_q(self):
+        # (2z - 1)^3 / 5 = (8/5) (z - 1/2)^3 and 3 / (3z + 2)^2 at -2/3,
+        # with numerators over 5 and 3
+        f = RationalFunction(UniPoly([-1, 2]) ** 3 * Fraction(1, 5))
+        assert leading_term(f, pt("1/2")) == (3, Fraction(8, 5))
+        g = RationalFunction(UniPoly.const(3), UniPoly([2, 3]) ** 2)
+        assert leading_term(g, pt("-2/3")) == (-2, Fraction(1, 3))
+        # f(-2/3) = (-7/3)^3 / 5
+        assert leading_term(f / g, pt("-2/3")) == (2, Fraction(-343, 45))
+
+    @given(st.dictionaries(st.sampled_from(ROOT_POOL + [None]),
+                           st.integers(min_value=-6, max_value=6),
+                           max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_order_polynomials_match_the_fraction_product(self, orders):
+        orders = {P1Point(v): c for v, c in orders.items()}
+        assert (ratcurve.order_polynomials(orders)
+                == fraction_order_polynomials(orders))
 
     @given(curves(), st.data())
     @settings(max_examples=60, deadline=None)
