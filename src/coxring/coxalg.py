@@ -1516,7 +1516,7 @@ def _representative_moves(A):
 
 
 # classes uniqueness_crosscheck reads at once: enough that the fixed work
-# of a chunk (one pass over the rows of T1 and T2) is small per class, few
+# of a chunk (one pass over the rows of E and G) is small per class, few
 # enough that a chunk's lists are small beside the box
 CROSSCHECK_CHUNK = 1024
 
@@ -1525,10 +1525,12 @@ def _class_maps(A1, A2):
     """(T1, T2), the integer matrices of the crosscheck's class maps, as
     tuples of rows: T1 c is the copy vector of D1, the divisor of A1.rep(c),
     and T2 c that of D2, the divisor of the moved representative of c on
-    the full lattice A2 (_representative_moves).  Column j is the ambient
-    unit vector e_j sent through A.rep, the moves and copy_vector; each step
-    is integer-linear, so the columns give the maps on every class
-    (uniqueness_crosscheck)."""
+    the full lattice A2 (_representative_moves).  Both are integer-linear
+    in c: PicardData.coords adds and subtracts entries of c, A.rep
+    multiplies the coordinates by the fixed lifts of the lattice (and is
+    the identity on the full lattice), each move adds c[position] times a
+    fixed relation, and copy_vector multiplies by the lattice's columns.
+    So column j is the ambient unit vector e_j sent along that path."""
     moves = _representative_moves(A2)
     cols1, cols2 = [], []
     for unit in _identity(A1.pic.ambient_rank):
@@ -1541,70 +1543,44 @@ def _class_maps(A1, A2):
     return tuple(zip(*cols1)), tuple(zip(*cols2))
 
 
-def _least(rows):
-    """The entrywise minimum of one or more lists of equal length."""
-    return rows[0] if len(rows) == 1 else list(map(min, *rows))
+def _principal_rows(T1, T2, blocks):
+    """(E, G), the integer matrices that decide D1 - D2 = (T1 - T2) c, as
+    lists of rows.  With N = T1 - T2, E holds the rows of N at the first
+    copy of each special base (blocks), so E c lists the witness orders,
+    and G the nonzero rows among N_i - N_first(b) over the other copies i
+    of each base b and Σ_b N_first(b), so that D1 - D2 is principal
+    exactly when G c = 0."""
+    N = [list(map(operator.sub, a, b)) for a, b in zip(T1, T2)]
+    E = [N[block.start] for block in blocks]
+    G = [list(map(operator.sub, N[i], N[block.start]))
+         for block in blocks for i in range(block.start + 1, block.stop)]
+    G.append(list(map(sum, zip(*E))))
+    return E, [row for row in G if any(row)]
 
 
-def _total(rows):
-    """The entrywise sum of one or more lists of equal length."""
-    total = rows[0]
-    for row in rows[1:]:
-        total = list(map(operator.add, total, row))
-    return total
-
-
-def _witness_orders(blocks1, blocks2):
-    """(e, principal) over a batch, from the copy rows of D1 and D2 cut per
-    special base (_copy_blocks): e[b] lists D1 - D2 on the first copy of
-    base b, and principal whether D1 - D2 is principal, that is constant
-    on the copies of every base with orders adding up to zero."""
-    constant = itertools.repeat(True)
-    e = []
-    for x, y in zip(blocks1, blocks2):
-        d = list(map(operator.sub, x[0], y[0]))
-        for a, b in zip(x[1:], y[1:]):
-            constant = list(map(operator.and_, constant, map(
-                operator.eq, map(operator.sub, a, b), d)))
-        e.append(d)
-    return e, list(map(operator.and_, constant,
-                       map(operator.not_, _total(e))))
-
-
-def _copy_blocks(T1, T2, blocks, coords):
-    """The rows (T1 c)_i and (T2 c)_i (_class_maps) over a batch of classes
-    given by coords, one list per ambient coordinate, cut into the copies
-    of each special base (blocks): each T row is applied to all lists."""
-    count = len(coords[0])
+def _rows_on(rows, coords, count):
+    """Each row applied to a batch of count classes in column form: coords
+    holds one list per ambient coordinate, with that entry of every class
+    of the batch, and the result one list of count values per row."""
     out = []
-    for T in (T1, T2):
-        rows = []
-        for t_row in T:
-            acc = None
-            for t, x in zip(t_row, coords):
-                if t:
-                    term = x if t == 1 else map(
-                        operator.mul, itertools.repeat(t), x)
-                    acc = list(term) if acc is None else list(
-                        map(operator.add, acc, term))
-            rows.append([0] * count if acc is None else acc)
-        out.append([rows[block] for block in blocks])
+    for row in rows:
+        acc = [0] * count
+        for t, x in zip(row, coords):
+            if t:
+                acc = list(map(operator.add, acc, x if t == 1 else map(
+                    operator.mul, itertools.repeat(t), x)))
+        out.append(acc)
     return out
 
 
-def _class_orders(T1, T2, blocks, coords):
-    """(m1, m2, e, principal) over a batch: m1[b] and m2[b] list the least
-    coefficients of D1 and D2 on the copies of base b (_copy_blocks), e
-    and principal are the witness orders of D1 - D2 (_witness_orders)."""
-    b1, b2 = _copy_blocks(T1, T2, blocks, coords)
-    return ([_least(x) for x in b1], [_least(y) for y in b2],
-            *_witness_orders(b1, b2))
-
-
-def _dims(m):
-    """The component dimensions max(0, Σ_b m_b + 1) over a batch."""
-    return list(map(max, itertools.repeat(0),
-                    map(operator.add, _total(m), itertools.repeat(1))))
+def _class_dims(T1, T2, blocks, c):
+    """The component dimensions max(0, Σ_b m_b + 1) of D1 = T1 c and of
+    D2 = T2 c, m_b the least coefficient over the copies of base b."""
+    dims = []
+    for T in (T1, T2):
+        D = [sum(map(operator.mul, row, c)) for row in T]
+        dims.append(max(0, sum(min(D[block]) for block in blocks) + 1))
+    return dims
 
 
 def _chunks(items):
@@ -1620,65 +1596,44 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
     from the full lattice.  A class c is read in A1 at D1, the divisor of
     A1.rep(c), and in A2 at D2, the divisor of a representative moved along
     the class relations (_representative_moves), so that D1 - D2 is a
-    nonzero principal divisor on most classes.  The
-    check verifies equal dimension tables over the box and exhibits the
-    degreewise isomorphism, multiplication by the witness w of D1 - D2;
-    the witnesses multiply along sums of classes, which is the product
-    compatibility of the isomorphism.
+    nonzero principal divisor on most classes.  The check verifies equal
+    dimension tables over the box and exhibits the degreewise isomorphism,
+    multiplication by the witness w of D1 - D2; the witnesses multiply
+    along sums of classes, which is the product compatibility of the
+    isomorphism.  All of it is decided by one integer principal test per
+    class, with no section space, divisor, function or Python step per
+    class.
 
-    All of it is decided on per-base integer orders (_class_orders), with
-    no section space, divisor, function or Python step per class.
-
-    Class maps.  The copy vectors of D1 and D2 are integer-linear in c:
-    PicardData.coords adds and subtracts entries of c, A.rep multiplies the
-    coordinates by the fixed lifts of the lattice (and is the identity on
-    the full lattice), each move adds c[position] times a fixed relation,
-    and copy_vector multiplies by the lattice's columns M.  So they are
-    T1 c and T2 c for two integer matrices whose column j is the image of
-    the ambient unit vector e_j along that same path (_class_maps), built
-    once per run.  The box is read in chunks of CROSSCHECK_CHUNK classes
-    in column form: one list per ambient coordinate holds that entry of
-    every class of the chunk, T1 and T2 are applied to these lists one
-    ambient row at a time, and _class_orders returns the lists m1_b, m2_b
-    and e_b per base b and one list of whether D1 - D2 is principal.  All
-    checks below are map, compress and all over such lists; the order
-    vectors of the witnessed classes are the only tuples built per class.
-
-    Orders.  The component
-    of a divisor D depends only on m_b, the least coefficient of D over the
-    copies of each base b (min_orders): it is V q / W with W the product of
-    (z - b)^m_b over the finite bases with m_b > 0, V that of (z - b)^-m_b
-    over those with m_b < 0, and q any polynomial of degree at most
-    Σ_b m_b, infinity included.  Its dimension is max(0, Σ_b m_b + 1).
+    Orders.  The component of a divisor D depends only on m_b, the least
+    coefficient of D over the copies of each base b (min_orders): it is
+    V q / W with W the product of (z - b)^m_b over the finite bases with
+    m_b > 0, V that of (z - b)^-m_b over those with m_b < 0, and q any
+    polynomial of degree at most Σ_b m_b, infinity included.  Its
+    dimension is max(0, Σ_b m_b + 1).
 
     Witness.  A principal divisor has one order at all copies of a base,
     and these orders add up to zero; conversely such orders e_b are the
     divisor of w = ∏ (z - b)^e_b over the finite bases, whose order at
-    infinity is -Σ e_b over the finite ones.  So D1 - D2 is principal
-    exactly when its copy vector is constant, e_b, on the copies of every
-    base and Σ e_b = 0 (_witness_orders).
+    infinity is -Σ e_b over the finite ones.  D1 - D2 is (T1 - T2) c for
+    the integer matrices of the class maps, built once per run
+    (_class_maps), so it is principal exactly when G c = 0, with orders
+    e = E c (_principal_rows), both read on chunks of CROSSCHECK_CHUNK
+    classes in column form (_rows_on).
 
-    Landing.  For f = V1 q / W1 in the component of D1,
-    f w = V2 q' / W2 with q' = q · V1 W2 w / (W1 V2).  At a finite base b
-    the exponent of z - b in V1 W2 w / (W1 V2) is m2_b - m1_b + e_b.  When
-    the component is nonzero, q = 1 lies in it, so q' is a polynomial for
-    every q exactly when all these exponents are >= 0.  q = z^(Σ m1) then
-    gives deg q' = Σ_b m1_b + Σ_finite (m2_b - m1_b + e_b), at most the
-    bound Σ_b m2_b exactly when m2_inf >= m1_inf - e_inf.  So
-    multiplication by w maps the component of D1 into that of D2 exactly
-    when m2_b >= m1_b - e_b at every base, infinity included (at an
-    ordinary base m1 = m2 = e = 0).  w is nonzero, so the map is injective,
-    and with equal dimensions it is an isomorphism.
+    Derivation.  If D1 - D2 is principal, D1 = D2 + e_b on every copy of
+    b, so m1_b = m2_b + e_b, and Σ_b e_b = 0 gives Σ_b m1_b = Σ_b m2_b:
+    equal dimensions.  For f = V1 q / W1 in the component of D1,
+    f w = V2 q' / W2 with q' = q · V1 W2 w / (W1 V2), whose exponent of
+    z - b is m2_b - m1_b + e_b = 0 at every finite base, so q' = q and w
+    maps one component onto the other: landing with equality.  So only a
+    class with G c != 0 has its two dimensions read (_class_dims); it fails
+    hilbert_equal when they differ and iso_verified when they agree.  E
+    and G are linear, so for principal c1 and c2, c1 + c2 is principal
+    with e(c1 + c2) = e(c1) + e(c2), and the monic witnesses give
+    w(c1) w(c2) = w(c1 + c2): witness_multiplicative holds by proof.
 
-    Product.  The witnesses are monic, so w(c1) w(c2) = w(c1 + c2) exactly
-    when e(c1) + e(c2) = e(c1 + c2).  This is checked for each pair of
-    consecutive classes with a witness, as each chunk is read; the last
-    such class of a chunk is carried into the next one.  c1 + c2 is added
-    column by column and read like a chunk, never as a sum of witnesses.
-
-    One exact is_principal check per distinct witness order vector builds
-    the witness and verifies its divisor, which ties the integers back to
-    functions.
+    One is_principal per distinct order vector builds the witness and
+    verifies its divisor, which ties the integers back to functions.
     """
     A1 = curve_algebra(X, "canonical", basis=basis)
     A2 = curve_algebra(X, "full")
@@ -1689,44 +1644,27 @@ def uniqueness_crosscheck(X, box=None, radius=2, basis=None):
         if any(map(A1.pic.ambient_rank.__ne__, map(len, box))):
             raise ValueError("class vector length differs from ambient rank")
     T1, T2 = _class_maps(A1, A2)
-    blocks = A1.pic.blocks
-    hilbert_equal = iso_verified = product_ok = True
+    E, G = _principal_rows(T1, T2, A1.pic.blocks)
+    hilbert_equal = iso_verified = True
     orders = set()
-    # the coordinates, then the orders, of the last witnessed class so far
-    rank = A1.pic.ambient_rank
-    last = [[] for _ in range(rank + len(blocks))]
     for chunk in _chunks(box):
         coords = list(zip(*chunk))
-        m1, m2, e, principal = _class_orders(T1, T2, blocks, coords)
-        dims = _dims(m1)
-        same = list(map(operator.eq, dims, _dims(m2)))
-        witnessed = list(map(operator.and_, same, principal))
-        # the landing test runs on the witnessed classes with sections
-        tested = list(map(operator.and_, witnessed, map(bool, dims)))
-        lands = all(all(itertools.compress(map(operator.ge, y, map(
-            operator.sub, x, k)), tested)) for x, y, k in zip(m1, m2, e))
-        hilbert_equal = hilbert_equal and all(same)
-        iso_verified = (iso_verified and lands
-                        and all(itertools.compress(principal, same)))
-        cols = [w + list(itertools.compress(col, witnessed))
-                for w, col in zip(last, coords + e)]
-        wc, we = cols[:rank], cols[rank:]
-        orders.update(zip(*we))
-        if len(wc[0]) > 1:
-            sums = [list(map(operator.add, col, col[1:])) for col in wc]
-            e12, principal12 = _witness_orders(
-                *_copy_blocks(T1, T2, blocks, sums))
-            product_ok = product_ok and all(principal12) and all(
-                all(map(operator.eq, map(operator.add, col, col[1:]), col12))
-                for col, col12 in zip(we, e12))
-        last = [col[-1:] for col in cols]
+        e = zip(*_rows_on(E, coords, len(chunk)))
+        if G:
+            failing = list(map(any, zip(*_rows_on(G, coords, len(chunk)))))
+            for c in itertools.compress(chunk, failing):
+                d1, d2 = _class_dims(T1, T2, A1.pic.blocks, c)
+                hilbert_equal = hilbert_equal and d1 == d2
+                iso_verified = iso_verified and d1 != d2
+            e = itertools.compress(e, map(operator.not_, failing))
+        orders.update(e)
     bases = [p for p, _ in X.special]
     for e in orders:
         try:
             is_principal(X, _lift_orders(X, dict(zip(bases, e))))
         except NotPrincipal:
             iso_verified = False
-    agreed = hilbert_equal and iso_verified and product_ok
+    agreed = hilbert_equal and iso_verified
     return Verdict("pass" if agreed else "fail", classes=len(box),
                    hilbert_equal=hilbert_equal, iso_verified=iso_verified,
-                   witness_multiplicative=product_ok)
+                   witness_multiplicative=True)

@@ -306,6 +306,14 @@ class RationalFunction(Immutable):
         object.__setattr__(self, "den", den)
 
     @staticmethod
+    def _of(num, den):
+        """num / den for coprime num and monic den, with no gcd."""
+        f = object.__new__(RationalFunction)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
+
+    @staticmethod
     def zero():
         return RationalFunction(UniPoly.zero())
 

@@ -418,9 +418,10 @@ def principal_divisor(f, X):
     return _lift_orders(X, orders)
 
 
-def divisor_on(f, X, bases):
-    """Divisor of f when every finite zero and pole of f lies at one of the
-    given base points, None otherwise.
+def _orders_on(f, bases):
+    """The nonzero orders of f at the given base points and at infinity
+    when every finite zero and pole of f lies at one of those bases, None
+    otherwise.
 
     Orders are read by division at each base.  num and den are coprime, so
     f has no zero or pole elsewhere exactly when the zero orders add up to
@@ -434,15 +435,22 @@ def divisor_on(f, X, bases):
         if base.is_infinity():
             continue
         k = order_at(f, base)
-        orders[base] = k
-        if k > 0:
-            zeros += k
-        else:
-            poles -= k
+        if k:
+            orders[base] = k
+            zeros, poles = zeros + max(k, 0), poles + max(-k, 0)
     if zeros != f.num.degree or poles != f.den.degree:
         return None
-    orders[P1Point.infinity()] = f.den.degree - f.num.degree
-    return _lift_orders(X, orders)
+    k = f.den.degree - f.num.degree
+    if k:
+        orders[P1Point.infinity()] = k
+    return orders
+
+
+def divisor_on(f, X, bases):
+    """Divisor of f when every finite zero and pole of f lies at one of the
+    given base points, None otherwise (_orders_on)."""
+    orders = _orders_on(f, bases)
+    return None if orders is None else _lift_orders(X, orders)
 
 
 def min_divisor(X, D):
@@ -658,14 +666,19 @@ def is_principal(X, D):
 
     D is principal exactly when it has one coefficient c_b on every copy of
     each base b and these add up to zero; g is then the product of
-    (z - b)^c_b over the finite bases.
+    (z - b)^c_b over the finite bases, W / V with W and V monic and
+    coprime, their roots being distinct bases.  D and the orders of g are
+    both checked against the c_b, with no divisor built.
     """
     orders = {}
+    lifted = True
     for point, c in D.coefficients.items():
-        orders.setdefault(point.base, c)
-    if sum(orders.values()) or _lift_orders(X, orders) != D:
+        lifted = (lifted and orders.setdefault(point.base, c) == c
+                  and point.copy_index < X.multiplicity(point.base))
+    if (not lifted or sum(orders.values())
+            or len(D.coefficients) != sum(map(X.multiplicity, orders))):
         raise NotPrincipal(PicardData(X).class_of(D))
-    witness = RationalFunction(*order_polynomials(orders))
-    if divisor_on(witness, X, orders) != D:
+    witness = RationalFunction._of(*order_polynomials(orders))
+    if _orders_on(witness, orders) != orders:
         raise InternalInconsistency("principal witness fails verification")
     return witness

@@ -552,13 +552,14 @@ class TestCrosscheckMutations:
         assert json.loads(out)["agreed"] is False
 
     def test_witness_order_off_by_one(self, capsys, monkeypatch):
-        honest = coxalg._witness_orders
+        honest = coxalg._principal_rows
 
-        def off_by_one(blocks1, blocks2):
-            e, principal = honest(blocks1, blocks2)
-            return [[k + 1 for k in e[0]], *e[1:]], principal
+        def off_by_one(T1, T2, blocks):
+            # the first base's witness order gains the sum of the class
+            E, G = honest(T1, T2, blocks)
+            return [[k + 1 for k in E[0]], *E[1:]], G
 
-        monkeypatch.setattr(coxalg, "_witness_orders", off_by_one)
+        monkeypatch.setattr(coxalg, "_principal_rows", off_by_one)
         self._assert_disagrees(capsys)
 
     def test_representative_moved_by_non_principal_divisor(

@@ -49,6 +49,7 @@ from coxring.coxalg import (
     weight_monoid_check,
 )
 from coxring import coxalg
+from coxring import ratcurve
 from coxring import exactmath as em
 from coxring.exactmath import (
     MultiPoly,
@@ -2373,127 +2374,6 @@ def _section_space_crosscheck(X, box=None, radius=2, basis=None,
     return report, witness
 
 
-def _per_class_witness_orders(blocks1, blocks2):
-    """Per-base orders e of the witness of D1 - D2 for each class of a
-    batch, read from the copy rows of D1 and D2 cut into one list of rows
-    per special base: e_b is the difference on the copies of base b.  None
-    for a class where D1 - D2 is not principal: it differs between two
-    copies of a base, or the orders do not add up to zero."""
-    constant = itertools.repeat(True)
-    e = []
-    for x, y in zip(blocks1, blocks2):
-        d = list(map(operator.sub, x[0], y[0]))
-        for a, b in zip(x[1:], y[1:]):
-            constant = list(map(operator.and_, constant, map(
-                operator.eq, map(operator.sub, a, b), d)))
-        e.append(d)
-    return [w if same and not sum(w) else None
-            for same, w in zip(constant, zip(*e))]
-
-
-def _per_class_orders(T1, T2, blocks, classes):
-    """(m1, m2, e) for each class of a list: the least coefficients per
-    special base of D1 = T1 c and of D2 = T2 c, and the witness orders of
-    D1 - D2 (None when it is not principal).  The crosscheck's reader as
-    it returned one triple per class, kept as the oracle of the column
-    form."""
-    coords = list(zip(*classes)) or [()] * len(T1[0])
-    b1, b2 = coxalg._copy_blocks(T1, T2, blocks, coords)
-    return list(zip(zip(*map(coxalg._least, b1)),
-                    zip(*map(coxalg._least, b2)),
-                    _per_class_witness_orders(b1, b2)))
-
-
-def _per_class_crosscheck(X, box, basis=None):
-    """The order-vector crosscheck as it decided a chunk one class at a
-    time, on (m1, m2, e) triples (_per_class_orders): kept as the oracle of
-    the column form.  It reads the class maps and chunks of coxalg."""
-    A1 = curve_algebra(X, "canonical", basis=basis)
-    A2 = curve_algebra(X, "full")
-    box = [tuple(map(int, c)) for c in box]
-    T1, T2 = coxalg._class_maps(A1, A2)
-    blocks = A1.pic.blocks
-    hilbert_equal = iso_verified = product_ok = True
-    orders = set()
-    last = []
-    for chunk in coxalg._chunks(box):
-        witnessed = last
-        for c, (m1, m2, e) in zip(chunk,
-                                  _per_class_orders(T1, T2, blocks, chunk)):
-            dim = max(0, sum(m1) + 1)
-            if dim != max(0, sum(m2) + 1):
-                hilbert_equal = False
-                continue
-            if e is None:
-                iso_verified = False
-                continue
-            orders.add(e)
-            witnessed.append((c, e))
-            if dim and any(y < x - k for x, y, k in zip(m1, m2, e)):
-                iso_verified = False
-        pairs = list(zip(witnessed, witnessed[1:]))
-        sums = [_vadd(c1, c2) for (c1, _), (c2, _) in pairs]
-        for ((_, e1), (_, e2)), (_, _, e12) in zip(
-                pairs, _per_class_orders(T1, T2, blocks, sums)):
-            if e12 is None or _vadd(e1, e2) != e12:
-                product_ok = False
-        last = witnessed[-1:]
-    bases = [p for p, _ in X.special]
-    for e in orders:
-        try:
-            is_principal(X, _lift_orders(X, dict(zip(bases, e))))
-        except NotPrincipal:
-            iso_verified = False
-    return {"classes": len(box), "hilbert_equal": hilbert_equal,
-            "iso_verified": iso_verified,
-            "witness_multiplicative": product_ok}
-
-
-def _dict_paired_crosscheck(X, box, basis=None):
-    """The order-vector crosscheck as it paired classes before they were
-    paired as they stream: one dict entry per class with a witness, and a
-    second pass over consecutive entries.  Kept as the oracle of the
-    streamed pairing; it reads the class maps and chunks of coxalg."""
-    A1 = curve_algebra(X, "canonical", basis=basis)
-    A2 = curve_algebra(X, "full")
-    box = [tuple(map(int, c)) for c in box]
-    T1, T2 = coxalg._class_maps(A1, A2)
-    blocks = A1.pic.blocks
-    hilbert_equal = iso_verified = True
-    witness = {}
-    orders = {}
-    for chunk in coxalg._chunks(box):
-        for c, (m1, m2, e) in zip(
-                chunk, _per_class_orders(T1, T2, blocks, chunk)):
-            dim = max(0, sum(m1) + 1)
-            if dim != max(0, sum(m2) + 1):
-                hilbert_equal = False
-                continue
-            if e is None:
-                iso_verified = False
-                continue
-            witness[c] = orders.setdefault(e, e)
-            if dim and any(y < x - k for x, y, k in zip(m1, m2, e)):
-                iso_verified = False
-    bases = [p for p, _ in X.special]
-    for e in orders:
-        try:
-            is_principal(X, _lift_orders(X, dict(zip(bases, e))))
-        except NotPrincipal:
-            iso_verified = False
-    product_ok = True
-    items = witness.items()
-    for chunk in coxalg._chunks(zip(items, itertools.islice(items, 1, None))):
-        sums = [_vadd(c1, c2) for (c1, _), (c2, _) in chunk]
-        for ((_, e1), (_, e2)), (_, _, e12) in zip(
-                chunk, _per_class_orders(T1, T2, blocks, sums)):
-            if e12 is None or _vadd(e1, e2) != e12:
-                product_ok = False
-    return {"classes": len(box), "hilbert_equal": hilbert_equal,
-            "iso_verified": iso_verified,
-            "witness_multiplicative": product_ok}
-
-
 def _copy_blocks(A, L):
     """The copy vector of the divisor of lattice degree L, cut into one
     tuple per special base."""
@@ -2516,60 +2396,112 @@ def _witness_orders_of_class(blocks1, blocks2):
 def _orders_of_class(A1, A2, c):
     """(m1, m2, e) for one class, read at A1.rep(c) and at the moved
     representative of c on the full lattice, one class at a time: the
-    per-class oracle of the crosscheck's batched reader."""
+    per-class oracle of the crosscheck's principal rows."""
     b1 = _copy_blocks(A1, A1.rep(c))
     b2 = _copy_blocks(A2, _moved(A2, c))
     return (tuple(min(x) for x in b1), tuple(min(y) for y in b2),
             _witness_orders_of_class(b1, b2))
 
 
-def _columns(classes, rank):
-    """A batch of classes as the column reader takes it: one list per
-    ambient coordinate."""
-    return [list(col) for col in zip(*classes)] or [[] for _ in range(rank)]
-
-
-def _triples(columns):
-    """The column reader's (m1, m2, e, principal) as one (m1, m2, e)
-    triple per class, e None where D1 - D2 is not principal."""
-    m1, m2, e, principal = columns
-    return [(x, y, w if p else None)
-            for x, y, w, p in zip(zip(*m1), zip(*m2), zip(*e), principal)]
-
-
-def _assert_batched_orders_match(X, box, basis=None):
-    """The column reader gives the per-class oracles' (m1, m2, e) on every
-    class of the box and on every sum of two consecutive box classes: the
-    one that reads one class at a time and the batched one that returned
-    triples."""
+def _per_class_crosscheck(X, box, basis=None):
+    """The order-vector crosscheck read one class at a time on (m1, m2, e)
+    triples (_orders_of_class), with the two checks that the principal
+    rows decide by proof: landing on every witnessed class of nonzero
+    dimension, and the product on every pair of consecutive witnessed
+    classes.  Kept as the oracle of the principal rows; it reads nothing
+    of coxalg's crosscheck."""
     A1 = curve_algebra(X, "canonical", basis=basis)
     A2 = curve_algebra(X, "full")
-    T1, T2 = coxalg._class_maps(A1, A2)
+    box = [tuple(map(int, c)) for c in box]
+    hilbert_equal = iso_verified = product_ok = True
+    witnessed = []
+    for c in box:
+        m1, m2, e = _orders_of_class(A1, A2, c)
+        dim = max(0, sum(m1) + 1)
+        if dim != max(0, sum(m2) + 1):
+            hilbert_equal = False
+        elif e is None:
+            iso_verified = False
+        else:
+            witnessed.append((c, e))
+            if dim and any(y < x - k for x, y, k in zip(m1, m2, e)):
+                iso_verified = False
+    for (c1, e1), (c2, e2) in zip(witnessed, witnessed[1:]):
+        e12 = _orders_of_class(A1, A2, _vadd(c1, c2))[2]
+        if e12 is None or _vadd(e1, e2) != e12:
+            product_ok = False
+    bases = [p for p, _ in X.special]
+    for e in {e for _, e in witnessed}:
+        try:
+            is_principal(X, _lift_orders(X, dict(zip(bases, e))))
+        except NotPrincipal:
+            iso_verified = False
+    return {"classes": len(box), "hilbert_equal": hilbert_equal,
+            "iso_verified": iso_verified,
+            "witness_multiplicative": product_ok}
+
+
+def _assert_oracles_agree(X, box, basis=None):
+    """The crosscheck's report equals both oracles' on the box."""
     box = [tuple(c) for c in box]
-    sums = [_vadd(c1, c2) for c1, c2 in zip(box, box[1:])]
-    for classes in (box, sums):
-        columns = coxalg._class_orders(
-            T1, T2, A1.pic.blocks, _columns(classes, A1.pic.ambient_rank))
-        expected = [_orders_of_class(A1, A2, c) for c in classes]
-        assert _triples(columns) == expected
-        assert _per_class_orders(T1, T2, A1.pic.blocks, classes) == expected
+    report = dict(uniqueness_crosscheck(X, box=box, basis=basis).fields)
+    assert report == _section_space_crosscheck(X, box=box, basis=basis)[0]
+    assert report == _per_class_crosscheck(X, box, basis)
+    return report
 
 
-def _recorded_orders(monkeypatch):
-    """Record the witness orders of every class the crosscheck reads: the
-    box classes and the sums of the product check."""
+def _dot(row, c):
+    return sum(map(operator.mul, row, c))
+
+
+def _assert_principal_rows_match(X, box, basis=None):
+    """G c = 0 exactly where the per-class oracle finds D1 - D2 principal,
+    and E c equals the oracle's witness orders there."""
+    A1 = curve_algebra(X, "canonical", basis=basis)
+    A2 = curve_algebra(X, "full")
+    E, G = coxalg._principal_rows(*coxalg._class_maps(A1, A2),
+                                  A1.pic.blocks)
+    for c in box:
+        e = _orders_of_class(A1, A2, c)[2]
+        assert (e is not None) == (not any(_dot(row, c) for row in G))
+        if e is not None:
+            assert tuple(_dot(row, c) for row in E) == e
+
+
+def _recorded_reads(monkeypatch):
+    """Record what the crosscheck reads of each class of its box: the
+    values of the rows of E, then those of G when G has rows (_rows_on)."""
     seen = {}
-    honest = coxalg._copy_blocks
+    honest = coxalg._rows_on
 
-    def recording(T1, T2, blocks, coords):
-        b1, b2 = honest(T1, T2, blocks, coords)
-        e, principal = coxalg._witness_orders(b1, b2)
-        seen.update(zip(zip(*coords), (w if p else None for w, p in zip(
-            zip(*e), principal))))
-        return b1, b2
+    def recording(rows, coords, count):
+        out = honest(rows, coords, count)
+        for c, values in zip(zip(*coords), zip(*out)):
+            seen.setdefault(c, []).append(values)
+        return out
 
-    monkeypatch.setattr(coxalg, "_copy_blocks", recording)
+    monkeypatch.setattr(coxalg, "_rows_on", recording)
     return seen
+
+
+def _read_orders(seen, c):
+    """The witness orders the crosscheck read for class c (_recorded_reads),
+    None where it read D1 - D2 as not principal."""
+    e, *g = seen[c]
+    return None if any(itertools.chain(*g)) else e
+
+
+def _counted_class_dims(monkeypatch):
+    """Record the classes whose two dimensions the crosscheck reads."""
+    calls = []
+    honest = coxalg._class_dims
+
+    def counting(T1, T2, blocks, c):
+        calls.append(c)
+        return honest(T1, T2, blocks, c)
+
+    monkeypatch.setattr(coxalg, "_class_dims", counting)
+    return calls
 
 
 def _swap_first_columns(A):
@@ -2593,27 +2525,51 @@ def _swap_full_lattice(monkeypatch):
     monkeypatch.setitem(globals(), "curve_algebra", swapped)
 
 
-class TestCrosscheckOracle:
-    """The order-vector crosscheck against the section-space one at the
-    same moved representatives, and its batched reader against the one
-    that reads one class at a time."""
+def _anchorless_full_lattice(monkeypatch):
+    """Drop the anchor's copies from the full lattice's relations in every
+    crosscheck, the oracles' included: each move then adds the copies of
+    its point alone, so D1 - D2 stays constant on the copies of every base
+    while its orders no longer add up to zero."""
+    honest = coxalg.curve_algebra
 
-    @pytest.mark.parametrize("name", sorted(
-        n for n in FIXTURE_CURVES if n.endswith("_line")))
+    def anchorless(X, mode="canonical", basis=None):
+        A = honest(X, mode, basis)
+        if mode == "full":
+            m0 = X.special[0][1]
+            object.__setattr__(A.pic, "relations", tuple(
+                (0,) * m0 + rel[m0:] for rel in A.pic.relations))
+        return A
+
+    monkeypatch.setattr(coxalg, "curve_algebra", anchorless)
+    monkeypatch.setitem(globals(), "curve_algebra", anchorless)
+
+
+LINE_FIXTURES = sorted(n for n in FIXTURE_CURVES if n.endswith("_line"))
+# an anchor of one copy: swapping the full lattice's first two columns
+# moves a copy between bases, so failing classes change their dimension
+# sums, some of them between two negative values
+LONE_ANCHOR = GluedCurve([(pt(0), 1), (pt(1), 2), (pt("inf"), 2)])
+
+
+class TestCrosscheckOracle:
+    """The principal-row crosscheck against the section-space one at the
+    same moved representatives and against the per-class one that reads
+    one class at a time with its landing and product checks."""
+
+    @pytest.mark.parametrize("name", LINE_FIXTURES)
     def test_fixtures(self, monkeypatch, name):
         X = FIXTURE_CURVES[name]
-        _assert_batched_orders_match(X, lattice_box(canonical_lambda(X), 1))
-        seen = _recorded_orders(monkeypatch)
+        seen = _recorded_reads(monkeypatch)
         report = uniqueness_crosscheck(X, radius=1)
         expected, witness = _section_space_crosscheck(X, radius=1)
         assert report.fields == expected
         assert all(expected.values())
         # every class witness has the recorded orders at every base
         for c, w in witness.items():
-            assert tuple(order_at(w, p) for p, _ in X.special) == seen[c]
+            assert (tuple(order_at(w, p) for p, _ in X.special)
+                    == _read_orders(seen, c))
 
-    @pytest.mark.parametrize("name", sorted(
-        n for n in FIXTURE_CURVES if n.endswith("_line")))
+    @pytest.mark.parametrize("name", LINE_FIXTURES)
     def test_shifting_ideal_identifies_repeated_classes(self, name):
         # the paper's quotient by the shifting ideal, which crosscheck
         # decides by per-base orders instead: on the full lattice, every
@@ -2644,11 +2600,16 @@ class TestCrosscheckOracle:
         assert uniqueness_crosscheck(X, radius=1).verdict == "pass"
 
     def test_explicit_basis(self):
-        args = (tripled_line(), tripled_box(), 2, explicit_basis())
-        _assert_batched_orders_match(tripled_line(), tripled_box(),
-                                     explicit_basis())
-        assert (uniqueness_crosscheck(*args).fields
-                == _section_space_crosscheck(*args)[0])
+        X = tripled_line()
+        for swap in (False, True):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                if swap:
+                    _swap_full_lattice(monkeypatch)
+                for basis in (explicit_basis(), _triangular_basis(X)):
+                    box = lattice_box(canonical_lambda(X, basis), 2)
+                    _assert_principal_rows_match(X, box, basis)
+                    report = _assert_oracles_agree(X, box, basis)
+                    assert swap != all(report.values())
 
     @given(small_curves(max_mult=3))
     @settings(max_examples=25, deadline=None)
@@ -2656,48 +2617,42 @@ class TestCrosscheckOracle:
         box = lattice_box(canonical_lambda(X), 1)
         # at most about 150 classes of the box, spread over all of it
         box = box[::max(1, len(box) // 150)]
-        _assert_batched_orders_match(X, box)
-        assert (uniqueness_crosscheck(X, box=box).fields
-                == _section_space_crosscheck(X, box=box)[0])
+        for swap in (False, True):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                if swap:
+                    _swap_full_lattice(monkeypatch)
+                _assert_principal_rows_match(X, box)
+                _assert_oracles_agree(X, box)
 
     @pytest.mark.parametrize("size", [0, 1])
-    def test_empty_and_one_class_boxes(self, size):
+    def test_empty_and_one_class_boxes(self, monkeypatch, size):
         X = tripled_line()
         box = lattice_box(canonical_lambda(X), 1)[1:1 + size]
-        _assert_batched_orders_match(X, box)
         report = uniqueness_crosscheck(X, box=box)
         assert report.verdict == "pass"
-        assert report.fields == _section_space_crosscheck(X, box=box)[0]
+        assert dict(report.fields) == _assert_oracles_agree(X, box)
         assert report.fields["classes"] == size
+        _swap_full_lattice(monkeypatch)
+        _assert_oracles_agree(X, box)
 
-    def test_chunk_boundaries_do_not_change_reads(self, monkeypatch):
-        # chunks of 7 split the box and the consecutive pairs of the
-        # product check at many places
+    def test_chunk_boundaries_do_not_change_reads(self):
+        # chunks of 7 split the box at many places; on the swapped lattice
+        # they split the classes whose dimensions are read as well
         X = FIXTURE_CURVES["mixed_line"]
         box = lattice_box(canonical_lambda(X), 1)
-        whole = _recorded_orders(monkeypatch)
-        report = uniqueness_crosscheck(X, box=box)
-        monkeypatch.undo()
-        monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", 7)
-        chunked = _recorded_orders(monkeypatch)
-        assert uniqueness_crosscheck(X, box=box).fields == report.fields
-        assert chunked == whole
-
-    @pytest.mark.parametrize("chunk", [1, 2, 3])
-    @pytest.mark.parametrize("swap", [False, True])
-    @pytest.mark.parametrize("name", sorted(
-        n for n in FIXTURE_CURVES if n.endswith("_line")))
-    def test_streamed_pairs_against_the_dict(self, monkeypatch, name, swap,
-                                             chunk):
-        # with the full lattice's first two columns swapped, classes drop
-        # out of the witnessed ones, and pairs skip them
-        X = FIXTURE_CURVES[name]
-        box = lattice_box(canonical_lambda(X), 1)
-        if swap:
-            _swap_full_lattice(monkeypatch)
-        monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", chunk)
-        assert (dict(uniqueness_crosscheck(X, box=box).fields)
-                == _dict_paired_crosscheck(X, box))
+        for swap in (False, True):
+            runs = []
+            for chunk in (coxalg.CROSSCHECK_CHUNK, 7):
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    if swap:
+                        _swap_full_lattice(monkeypatch)
+                    monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", chunk)
+                    seen = _recorded_reads(monkeypatch)
+                    read = _counted_class_dims(monkeypatch)
+                    report = uniqueness_crosscheck(X, box=box)
+                    runs.append((seen, read, dict(report.fields)))
+            assert runs[0] == runs[1]
+            assert bool(runs[0][1]) == swap
 
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("radius", [1, 2])
@@ -2708,9 +2663,9 @@ class TestCrosscheckOracle:
         box = lattice_box(canonical_lambda(X), radius)
         if swap:
             _swap_full_lattice(monkeypatch)
-        report = uniqueness_crosscheck(X, box=box)
-        assert dict(report.fields) == _per_class_crosscheck(X, box)
-        assert swap or report.verdict == "pass"
+        _assert_principal_rows_match(X, box)
+        report = _assert_oracles_agree(X, box)
+        assert swap or all(report.values())
 
     @given(small_curves(max_points=5, bases=(0, 1, "inf", -1, "2/3")),
            st.data())
@@ -2722,61 +2677,36 @@ class TestCrosscheckOracle:
         box = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
                                  max_size=30))
         chunk = data.draw(st.sampled_from([1, 2, 3, 1024]))
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            if data.draw(st.booleans()):
-                _swap_full_lattice(monkeypatch)
-            monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", chunk)
-            assert (dict(uniqueness_crosscheck(X, box=box).fields)
-                    == _per_class_crosscheck(X, box))
+        for swap in (False, True):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                if swap:
+                    _swap_full_lattice(monkeypatch)
+                monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", chunk)
+                _assert_principal_rows_match(X, box)
+                _assert_oracles_agree(X, box)
 
     def test_empty_components_compare_equal(self, monkeypatch):
-        # the full pipeline's least coefficient one lower at the first
-        # base wherever its component is zero: the sums of least
-        # coefficients differ, the dimensions max(0, sum + 1) do not
-        honest = coxalg._class_orders
-        lowered = []
-
-        def lower(T1, T2, blocks, coords):
-            m1, m2, e, principal = honest(T1, T2, blocks, coords)
-            empty = [s < 0 for s in map(sum, zip(*m2))]
-            lowered.append(sum(empty))
-            return m1, [[y - k for y, k in zip(m2[0], empty)], *m2[1:]], \
-                e, principal
-
-        monkeypatch.setattr(coxalg, "_class_orders", lower)
-        report = uniqueness_crosscheck(tripled_line(), radius=1)
-        assert sum(lowered) > 0
-        assert report.verdict == "pass"
-
-    @pytest.mark.parametrize("chunk", [1, 2, 3])
-    def test_a_fault_at_a_chunk_boundary(self, monkeypatch, chunk):
-        # the sum of the two classes on either side of a chunk boundary is
-        # misread as not principal: only the pair carried across the
-        # boundary reads it
-        X = tripled_line()
-        box = lattice_box(canonical_lambda(X), 1)
-        sums = [_vadd(a, b) for a, b in zip(box, box[1:])]
-        at = next(k for k in range(chunk, len(box), chunk)
-                  if sums[k - 1] not in box
-                  and sums.count(sums[k - 1]) == 1)
-        fault = sums[at - 1]
-        honest = coxalg._copy_blocks
-
-        def faulty(T1, T2, blocks, coords):
-            # one more on the first copy of D2 at the first base: D1 - D2
-            # is no longer constant on that base's copies
-            b1, b2 = honest(T1, T2, blocks, coords)
-            hit = [c == fault for c in zip(*coords)]
-            b2[0] = [list(map(operator.add, b2[0][0], hit)), *b2[0][1:]]
-            return b1, b2
-
-        monkeypatch.setattr(coxalg, "_copy_blocks", faulty)
-        monkeypatch.setattr(coxalg, "CROSSCHECK_CHUNK", chunk)
-        report = uniqueness_crosscheck(X, box=box)
-        assert dict(report.fields) == _dict_paired_crosscheck(X, box)
-        assert report.fields == {"classes": 81, "hilbert_equal": True,
-                                 "iso_verified": True,
-                                 "witness_multiplicative": False}
+        # on the swapped full lattice, some classes where D1 - D2 is not
+        # principal have two zero components whose sums of least
+        # coefficients differ: their dimensions max(0, sum + 1) agree
+        _swap_full_lattice(monkeypatch)
+        X = LONE_ANCHOR
+        A1 = curve_algebra(X, "canonical")
+        A2 = curve_algebra(X, "full")
+        read = _counted_class_dims(monkeypatch)
+        report = uniqueness_crosscheck(X, radius=1)
+        empty = []
+        for c in read:
+            m1, m2, _ = _orders_of_class(A1, A2, c)
+            if sum(m1) != sum(m2) and max(sum(m1), sum(m2)) < 0:
+                empty.append(c)
+        assert empty
+        T1, T2 = coxalg._class_maps(A1, A2)
+        for c in empty:
+            assert coxalg._class_dims(T1, T2, A1.pic.blocks, c) == [0, 0]
+        assert not report.fields["iso_verified"]
+        assert dict(report.fields) == _assert_oracles_agree(
+            X, lattice_box(canonical_lambda(X), 1))
 
     def test_wrong_length_class_is_refused(self):
         box = [(0,) * 6, (0,) * 5]
@@ -2802,46 +2732,13 @@ class TestCrosscheckOracle:
         assert not (report.fields["hilbert_equal"]
                     and report.fields["iso_verified"])
 
-    def test_witness_orders(self):
-        # two classes read together, one row per copy of each base: the
-        # first differs by 1 on the first base and -1 on the second, the
-        # second differs between the copies of the first base (its orders
-        # are read on the first copies)
-        assert coxalg._witness_orders([[[1, 1], [1, 2]], [[2, 0], [2, 0]]],
-                                      [[[0, 0], [0, 0]], [[3, 0], [3, 0]]]
-                                      ) == ([[1, 1], [-1, 0]], [True, False])
-        # constant on the copies, but the orders add up to 1
-        assert coxalg._witness_orders([[[1], [1]], [[0]]],
-                                      [[[0], [0]], [[0]]]
-                                      ) == ([[1], [0]], [False])
-        assert coxalg._witness_orders([[[], []], [[]]],
-                                      [[[], []], [[]]]) == ([[], []], [])
-
-    def test_misread_orders_fail_to_land(self, monkeypatch):
-        # the full pipeline's least coefficients moved by -1 at the first
-        # base and +1 at the second: equal dimensions, the same principal
-        # witness, but the components no longer match
-        honest = coxalg._class_orders
-
-        def misread(T1, T2, blocks, coords):
-            m1, m2, e, principal = honest(T1, T2, blocks, coords)
-            m2 = [[y - 1 for y in m2[0]], [y + 1 for y in m2[1]], *m2[2:]]
-            return m1, m2, e, principal
-
-        monkeypatch.setattr(coxalg, "_class_orders", misread)
-        report = uniqueness_crosscheck(tripled_line(), radius=1)
-        assert report.verdict == "fail"
-        assert report.fields["hilbert_equal"]
-        assert report.fields["witness_multiplicative"]
-        assert not report.fields["iso_verified"]
-
     @pytest.mark.parametrize("name", ["tripled_line", "mixed_line"])
     def test_most_witnesses_are_not_one(self, monkeypatch, name):
         X = FIXTURE_CURVES[name]
-        seen = _recorded_orders(monkeypatch)
+        seen = _recorded_reads(monkeypatch)
         box = lattice_box(canonical_lambda(X), 1)
         assert uniqueness_crosscheck(X, box=box).fields["iso_verified"]
-        nontrivial = sum(1 for c in box if any(seen[c]))
+        nontrivial = sum(1 for c in box if any(_read_orders(seen, c)))
         assert 2 * nontrivial >= len(box)
 
     def test_generator_box_counts_every_class(self, monkeypatch):
@@ -2852,7 +2749,7 @@ class TestCrosscheckOracle:
         assert report.fields["classes"] == len(box) == 625
 
     def test_no_section_space_and_one_check_per_witness(self, monkeypatch):
-        counts = {"section_space": 0, "is_principal": 0}
+        counts = {"section_space": 0, "is_principal": 0, "_lift_orders": 0}
 
         def counting(name, fn):
             def wrapped(*a, **kw):
@@ -2864,13 +2761,66 @@ class TestCrosscheckOracle:
                             counting("section_space", section_space))
         monkeypatch.setattr(coxalg, "is_principal",
                             counting("is_principal", is_principal))
-        seen = _recorded_orders(monkeypatch)
+        # the crosscheck's lift and any inside is_principal
+        lift = counting("_lift_orders", _lift_orders)
+        monkeypatch.setattr(coxalg, "_lift_orders", lift)
+        monkeypatch.setattr(ratcurve, "_lift_orders", lift)
+        seen = _recorded_reads(monkeypatch)
         box = lattice_box(canonical_lambda(tripled_line()), 1)
         uniqueness_crosscheck(tripled_line(), box=box)
-        distinct = {seen[c] for c in box}
-        # one per distinct order vector: no kernel witness is built
-        assert counts == {"section_space": 0,
-                          "is_principal": len(distinct)}
+        distinct = {_read_orders(seen, c) for c in box}
+        # one per distinct order vector: no kernel witness is built, and
+        # is_principal checks D and the witness on the orders themselves
+        assert counts == {"section_space": 0, "is_principal": len(distinct),
+                          "_lift_orders": len(distinct)}
+
+
+class TestPrincipalRows:
+    """E and G, the integer rows that decide D1 - D2 = (T1 - T2) c, on the
+    faults and reads the oracle comparisons above do not reach."""
+
+    @pytest.mark.parametrize("name", [
+        n for n in sorted(FIXTURE_CURVES)
+        if len(FIXTURE_CURVES[n].special) > 1])
+    def test_anchorless_moves_fail_on_the_sum_row(self, monkeypatch, name):
+        X = FIXTURE_CURVES[name]
+        _anchorless_full_lattice(monkeypatch)
+        box = lattice_box(canonical_lambda(X), 1)
+        _assert_principal_rows_match(X, box)
+        report = _assert_oracles_agree(X, box)
+        assert not report["hilbert_equal"]
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_CURVES))
+    def test_honest_runs_read_no_dimension(self, monkeypatch, name):
+        X = FIXTURE_CURVES[name]
+        A1 = curve_algebra(X, "canonical")
+        E, G = coxalg._principal_rows(
+            *coxalg._class_maps(A1, curve_algebra(X, "full")), A1.pic.blocks)
+        assert (len(E), G) == (len(X.special), [])
+        read = _counted_class_dims(monkeypatch)
+        assert uniqueness_crosscheck(X, radius=2).verdict == "pass"
+        assert read == []
+        # the swapped full lattice reads the classes that fail
+        _swap_full_lattice(monkeypatch)
+        report = uniqueness_crosscheck(X, radius=2)
+        assert bool(read) == (report.verdict == "fail")
+
+    def test_swapped_rows_fail_both_ways(self, monkeypatch):
+        # a class fails hilbert_equal when its dimensions differ and
+        # iso_verified when they agree but D1 - D2 is not principal
+        _swap_full_lattice(monkeypatch)
+        X = LONE_ANCHOR
+        A1 = curve_algebra(X, "canonical")
+        A2 = curve_algebra(X, "full")
+        T1, T2 = coxalg._class_maps(A1, A2)
+        failing = []
+        for c in lattice_box(canonical_lambda(X), 1):
+            m1, m2, e = _orders_of_class(A1, A2, c)
+            dims = coxalg._class_dims(T1, T2, A1.pic.blocks, c)
+            assert dims == [max(0, sum(m1) + 1), max(0, sum(m2) + 1)]
+            if e is None:
+                failing.append(dims[0] == dims[1])
+        assert True in failing and False in failing
 
 
 class TestPicardDataReuse:

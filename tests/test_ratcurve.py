@@ -590,6 +590,15 @@ class TestIsPrincipal:
         Pic, _ = picard_group(X)
         assert not Pic.contains_zero(exc.value.class_vector)
 
+    def test_copy_out_of_range_is_refused(self):
+        # constant on the copies it names, with orders adding up to zero
+        # and one point per copy of 0 and of inf, but copy 2 of 0 is not
+        # on the curve
+        D = Divisor({cp(0): 1, cp(0, 2): 1, cp("inf"): -1,
+                     cp("inf", 1): -1})
+        with pytest.raises(ValueError, match="copy index 2 out of range"):
+            is_principal(tripled_line(), D)
+
     @given(factored_functions())
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_on_principal(self, f):
@@ -743,6 +752,31 @@ class TestClosedFormAgainstSearch:
         w = is_principal(X, D)
         assert isinstance(w, RationalFunction)
         assert w == _oracle_is_principal(X, D)
+
+    @given(curves(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_witness_takes_no_division_and_no_lift(self, X, data):
+        # W and V are monic with distinct roots, hence coprime: the witness
+        # is the reduced quotient with no gcd, and D and the witness are
+        # checked on the orders with no divisor lifted
+        D = data.draw(principal_divisors_on(X))
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(UniPoly, "__divmod__", counting(
+                "__divmod__", UniPoly.__divmod__))
+            monkeypatch.setattr(ratcurve, "_lift_orders", counting(
+                "_lift_orders", ratcurve._lift_orders))
+            w = is_principal(X, D)
+        assert calls == []
+        orders = {point.base: c for point, c in D.coefficients.items()}
+        assert w == RationalFunction(*ratcurve.order_polynomials(orders))
 
     def test_wrong_witness_is_caught(self, monkeypatch):
         honest = ratcurve.order_polynomials
